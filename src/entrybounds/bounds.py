@@ -25,6 +25,7 @@ from .errors import (
     IndexOutOfRange,
     InfeasibleSystem,
     NotOverdetermined,
+    NumericalFailure,
     RankDeficient,
     SamePair,
     StatusMismatch,
@@ -45,6 +46,10 @@ class BoundStatus(enum.Enum):
     FINITE = "finite"
     UNBOUNDED = "unbounded"
     INFEASIBLE = "infeasible"
+
+
+# Status codes of :class:`BoundArrays` index this tuple.
+BOUND_STATUSES = tuple(BoundStatus)
 
 
 class Target(enum.Enum):
@@ -71,6 +76,8 @@ class LinearSystem:
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float).reshape(-1)
         self.epsilon = float(self.epsilon)
+        if not (math.isfinite(self.epsilon) and np.isfinite(self.b).all()):
+            raise NumericalFailure(f"data vector and epsilon must be finite (epsilon={self.epsilon})")
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if isinstance(self.a, SvdFactors):
@@ -139,7 +146,7 @@ class ConditionReport:
     spectral_entry: np.ndarray
 
 
-def _lambda_from(sys: LinearSystem, residual: float) -> tuple[Optional[float], float]:
+def _lambda_from(sys: LinearSystem, residual: float) -> Optional[float]:
     """Effective tolerance sqrt(eps^2 - residual^2), or None if the
     feasible set is empty.  Tiny negative values of the discriminant are
     clamped to zero."""
@@ -151,114 +158,107 @@ def _lambda_from(sys: LinearSystem, residual: float) -> tuple[Optional[float], f
         if lam_sq >= -LAMBDA_CLAMP_RTOL * eps * eps:
             lam_sq = 0.0
         else:
-            return None, residual
-    return math.sqrt(lam_sq), residual
+            return None
+    return math.sqrt(lam_sq)
 
 
-def functional_bound(sys: LinearSystem, w, index: Optional[int] = None) -> EntryBound:
-    """Tight interval for w^T x over all nearly data-consistent x.
+@dataclass(frozen=True)
+class BoundArrays:
+    """Intervals for the k rows of a weight matrix, as a struct of arrays.
 
-    Returns INFEASIBLE when the residual projection of b exceeds epsilon,
-    UNBOUNDED when w has a component in the nullspace of A, and otherwise
-    the closed interval centered at w^T A^+ b.
+    ``status[k]`` indexes ``BOUND_STATUSES``: 0 finite, 1 unbounded,
+    2 infeasible.  The float arrays are NaN where the status is not finite.
+    ``lam`` is the effective tolerance, None when the set is empty.
     """
-    f = sys.factors()
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if w.shape[0] != f.shape[1]:
-        raise DimensionMismatch(
-            f"weight vector has length {w.shape[0]}, matrix has {f.shape[1]} columns"
-        )
-    wnorm = float(np.linalg.norm(w))
-    if wnorm == 0.0:
-        raise ZeroFunctional("weight vector is identically zero")
 
-    residual = core.residual_projection_norm(f, sys.b)
-    lam, residual = _lambda_from(sys, residual)
-    if lam is None:
-        return EntryBound(status=BoundStatus.INFEASIBLE, index=index)
+    status: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    midpoint: np.ndarray
+    half_width: np.ndarray
+    sensitivity: np.ndarray
+    lam: Optional[float]
 
-    _, perp_norm = core.nullspace_component(f, w)
-    if perp_norm > sys.ortho_tol * wnorm:
-        return EntryBound(status=BoundStatus.UNBOUNDED, lam=lam, index=index)
-
-    midpoint = float(w @ core.pinv_apply(f, sys.b))
-    sensitivity = core.pinv_transpose_norm(f, w)
-    half_width = sensitivity * lam
-    return EntryBound(
-        status=BoundStatus.FINITE,
-        lower=midpoint - half_width,
-        upper=midpoint + half_width,
-        midpoint=midpoint,
-        half_width=half_width,
-        sensitivity=sensitivity,
-        lam=lam,
-        index=index,
-    )
+    def entry_bounds(self, index: Optional[Sequence] = None) -> list[EntryBound]:
+        """One :class:`EntryBound` per row, labelled by ``index`` or the row number."""
+        labels = range(self.status.size) if index is None else index
+        cols = zip(self.status.tolist(), self.lower.tolist(), self.upper.tolist(),
+                   self.midpoint.tolist(), self.half_width.tolist(), self.sensitivity.tolist())
+        out = []
+        for i, (code, lo, hi, mid, half, sens) in zip(labels, cols):
+            status = BOUND_STATUSES[code]
+            if status is BoundStatus.FINITE:
+                out.append(EntryBound(status, lo, hi, mid, half, sens, self.lam, i))
+            else:
+                out.append(EntryBound(status, lam=self.lam, index=i))
+        return out
 
 
-def entrywise_bounds(sys: LinearSystem) -> list[EntryBound]:
-    """Interval for every coordinate x_i, sharing one SVD.
+def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
+    """Tight interval for w^T x over all nearly data-consistent x, for
+    every row w of the k x N weight matrix ``W`` (None: the N coordinates
+    x_i, without forming the identity).
 
-    Equivalent to N calls of :func:`functional_bound` with unit vectors,
-    but each entry costs only O(r) once the factorization is available.
+    A row is INFEASIBLE when the residual projection of b exceeds epsilon,
+    UNBOUNDED when it has a component in the nullspace of A, and otherwise
+    gets the interval w^T A^+ b +/- lam * ||Sigma^-1 V^T w||.  All rows
+    share one residual projection; midpoints, sensitivities and nullspace
+    components come from the products W A^+ b, W V and W V_perp.
     """
     f = sys.factors()
     n = f.shape[1]
-    residual = core.residual_projection_norm(f, sys.b)
-    lam, residual = _lambda_from(sys, residual)
-    if lam is None:
-        return [EntryBound(status=BoundStatus.INFEASIBLE, index=i) for i in range(n)]
-
-    # Row norms of V_perp give every nullspace component at once; row norms
-    # of V Sigma^-1 give every sensitivity at once.
-    perp_norms = (
-        np.linalg.norm(f.v_perp, axis=1) if f.v_perp.shape[1] > 0 else np.zeros(n)
-    )
-    if f.rank > 0:
-        midpoints = f.v @ ((f.u.T @ sys.b) / f.sigma)
-        sens = np.linalg.norm(f.v / f.sigma, axis=1)
+    if W is None:
+        rows, wnorm, k = (lambda x: x), 1.0, n
     else:
-        midpoints = np.zeros(n)
-        sens = np.zeros(n)
+        W = np.asarray(W, dtype=float)
+        if W.ndim != 2 or W.shape[1] != n:
+            raise DimensionMismatch(f"weight matrix has shape {W.shape}, matrix has {n} columns")
+        wnorm = np.linalg.norm(W, axis=1)
+        if not np.all(wnorm > 0.0):
+            raise ZeroFunctional(f"weight row {int(np.argmin(wnorm))} is identically zero")
+        rows, k = W.__matmul__, W.shape[0]
+    lam = _lambda_from(sys, core.residual_projection_norm(f, sys.b))
+    if lam is None:
+        return BoundArrays(np.full(k, 2), *(np.full(k, np.nan) for _ in range(5)), None)
+    midpoint = rows(core.pinv_apply(f, sys.b))
+    sensitivity = np.linalg.norm(rows(f.v) / f.sigma, axis=1)
+    half_width = sensitivity * lam
+    lower, upper = midpoint - half_width, midpoint + half_width
+    unbounded = np.linalg.norm(rows(f.v_perp), axis=1) > sys.ortho_tol * wnorm
+    for arr in (lower, upper, midpoint, half_width, sensitivity):
+        arr[unbounded] = np.nan
+    return BoundArrays(unbounded.astype(int), lower, upper, midpoint, half_width,
+                       sensitivity, lam)
 
-    out = []
-    for i in range(n):
-        if perp_norms[i] > sys.ortho_tol:
-            out.append(EntryBound(status=BoundStatus.UNBOUNDED, lam=lam, index=i))
-            continue
-        half = float(sens[i] * lam)
-        mid = float(midpoints[i])
-        out.append(
-            EntryBound(
-                status=BoundStatus.FINITE,
-                lower=mid - half,
-                upper=mid + half,
-                midpoint=mid,
-                half_width=half,
-                sensitivity=float(sens[i]),
-                lam=lam,
-                index=i,
-            )
-        )
-    return out
+
+def functional_bound(sys: LinearSystem, w, index: Optional[int] = None) -> EntryBound:
+    """Tight interval for w^T x: the single-row case of :func:`bounds_for`."""
+    w = np.asarray(w, dtype=float).reshape(1, -1)
+    return bounds_for(sys, w).entry_bounds([index])[0]
+
+
+def entrywise_bounds(sys: LinearSystem) -> list[EntryBound]:
+    """Interval for every coordinate x_i, sharing one SVD."""
+    return bounds_for(sys).entry_bounds()
+
+
+def difference_rows(n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Weight matrix whose k-th row is e_i - e_j for the k-th pair (i, j)."""
+    w = np.zeros((len(pairs), n))
+    for k, (i, j) in enumerate(pairs):
+        if not (0 <= i < n) or not (0 <= j < n):
+            raise IndexOutOfRange(f"pair ({i}, {j}) out of range for N={n}")
+        if i == j:
+            raise SamePair(f"difference pair has identical indices ({i}, {i})")
+        w[k, i], w[k, j] = 1.0, -1.0
+    return w
 
 
 def adjacent_difference_bounds(
     sys: LinearSystem, pairs: Sequence[tuple[int, int]]
 ) -> list[EntryBound]:
     """Intervals for coordinate differences x_i - x_j over given pairs."""
-    n = sys.shape[1]
-    out = []
-    for k, (i, j) in enumerate(pairs):
-        if not (0 <= i < n) or not (0 <= j < n):
-            raise IndexOutOfRange(f"pair ({i}, {j}) out of range for N={n}")
-        if i == j:
-            raise SamePair(f"difference pair has identical indices ({i}, {i})")
-        w = np.zeros(n)
-        w[i] = 1.0
-        w[j] = -1.0
-        out.append(functional_bound(sys, w, index=k))
-    return out
+    return bounds_for(sys, difference_rows(sys.shape[1], pairs)).entry_bounds()
 
 
 def extremal_solution(

@@ -148,17 +148,7 @@ def cmd_estimate_diag(args) -> int:
             raise EntryBoundsError(f"--op must look like sense:<cfg.json>, got {args.op!r}")
         with open(args.op.split(":", 1)[1]) as fh:
             cfg = json.load(fh)
-        cfg = sense._default_cfg(cfg)
-        grid = cfg["grid"]
-        ph = sense.make_phantom(grid["preset"], grid["h"], grid["w"], grid["seed"])
-        coils = sense.make_coils(
-            cfg["coils"]["l"], grid["h"], grid["w"],
-            phase_fold=cfg["coils"]["phase_fold"], seed=cfg["coils"]["seed"], phantom=ph,
-        )
-        pat = sense.SamplingPattern(
-            num_lines=grid["h"], accel=cfg["pattern"]["accel"], acs_lines=cfg["pattern"]["acs"]
-        )
-        op, _ = sense.sense_operator(ph, coils, pat)
+        op, _ = sense.sense_operator(*sense.build_problem(cfg))
     elif args.matrix is not None:
         dense = mio.read_matrix_csv(args.matrix)
         op = matfree.LinearOperator.from_matrix(dense)
@@ -235,6 +225,7 @@ def cmd_sense(args) -> int:
         "version": __version__,
         "epsilon_mode": result.epsilon_mode,
         "line_stats": result.line_stats,
+        "lines_skipped": sum("skipped" in stats for stats in result.line_stats),
         "outputs": mio.hash_outputs(outputs),
         "timings": result.timings,
         "wall_clock_s": time.perf_counter() - t0,
@@ -255,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entrywise interval bounds for nearly data-consistent solutions",
     )
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap worker threads (results are identical regardless)")
     sub = p.add_subparsers(dest="command", required=True)
 
     pb = sub.add_parser("bounds", help="entrywise or weighted interval bounds")

@@ -63,12 +63,14 @@ def svd_truncated(a, rtol: float = DEFAULT_RANK_RTOL) -> SvdFactors:
 
     Singular values are kept iff sigma_i > rtol * sigma_1.  The discarded
     right singular vectors are returned as the nullspace basis ``v_perp``.
+    Only a wide matrix needs the full ``Vt``, whose extra rows span the
+    nullspace; a tall one gets the economy SVD, without the M x M ``U``.
     """
     a = _as_matrix(a)
     if not 0.0 < rtol < 1.0:
         raise ValueError(f"rank tolerance must be in (0, 1), got {rtol}")
     try:
-        u_full, s, vt = np.linalg.svd(a, full_matrices=True)
+        u_full, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from None
     if s.size == 0 or s[0] <= 0.0:

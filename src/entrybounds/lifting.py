@@ -75,11 +75,3 @@ def unlift_solution(sys: LiftedSystem, x_real) -> np.ndarray:
             f"lifted solution has length {x_real.shape[0]}, expected {2 * n}"
         )
     return x_real[:n] + 1j * x_real[n:]
-
-
-def unlift_vector(x_real, n: int) -> np.ndarray:
-    """Recombine any blocked real vector of length 2n into complex form."""
-    x_real = np.asarray(x_real, dtype=float).reshape(-1)
-    if x_real.shape[0] != 2 * n:
-        raise DimensionMismatch(f"vector has length {x_real.shape[0]}, expected {2 * n}")
-    return x_real[:n] + 1j * x_real[n:]

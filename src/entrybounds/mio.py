@@ -105,9 +105,11 @@ def bound_records(bounds: Sequence) -> list[dict]:
 
 
 def write_json(path, obj) -> None:
+    """Write ``obj`` as indented JSON; NaN or infinite floats raise
+    ValueError before the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_pgm(path, grid, maxval: int = 255) -> None:

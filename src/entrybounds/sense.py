@@ -24,23 +24,19 @@ import numpy as np
 
 from . import bounds as bnd
 from . import lifting
-from .bounds import BoundStatus, LinearSystem, Target
+from .bounds import LinearSystem, Target
 from .core import svd_truncated
-from .errors import ConfigError, ShapeMismatch, UnknownPreset
+from .errors import ConfigError, NotOverdetermined, ShapeMismatch, UnknownPreset
 
 log = logging.getLogger(__name__)
 
-# Status codes used in the emitted status map.
+# Status codes used in the emitted status map; 0-2 are the status codes
+# of bounds.bounds_for.
 STATUS_FINITE = 0
 STATUS_UNBOUNDED = 1
 STATUS_INFEASIBLE = 2
 STATUS_OFF_SUPPORT = 3
-
-_STATUS_CODE = {
-    BoundStatus.FINITE: STATUS_FINITE,
-    BoundStatus.UNBOUNDED: STATUS_UNBOUNDED,
-    BoundStatus.INFEASIBLE: STATUS_INFEASIBLE,
-}
+STATUS_UNDETERMINED = 4  # heuristic epsilon undefined on the voxel's line
 
 
 @dataclass(frozen=True)
@@ -429,27 +425,36 @@ def _default_cfg(cfg: dict) -> dict:
     return out
 
 
+def build_problem(cfg: dict) -> tuple[Phantom, CoilSet, SamplingPattern]:
+    """Phantom, coils and sampling pattern of a pipeline config.
+
+    The phantom is the unknown the pipeline reconstructs: with
+    ``phase_fold`` its phase is absorbed into the coils, so only its
+    magnitude remains.
+    """
+    cfg = _default_cfg(cfg or {})
+    g, c, p = cfg["grid"], cfg["coils"], cfg["pattern"]
+    ph = make_phantom(g["preset"], g["h"], g["w"], g["seed"])
+    coils = make_coils(c["l"], g["h"], g["w"], phase_fold=c["phase_fold"], seed=c["seed"],
+                       phantom=ph)
+    if c["phase_fold"]:
+        ph = Phantom(grid=np.abs(ph.grid).astype(complex), support_mask=ph.support_mask)
+    pat = SamplingPattern(num_lines=g["h"], accel=p["accel"], acs_lines=p["acs"])
+    return ph, coils, pat
+
+
 def run_pipeline(cfg: dict) -> PipelineResult:
     """Run the full synthetic workflow: phantom, coils, acquisition,
     decoupled interval bounds, difference bounds, conditioning maps, and
-    extremal images for one cross-line of voxels."""
+    extremal images for one cross-line of voxels.
+
+    A line whose heuristic epsilon is undefined (not overdetermined or
+    rank deficient) is skipped: its voxels get ``STATUS_UNDETERMINED``
+    and NaN maps, and its ``line_stats`` entry gives the reason."""
     t0 = time.perf_counter()
     cfg = _default_cfg(cfg or {})
     h, w = cfg["grid"]["h"], cfg["grid"]["w"]
-    ph = make_phantom(cfg["grid"]["preset"], h, w, cfg["grid"]["seed"])
-    coils = make_coils(
-        cfg["coils"]["l"],
-        h,
-        w,
-        phase_fold=cfg["coils"]["phase_fold"],
-        seed=cfg["coils"]["seed"],
-        phantom=ph,
-    )
-    truth = ph
-    if cfg["coils"]["phase_fold"]:
-        # phase folded into the coils: the effective unknown is the magnitude
-        truth = Phantom(grid=np.abs(ph.grid).astype(complex), support_mask=ph.support_mask)
-    pat = SamplingPattern(num_lines=h, accel=cfg["pattern"]["accel"], acs_lines=cfg["pattern"]["acs"])
+    truth, coils, pat = build_problem(cfg)
     data = simulate_acquisition(truth, coils, pat, cfg["noise"]["sigma"], cfg["noise"]["seed"])
     systems = build_row_systems(truth, coils, pat, data)
     t_build = time.perf_counter()
@@ -478,81 +483,63 @@ def run_pipeline(cfg: dict) -> PipelineResult:
 
     for rs in systems:
         f = svd_truncated(rs.system.a)
-        sys0 = LinearSystem(a=f, b=rs.system.b, epsilon=0.0)
-        residual = bnd.core.residual_projection_norm(f, sys0.b)
+        b = rs.system.b
+        c, sup, n_sup = rs.line_index, rs.voxel_rows, rs.n_sup
+        stats = {
+            "line": c,
+            "m": rs.system.shape[0],
+            "n": rs.system.shape[1],
+            "rank": f.rank,
+            "sigma_max": float(f.sigma[0]) if f.rank else 0.0,
+            "sigma_min": float(f.sigma[-1]) if f.rank else 0.0,
+            "residual": bnd.core.residual_projection_norm(f, b),
+        }
+        line_stats.append(stats)
         if mode == "heuristic":
-            eps = bnd.epsilon_heuristic(f, sys0.b)
+            try:
+                eps = bnd.epsilon_heuristic(f, b)
+            except NotOverdetermined as exc:
+                log.info("line %d skipped: %s", c, exc)
+                status[sup, c] = STATUS_UNDETERMINED
+                stats.update(kappa=None, epsilon=None, skipped=str(exc))
+                continue
         elif mode == "oracle":
-            eps = float(np.linalg.norm(noise_hybrid[:, :, rs.line_index]))
+            eps = float(np.linalg.norm(noise_hybrid[:, :, c]))
         else:
             eps = float(eps_cfg["value"])
-        sys_eps = LinearSystem(a=f, b=sys0.b, epsilon=eps)
-
+        sys_eps = LinearSystem(a=f, b=b, epsilon=eps)
         report = bnd.condition_report(f)
-        eb = bnd.entrywise_bounds(sys_eps)
-        n_sup = rs.n_sup
-        c = rs.line_index
-        for j, b in enumerate(eb):
-            row, part = rs.col_map[j]
-            if part == "re":
-                lo_name, hi_name = "lower_re", "upper_re"
-            else:
-                lo_name, hi_name = "lower_im", "upper_im"
-            if b.status is BoundStatus.FINITE:
-                maps[lo_name][row, c] = b.lower
-                maps[hi_name][row, c] = b.upper
-            if part == "re":
-                status[row, c] = _STATUS_CODE[b.status]
-                maps["sensitivity"][row, c] = (
-                    b.sensitivity if b.sensitivity is not None else np.nan
-                )
-                maps["kappa_entry"][row, c] = report.kappa_entry[j]
-                maps["global_envelope"][row, c] = 1.0 / report.sigma_min_pos
-                if report.kappa_global is not None:
-                    maps["kappa_line"][row, c] = report.kappa_global
+        stats.update(kappa=report.kappa_global, epsilon=eps)
 
-        # differences between neighboring supported voxels along the line
-        sup = rs.voxel_rows
-        pos = {int(r): j for j, r in enumerate(sup)}
-        pairs = []
-        pair_rows = []
-        for r in sup:
-            if int(r) + 1 in pos:
-                pairs.append((pos[int(r)], pos[int(r) + 1]))
-                pair_rows.append(int(r))
-            else:
-                log.debug("line %d: voxel %d has no in-support neighbor", c, int(r))
-        if pairs:
-            db = bnd.adjacent_difference_bounds(sys_eps, pairs)
-            for r, b in zip(pair_rows, db):
-                if b.status is BoundStatus.FINITE:
-                    maps["diff_lower"][r, c] = b.lower
-                    maps["diff_upper"][r, c] = b.upper
+        # lifted column j < n_sup is Re x[sup[j]], column n_sup + j its Im
+        eb = bnd.bounds_for(sys_eps)
+        status[sup, c] = eb.status[:n_sup]
+        maps["lower_re"][sup, c] = eb.lower[:n_sup]
+        maps["upper_re"][sup, c] = eb.upper[:n_sup]
+        maps["lower_im"][sup, c] = eb.lower[n_sup:]
+        maps["upper_im"][sup, c] = eb.upper[n_sup:]
+        maps["sensitivity"][sup, c] = eb.sensitivity[:n_sup]
+        maps["kappa_entry"][sup, c] = report.kappa_entry[:n_sup]
+        maps["global_envelope"][sup, c] = 1.0 / report.sigma_min_pos
+        if report.kappa_global is not None:
+            maps["kappa_line"][sup, c] = report.kappa_global
+
+        # differences Re x[r] - Re x[r + 1] between neighboring supported voxels
+        nb = np.flatnonzero(np.diff(sup) == 1)
+        if nb.size:
+            pairs = np.column_stack([nb, nb + 1])
+            db = bnd.bounds_for(sys_eps, bnd.difference_rows(2 * n_sup, pairs))
+            maps["diff_lower"][sup[nb], c] = db.lower
+            maps["diff_upper"][sup[nb], c] = db.upper
 
         # extremal images pinned at the chosen cross-line voxel
-        if extremal_line in pos:
-            j_re = pos[extremal_line]
+        j_re = np.flatnonzero(sup == extremal_line)
+        if j_re.size and eb.status[j_re[0]] == STATUS_FINITE:
             wvec = np.zeros(2 * n_sup)
-            wvec[j_re] = 1.0
-            if eb[j_re].status is BoundStatus.FINITE:
-                for tgt, name in ((Target.UPPER, "extremal_upper"), (Target.LOWER, "extremal_lower")):
-                    sol = bnd.extremal_solution(sys_eps, wvec, tgt)
-                    xc = sol.x[:n_sup]  # real parts of the complex solution
-                    maps[name][sup, c] = xc
-
-        line_stats.append(
-            {
-                "line": c,
-                "m": rs.system.shape[0],
-                "n": rs.system.shape[1],
-                "rank": f.rank,
-                "sigma_max": float(f.sigma[0]) if f.rank else 0.0,
-                "sigma_min": float(f.sigma[-1]) if f.rank else 0.0,
-                "kappa": report.kappa_global,
-                "epsilon": eps,
-                "residual": residual,
-            }
-        )
+            wvec[j_re[0]] = 1.0
+            for tgt, name in ((Target.UPPER, "extremal_upper"), (Target.LOWER, "extremal_lower")):
+                sol = bnd.extremal_solution(sys_eps, wvec, tgt)
+                maps[name][sup, c] = sol.x[:n_sup]  # real parts of the complex solution
 
     t_end = time.perf_counter()
     kept = pat.phase_encodes_kept

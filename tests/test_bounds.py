@@ -22,6 +22,7 @@ from entrybounds import (
 from entrybounds.errors import (
     InfeasibleSystem,
     NotOverdetermined,
+    NumericalFailure,
     RankDeficient,
     SamePair,
     StatusMismatch,
@@ -33,6 +34,17 @@ def e(i, n):
     v = np.zeros(n)
     v[i] = 1.0
     return v
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "b, eps",
+        [([1.0, np.nan], 0.5), ([np.inf, 2.0], 0.5), ([1.0, 2.0], np.nan), ([1.0, 2.0], np.inf)],
+        ids=["nan-data", "inf-data", "nan-epsilon", "inf-epsilon"],
+    )
+    def test_rejected_with_typed_error(self, b, eps):
+        with pytest.raises(NumericalFailure):
+            LinearSystem(a=np.eye(2), b=b, epsilon=eps)
 
 
 class TestFunctionalBound:

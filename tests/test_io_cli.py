@@ -65,6 +65,14 @@ class TestCsvDiagnostics:
             mio.read_vector_csv(path)
 
 
+def test_write_json_rejects_nonfinite(tmp_path):
+    path = tmp_path / "x.json"
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            mio.write_json(path, {"v": value})
+    assert not path.exists()
+
+
 class TestPgm:
     def test_header_and_range(self, tmp_path):
         path = tmp_path / "g.pgm"
@@ -139,6 +147,24 @@ class TestBoundsCommand:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, eps",
+        [([1.0, float("nan")], "0.5"), ([1.0, 2.0], "nan"), ([1.0, 2.0], "inf")],
+        ids=["nan-data", "nan-epsilon", "inf-epsilon"],
+    )
+    def test_nonfinite_input_exit_code(self, tmp_path, capsys, data, eps):
+        mpath, dpath = tmp_path / "a.csv", tmp_path / "b.csv"
+        mio.write_matrix_csv(mpath, np.eye(2))
+        mio.write_vector_csv(dpath, data)
+        out = tmp_path / "out.json"
+        code = cli.main(
+            ["bounds", "--matrix", str(mpath), "--data", str(dpath),
+             "--epsilon", eps, "--json", str(out)]
+        )
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_entry_subset(self, tmp_path):
         mpath, dpath = write_identity_fixture(tmp_path)
@@ -323,6 +349,21 @@ class TestSenseCommand:
         assert echoed["grid"]["h"] == 16
         assert echoed["grid"]["w"] == 32  # defaults filled in
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "cfg", [{"coils": {"l": 1}}, {"pattern": {"accel": 16, "acs": 0}}], ids=["one-coil", "accel-16"]
+    )
+    def test_underdetermined_lines_counted(self, tmp_path, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        outdir = tmp_path / "run"
+        code = cli.main(["sense", "--config", str(cfg_path), "--out", str(outdir)])
+        assert code == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        skipped = [s for s in manifest["line_stats"] if "skipped" in s]
+        assert manifest["lines_skipped"] == len(skipped) > 0
+        status = mio.read_matrix_csv(outdir / "status.csv")
+        assert np.any(status == 4)
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -7,10 +7,12 @@ from entrybounds.matfree import adjoint_mismatch
 from entrybounds.sense import (
     STATUS_FINITE,
     STATUS_OFF_SUPPORT,
+    STATUS_UNDETERMINED,
     CoilSet,
     Phantom,
     SamplingPattern,
     build_monolithic_system,
+    build_problem,
     build_row_systems,
     make_coils,
     make_phantom,
@@ -271,6 +273,36 @@ class TestPipeline:
             assert up == pytest.approx(res.maps["upper_re"][line, c], abs=1e-8)
             lo = res.maps["extremal_lower"][line, c]
             assert lo == pytest.approx(res.maps["lower_re"][line, c], abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "cfg", [{"coils": {"l": 1}}, {"pattern": {"accel": 16, "acs": 0}}], ids=["one-coil", "accel-16"]
+    )
+    def test_underdetermined_lines_skipped(self, cfg):
+        res = run_pipeline(cfg)
+        sup = res.truth.support_mask
+        skipped = {s["line"]: s for s in res.line_stats if "skipped" in s}
+        assert 0 < len(skipped) < len(res.line_stats)
+        for c in range(sup.shape[1]):
+            col = res.status[sup[:, c], c]
+            if c in skipped:
+                stats = skipped[c]
+                assert stats["m"] <= stats["n"] or stats["rank"] < stats["n"]
+                assert "M > N" in stats["skipped"] and stats["epsilon"] is None
+                assert np.all(col == STATUS_UNDETERMINED)
+                for name in ("lower_re", "upper_im", "diff_lower", "sensitivity", "kappa_entry"):
+                    assert np.all(np.isnan(res.maps[name][:, c])), name
+            else:
+                assert np.all(col == STATUS_FINITE)
+
+    def test_build_problem_folds_phase(self):
+        cfg = {"grid": {"h": 12, "w": 10, "seed": 3}, "coils": {"l": 3, "seed": 1}}
+        ph, coils, pat = build_problem(cfg)
+        raw = make_phantom("smooth-blobs", 12, 10, seed=3)
+        np.testing.assert_array_equal(ph.support_mask, raw.support_mask)
+        np.testing.assert_array_equal(ph.grid, np.abs(raw.grid))
+        want = make_coils(3, 12, 10, phase_fold=True, seed=1, phantom=raw)
+        np.testing.assert_array_equal(coils.profiles, want.profiles)
+        assert (pat.num_lines, pat.accel, pat.acs_lines) == (12, 4, 6)
 
     def test_unknown_config_keys_rejected(self):
         with pytest.raises(ConfigError):
