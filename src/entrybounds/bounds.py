@@ -70,7 +70,6 @@ class LinearSystem:
     b: np.ndarray
     epsilon: float
     rank_rtol: float = core.DEFAULT_RANK_RTOL
-    ortho_tol: float = core.DEFAULT_ORTHO_TOL
     _factors: Optional[SvdFactors] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -224,7 +223,7 @@ def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
     sensitivity = np.linalg.norm(rows(f.v) / f.sigma, axis=1)
     half_width = sensitivity * lam
     lower, upper = midpoint - half_width, midpoint + half_width
-    unbounded = np.linalg.norm(rows(f.v_perp), axis=1) > sys.ortho_tol * wnorm
+    unbounded = np.linalg.norm(rows(f.v_perp), axis=1) > core.DEFAULT_ORTHO_TOL * wnorm
     for arr in (lower, upper, midpoint, half_width, sensitivity):
         arr[unbounded] = np.nan
     return BoundArrays(unbounded.astype(int), lower, upper, midpoint, half_width,
@@ -284,6 +283,8 @@ def extremal_solution(
             raise StatusMismatch("arbitrary target requires an unbounded functional")
         if alpha is None:
             raise ValueError("arbitrary target requires a value")
+        if not math.isfinite(alpha):
+            raise NumericalFailure(f"arbitrary target value must be finite, got {alpha}")
         coeffs, perp_norm = core.nullspace_component(f, w)
         q = (alpha - float(w @ z)) * coeffs / (perp_norm**2)
         x = f.v_perp @ q + z
@@ -353,17 +354,16 @@ def condition_report(a, rank_rtol: float = core.DEFAULT_RANK_RTOL) -> ConditionR
     )
 
 
-def global_bounds(a, n_norm: float, rank_rtol: float = core.DEFAULT_RANK_RTOL):
+def global_bounds(a, n_norm: float, rank_rtol: float = core.DEFAULT_RANK_RTOL) -> float:
     """Classical spectral-norm error bound sigma_N^-1 * ||n||_2.
 
-    Returns the bound twice: once as the aggregate 2-norm bound and once
-    reinterpreted as a per-entry envelope via ||.||_inf <= ||.||_2.
+    It bounds the error in the 2-norm, and so also every entry, via
+    ||.||_inf <= ||.||_2.
     """
     f = a if isinstance(a, SvdFactors) else svd_truncated(a, rank_rtol)
     if f.rank < f.shape[1]:
         raise RankDeficient("spectral bound requires full column rank")
-    spectral = float(n_norm) / float(f.sigma[-1])
-    return spectral, spectral
+    return float(n_norm) / float(f.sigma[-1])
 
 
 def ellipsoid_volume(a, lam: float, rank_rtol: float = core.DEFAULT_RANK_RTOL) -> float:

@@ -13,7 +13,6 @@ infeasible (or an extremal target incompatible with the bound status).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import __version__, bounds as bnd, matfree, mio, sense
 from .bounds import BoundStatus, LinearSystem, Target
-from .core import svd_truncated
+from .core import DEFAULT_RANK_RTOL, svd_truncated
 from .errors import EntryBoundsError, StatusMismatch
 
 EXIT_OK = 0
@@ -35,9 +34,21 @@ def _manifest(command: str, config: dict, outputs: list[str], t0: float) -> dict
         "command": command,
         "config": config,
         "version": __version__,
-        "wall_clock_s": time.perf_counter() - t0,
         "outputs": mio.hash_outputs(outputs),
+        "wall_clock_s": time.perf_counter() - t0,
     }
+
+
+def _emit(args, command: str, payload: dict, outputs: list[str], t0: float) -> None:
+    """Write ``payload`` to the ``--json`` file, or to stdout, then the
+    ``--manifest`` over ``outputs`` and that file."""
+    if args.json:
+        mio.write_json(args.json, payload)
+        outputs.append(args.json)
+    else:
+        sys.stdout.write(mio.json_text(payload))
+    if args.manifest:
+        mio.write_json(args.manifest, _manifest(command, vars_config(args), outputs, t0))
 
 
 def _load_system(args) -> LinearSystem:
@@ -70,21 +81,13 @@ def cmd_bounds(args) -> int:
         idx = _parse_entries(args.entries, n)
         all_bounds = bnd.entrywise_bounds(sys_)
         results = [all_bounds[i] for i in idx]
-    records = mio.bound_records(results)
+    records = [r.to_record() for r in results]
     payload = {
         "epsilon": sys_.epsilon,
         "rank_rtol": sys_.rank_rtol,
         "bounds": records,
     }
-    outputs = []
-    if args.json:
-        mio.write_json(args.json, payload)
-        outputs.append(args.json)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    if args.manifest:
-        mio.write_json(args.manifest, _manifest("bounds", vars_config(args), outputs, t0))
+    _emit(args, "bounds", payload, [], t0)
     infeasible = any(r["status"] == BoundStatus.INFEASIBLE.value for r in records)
     return EXIT_STATUS if infeasible else EXIT_OK
 
@@ -119,9 +122,7 @@ def cmd_extremal(args) -> int:
     else:
         expected = bound.lower if target is Target.LOWER else bound.upper
 
-    outputs = []
     mio.write_vector_csv(args.out, sol.x)
-    outputs.append(args.out)
     verification = {
         "target": args.target,
         "residual_norm": sol.residual_norm,
@@ -129,14 +130,7 @@ def cmd_extremal(args) -> int:
         "achieved": sol.achieved_value,
         "expected": expected,
     }
-    if args.json:
-        mio.write_json(args.json, verification)
-        outputs.append(args.json)
-    else:
-        json.dump(verification, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    if args.manifest:
-        mio.write_json(args.manifest, _manifest("extremal", vars_config(args), outputs, t0))
+    _emit(args, "extremal", verification, [args.out], t0)
     return EXIT_OK
 
 
@@ -146,8 +140,7 @@ def cmd_estimate_diag(args) -> int:
     if args.op is not None:
         if not args.op.startswith("sense:"):
             raise EntryBoundsError(f"--op must look like sense:<cfg.json>, got {args.op!r}")
-        with open(args.op.split(":", 1)[1]) as fh:
-            cfg = json.load(fh)
+        cfg = mio.read_json(args.op.split(":", 1)[1])
         op, _ = sense.sense_operator(*sense.build_problem(cfg))
     elif args.matrix is not None:
         dense = mio.read_matrix_csv(args.matrix)
@@ -181,27 +174,18 @@ def cmd_estimate_diag(args) -> int:
             np.abs(est.values - exact) / np.maximum(exact, 1e-300)
         )
     outputs = []
-    if args.json:
-        mio.write_json(args.json, payload)
-        outputs.append(args.json)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
     if args.csv:
         mio.write_vector_csv(args.csv, est.values)
         outputs.append(args.csv)
-    if args.manifest:
-        mio.write_json(args.manifest, _manifest("estimate-diag", vars_config(args), outputs, t0))
+    _emit(args, "estimate-diag", payload, outputs, t0)
     return EXIT_OK
 
 
 def cmd_sense(args) -> int:
     t0 = time.perf_counter()
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = mio.read_json(args.config)
     if args.manifest_only:
-        json.dump(sense._default_cfg(cfg), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(mio.json_text(sense._default_cfg(cfg)))
         return EXIT_OK
     result = sense.run_pipeline(cfg)
     outdir = args.out
@@ -219,17 +203,13 @@ def cmd_sense(args) -> int:
     mio.write_matrix_csv(status_path, result.status.astype(float))
     outputs.append(status_path)
 
-    manifest = {
-        "command": "sense",
-        "config": result.config,
-        "version": __version__,
-        "epsilon_mode": result.epsilon_mode,
-        "line_stats": result.line_stats,
-        "lines_skipped": sum("skipped" in stats for stats in result.line_stats),
-        "outputs": mio.hash_outputs(outputs),
-        "timings": result.timings,
-        "wall_clock_s": time.perf_counter() - t0,
-    }
+    manifest = _manifest("sense", result.config, outputs, t0)
+    manifest.update(
+        epsilon_mode=result.epsilon_mode,
+        line_stats=result.line_stats,
+        lines_skipped=sum("skipped" in stats for stats in result.line_stats),
+        timings=result.timings,
+    )
     mio.write_json(os.path.join(outdir, "manifest.json"), manifest)
     infeasible = bool(np.any(result.status == sense.STATUS_INFEASIBLE))
     return EXIT_STATUS if infeasible else EXIT_OK
@@ -248,28 +228,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    pb = sub.add_parser("bounds", help="entrywise or weighted interval bounds")
-    pb.add_argument("--matrix", required=True, help="system matrix CSV")
-    pb.add_argument("--data", required=True, help="data vector CSV (single column)")
-    pb.add_argument("--epsilon", type=float, required=True)
-    pb.add_argument("--weights", default=None, help="weight vector CSV")
+    # options shared by the commands that read a (matrix, data, epsilon) system
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument("--matrix", required=True, help="system matrix CSV")
+    system.add_argument("--data", required=True, help="data vector CSV (single column)")
+    system.add_argument("--epsilon", type=float, required=True)
+    system.add_argument("--weights", default=None, help="weight vector CSV")
+    system.add_argument("--rtol", type=float, default=DEFAULT_RANK_RTOL,
+                        help="numerical-rank tolerance")
+    system.add_argument("--json", default=None, help="write results to this JSON file")
+    system.add_argument("--manifest", default=None)
+
+    pb = sub.add_parser("bounds", parents=[system],
+                        help="entrywise or weighted interval bounds")
     pb.add_argument("--entries", default="all", help="'all' or comma list of indices")
-    pb.add_argument("--rtol", type=float, default=1e-10, help="numerical-rank tolerance")
-    pb.add_argument("--json", default=None, help="write results to this JSON file")
-    pb.add_argument("--manifest", default=None)
     pb.set_defaults(func=cmd_bounds)
 
-    pe = sub.add_parser("extremal", help="feasible vector attaining a bound")
-    pe.add_argument("--matrix", required=True)
-    pe.add_argument("--data", required=True)
-    pe.add_argument("--epsilon", type=float, required=True)
+    pe = sub.add_parser("extremal", parents=[system], help="feasible vector attaining a bound")
     pe.add_argument("--target", required=True, help="lower | upper | value:<alpha>")
     pe.add_argument("--weight-index", type=int, default=None)
-    pe.add_argument("--weights", default=None)
-    pe.add_argument("--rtol", type=float, default=1e-10)
     pe.add_argument("--out", required=True, help="solution vector CSV")
-    pe.add_argument("--json", default=None)
-    pe.add_argument("--manifest", default=None)
     pe.set_defaults(func=cmd_extremal)
 
     pd = sub.add_parser("estimate-diag", help="stochastic sensitivity estimation")
@@ -303,7 +281,7 @@ def main(argv=None) -> int:
     except StatusMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATUS
-    except (EntryBoundsError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (EntryBoundsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

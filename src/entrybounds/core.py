@@ -128,13 +128,3 @@ def nullspace_component(f: SvdFactors, w) -> tuple[np.ndarray, float]:
     w = _as_vector(w, f.shape[1], "weight vector")
     coeffs = f.v_perp.T @ w
     return coeffs, float(np.linalg.norm(coeffs))
-
-
-def orthogonal_to_nullspace(f: SvdFactors, w, ortho_tol: float = DEFAULT_ORTHO_TOL) -> bool:
-    """Predicate: is ``w`` orthogonal to the nullspace (within tolerance)?"""
-    w = _as_vector(w, f.shape[1], "weight vector")
-    wnorm = float(np.linalg.norm(w))
-    if wnorm == 0.0:
-        return True
-    _, perp_norm = nullspace_component(f, w)
-    return perp_norm <= ortho_tol * wnorm

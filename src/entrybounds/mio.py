@@ -23,24 +23,25 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT % float(x)
 
 
-def write_matrix_csv(path, a) -> None:
-    """Write a real matrix as CSV with a leading ``rows,cols`` line."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+def _write_csv(path, a, fmt) -> None:
+    """Write a 2-D array as CSV with a leading ``rows,cols`` line,
+    formatting each entry with ``fmt``."""
     with open(path, "w", newline="\n") as fh:
         fh.write(f"{a.shape[0]},{a.shape[1]}\n")
         for row in a:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def read_matrix_csv(path) -> np.ndarray:
-    """Read a real matrix written by :func:`write_matrix_csv`."""
+def _read_csv(path, dtype, parse) -> np.ndarray:
+    """Read a CSV written by :func:`_write_csv`, parsing each token with
+    ``parse``; errors name the file and the line."""
     with open(path) as fh:
         header = fh.readline().strip()
         try:
             rows, cols = (int(t) for t in header.split(","))
         except ValueError:
             raise ConfigError(f"{path}:1: malformed header {header!r}, expected 'rows,cols'")
-        out = np.empty((rows, cols))
+        out = np.empty((rows, cols), dtype=dtype)
         for r in range(rows):
             line = fh.readline()
             if not line:
@@ -49,10 +50,20 @@ def read_matrix_csv(path) -> np.ndarray:
             if len(vals) != cols:
                 raise ConfigError(f"{path}:{r + 2}: expected {cols} values, found {len(vals)}")
             try:
-                out[r] = [float(v) for v in vals]
+                out[r] = [parse(v) for v in vals]
             except ValueError as exc:
                 raise ConfigError(f"{path}:{r + 2}: {exc}")
     return out
+
+
+def write_matrix_csv(path, a) -> None:
+    """Write a real matrix as CSV with a leading ``rows,cols`` line."""
+    _write_csv(path, np.atleast_2d(np.asarray(a, dtype=float)), _fmt)
+
+
+def read_matrix_csv(path) -> np.ndarray:
+    """Read a real matrix written by :func:`write_matrix_csv`."""
+    return _read_csv(path, float, float)
 
 
 def write_vector_csv(path, x) -> None:
@@ -74,42 +85,29 @@ def _fmt_complex(z: complex) -> str:
 
 def write_complex_csv(path, a) -> None:
     """Write a complex matrix as CSV with ``re+imj`` tokens."""
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{a.shape[0]},{a.shape[1]}\n")
-        for row in a:
-            fh.write(",".join(_fmt_complex(v) for v in row) + "\n")
+    _write_csv(path, np.atleast_2d(np.asarray(a, dtype=complex)), _fmt_complex)
 
 
 def read_complex_csv(path) -> np.ndarray:
+    return _read_csv(path, complex, complex)
+
+
+def json_text(obj) -> str:
+    """Indented, key-sorted JSON text with a trailing newline.  NaN or
+    infinite floats raise ValueError, so no output carries them."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def read_json(path):
     with open(path) as fh:
-        header = fh.readline().strip()
-        try:
-            rows, cols = (int(t) for t in header.split(","))
-        except ValueError:
-            raise ConfigError(f"{path}:1: malformed header {header!r}, expected 'rows,cols'")
-        out = np.empty((rows, cols), dtype=complex)
-        for r in range(rows):
-            vals = fh.readline().strip().split(",")
-            if len(vals) != cols:
-                raise ConfigError(f"{path}:{r + 2}: expected {cols} values, found {len(vals)}")
-            try:
-                out[r] = [complex(v) for v in vals]
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{r + 2}: {exc}")
-    return out
-
-
-def bound_records(bounds: Sequence) -> list[dict]:
-    return [b.to_record() for b in bounds]
+        return json.load(fh)
 
 
 def write_json(path, obj) -> None:
-    """Write ``obj`` as indented JSON; NaN or infinite floats raise
-    ValueError before the file is opened."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    """Write :func:`json_text` of ``obj``; it raises before the file is opened."""
+    text = json_text(obj)
     with open(path, "w", newline="\n") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
 def write_pgm(path, grid, maxval: int = 255) -> None:

@@ -279,7 +279,6 @@ def build_row_systems(
         else:
             b_c = np.zeros(l * kept.size, dtype=complex)
         lifted, b_real = lifting.lift_system(a_c, b_c)
-        n_sup = sup.size
         col_map = [(int(r), "re") for r in sup] + [(int(r), "im") for r in sup]
         systems.append(
             RowSystem(
@@ -315,14 +314,11 @@ def build_monolithic_system(
     for k in range(l):
         s_vals = coils.profiles[k][sup_idx[:, 0], sup_idx[:, 1]]
         blocks.append((f2d * s_vals[None, None, :]).reshape(kept.size * w, n_sup))
-    a_full = np.vstack(blocks)
-    b_full = data.samples.reshape(-1)
-    _, b_real = lifting.lift_system(a_full, b_full)
-    a_real = lifting.lift_matrix(a_full)
+    lifted, b_real = lifting.lift_system(np.vstack(blocks), data.samples.reshape(-1))
     voxel_map = [(int(y), int(c), "re") for y, c in sup_idx] + [
         (int(y), int(c), "im") for y, c in sup_idx
     ]
-    return LinearSystem(a=a_real, b=b_real, epsilon=0.0), voxel_map
+    return LinearSystem(a=lifted.a_real, b=b_real, epsilon=0.0), voxel_map
 
 
 def sense_operator(ph: Phantom, coils: CoilSet, pat: SamplingPattern):
@@ -391,7 +387,29 @@ class PipelineResult:
     timings: dict
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+# The JSON type a config value must have, by the type of its default.
+_KINDS = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    int: ("an integer", _is_int),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    type(None): ("an integer or null", lambda v: v is None or _is_int(v)),
+}
+
+# Optional config keys without a default, with a value of their type.
+_NO_DEFAULT = {"epsilon": {"value": 0.0}}
+
+
 def _default_cfg(cfg: dict) -> dict:
+    """Merge a pipeline config into the defaults.  Unknown keys, and
+    values whose JSON type differs from their default's, raise
+    :class:`ConfigError`."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
     out = {
         "grid": {"h": 32, "w": 32, "preset": "smooth-blobs", "seed": 0},
         "coils": {"l": 8, "phase_fold": True, "seed": 0},
@@ -400,24 +418,24 @@ def _default_cfg(cfg: dict) -> dict:
         "epsilon": {"mode": "heuristic"},
         "extremal": {"line": None},
     }
-    known = set(out) | {"outputs"}
-    bad = [k for k in cfg if k not in known]
+    bad = [k for k in cfg if k not in out]
     if bad:
         raise ConfigError(f"unknown config keys: {sorted(bad)}")
     for key, val in cfg.items():
-        if key == "outputs":
-            out[key] = val
-            continue
         if not isinstance(val, dict):
             raise ConfigError(f"config section {key!r} must be an object")
         section = dict(out[key])
-        extra = {"epsilon": {"value"}}.get(key, set())
-        bad = [k for k in val if k not in section and k not in extra]
+        defaults = {**section, **_NO_DEFAULT.get(key, {})}
+        bad = [k for k in val if k not in defaults]
         if bad:
             raise ConfigError(f"unknown keys in config section {key!r}: {sorted(bad)}")
+        for k, v in val.items():
+            kind, ok = _KINDS[type(defaults[k])]
+            if not ok(v):
+                raise ConfigError(f"config value {key}.{k} must be {kind}, got {v!r}")
         section.update(val)
         out[key] = section
-    mode = out["epsilon"]["mode"] if "mode" in out["epsilon"] else "heuristic"
+    mode = out["epsilon"]["mode"]
     if mode not in ("heuristic", "oracle", "fixed"):
         raise ConfigError(f"epsilon mode must be heuristic|oracle|fixed, got {mode!r}")
     if mode == "fixed" and "value" not in out["epsilon"]:
@@ -432,7 +450,7 @@ def build_problem(cfg: dict) -> tuple[Phantom, CoilSet, SamplingPattern]:
     ``phase_fold`` its phase is absorbed into the coils, so only its
     magnitude remains.
     """
-    cfg = _default_cfg(cfg or {})
+    cfg = _default_cfg(cfg)
     g, c, p = cfg["grid"], cfg["coils"], cfg["pattern"]
     ph = make_phantom(g["preset"], g["h"], g["w"], g["seed"])
     coils = make_coils(c["l"], g["h"], g["w"], phase_fold=c["phase_fold"], seed=c["seed"],
@@ -452,7 +470,7 @@ def run_pipeline(cfg: dict) -> PipelineResult:
     rank deficient) is skipped: its voxels get ``STATUS_UNDETERMINED``
     and NaN maps, and its ``line_stats`` entry gives the reason."""
     t0 = time.perf_counter()
-    cfg = _default_cfg(cfg or {})
+    cfg = _default_cfg(cfg)
     h, w = cfg["grid"]["h"], cfg["grid"]["w"]
     truth, coils, pat = build_problem(cfg)
     data = simulate_acquisition(truth, coils, pat, cfg["noise"]["sigma"], cfg["noise"]["seed"])

@@ -184,6 +184,12 @@ class TestExtremalSolution:
         with pytest.raises(InfeasibleSystem):
             extremal_solution(sys, e(0, 1), Target.UPPER)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nonfinite_value_target_rejected(self, alpha):
+        sys = LinearSystem(a=np.array([[1.0, 0.0]]), b=[1.0], epsilon=0.1)
+        with pytest.raises(NumericalFailure, match="must be finite"):
+            extremal_solution(sys, e(1, 2), Target.ARBITRARY, alpha=alpha)
+
 
 class TestConditionReport:
     def test_identity(self):
@@ -211,15 +217,15 @@ class TestConditionReport:
 
 class TestGlobalBounds:
     def test_identity(self):
-        assert global_bounds(np.eye(2), 0.3)[0] == pytest.approx(0.3)
+        assert global_bounds(np.eye(2), 0.3) == pytest.approx(0.3)
 
     def test_diagonal(self):
-        assert global_bounds(np.diag([2.0, 1.0]), 1.0)[0] == pytest.approx(1.0)
+        assert global_bounds(np.diag([2.0, 1.0]), 1.0) == pytest.approx(1.0)
 
     def test_matches_svd_oracle(self, rng):
         a = rng.standard_normal((6, 3))
         s = np.linalg.svd(a, compute_uv=False)
-        assert global_bounds(a, 1.0)[0] == pytest.approx(1.0 / s[-1], rel=1e-12)
+        assert global_bounds(a, 1.0) == pytest.approx(1.0 / s[-1], rel=1e-12)
 
     def test_rank_deficient(self, rng):
         a = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))

@@ -51,6 +51,8 @@ class TestCsvDiagnostics:
         path.write_text("3,2\n1,2\n")
         with pytest.raises(ConfigError, match=r"short\.csv:3"):
             mio.read_matrix_csv(path)
+        with pytest.raises(ConfigError, match=r"short\.csv:3: expected 3 data rows, found 1"):
+            mio.read_complex_csv(path)
 
     def test_bad_token_reports_row(self, tmp_path):
         path = tmp_path / "tok.csv"
@@ -70,6 +72,8 @@ def test_write_json_rejects_nonfinite(tmp_path):
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             mio.write_json(path, {"v": value})
+        with pytest.raises(ValueError):
+            mio.json_text({"v": value})
     assert not path.exists()
 
 
@@ -166,6 +170,15 @@ class TestBoundsCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_stdout_matches_json_file(self, tmp_path, capsys):
+        argv = ["bounds", "--matrix", os.path.join(FIXTURES, "system_6x4.csv"),
+                "--data", os.path.join(FIXTURES, "data_6.csv"), "--epsilon", "0.4"]
+        out = tmp_path / "out.json"
+        assert cli.main(argv + ["--json", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
     def test_entry_subset(self, tmp_path):
         mpath, dpath = write_identity_fixture(tmp_path)
         out = tmp_path / "out.json"
@@ -250,6 +263,23 @@ class TestExtremalCommand:
         v = json.loads(out_json.read_text())
         assert v["achieved"] == pytest.approx(42.0, abs=1e-10)
         assert v["residual_norm"] <= 0.1 * (1 + 1e-10)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_value_target_exit_code(self, tmp_path, capsys, value):
+        mpath, dpath = tmp_path / "a.csv", tmp_path / "b.csv"
+        mio.write_matrix_csv(mpath, [[1.0, 0.0]])
+        mio.write_vector_csv(dpath, [1.0])
+        out_x = tmp_path / "x.csv"
+        code = cli.main(
+            ["extremal", "--matrix", str(mpath), "--data", str(dpath),
+             "--epsilon", "0.1", "--target", f"value:{value}", "--weight-index", "1",
+             "--out", str(out_x)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err
+        assert captured.out == ""
+        assert not out_x.exists()
 
 
 class TestEstimateDiagCommand:
@@ -364,6 +394,33 @@ class TestSenseCommand:
         assert manifest["lines_skipped"] == len(skipped) > 0
         status = mio.read_matrix_csv(outdir / "status.csv")
         assert np.any(status == 4)
+
+    @pytest.mark.parametrize("manifest_only", [False, True], ids=["run", "manifest-only"])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"grid": {"h": "32"}},
+            {"coils": {"l": "8"}},
+            {"noise": {"sigma": "x"}},
+            {"pattern": {"accel": 2.5}},
+            {"epsilon": {"mode": "fixed", "value": None}},
+            [],
+            None,
+            {"outputs": {}},
+        ],
+        ids=["str-h", "str-l", "str-sigma", "float-accel", "null-value", "list", "null",
+             "outputs-key"],
+    )
+    def test_mistyped_config_exit_code(self, tmp_path, capsys, cfg, manifest_only):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        outdir = tmp_path / "x"
+        argv = ["sense", "--config", str(cfg_path), "--out", str(outdir)]
+        code = cli.main(argv + ["--manifest-only"] * manifest_only)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+        assert not outdir.exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
