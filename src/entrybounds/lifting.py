@@ -20,23 +20,15 @@ from .errors import DimensionMismatch
 class LiftedSystem:
     """Real 2M x 2N representation of a complex M x N system.
 
-    ``index_map[i]`` gives the (real-part, imag-part) column indices of
-    complex unknown i; with the blocked layout these are (i, N + i).
+    With the blocked layout, complex unknown i has its real part in column
+    i and its imaginary part in column N + i.
     """
 
     a_real: np.ndarray
     n_complex: int
-    m_complex: int
-
-    @property
-    def index_map(self) -> list[tuple[int, int]]:
-        return [(i, self.n_complex + i) for i in range(self.n_complex)]
 
     def real_index(self, i: int) -> int:
         return i
-
-    def imag_index(self, i: int) -> int:
-        return self.n_complex + i
 
 
 def lift_matrix(a) -> np.ndarray:
@@ -62,7 +54,7 @@ def lift_system(a, b) -> tuple[LiftedSystem, np.ndarray]:
         raise DimensionMismatch(
             f"data vector has length {b.shape[0]}, matrix has {a.shape[0]} rows"
         )
-    lifted = LiftedSystem(a_real=lift_matrix(a), n_complex=a.shape[1], m_complex=a.shape[0])
+    lifted = LiftedSystem(a_real=lift_matrix(a), n_complex=a.shape[1])
     return lifted, lift_vector(b)
 
 

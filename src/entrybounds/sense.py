@@ -205,8 +205,32 @@ def make_coils(
     return CoilSet(profiles=profiles)
 
 
-def _kspace(img: np.ndarray) -> np.ndarray:
-    return np.fft.fft2(img, norm="ortho")
+def _check_grid(ph: Phantom, coils: CoilSet, pat: SamplingPattern) -> None:
+    """Raise :class:`ShapeMismatch` unless the coil maps and the sampling
+    pattern are those of the phantom's grid."""
+    h, w = ph.shape
+    if coils.profiles.shape[1:] != (h, w):
+        raise ShapeMismatch(
+            f"coil maps {coils.profiles.shape[1:]} do not match grid {(h, w)}"
+        )
+    if pat.num_lines != h:
+        raise ShapeMismatch(
+            f"pattern covers {pat.num_lines} lines, grid has {h} phase encodes"
+        )
+
+
+def _forward(profiles: np.ndarray, img: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Sampled k-space F S_l x of every channel, (L, K, W): one unitary
+    2-D DFT over the stacked coil images, kept phase encodes only."""
+    return np.fft.fft2(profiles * img, axes=(-2, -1), norm="ortho")[:, kept, :]
+
+
+def _voxel_map(sup_idx: np.ndarray) -> list:
+    """Lifted column -> (y, c, 're'|'im') for supported voxels in (y, c)
+    order, real block first."""
+    return [(int(y), int(c), "re") for y, c in sup_idx] + [
+        (int(y), int(c), "im") for y, c in sup_idx
+    ]
 
 
 def simulate_acquisition(
@@ -219,22 +243,11 @@ def simulate_acquisition(
     """Sample the multi-channel k-space of the phantom with additive
     circularly-symmetric complex Gaussian noise (std ``noise_sigma`` per
     real/imag component)."""
-    h, w = ph.shape
-    if coils.profiles.shape[1:] != (h, w):
-        raise ShapeMismatch(
-            f"coil maps {coils.profiles.shape[1:]} do not match grid {(h, w)}"
-        )
-    if pat.num_lines != h:
-        raise ShapeMismatch(
-            f"pattern covers {pat.num_lines} lines, grid has {h} phase encodes"
-        )
+    _check_grid(ph, coils, pat)
     if noise_sigma < 0:
         raise ConfigError(f"noise sigma must be nonnegative, got {noise_sigma}")
-    kept = pat.phase_encodes_kept
     rng = np.random.default_rng(seed)
-    samples = np.empty((coils.num_channels, kept.size, w), dtype=complex)
-    for k in range(coils.num_channels):
-        samples[k] = _kspace(coils.profiles[k] * ph.grid)[kept, :]
+    samples = _forward(coils.profiles, ph.grid, pat.phase_encodes_kept)
     shape = samples.shape
     noise = noise_sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return AcquiredData(samples=samples + noise, noise=noise, noise_sigma=noise_sigma, seed=seed)
@@ -254,13 +267,9 @@ def build_row_systems(
     """Build one decoupled system per readout position with supported
     voxels.  Columns of off-support voxels are removed; positions with an
     empty support are skipped with a log record."""
+    _check_grid(ph, coils, pat)
     h, w = ph.shape
-    if coils.profiles.shape[1:] != (h, w):
-        raise ShapeMismatch(
-            f"coil maps {coils.profiles.shape[1:]} do not match grid {(h, w)}"
-        )
     kept = pat.phase_encodes_kept
-    l = coils.num_channels
     # Unitary 1-D DFT rows for the kept phase-encode lines.
     y = np.arange(h)
     f_kept = np.exp(-2j * np.pi * np.outer(kept, y) / h) / np.sqrt(h)
@@ -272,12 +281,13 @@ def build_row_systems(
         if sup.size == 0:
             log.info("readout position %d has no supported voxels; skipped", c)
             continue
-        blocks = [f_kept[:, sup] * coils.profiles[k][sup, c][None, :] for k in range(l)]
-        a_c = np.vstack(blocks)
+        # (L, K, n_sup) flattened channel-major, the row order of b_c below
+        a_c = f_kept[None, :, sup] * coils.profiles[:, sup, c][:, None, :]
+        a_c = a_c.reshape(-1, sup.size)
         if hybrid is not None:
             b_c = hybrid[:, :, c].reshape(-1)
         else:
-            b_c = np.zeros(l * kept.size, dtype=complex)
+            b_c = np.zeros(a_c.shape[0], dtype=complex)
         lifted, b_real = lifting.lift_system(a_c, b_c)
         col_map = [(int(r), "re") for r in sup] + [(int(r), "im") for r in sup]
         systems.append(
@@ -315,10 +325,7 @@ def build_monolithic_system(
         s_vals = coils.profiles[k][sup_idx[:, 0], sup_idx[:, 1]]
         blocks.append((f2d * s_vals[None, None, :]).reshape(kept.size * w, n_sup))
     lifted, b_real = lifting.lift_system(np.vstack(blocks), data.samples.reshape(-1))
-    voxel_map = [(int(y), int(c), "re") for y, c in sup_idx] + [
-        (int(y), int(c), "im") for y, c in sup_idx
-    ]
-    return LinearSystem(a=lifted.a_real, b=b_real, epsilon=0.0), voxel_map
+    return LinearSystem(a=lifted.a_real, b=b_real, epsilon=0.0), _voxel_map(sup_idx)
 
 
 def sense_operator(ph: Phantom, coils: CoilSet, pat: SamplingPattern):
@@ -330,6 +337,7 @@ def sense_operator(ph: Phantom, coils: CoilSet, pat: SamplingPattern):
     """
     from .matfree import LinearOperator
 
+    _check_grid(ph, coils, pat)
     h, w = ph.shape
     kept = pat.phase_encodes_kept
     l = coils.num_channels
@@ -338,40 +346,22 @@ def sense_operator(ph: Phantom, coils: CoilSet, pat: SamplingPattern):
     m_complex = l * kept.size * w
     ys, cs = sup_idx[:, 0], sup_idx[:, 1]
 
-    def fwd_c(xc: np.ndarray) -> np.ndarray:
-        img = np.zeros((h, w), dtype=complex)
-        img[ys, cs] = xc
-        out = np.empty((l, kept.size, w), dtype=complex)
-        for k in range(l):
-            out[k] = np.fft.fft2(coils.profiles[k] * img, norm="ortho")[kept, :]
-        return out.reshape(-1)
-
-    def adj_c(yv: np.ndarray) -> np.ndarray:
-        yv = yv.reshape(l, kept.size, w)
-        acc = np.zeros((h, w), dtype=complex)
-        for k in range(l):
-            full = np.zeros((h, w), dtype=complex)
-            full[kept, :] = yv[k]
-            acc += np.conj(coils.profiles[k]) * np.fft.ifft2(full, norm="ortho")
-        return acc[ys, cs]
-
     def apply(x: np.ndarray) -> np.ndarray:
-        xc = x[:n_sup] + 1j * x[n_sup:]
-        out = fwd_c(xc)
-        return np.concatenate([out.real, out.imag])
+        img = np.zeros((h, w), dtype=complex)
+        img[ys, cs] = x[:n_sup] + 1j * x[n_sup:]
+        return lifting.lift_vector(_forward(coils.profiles, img, kept))
 
     def apply_transpose(y: np.ndarray) -> np.ndarray:
         yc = y[:m_complex] + 1j * y[m_complex:]
-        out = adj_c(yc)
-        return np.concatenate([out.real, out.imag])
+        full = np.zeros((l, h, w), dtype=complex)
+        full[:, kept, :] = yc.reshape(l, kept.size, w)
+        coil_imgs = np.fft.ifft2(full, axes=(-2, -1), norm="ortho")
+        return lifting.lift_vector((np.conj(coils.profiles) * coil_imgs).sum(axis=0)[ys, cs])
 
     op = LinearOperator(
         shape=(2 * m_complex, 2 * n_sup), apply=apply, apply_transpose=apply_transpose
     )
-    voxel_map = [(int(y), int(c), "re") for y, c in sup_idx] + [
-        (int(y), int(c), "im") for y, c in sup_idx
-    ]
-    return op, voxel_map
+    return op, _voxel_map(sup_idx)
 
 
 @dataclass
@@ -440,6 +430,11 @@ def _default_cfg(cfg: dict) -> dict:
         raise ConfigError(f"epsilon mode must be heuristic|oracle|fixed, got {mode!r}")
     if mode == "fixed" and "value" not in out["epsilon"]:
         raise ConfigError("epsilon mode 'fixed' requires a value")
+    if mode != "fixed" and "value" in out["epsilon"]:
+        raise ConfigError(f"epsilon.value is only used in mode 'fixed', not {mode!r}")
+    h, line = out["grid"]["h"], out["extremal"]["line"]
+    if line is not None and not 0 <= line < h:
+        raise ConfigError(f"extremal.line must lie in [0, {h}), got {line}")
     return out
 
 

@@ -407,9 +407,11 @@ class TestSenseCommand:
             [],
             None,
             {"outputs": {}},
+            {"grid": {"h": 12, "w": 12}, "extremal": {"line": 999}},
+            {"epsilon": {"mode": "heuristic", "value": 5.0}},
         ],
         ids=["str-h", "str-l", "str-sigma", "float-accel", "null-value", "list", "null",
-             "outputs-key"],
+             "outputs-key", "extremal-line-999", "value-not-fixed"],
     )
     def test_mistyped_config_exit_code(self, tmp_path, capsys, cfg, manifest_only):
         cfg_path = tmp_path / "cfg.json"

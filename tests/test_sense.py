@@ -183,10 +183,14 @@ class TestSenseOperator:
         op, _ = sense_operator(ph, coils, pat)
         assert adjoint_mismatch(op, trials=5, seed=1) < 1e-10
 
-    def test_matches_monolithic_matrix(self, rng):
-        ph = make_phantom("smooth-blobs", 8, 8, seed=2)
-        coils = make_coils(3, 8, 8, seed=2)
-        pat = SamplingPattern(num_lines=8, accel=2, acs_lines=2)
+    @pytest.mark.parametrize(
+        "h, w, l", [(8, 8, 3), (10, 8, 3), (8, 10, 1)],
+        ids=["8x8-3coils", "10x8-3coils", "8x10-1coil"],
+    )
+    def test_matches_monolithic_matrix(self, rng, h, w, l):
+        ph = make_phantom("smooth-blobs", h, w, seed=2)
+        coils = make_coils(l, h, w, seed=2)
+        pat = SamplingPattern(num_lines=h, accel=2, acs_lines=2)
         data = simulate_acquisition(ph, coils, pat, noise_sigma=0.0, seed=0)
         sys, _ = build_monolithic_system(ph, coils, pat, data)
         op, _ = sense_operator(ph, coils, pat)
@@ -195,6 +199,22 @@ class TestSenseOperator:
         y = rng.standard_normal(a_dense.shape[0])
         np.testing.assert_allclose(op.apply(x), a_dense @ x, atol=1e-10)
         np.testing.assert_allclose(op.apply_transpose(y), a_dense.T @ y, atol=1e-10)
+        truth = ph.grid[ph.support_mask]
+        np.testing.assert_allclose(
+            sys.b, a_dense @ np.concatenate([truth.real, truth.imag]), atol=1e-10
+        )
+
+    @pytest.mark.parametrize(
+        "build, coil_size, pattern_lines",
+        [(build_row_systems, 16, 20), (sense_operator, 16, 12), (sense_operator, 12, 16)],
+        ids=["rows-pattern-20", "operator-pattern-12", "operator-coils-12"],
+    )
+    def test_grid_mismatch(self, build, coil_size, pattern_lines):
+        ph = make_phantom("smooth-blobs", 16, 16, seed=0)
+        coils = make_coils(4, coil_size, coil_size, seed=0)
+        pat = SamplingPattern(num_lines=pattern_lines, accel=2, acs_lines=4)
+        with pytest.raises(ShapeMismatch):
+            build(ph, coils, pat)
 
 
 class TestPipeline:
