@@ -7,6 +7,11 @@ either confined to a closed interval, unbounded (w has a nullspace
 component), or undefined (the set is empty).  This module computes those
 intervals, the feasible vectors that attain them, entrywise condition
 numbers, ellipsoid volume, and the Fisher-information identity check.
+
+A complex system is bounded without lifting it to real form: the real
+functional Re(w^H x) has the interval Re(w^H A^+ b) +/- lam *
+||Sigma^-1 V^H w|| on the complex factors, the same interval as w's
+lifted real weight on the lifted real system.
 """
 
 from __future__ import annotations
@@ -63,7 +68,9 @@ class LinearSystem:
     """The triple (A, b, epsilon) defining the near-consistency set.
 
     ``a`` may be a dense matrix or precomputed :class:`SvdFactors`; the
-    factorization is computed once on first use and shared.
+    factorization and the residual projection are computed once on first
+    use and shared.  The system is complex when ``a`` or ``b`` is: then
+    ``b`` is stored as complex, and the unknown x is complex.
     """
 
     a: np.ndarray | SvdFactors
@@ -71,9 +78,13 @@ class LinearSystem:
     epsilon: float
     rank_rtol: float = core.DEFAULT_RANK_RTOL
     _factors: Optional[SvdFactors] = field(default=None, repr=False, compare=False)
+    _residual: Optional[float] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float).reshape(-1)
+        a = self.a.v if isinstance(self.a, SvdFactors) else self.a
+        self.b = core.as_real_or_complex(self.b).reshape(-1)
+        if np.iscomplexobj(a):
+            self.b = self.b.astype(complex, copy=False)
         self.epsilon = float(self.epsilon)
         if not (math.isfinite(self.epsilon) and np.isfinite(self.b).all()):
             raise NumericalFailure(f"data vector and epsilon must be finite (epsilon={self.epsilon})")
@@ -93,10 +104,20 @@ class LinearSystem:
             return self.a.shape
         return np.asarray(self.a).shape
 
+    @property
+    def is_complex(self) -> bool:
+        return np.iscomplexobj(self.b)
+
     def factors(self) -> SvdFactors:
         if self._factors is None:
             self._factors = svd_truncated(self.a, self.rank_rtol)
         return self._factors
+
+    def residual(self) -> float:
+        """||b - A A^+ b||_2, the part of b outside the range of A."""
+        if self._residual is None:
+            self._residual = core.residual_projection_norm(self.factors(), self.b)
+        return self._residual
 
 
 @dataclass(frozen=True)
@@ -145,11 +166,11 @@ class ConditionReport:
     spectral_entry: np.ndarray
 
 
-def _lambda_from(sys: LinearSystem, residual: float) -> Optional[float]:
+def _lambda_from(sys: LinearSystem) -> Optional[float]:
     """Effective tolerance sqrt(eps^2 - residual^2), or None if the
     feasible set is empty.  Tiny negative values of the discriminant are
     clamped to zero."""
-    eps = sys.epsilon
+    eps, residual = sys.epsilon, sys.residual()
     if residual <= RESIDUAL_FLOOR_RTOL * float(np.linalg.norm(sys.b)):
         residual = 0.0
     lam_sq = eps * eps - residual * residual
@@ -201,25 +222,37 @@ def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
     A row is INFEASIBLE when the residual projection of b exceeds epsilon,
     UNBOUNDED when it has a component in the nullspace of A, and otherwise
     gets the interval w^T A^+ b +/- lam * ||Sigma^-1 V^T w||.  All rows
-    share one residual projection; midpoints, sensitivities and nullspace
-    components come from the products W A^+ b, W V and W V_perp.
+    share the system's one residual projection; midpoints, sensitivities
+    and nullspace components come from the products W A^+ b, W V and
+    W V_perp.
+
+    On a complex system a row w (real or complex) bounds Re(w^H x), and
+    ``W=None`` gives 2N rows: Re x_i for every i, then Im x_i (the column
+    order of the lifted real system).  A complex ``W`` on a real system
+    raises :class:`DimensionMismatch`.
     """
     f = sys.factors()
     n = f.shape[1]
     if W is None:
-        rows, wnorm, k = (lambda x: x), 1.0, n
+        if sys.is_complex:
+            # Im x_i = Re(conj(1j) x_i): the rows of [I; 1j I], conjugated
+            rows, wnorm, k = (lambda x: np.concatenate([x, -1j * x])), 1.0, 2 * n
+        else:
+            rows, wnorm, k = (lambda x: x), 1.0, n
     else:
-        W = np.asarray(W, dtype=float)
+        W = core.as_real_or_complex(W)
         if W.ndim != 2 or W.shape[1] != n:
             raise DimensionMismatch(f"weight matrix has shape {W.shape}, matrix has {n} columns")
+        if np.iscomplexobj(W) and not sys.is_complex:
+            raise DimensionMismatch("a complex weight matrix needs a complex system")
         wnorm = np.linalg.norm(W, axis=1)
         if not np.all(wnorm > 0.0):
             raise ZeroFunctional(f"weight row {int(np.argmin(wnorm))} is identically zero")
-        rows, k = W.__matmul__, W.shape[0]
-    lam = _lambda_from(sys, core.residual_projection_norm(f, sys.b))
+        rows, k = W.conj().__matmul__, W.shape[0]
+    lam = _lambda_from(sys)
     if lam is None:
         return BoundArrays(np.full(k, 2), *(np.full(k, np.nan) for _ in range(5)), None)
-    midpoint = rows(core.pinv_apply(f, sys.b))
+    midpoint = rows(core.pinv_apply(f, sys.b)).real
     sensitivity = np.linalg.norm(rows(f.v) / f.sigma, axis=1)
     half_width = sensitivity * lam
     lower, upper = midpoint - half_width, midpoint + half_width
@@ -231,8 +264,9 @@ def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
 
 
 def functional_bound(sys: LinearSystem, w, index: Optional[int] = None) -> EntryBound:
-    """Tight interval for w^T x: the single-row case of :func:`bounds_for`."""
-    w = np.asarray(w, dtype=float).reshape(1, -1)
+    """Tight interval for w^T x (Re(w^H x) on a complex system): the
+    single-row case of :func:`bounds_for`."""
+    w = core.as_real_or_complex(w).reshape(1, -1)
     return bounds_for(sys, w).entry_bounds([index])[0]
 
 
@@ -267,39 +301,40 @@ def extremal_solution(
     alpha: Optional[float] = None,
 ) -> ExtremalSolution:
     """Construct a feasible x attaining the lower or upper end of the
-    interval for w^T x, or (when the functional is unbounded) an arbitrary
-    prescribed value ``alpha``."""
+    interval for w^T x (Re(w^H x) on a complex system), or (when the
+    functional is unbounded) an arbitrary prescribed value ``alpha``."""
     f = sys.factors()
-    w = np.asarray(w, dtype=float).reshape(-1)
-    bound = functional_bound(sys, w)
+    w = core.as_real_or_complex(w).reshape(-1)
+    bound = bounds_for(sys, w[None, :])
+    status = BOUND_STATUSES[bound.status[0]]
 
-    if bound.status is BoundStatus.INFEASIBLE:
+    if status is BoundStatus.INFEASIBLE:
         raise InfeasibleSystem("no vector is consistent with the data within epsilon")
 
     z = core.pinv_apply(f, sys.b)
 
     if target is Target.ARBITRARY:
-        if bound.status is not BoundStatus.UNBOUNDED:
+        if status is not BoundStatus.UNBOUNDED:
             raise StatusMismatch("arbitrary target requires an unbounded functional")
         if alpha is None:
             raise ValueError("arbitrary target requires a value")
         if not math.isfinite(alpha):
             raise NumericalFailure(f"arbitrary target value must be finite, got {alpha}")
         coeffs, perp_norm = core.nullspace_component(f, w)
-        q = (alpha - float(w @ z)) * coeffs / (perp_norm**2)
+        q = (alpha - _re_dot(w, z)) * coeffs / (perp_norm**2)
         x = f.v_perp @ q + z
         return ExtremalSolution(
             x=x,
-            achieved_value=float(w @ x),
+            achieved_value=_re_dot(w, x),
             target=target,
             residual_norm=_residual_norm(sys, x),
         )
 
-    if bound.status is not BoundStatus.FINITE:
+    if status is not BoundStatus.FINITE:
         raise StatusMismatch(f"target {target.value} requires a finite interval")
-    # Unit-norm coefficient vector aligned with Sigma^-1 V^T w; riding the
+    # Unit-norm coefficient vector aligned with Sigma^-1 V^H w; riding the
     # ellipsoid boundary along +/- that direction attains the endpoints.
-    p = (f.v.T @ w) / f.sigma
+    p = (f.v.conj().T @ w) / f.sigma
     pnorm = np.linalg.norm(p)
     if pnorm > 0:
         p = p / pnorm
@@ -309,16 +344,21 @@ def extremal_solution(
     x = z + step if target is Target.UPPER else z - step
     return ExtremalSolution(
         x=x,
-        achieved_value=float(w @ x),
+        achieved_value=_re_dot(w, x),
         target=target,
         residual_norm=_residual_norm(sys, x),
     )
 
 
+def _re_dot(w: np.ndarray, x: np.ndarray) -> float:
+    """Re(w^H x); w^T x for real vectors."""
+    return float((w.conj() @ x).real)
+
+
 def _residual_norm(sys: LinearSystem, x: np.ndarray) -> float:
     if isinstance(sys.a, SvdFactors):
         f = sys.a
-        ax = f.u @ (f.sigma * (f.v.T @ x))
+        ax = f.u @ (f.sigma * (f.v.conj().T @ x))
     else:
         ax = np.asarray(sys.a) @ x
     return float(np.linalg.norm(ax - sys.b))
@@ -329,21 +369,25 @@ def condition_report(a, rank_rtol: float = core.DEFAULT_RANK_RTOL) -> ConditionR
 
     The global condition number is only defined for full column rank and
     is omitted (None) otherwise.  Entrywise values are
-    kappa_i = ||(A^+)^T e_i||_2 * sigma_1 and never exceed the global one.
+    kappa_i = ||(A^+)^H e_i||_2 * sigma_1 and never exceed the global one.
+    For a complex matrix they come in the order of ``bounds_for`` with
+    ``W=None``: the N real parts, then the N imaginary parts, which share
+    one value per entry.
     """
     f = a if isinstance(a, SvdFactors) else svd_truncated(a, rank_rtol)
     n = f.shape[1]
+    reps = 2 if f.is_complex else 1
     if f.rank == 0:
         return ConditionReport(
             sigma_max=0.0,
             sigma_min_pos=0.0,
             kappa_global=None,
-            kappa_entry=np.zeros(n),
-            spectral_entry=np.zeros(n),
+            kappa_entry=np.zeros(reps * n),
+            spectral_entry=np.zeros(reps * n),
         )
     sigma_max = float(f.sigma[0])
     sigma_min_pos = float(f.sigma[-1])
-    spectral = np.linalg.norm(f.v / f.sigma, axis=1)
+    spectral = np.tile(np.linalg.norm(f.v / f.sigma, axis=1), reps)
     kappa_global = sigma_max / sigma_min_pos if f.rank == n else None
     return ConditionReport(
         sigma_max=sigma_max,
@@ -370,40 +414,43 @@ def ellipsoid_volume(a, lam: float, rank_rtol: float = core.DEFAULT_RANK_RTOL) -
     """Volume of the solution ellipsoid {x : ||A(x - z)||_2 <= lam}.
 
     When A is rank deficient the ellipsoid is degenerate and extends
-    infinitely along the nullspace; the volume is reported as +inf.
+    infinitely along the nullspace; the volume is reported as +inf.  A
+    complex A gives the volume in the 2N real dimensions of x, where each
+    singular value counts twice, as in the lifted real matrix.
     """
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     f = a if isinstance(a, SvdFactors) else svd_truncated(a, rank_rtol)
-    n = f.shape[1]
-    if f.rank < n:
+    if f.rank < f.shape[1]:
         return math.inf
     if lam == 0.0:
         return 0.0
+    reps = 2 if f.is_complex else 1
+    n = reps * f.shape[1]
     # sqrt(det((A^T A)^-1)) = prod(1 / sigma_i)
     log_vol = (
         0.5 * n * math.log(math.pi)
         + n * math.log(lam)
         - math.lgamma(0.5 * n + 1.0)
-        - float(np.sum(np.log(f.sigma)))
+        - reps * float(np.sum(np.log(f.sigma)))
     )
     return math.exp(log_vol)
 
 
 def crlb_identity_check(a, i: int, rank_rtol: float = core.DEFAULT_RANK_RTOL):
-    """Two independent evaluations of e_i^T (A^T A)^+ e_i.
+    """Two independent evaluations of e_i^T (A^H A)^+ e_i.
 
     The left side goes through the pseudoinverse of the Gram matrix, the
-    right through the squared sensitivity ||(A^+)^T e_i||_2^2; under white
+    right through the squared sensitivity ||(A^+)^H e_i||_2^2; under white
     unit-variance noise both equal the per-entry variance floor of any
     unbiased estimator.
     """
-    a = np.asarray(a, dtype=float)
+    a = core.as_real_or_complex(a)
     n = a.shape[1]
     if not 0 <= i < n:
         raise IndexOutOfRange(f"index {i} out of range for N={n}")
-    gram_pinv = np.linalg.pinv(a.T @ a)
-    lhs = float(gram_pinv[i, i])
+    gram_pinv = np.linalg.pinv(a.conj().T @ a)
+    lhs = float(gram_pinv[i, i].real)
     f = svd_truncated(a, rank_rtol)
     e_i = np.zeros(n)
     e_i[i] = 1.0
@@ -417,11 +464,20 @@ def epsilon_heuristic(f: SvdFactors, b) -> float:
     Assumes the unmodelled perturbation spreads its energy evenly across
     subspaces, so its full norm is estimated by rescaling the observable
     out-of-range part: eps = sqrt(M / (M - N)) * ||P_perp b||_2.
-    Requires a strictly overdetermined full-column-rank system.
+    Requires a strictly overdetermined full-column-rank system.  For a
+    complex system M and N count complex rows and columns; the lifted real
+    counts 2M and 2N give the same factor.
     """
+    return heuristic_scale(f) * core.residual_projection_norm(f, b)
+
+
+def heuristic_scale(f: SvdFactors) -> float:
+    """The factor sqrt(M / (M - N)) of :func:`epsilon_heuristic`, which
+    multiplies a residual projection already at hand."""
     m, n = f.shape
     if m <= n or f.rank < n:
+        kind = "complex " if f.is_complex else ""
         raise NotOverdetermined(
-            f"heuristic requires M > N with full column rank (M={m}, N={n}, r={f.rank})"
+            f"heuristic requires M > N with full column rank ({kind}M={m}, N={n}, r={f.rank})"
         )
-    return math.sqrt(m / (m - n)) * core.residual_projection_norm(f, b)
+    return math.sqrt(m / (m - n))

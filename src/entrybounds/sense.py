@@ -5,7 +5,8 @@ diagonal complex sensitivity profile and F a unitary 2-D DFT followed by
 subsampling of phase-encode lines (the readout dimension stays fully
 sampled).  A unitary inverse DFT along the readout dimension splits the
 2-D problem into independent 1-D systems, one per readout position; each
-is support-masked, lifted to real form, and fed to the interval theory.
+is support-masked and fed to the interval theory as a complex system.  Its
+real-lifted form is built only on request, as the reference.
 
 Axis convention: grids are (H, W) with the phase-encode dimension along
 axis 0 (H k-space lines, subsampled) and the readout dimension along
@@ -15,9 +16,11 @@ reconstructs one image line grid[:, c] of supported voxels.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -98,17 +101,29 @@ class AcquiredData:
 
 @dataclass
 class RowSystem:
-    """One decoupled, support-masked, real-lifted reconstruction system."""
+    """One decoupled, support-masked complex reconstruction system."""
 
     line_index: int
     voxel_rows: np.ndarray  # supported phase-encode positions in this line
     a_complex: np.ndarray  # (L*K, n_sup) complex
-    system: LinearSystem  # real-lifted, epsilon filled by the pipeline
-    col_map: list = field(default_factory=list)  # lifted column -> (row, 're'|'im')
+    b_complex: np.ndarray  # (L*K,) complex
 
     @property
     def n_sup(self) -> int:
         return self.voxel_rows.shape[0]
+
+    @cached_property
+    def system(self) -> LinearSystem:
+        """The real-lifted system, with epsilon 0; built on first read."""
+        lifted, b_real = lifting.lift_system(self.a_complex, self.b_complex)
+        return LinearSystem(a=lifted.a_real, b=b_real, epsilon=0.0)
+
+    @property
+    def col_map(self) -> list:
+        """Lifted column -> (row, 're'|'im')."""
+        return [(int(r), "re") for r in self.voxel_rows] + [
+            (int(r), "im") for r in self.voxel_rows
+        ]
 
 
 def _support_ellipse(h: int, w: int, ry: float = 0.40, rx: float = 0.42) -> np.ndarray:
@@ -288,17 +303,7 @@ def build_row_systems(
             b_c = hybrid[:, :, c].reshape(-1)
         else:
             b_c = np.zeros(a_c.shape[0], dtype=complex)
-        lifted, b_real = lifting.lift_system(a_c, b_c)
-        col_map = [(int(r), "re") for r in sup] + [(int(r), "im") for r in sup]
-        systems.append(
-            RowSystem(
-                line_index=c,
-                voxel_rows=sup,
-                a_complex=a_c,
-                system=LinearSystem(a=lifted.a_real, b=b_real, epsilon=0.0),
-                col_map=col_map,
-            )
-        )
+        systems.append(RowSystem(line_index=c, voxel_rows=sup, a_complex=a_c, b_complex=b_c))
     return systems
 
 
@@ -495,22 +500,24 @@ def run_pipeline(cfg: dict) -> PipelineResult:
         extremal_line = h // 2
 
     for rs in systems:
-        f = svd_truncated(rs.system.a)
-        b = rs.system.b
+        sys_ = LinearSystem(a=svd_truncated(rs.a_complex), b=rs.b_complex, epsilon=0.0)
+        f = sys_.factors()
         c, sup, n_sup = rs.line_index, rs.voxel_rows, rs.n_sup
+        # sizes in the units of the lifted real system, where every complex
+        # row, column and singular value counts twice
         stats = {
             "line": c,
-            "m": rs.system.shape[0],
-            "n": rs.system.shape[1],
-            "rank": f.rank,
+            "m": 2 * f.shape[0],
+            "n": 2 * f.shape[1],
+            "rank": 2 * f.rank,
             "sigma_max": float(f.sigma[0]) if f.rank else 0.0,
             "sigma_min": float(f.sigma[-1]) if f.rank else 0.0,
-            "residual": bnd.core.residual_projection_norm(f, b),
+            "residual": sys_.residual(),
         }
         line_stats.append(stats)
         if mode == "heuristic":
             try:
-                eps = bnd.epsilon_heuristic(f, b)
+                eps = bnd.heuristic_scale(f) * sys_.residual()
             except NotOverdetermined as exc:
                 log.info("line %d skipped: %s", c, exc)
                 status[sup, c] = STATUS_UNDETERMINED
@@ -520,11 +527,12 @@ def run_pipeline(cfg: dict) -> PipelineResult:
             eps = float(np.linalg.norm(noise_hybrid[:, :, c]))
         else:
             eps = float(eps_cfg["value"])
-        sys_eps = LinearSystem(a=f, b=b, epsilon=eps)
+        # the copy keeps the factors and the residual projection
+        sys_eps = dataclasses.replace(sys_, epsilon=eps)
         report = bnd.condition_report(f)
         stats.update(kappa=report.kappa_global, epsilon=eps)
 
-        # lifted column j < n_sup is Re x[sup[j]], column n_sup + j its Im
+        # row j < n_sup is Re x[sup[j]], row n_sup + j its Im
         eb = bnd.bounds_for(sys_eps)
         status[sup, c] = eb.status[:n_sup]
         maps["lower_re"][sup, c] = eb.lower[:n_sup]
@@ -541,18 +549,18 @@ def run_pipeline(cfg: dict) -> PipelineResult:
         nb = np.flatnonzero(np.diff(sup) == 1)
         if nb.size:
             pairs = np.column_stack([nb, nb + 1])
-            db = bnd.bounds_for(sys_eps, bnd.difference_rows(2 * n_sup, pairs))
+            db = bnd.bounds_for(sys_eps, bnd.difference_rows(n_sup, pairs))
             maps["diff_lower"][sup[nb], c] = db.lower
             maps["diff_upper"][sup[nb], c] = db.upper
 
         # extremal images pinned at the chosen cross-line voxel
         j_re = np.flatnonzero(sup == extremal_line)
         if j_re.size and eb.status[j_re[0]] == STATUS_FINITE:
-            wvec = np.zeros(2 * n_sup)
+            wvec = np.zeros(n_sup)
             wvec[j_re[0]] = 1.0
             for tgt, name in ((Target.UPPER, "extremal_upper"), (Target.LOWER, "extremal_lower")):
                 sol = bnd.extremal_solution(sys_eps, wvec, tgt)
-                maps[name][sup, c] = sol.x[:n_sup]  # real parts of the complex solution
+                maps[name][sup, c] = sol.x.real
 
     t_end = time.perf_counter()
     kept = pat.phase_encodes_kept

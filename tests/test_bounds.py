@@ -9,7 +9,9 @@ from entrybounds import (
     LinearSystem,
     Target,
     adjacent_difference_bounds,
+    bounds_for,
     condition_report,
+    core,
     crlb_identity_check,
     ellipsoid_volume,
     entrywise_bounds,
@@ -17,9 +19,13 @@ from entrybounds import (
     extremal_solution,
     functional_bound,
     global_bounds,
+    lift_matrix,
+    lift_system,
+    lift_vector,
     svd_truncated,
 )
 from entrybounds.errors import (
+    DimensionMismatch,
     InfeasibleSystem,
     NotOverdetermined,
     NumericalFailure,
@@ -361,3 +367,93 @@ class TestProperties:
                     assert overlap > 1e-8
                 else:
                     assert overlap < 1e-6
+
+
+def complex_gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def complex_system(rng, m, n, r, eps_ratio=2.0):
+    """Complex (A, b, eps) of rank r, feasible, and its lifted real system."""
+    a = complex_gaussian(rng, m, r) @ complex_gaussian(rng, r, n)
+    b = a @ complex_gaussian(rng, n) + 0.2 * complex_gaussian(rng, m)
+    residual = np.linalg.norm(b - a @ (np.linalg.pinv(a) @ b))
+    eps = eps_ratio * max(residual, 0.1)
+    lifted, b_real = lift_system(a, b)
+    return (LinearSystem(a=a, b=b, epsilon=eps),
+            LinearSystem(a=lifted.a_real, b=b_real, epsilon=eps))
+
+
+class TestComplexSystems:
+    def test_real_matrix_with_complex_data_is_complex(self):
+        sys_ = LinearSystem(a=np.eye(2), b=[1 + 2j, 3 - 1j], epsilon=0.5)
+        assert sys_.is_complex
+        np.testing.assert_array_equal(sys_.b, [1 + 2j, 3 - 1j])
+        res = bounds_for(sys_)
+        np.testing.assert_allclose(res.lower, [0.5, 2.5, 1.5, -1.5], atol=1e-15)
+        np.testing.assert_allclose(res.upper, [1.5, 3.5, 2.5, -0.5], atol=1e-15)
+
+    def test_complex_weights_need_complex_system(self):
+        sys_ = LinearSystem(a=np.eye(2), b=[1.0, 2.0], epsilon=0.5)
+        with pytest.raises(DimensionMismatch):
+            bounds_for(sys_, [[1j, 0.0]])
+        with pytest.raises(DimensionMismatch):
+            functional_bound(sys_, [1j, 0.0])
+
+    @pytest.mark.parametrize("target", [Target.UPPER, Target.LOWER])
+    def test_extremal_matches_lifted(self, rng, target):
+        sys_c, sys_r = complex_system(rng, 6, 3, 3)
+        w = complex_gaussian(rng, 3)
+        w_r = np.concatenate([w.real, w.imag])
+        sol = extremal_solution(sys_c, w, target)
+        ref = extremal_solution(sys_r, w_r, target)
+        np.testing.assert_allclose(lift_vector(sol.x), ref.x, rtol=1e-10, atol=1e-12)
+        bound = functional_bound(sys_c, w)
+        want = bound.upper if target is Target.UPPER else bound.lower
+        assert sol.achieved_value == pytest.approx(want, rel=1e-10)
+        assert sol.achieved_value == pytest.approx(ref.achieved_value, rel=1e-10)
+        assert sol.residual_norm == pytest.approx(sys_c.epsilon, rel=1e-10)
+
+    def test_extremal_arbitrary_value_matches_lifted(self, rng):
+        sys_c, sys_r = complex_system(rng, 4, 3, 2)
+        w = complex_gaussian(rng, 3)
+        assert functional_bound(sys_c, w).status is BoundStatus.UNBOUNDED
+        sol = extremal_solution(sys_c, w, Target.ARBITRARY, alpha=7.0)
+        ref = extremal_solution(sys_r, np.concatenate([w.real, w.imag]), Target.ARBITRARY,
+                                alpha=7.0)
+        assert sol.achieved_value == pytest.approx(7.0, rel=1e-12)
+        assert sol.residual_norm <= sys_c.epsilon
+        np.testing.assert_allclose(lift_vector(sol.x), ref.x, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(6, 3, 3), (4, 3, 2), (3, 4, 3)])
+    def test_condition_report_matches_lifted(self, rng, shape):
+        m, n, r = shape
+        a = complex_gaussian(rng, m, r) @ complex_gaussian(rng, r, n)
+        rep, ref = condition_report(a), condition_report(lift_matrix(a))
+        assert rep.sigma_max == pytest.approx(ref.sigma_max, rel=1e-12)
+        assert rep.sigma_min_pos == pytest.approx(ref.sigma_min_pos, rel=1e-10)
+        assert (rep.kappa_global is None) == (ref.kappa_global is None)
+        np.testing.assert_allclose(rep.kappa_entry, ref.kappa_entry, rtol=1e-10)
+        np.testing.assert_allclose(rep.spectral_entry, ref.spectral_entry, rtol=1e-10)
+
+    def test_volume_heuristic_and_crlb_match_lifted(self, rng):
+        a = complex_gaussian(rng, 5, 2)
+        b = complex_gaussian(rng, 5)
+        a_r, b_r = lift_matrix(a), lift_vector(b)
+        assert ellipsoid_volume(a, 0.7) == pytest.approx(ellipsoid_volume(a_r, 0.7), rel=1e-10)
+        assert ellipsoid_volume(a[:, [0, 0]], 0.7) == math.inf
+        assert epsilon_heuristic(svd_truncated(a), b) == pytest.approx(
+            epsilon_heuristic(svd_truncated(a_r), b_r), rel=1e-12)
+        lhs, rhs = crlb_identity_check(a, 1)
+        assert lhs == pytest.approx(rhs, rel=1e-10)
+        assert rhs == pytest.approx(crlb_identity_check(a_r, 1)[1], rel=1e-10)
+
+    def test_one_residual_projection_per_system(self, rng, monkeypatch):
+        calls = []
+        real = core.residual_projection_norm
+        monkeypatch.setattr(core, "residual_projection_norm", lambda *a: calls.append(1) or real(*a))
+        sys_c, _ = complex_system(rng, 6, 3, 3)
+        bounds_for(sys_c)
+        bounds_for(sys_c, [[1.0, -1.0, 0.0]])
+        extremal_solution(sys_c, [1.0, 0.0, 0.0], Target.UPPER)
+        assert len(calls) == 1

@@ -187,3 +187,42 @@ class TestInvariants:
             assert core.pinv_transpose_norm(f, w) <= np.linalg.norm(w) / f.sigma[-1] * (
                 1 + 1e-12
             )
+
+
+def complex_gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestComplex:
+    def test_rank_keeps_imaginary_part(self):
+        f = core.svd_truncated([[1j, 0], [0, 1]])
+        assert f.rank == 2
+        assert f.is_complex
+        np.testing.assert_allclose(f.sigma, [1.0, 1.0])
+
+    @pytest.mark.parametrize("m, n, r", [(5, 3, 3), (3, 5, 3), (4, 4, 2), (3, 3, 0)])
+    def test_factors_against_dense_pinv(self, rng, m, n, r):
+        a = complex_gaussian(rng, m, r) @ complex_gaussian(rng, r, n)
+        b, w = complex_gaussian(rng, m), complex_gaussian(rng, n)
+        f = core.svd_truncated(a)
+        assert f.rank == r
+        assert f.u.dtype == f.v.dtype == f.v_perp.dtype == complex
+        recon = f.u @ np.diag(f.sigma) @ f.v.conj().T
+        assert np.linalg.norm(recon - a) <= 1e-10 * max(np.linalg.norm(a), 1.0)
+        assert np.linalg.norm(f.v.conj().T @ f.v_perp) < 1e-10
+        assert np.linalg.norm(a @ f.v_perp) <= 1e-10 * max(np.linalg.norm(a), 1.0)
+        pinv = np.linalg.pinv(a)
+        np.testing.assert_allclose(core.pinv_apply(f, b), pinv @ b, atol=1e-10)
+        np.testing.assert_allclose(core.pinv_transpose_apply(f, w), pinv.conj().T @ w, atol=1e-10)
+        assert core.pinv_transpose_norm(f, w) == pytest.approx(
+            np.linalg.norm(pinv.conj().T @ w), rel=1e-10, abs=1e-12)
+        assert core.residual_projection_norm(f, b) == pytest.approx(
+            np.linalg.norm(b - a @ (pinv @ b)), rel=1e-10)
+        _, norm = core.nullspace_component(f, w)
+        assert norm == pytest.approx(np.linalg.norm(w - pinv @ (a @ w)), rel=1e-10, abs=1e-12)
+
+    def test_real_factors_apply_to_complex_data(self, rng):
+        a = rng.standard_normal((5, 3))
+        b = complex_gaussian(rng, 5)
+        f = core.svd_truncated(a)
+        np.testing.assert_allclose(core.pinv_apply(f, b), np.linalg.pinv(a) @ b, atol=1e-12)

@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
-from entrybounds import LinearSystem, entrywise_bounds, pinv_apply, svd_truncated
+from entrybounds import (
+    LinearSystem,
+    bounds_for,
+    condition_report,
+    core,
+    entrywise_bounds,
+    epsilon_heuristic,
+    extremal_solution,
+    lifting,
+    pinv_apply,
+    sense,
+    svd_truncated,
+)
+from entrybounds.bounds import Target, difference_rows
 from entrybounds.errors import ConfigError, ShapeMismatch, UnknownPreset
 from entrybounds.matfree import adjoint_mismatch
 from entrybounds.sense import (
@@ -331,3 +344,94 @@ class TestPipeline:
             run_pipeline({"grid": {"hh": 3}})
         with pytest.raises(ConfigError):
             run_pipeline({"epsilon": {"mode": "fixed"}})
+
+
+LIFTED_CASES = {
+    "heuristic": {"grid": {"h": 24, "w": 20, "seed": 2}, "coils": {"l": 5, "seed": 1},
+                  "pattern": {"accel": 2, "acs": 4}, "noise": {"sigma": 0.01, "seed": 3}},
+    "complex-truth-fixed": {"grid": {"h": 24, "w": 20, "preset": "shepp-like"},
+                            "coils": {"l": 4, "phase_fold": False},
+                            "pattern": {"accel": 2, "acs": 4}, "noise": {"sigma": 0.01, "seed": 0},
+                            "epsilon": {"mode": "fixed", "value": 0.2}, "extremal": {"line": 7}},
+}
+
+
+def lifted_reference(cfg, res):
+    """The maps of ``run_pipeline`` rebuilt from each line's real-lifted
+    system (``rs.system``), with the pipeline's epsilon rule."""
+    truth, coils, pat = build_problem(cfg)
+    data = simulate_acquisition(truth, coils, pat, cfg["noise"]["sigma"], cfg["noise"]["seed"])
+    h, w = truth.shape
+    maps = {name: np.full((h, w), np.nan) for name in res.maps}
+    maps["truth_re"], maps["truth_im"] = truth.grid.real, truth.grid.imag
+    status = np.full((h, w), STATUS_OFF_SUPPORT)
+    line = cfg.get("extremal", {}).get("line", h // 2)
+    systems = build_row_systems(truth, coils, pat, data)
+    assert [s["line"] for s in res.line_stats] == [rs.line_index for rs in systems]
+    for rs, stats in zip(systems, res.line_stats):
+        f = svd_truncated(rs.system.a)
+        c, sup, n = rs.line_index, rs.voxel_rows, rs.n_sup
+        assert (stats["m"], stats["n"], stats["rank"]) == (*rs.system.shape, f.rank)
+        if "epsilon" not in cfg:
+            eps = epsilon_heuristic(f, rs.system.b)
+            assert stats["epsilon"] == pytest.approx(eps, rel=1e-12)
+        else:
+            eps = stats["epsilon"]
+        sys_ = LinearSystem(a=f, b=rs.system.b, epsilon=eps)
+        rep = condition_report(f)
+        eb = bounds_for(sys_)
+        status[sup, c] = eb.status[:n]
+        for part, cols in (("re", slice(None, n)), ("im", slice(n, None))):
+            maps[f"lower_{part}"][sup, c] = eb.lower[cols]
+            maps[f"upper_{part}"][sup, c] = eb.upper[cols]
+        maps["sensitivity"][sup, c] = eb.sensitivity[:n]
+        maps["kappa_entry"][sup, c] = rep.kappa_entry[:n]
+        maps["global_envelope"][sup, c] = 1.0 / rep.sigma_min_pos
+        maps["kappa_line"][sup, c] = rep.kappa_global
+        nb = np.flatnonzero(np.diff(sup) == 1)
+        db = bounds_for(sys_, difference_rows(2 * n, np.column_stack([nb, nb + 1])))
+        maps["diff_lower"][sup[nb], c] = db.lower
+        maps["diff_upper"][sup[nb], c] = db.upper
+        j = np.flatnonzero(sup == line)
+        if j.size and eb.status[j[0]] == STATUS_FINITE:
+            wvec = np.zeros(2 * n)
+            wvec[j[0]] = 1.0
+            for tgt, name in ((Target.UPPER, "extremal_upper"), (Target.LOWER, "extremal_lower")):
+                maps[name][sup, c] = extremal_solution(sys_, wvec, tgt).x[:n]
+    return maps, status
+
+
+class TestLiftedReference:
+    @pytest.mark.parametrize("case", sorted(LIFTED_CASES))
+    def test_pipeline_matches_lifted_systems(self, case):
+        cfg = LIFTED_CASES[case]
+        res = run_pipeline(cfg)
+        maps, status = lifted_reference(cfg, res)
+        np.testing.assert_array_equal(res.status, status)
+        assert np.count_nonzero(status == STATUS_FINITE) > 0
+        for name, want in maps.items():
+            got = res.maps[name]
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want), err_msg=name)
+            ok = ~np.isnan(want)
+            assert ok.any(), name
+            scale = float(np.max(np.abs(want[ok])))
+            assert np.max(np.abs(got[ok] - want[ok])) <= 1e-12 * scale, name
+
+    def test_one_factorization_and_projection_per_line(self, monkeypatch):
+        counts = {"svd": 0, "residual": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def no_lifting(*args):
+            raise AssertionError("the pipeline lifted a line system")
+
+        monkeypatch.setattr(sense, "svd_truncated", counted("svd", sense.svd_truncated))
+        monkeypatch.setattr(core, "residual_projection_norm",
+                            counted("residual", core.residual_projection_norm))
+        monkeypatch.setattr(lifting, "lift_system", no_lifting)
+        res = run_pipeline(LIFTED_CASES["heuristic"])
+        assert counts == {"svd": len(res.line_stats), "residual": len(res.line_stats)}
