@@ -12,6 +12,9 @@ A complex system is bounded without lifting it to real form: the real
 functional Re(w^H x) has the interval Re(w^H A^+ b) +/- lam *
 ||Sigma^-1 V^H w|| on the complex factors, the same interval as w's
 lifted real weight on the lifted real system.
+
+A rank tolerance other than the default is chosen where the SVD is made:
+pass ``svd_truncated(a, rtol)`` factors, or set ``LinearSystem.rank_rtol``.
 """
 
 from __future__ import annotations
@@ -229,7 +232,8 @@ def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
     On a complex system a row w (real or complex) bounds Re(w^H x), and
     ``W=None`` gives 2N rows: Re x_i for every i, then Im x_i (the column
     order of the lifted real system).  A complex ``W`` on a real system
-    raises :class:`DimensionMismatch`.
+    raises :class:`DimensionMismatch`, a NaN or infinite weight
+    :class:`NumericalFailure`.
     """
     f = sys.factors()
     n = f.shape[1]
@@ -245,6 +249,8 @@ def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
             raise DimensionMismatch(f"weight matrix has shape {W.shape}, matrix has {n} columns")
         if np.iscomplexobj(W) and not sys.is_complex:
             raise DimensionMismatch("a complex weight matrix needs a complex system")
+        if not np.isfinite(W).all():
+            raise NumericalFailure("weight matrix must be finite")
         wnorm = np.linalg.norm(W, axis=1)
         if not np.all(wnorm > 0.0):
             raise ZeroFunctional(f"weight row {int(np.argmin(wnorm))} is identically zero")
@@ -364,7 +370,7 @@ def _residual_norm(sys: LinearSystem, x: np.ndarray) -> float:
     return float(np.linalg.norm(ax - sys.b))
 
 
-def condition_report(a, rank_rtol: float = core.DEFAULT_RANK_RTOL) -> ConditionReport:
+def condition_report(a) -> ConditionReport:
     """Global and entrywise condition numbers of ``a``.
 
     The global condition number is only defined for full column rank and
@@ -374,7 +380,7 @@ def condition_report(a, rank_rtol: float = core.DEFAULT_RANK_RTOL) -> ConditionR
     ``W=None``: the N real parts, then the N imaginary parts, which share
     one value per entry.
     """
-    f = a if isinstance(a, SvdFactors) else svd_truncated(a, rank_rtol)
+    f = a if isinstance(a, SvdFactors) else svd_truncated(a)
     n = f.shape[1]
     reps = 2 if f.is_complex else 1
     if f.rank == 0:
@@ -398,19 +404,19 @@ def condition_report(a, rank_rtol: float = core.DEFAULT_RANK_RTOL) -> ConditionR
     )
 
 
-def global_bounds(a, n_norm: float, rank_rtol: float = core.DEFAULT_RANK_RTOL) -> float:
+def global_bounds(a, n_norm: float) -> float:
     """Classical spectral-norm error bound sigma_N^-1 * ||n||_2.
 
     It bounds the error in the 2-norm, and so also every entry, via
     ||.||_inf <= ||.||_2.
     """
-    f = a if isinstance(a, SvdFactors) else svd_truncated(a, rank_rtol)
+    f = a if isinstance(a, SvdFactors) else svd_truncated(a)
     if f.rank < f.shape[1]:
         raise RankDeficient("spectral bound requires full column rank")
     return float(n_norm) / float(f.sigma[-1])
 
 
-def ellipsoid_volume(a, lam: float, rank_rtol: float = core.DEFAULT_RANK_RTOL) -> float:
+def ellipsoid_volume(a, lam: float) -> float:
     """Volume of the solution ellipsoid {x : ||A(x - z)||_2 <= lam}.
 
     When A is rank deficient the ellipsoid is degenerate and extends
@@ -420,7 +426,7 @@ def ellipsoid_volume(a, lam: float, rank_rtol: float = core.DEFAULT_RANK_RTOL) -
     """
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    f = a if isinstance(a, SvdFactors) else svd_truncated(a, rank_rtol)
+    f = a if isinstance(a, SvdFactors) else svd_truncated(a)
     if f.rank < f.shape[1]:
         return math.inf
     if lam == 0.0:
@@ -437,7 +443,7 @@ def ellipsoid_volume(a, lam: float, rank_rtol: float = core.DEFAULT_RANK_RTOL) -
     return math.exp(log_vol)
 
 
-def crlb_identity_check(a, i: int, rank_rtol: float = core.DEFAULT_RANK_RTOL):
+def crlb_identity_check(a, i: int):
     """Two independent evaluations of e_i^T (A^H A)^+ e_i.
 
     The left side goes through the pseudoinverse of the Gram matrix, the
@@ -451,7 +457,7 @@ def crlb_identity_check(a, i: int, rank_rtol: float = core.DEFAULT_RANK_RTOL):
         raise IndexOutOfRange(f"index {i} out of range for N={n}")
     gram_pinv = np.linalg.pinv(a.conj().T @ a)
     lhs = float(gram_pinv[i, i].real)
-    f = svd_truncated(a, rank_rtol)
+    f = svd_truncated(a)
     e_i = np.zeros(n)
     e_i[i] = 1.0
     rhs = core.pinv_transpose_norm(f, e_i) ** 2

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, bounds as bnd, matfree, mio, sense
 from .bounds import BoundStatus, LinearSystem, Target
-from .core import DEFAULT_RANK_RTOL, svd_truncated
+from .core import DEFAULT_RANK_RTOL
 from .errors import EntryBoundsError, StatusMismatch
 
 EXIT_OK = 0
@@ -167,8 +167,7 @@ def cmd_estimate_diag(args) -> int:
         "values": list(est.values),
     }
     if dense is not None:
-        f = svd_truncated(dense)
-        exact = np.linalg.norm(f.v / f.sigma, axis=1) ** 2 if f.rank else np.zeros(dense.shape[1])
+        exact = bnd.condition_report(dense).spectral_entry ** 2
         payload["exact"] = list(exact)
         payload["relative_error"] = list(
             np.abs(est.values - exact) / np.maximum(exact, 1e-300)
@@ -205,7 +204,7 @@ def cmd_sense(args) -> int:
 
     manifest = _manifest("sense", result.config, outputs, t0)
     manifest.update(
-        epsilon_mode=result.epsilon_mode,
+        epsilon_mode=result.config["epsilon"]["mode"],
         line_stats=result.line_stats,
         lines_skipped=sum("skipped" in stats for stats in result.line_stats),
         timings=result.timings,

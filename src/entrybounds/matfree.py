@@ -10,7 +10,7 @@ estimator that recovers all squared row norms of A^+ simultaneously.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -193,7 +193,8 @@ def stochastic_diag(
     samples: int,
     probe_kind: str = "gaussian",
     seed: int = 0,
-    cfg: Optional[LandweberConfig] = None,
+    *,
+    cfg: LandweberConfig,
 ) -> DiagEstimate:
     """Estimate all squared sensitivities at once by random probing.
 
@@ -205,9 +206,6 @@ def stochastic_diag(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if cfg is None:
-        s1 = power_iteration_sigma1(op, iters=200, seed=seed)
-        cfg = LandweberConfig(sigma1_estimate=s1)
     m, n = op.shape
     acc = np.zeros(n)
     failed = 0

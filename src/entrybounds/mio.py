@@ -17,10 +17,8 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch
 
 FLOAT_FMT = "%.17g"
-
-
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % float(x)
+_PGM_MAXVAL = 255
+_PGM_FLAT_RTOL = 1e-12  # a relative span at or below this is rounding: one gray level
 
 
 def _write_csv(path, a, fmt) -> None:
@@ -28,8 +26,8 @@ def _write_csv(path, a, fmt) -> None:
     formatting each entry with ``fmt``."""
     with open(path, "w", newline="\n") as fh:
         fh.write(f"{a.shape[0]},{a.shape[1]}\n")
-        for row in a:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        for row in a.tolist():
+            fh.write(",".join(map(fmt, row)) + "\n")
 
 
 def _read_csv(path, dtype, parse) -> np.ndarray:
@@ -40,6 +38,8 @@ def _read_csv(path, dtype, parse) -> np.ndarray:
         try:
             rows, cols = (int(t) for t in header.split(","))
         except ValueError:
+            rows = cols = -1
+        if rows < 0 or cols < 0:
             raise ConfigError(f"{path}:1: malformed header {header!r}, expected 'rows,cols'")
         out = np.empty((rows, cols), dtype=dtype)
         for r in range(rows):
@@ -58,7 +58,7 @@ def _read_csv(path, dtype, parse) -> np.ndarray:
 
 def write_matrix_csv(path, a) -> None:
     """Write a real matrix as CSV with a leading ``rows,cols`` line."""
-    _write_csv(path, np.atleast_2d(np.asarray(a, dtype=float)), _fmt)
+    _write_csv(path, np.atleast_2d(np.asarray(a, dtype=float)), FLOAT_FMT.__mod__)
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -80,7 +80,7 @@ def read_vector_csv(path) -> np.ndarray:
 
 
 def _fmt_complex(z: complex) -> str:
-    return f"{_fmt(z.real)}{'+' if z.imag >= 0 else '-'}{_fmt(abs(z.imag))}j"
+    return f"{FLOAT_FMT % z.real}{'+' if z.imag >= 0 else '-'}{FLOAT_FMT % abs(z.imag)}j"
 
 
 def write_complex_csv(path, a) -> None:
@@ -110,27 +110,26 @@ def write_json(path, obj) -> None:
         fh.write(text)
 
 
-def write_pgm(path, grid, maxval: int = 255) -> None:
+def write_pgm(path, grid) -> None:
     """Write a min-max normalized grayscale render of a 2-D map.
 
-    NaN cells (undefined statuses) render as black.
+    NaN cells (undefined statuses) render as black, and so does a flat
+    map, whose finite values agree to rounding.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2:
         raise DimensionMismatch(f"PGM render expects a 2-D grid, got shape {grid.shape}")
     finite = np.isfinite(grid)
+    scaled = np.zeros_like(grid)
     if finite.any():
-        lo = float(grid[finite].min())
-        hi = float(grid[finite].max())
-        span = hi - lo if hi > lo else 1.0
-        scaled = np.where(finite, (grid - lo) / span * maxval, 0.0)
-    else:
-        scaled = np.zeros_like(grid)
-    pix = np.clip(np.rint(scaled), 0, maxval).astype(int)
+        lo, hi = float(grid[finite].min()), float(grid[finite].max())
+        if hi - lo > _PGM_FLAT_RTOL * max(abs(lo), abs(hi)):
+            scaled = np.where(finite, (grid - lo) / (hi - lo) * _PGM_MAXVAL, 0.0)
+    pix = np.clip(np.rint(scaled), 0, _PGM_MAXVAL).astype(int)
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"P2\n{grid.shape[1]} {grid.shape[0]}\n{maxval}\n")
-        for row in pix:
-            fh.write(" ".join(str(v) for v in row) + "\n")
+        fh.write(f"P2\n{grid.shape[1]} {grid.shape[0]}\n{_PGM_MAXVAL}\n")
+        for row in pix.tolist():
+            fh.write(" ".join(map(str, row)) + "\n")
 
 
 def sha256_file(path) -> str:

@@ -95,8 +95,6 @@ class AcquiredData:
 
     samples: np.ndarray  # (L, K, W) complex, K = kept lines
     noise: np.ndarray  # (L, K, W) complex
-    noise_sigma: float
-    seed: int
 
 
 @dataclass
@@ -126,10 +124,10 @@ class RowSystem:
         ]
 
 
-def _support_ellipse(h: int, w: int, ry: float = 0.40, rx: float = 0.42) -> np.ndarray:
+def _support_ellipse(h: int, w: int) -> np.ndarray:
     yy, xx = np.mgrid[0:h, 0:w]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    return ((yy - cy) / (ry * h)) ** 2 + ((xx - cx) / (rx * w)) ** 2 <= 1.0
+    return ((yy - cy) / (0.40 * h)) ** 2 + ((xx - cx) / (0.42 * w)) ** 2 <= 1.0
 
 
 def make_phantom(preset: str, h: int, w: int, seed: int = 0) -> Phantom:
@@ -167,14 +165,12 @@ def make_phantom(preset: str, h: int, w: int, seed: int = 0) -> Phantom:
             amp = rng.uniform(0.3, 1.0)
             mag += amp * np.exp(-(((u - by) ** 2 + (v - bx) ** 2) / (2 * width**2)))
         mag = mag / mag.max()
-        mag = np.where(mask, np.clip(mag, 0.05, 1.0), 0.0)
     else:
         raise UnknownPreset(f"unknown phantom preset {preset!r}")
 
     mag = np.where(mask, np.clip(mag, 0.05, 1.0), 0.0)
     phase = 0.6 * u + 0.4 * v + 0.5 * u * v  # smooth low-order phase
     grid = mag * np.exp(1j * np.where(mask, phase, 0.0))
-    grid[~mask] = 0.0
     return Phantom(grid=grid, support_mask=mask)
 
 
@@ -265,7 +261,7 @@ def simulate_acquisition(
     samples = _forward(coils.profiles, ph.grid, pat.phase_encodes_kept)
     shape = samples.shape
     noise = noise_sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return AcquiredData(samples=samples + noise, noise=noise, noise_sigma=noise_sigma, seed=seed)
+    return AcquiredData(samples=samples + noise, noise=noise)
 
 
 def _hybrid(samples: np.ndarray) -> np.ndarray:
@@ -378,7 +374,6 @@ class PipelineResult:
     line_stats: list  # per decoupled line: dict of scalars
     config: dict
     truth: Phantom
-    epsilon_mode: str
     timings: dict
 
 
@@ -576,7 +571,6 @@ def run_pipeline(cfg: dict) -> PipelineResult:
         line_stats=line_stats,
         config=cfg_echo,
         truth=truth,
-        epsilon_mode=mode,
         timings={
             "build_s": t_build - t0,
             "bounds_s": t_end - t_build,

@@ -52,6 +52,16 @@ class TestNonFiniteInputs:
         with pytest.raises(NumericalFailure):
             LinearSystem(a=np.eye(2), b=b, epsilon=eps)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_weights_rejected(self, bad):
+        sys_ = LinearSystem(a=np.eye(2), b=[1.0, 2.0], epsilon=0.5)
+        with pytest.raises(NumericalFailure, match="finite"):
+            bounds_for(sys_, np.array([[1.0, 0.0], [0.0, bad]]))
+        with pytest.raises(NumericalFailure, match="finite"):
+            functional_bound(sys_, [bad, 0.0])
+        with pytest.raises(NumericalFailure, match="finite"):
+            extremal_solution(sys_, [bad, 1.0], Target.UPPER)
+
 
 class TestFunctionalBound:
     def test_identity(self):

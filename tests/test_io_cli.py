@@ -42,9 +42,10 @@ class TestCsvRoundTrip:
 class TestCsvDiagnostics:
     def test_bad_header_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("not-a-header\n")
-        with pytest.raises(ConfigError, match=r"bad\.csv:1"):
-            mio.read_matrix_csv(path)
+        for header in ("not-a-header", "-1,2", "2,-3"):
+            path.write_text(header + "\n")
+            with pytest.raises(ConfigError, match=r"bad\.csv:1: malformed header"):
+                mio.read_matrix_csv(path)
 
     def test_short_file(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -90,9 +91,12 @@ class TestPgm:
 
     def test_constant_map(self, tmp_path):
         path = tmp_path / "c.pgm"
-        mio.write_pgm(path, np.full((2, 2), 3.0))
-        pix = [int(v) for row in path.read_text().splitlines()[3:] for v in row.split()]
-        assert set(pix) == {0}
+        # exactly constant, and constant up to rounding (a span of 1e-15)
+        near = [[12.517973016904218, 12.51797301690423], [12.517973016904225, np.nan]]
+        for grid in (np.full((2, 2), 3.0), near):
+            mio.write_pgm(path, grid)
+            pix = [int(v) for row in path.read_text().splitlines()[3:] for v in row.split()]
+            assert set(pix) == {0}
 
 
 def write_identity_fixture(tmp_path):
@@ -153,18 +157,23 @@ class TestBoundsCommand:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "data, eps",
-        [([1.0, float("nan")], "0.5"), ([1.0, 2.0], "nan"), ([1.0, 2.0], "inf")],
-        ids=["nan-data", "nan-epsilon", "inf-epsilon"],
+        "data, eps, weights",
+        [([1.0, float("nan")], "0.5", None), ([1.0, 2.0], "nan", None),
+         ([1.0, 2.0], "inf", None), ([1.0, 2.0], "0.5", [float("inf"), 0.0])],
+        ids=["nan-data", "nan-epsilon", "inf-epsilon", "inf-weights"],
     )
-    def test_nonfinite_input_exit_code(self, tmp_path, capsys, data, eps):
-        mpath, dpath = tmp_path / "a.csv", tmp_path / "b.csv"
+    def test_nonfinite_input_exit_code(self, tmp_path, capsys, data, eps, weights):
+        mpath, dpath, wpath = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "w.csv"
         mio.write_matrix_csv(mpath, np.eye(2))
         mio.write_vector_csv(dpath, data)
+        argv = []
+        if weights is not None:
+            mio.write_vector_csv(wpath, weights)
+            argv = ["--weights", str(wpath)]
         out = tmp_path / "out.json"
         code = cli.main(
             ["bounds", "--matrix", str(mpath), "--data", str(dpath),
-             "--epsilon", eps, "--json", str(out)]
+             "--epsilon", eps, "--json", str(out)] + argv
         )
         assert code == 1
         assert "must be finite" in capsys.readouterr().err
