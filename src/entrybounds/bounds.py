@@ -154,7 +154,6 @@ class ExtremalSolution:
 
     x: np.ndarray
     achieved_value: float
-    target: Target
     residual_norm: float
 
 
@@ -217,6 +216,26 @@ class BoundArrays:
         return out
 
 
+def _unit_rows(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U, e) with W[k] = 2**e[k] * U[k] exactly and the largest part of
+    U[k] near 1, so that products and norms of U's rows stay in range."""
+    peak = np.maximum(np.abs(W.real), np.abs(W.imag)).max(axis=1)
+    if not np.all(peak > 0.0):
+        raise ZeroFunctional(f"weight row {int(np.argmin(peak))} is identically zero")
+    e = np.maximum(np.frexp(peak)[1], -1021)  # 2**-e stays a normal float
+    scale = np.ldexp(1.0, -e)[:, None]
+    u = W * scale
+    if not np.array_equal(u / scale, W):
+        raise NumericalFailure("a weight row spans too many magnitudes to be rescaled exactly")
+    return u, e
+
+
+def _unit_sigma(f: SvdFactors) -> tuple[np.ndarray, int]:
+    """(s, es) with sigma = 2**es * s exactly and s in (rtol / 2, 1)."""
+    es = int(np.frexp(f.sigma.max(initial=0.0))[1])
+    return np.ldexp(f.sigma, -es), es
+
+
 def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
     """Tight interval for w^T x over all nearly data-consistent x, for
     every row w of the k x N weight matrix ``W`` (None: the N coordinates
@@ -232,17 +251,19 @@ def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
     On a complex system a row w (real or complex) bounds Re(w^H x), and
     ``W=None`` gives 2N rows: Re x_i for every i, then Im x_i (the column
     order of the lifted real system).  A complex ``W`` on a real system
-    raises :class:`DimensionMismatch`, a NaN or infinite weight
-    :class:`NumericalFailure`.
+    raises :class:`DimensionMismatch`; a NaN or infinite weight, or an
+    interval outside the float range, :class:`NumericalFailure`.  The
+    products take rows and singular values scaled exactly by powers of two.
     """
     f = sys.factors()
     n = f.shape[1]
     if W is None:
         if sys.is_complex:
             # Im x_i = Re(conj(1j) x_i): the rows of [I; 1j I], conjugated
-            rows, wnorm, k = (lambda x: np.concatenate([x, -1j * x])), 1.0, 2 * n
+            rows, k = (lambda x: np.concatenate([x, -1j * x])), 2 * n
         else:
-            rows, wnorm, k = (lambda x: x), 1.0, n
+            rows, k = (lambda x: x), n
+        wnorm, e = 1.0, 0
     else:
         W = core.as_real_or_complex(W)
         if W.ndim != 2 or W.shape[1] != n:
@@ -251,18 +272,24 @@ def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
             raise DimensionMismatch("a complex weight matrix needs a complex system")
         if not np.isfinite(W).all():
             raise NumericalFailure("weight matrix must be finite")
+        W, e = _unit_rows(W)
         wnorm = np.linalg.norm(W, axis=1)
-        if not np.all(wnorm > 0.0):
-            raise ZeroFunctional(f"weight row {int(np.argmin(wnorm))} is identically zero")
         rows, k = W.conj().__matmul__, W.shape[0]
     lam = _lambda_from(sys)
     if lam is None:
         return BoundArrays(np.full(k, 2), *(np.full(k, np.nan) for _ in range(5)), None)
-    midpoint = rows(core.pinv_apply(f, sys.b)).real
-    sensitivity = np.linalg.norm(rows(f.v) / f.sigma, axis=1)
-    half_width = sensitivity * lam
-    lower, upper = midpoint - half_width, midpoint + half_width
+    sigma, es = _unit_sigma(f)
+    mid = rows(core.pinv_apply(f, sys.b)).real
+    sens = np.ldexp(np.linalg.norm(rows(f.v) / sigma, axis=1), -es)
+    half = sens * lam
     unbounded = np.linalg.norm(rows(f.v_perp), axis=1) > core.DEFAULT_ORTHO_TOL * wnorm
+    # back from the units of the scaled rows: exact unless a value leaves the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.array([mid - half, mid + half, mid, half, sens])
+        lower, upper, midpoint, half_width, sensitivity = out = np.ldexp(scaled, e)
+        lost = ~unbounded & ~(np.isfinite(out) & (np.ldexp(out, -e) == scaled)).all(axis=0)
+    if lost.any():
+        raise NumericalFailure(f"weight row {int(np.argmax(lost))}: bounds must be finite")
     for arr in (lower, upper, midpoint, half_width, sensitivity):
         arr[unbounded] = np.nan
     return BoundArrays(unbounded.astype(int), lower, upper, midpoint, half_width,
@@ -318,42 +345,33 @@ def extremal_solution(
         raise InfeasibleSystem("no vector is consistent with the data within epsilon")
 
     z = core.pinv_apply(f, sys.b)
-
-    if target is Target.ARBITRARY:
-        if status is not BoundStatus.UNBOUNDED:
-            raise StatusMismatch("arbitrary target requires an unbounded functional")
-        if alpha is None:
-            raise ValueError("arbitrary target requires a value")
-        if not math.isfinite(alpha):
-            raise NumericalFailure(f"arbitrary target value must be finite, got {alpha}")
-        coeffs, perp_norm = core.nullspace_component(f, w)
-        q = (alpha - _re_dot(w, z)) * coeffs / (perp_norm**2)
-        x = f.v_perp @ q + z
-        return ExtremalSolution(
-            x=x,
-            achieved_value=_re_dot(w, x),
-            target=target,
-            residual_norm=_residual_norm(sys, x),
-        )
-
-    if status is not BoundStatus.FINITE:
-        raise StatusMismatch(f"target {target.value} requires a finite interval")
-    # Unit-norm coefficient vector aligned with Sigma^-1 V^H w; riding the
-    # ellipsoid boundary along +/- that direction attains the endpoints.
-    p = (f.v.conj().T @ w) / f.sigma
-    pnorm = np.linalg.norm(p)
-    if pnorm > 0:
-        p = p / pnorm
-        step = bound.lam * (f.v @ (p / f.sigma))
-    else:
-        step = np.zeros(f.shape[1])
-    x = z + step if target is Target.UPPER else z - step
-    return ExtremalSolution(
-        x=x,
-        achieved_value=_re_dot(w, x),
-        target=target,
-        residual_norm=_residual_norm(sys, x),
-    )
+    # w = 2**e * u exactly: the products below take u and stay in range
+    (u,), (e,) = _unit_rows(w[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if target is Target.ARBITRARY:
+            if status is not BoundStatus.UNBOUNDED:
+                raise StatusMismatch("arbitrary target requires an unbounded functional")
+            if alpha is None:
+                raise ValueError("arbitrary target requires a value")
+            if not math.isfinite(alpha):
+                raise NumericalFailure(f"arbitrary target value must be finite, got {alpha}")
+            coeffs, perp_norm = core.nullspace_component(f, u)
+            q = (np.ldexp(alpha, -e) - _re_dot(u, z)) * coeffs / (perp_norm**2)
+            x = f.v_perp @ q + z
+        else:
+            if status is not BoundStatus.FINITE:
+                raise StatusMismatch(f"target {target.value} requires a finite interval")
+            # Unit-norm coefficient vector aligned with Sigma^-1 V^H w; riding
+            # the ellipsoid boundary along +/- that direction attains the
+            # endpoints.  On a finite row its norm in these units is >= ~|u|.
+            p = (f.v.conj().T @ u) / _unit_sigma(f)[0]
+            p = p / np.linalg.norm(p)
+            step = bound.lam * (f.v @ (p / f.sigma))
+            x = z + step if target is Target.UPPER else z - step
+        achieved = float(np.ldexp(_re_dot(u, x), e))
+    if not (math.isfinite(achieved) and np.isfinite(x).all()):
+        raise NumericalFailure(f"target {target.value}: the vector must be finite")
+    return ExtremalSolution(x=x, achieved_value=achieved, residual_norm=_residual_norm(sys, x))
 
 
 def _re_dot(w: np.ndarray, x: np.ndarray) -> float:
@@ -383,16 +401,8 @@ def condition_report(a) -> ConditionReport:
     f = a if isinstance(a, SvdFactors) else svd_truncated(a)
     n = f.shape[1]
     reps = 2 if f.is_complex else 1
-    if f.rank == 0:
-        return ConditionReport(
-            sigma_max=0.0,
-            sigma_min_pos=0.0,
-            kappa_global=None,
-            kappa_entry=np.zeros(reps * n),
-            spectral_entry=np.zeros(reps * n),
-        )
-    sigma_max = float(f.sigma[0])
-    sigma_min_pos = float(f.sigma[-1])
+    sigma_max = float(f.sigma[0]) if f.rank else 0.0
+    sigma_min_pos = float(f.sigma[-1]) if f.rank else 0.0
     spectral = np.tile(np.linalg.norm(f.v / f.sigma, axis=1), reps)
     kappa_global = sigma_max / sigma_min_pos if f.rank == n else None
     return ConditionReport(

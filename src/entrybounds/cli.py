@@ -159,9 +159,9 @@ def cmd_estimate_diag(args) -> int:
         op, args.samples, probe_kind=args.probe, seed=args.seed, cfg=cfg_lw
     )
     payload = {
-        "samples": est.samples,
-        "seed": est.seed,
-        "probe_kind": est.probe_kind,
+        "samples": args.samples,
+        "seed": args.seed,
+        "probe_kind": args.probe,
         "failed_samples": est.failed_samples,
         "sigma1_estimate": sigma1,
         "values": list(est.values),

@@ -41,7 +41,7 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
-def _as_vector(x, length: int, name: str = "vector") -> np.ndarray:
+def _as_vector(x, length: int, name: str) -> np.ndarray:
     x = as_real_or_complex(x).reshape(-1)
     if x.shape[0] != length:
         raise DimensionMismatch(f"{name} has length {x.shape[0]}, expected {length}")
@@ -55,15 +55,18 @@ class SvdFactors:
     ``u`` (M x r) and ``v`` (N x r) have orthonormal columns, ``sigma``
     holds the r retained singular values in nonincreasing order, and
     ``v_perp`` (N x (N - r)) is an orthonormal basis of the nullspace.
-    The bases are complex when the matrix is.
+    The bases are complex when the matrix is.  At rank 0 the formulas
+    below need no special case: they give exact zeros, or ``||b||``.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
     v_perp: np.ndarray
-    rank: int
-    trunc_rtol: float
+
+    @property
+    def rank(self) -> int:
+        return self.sigma.size
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -89,33 +92,24 @@ def svd_truncated(a, rtol: float = DEFAULT_RANK_RTOL) -> SvdFactors:
         u_full, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from None
-    if s.size == 0 or s[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > rtol * s[0]))
+    rank = int(np.count_nonzero(s > rtol * s[0]))
     return SvdFactors(
         u=np.ascontiguousarray(u_full[:, :rank]),
         sigma=s[:rank].copy(),
         v=np.ascontiguousarray(vt[:rank].conj().T),
         v_perp=np.ascontiguousarray(vt[rank:].conj().T),
-        rank=rank,
-        trunc_rtol=float(rtol),
     )
 
 
 def pinv_apply(f: SvdFactors, m) -> np.ndarray:
     """Apply the Moore-Penrose pseudoinverse: V Sigma^-1 U^H m."""
     m = _as_vector(m, f.shape[0], "data vector")
-    if f.rank == 0:
-        return np.zeros(f.shape[1], dtype=np.result_type(f.v, m))
     return f.v @ ((f.u.conj().T @ m) / f.sigma)
 
 
 def pinv_transpose_apply(f: SvdFactors, w) -> np.ndarray:
     """Apply the conjugate-transposed pseudoinverse: U Sigma^-1 V^H w."""
     w = _as_vector(w, f.shape[1], "weight vector")
-    if f.rank == 0:
-        return np.zeros(f.shape[0], dtype=np.result_type(f.u, w))
     return f.u @ ((f.v.conj().T @ w) / f.sigma)
 
 
@@ -125,8 +119,6 @@ def pinv_transpose_norm(f: SvdFactors, w) -> float:
     Avoids the M-length product when only the sensitivity is needed.
     """
     w = _as_vector(w, f.shape[1], "weight vector")
-    if f.rank == 0:
-        return 0.0
     return float(np.linalg.norm((f.v.conj().T @ w) / f.sigma))
 
 
@@ -134,8 +126,6 @@ def residual_projection_norm(f: SvdFactors, b) -> float:
     """Norm of the projection of ``b`` onto the orthogonal complement of
     the range: ||b - U (U^H b)||_2."""
     b = _as_vector(b, f.shape[0], "data vector")
-    if f.rank == 0:
-        return float(np.linalg.norm(b))
     return float(np.linalg.norm(b - f.u @ (f.u.conj().T @ b)))
 
 

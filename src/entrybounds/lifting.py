@@ -25,10 +25,10 @@ class LiftedSystem:
     """
 
     a_real: np.ndarray
-    n_complex: int
 
-    def real_index(self, i: int) -> int:
-        return i
+    @property
+    def n_complex(self) -> int:
+        return self.a_real.shape[1] // 2
 
 
 def lift_matrix(a) -> np.ndarray:
@@ -54,7 +54,7 @@ def lift_system(a, b) -> tuple[LiftedSystem, np.ndarray]:
         raise DimensionMismatch(
             f"data vector has length {b.shape[0]}, matrix has {a.shape[0]} rows"
         )
-    lifted = LiftedSystem(a_real=lift_matrix(a), n_complex=a.shape[1])
+    lifted = LiftedSystem(a_real=lift_matrix(a))
     return lifted, lift_vector(b)
 
 

@@ -66,10 +66,7 @@ def power_iteration_sigma1(op: LinearOperator, iters: int = 200, seed: int = 0) 
     rng = np.random.default_rng(seed)
     n = op.shape[1]
     v = rng.standard_normal(n)
-    vnorm = np.linalg.norm(v)
-    if vnorm == 0.0:
-        return 0.0
-    v /= vnorm
+    v /= np.linalg.norm(v)
     estimate = 0.0
     for _ in range(iters):
         av = op.apply(v)
@@ -174,9 +171,6 @@ class DiagEstimate:
     """Stochastic estimates of the squared sensitivities ||(A^+)^T e_i||_2^2."""
 
     values: np.ndarray
-    samples: int
-    seed: int
-    probe_kind: str
     failed_samples: int = 0
 
 
@@ -219,10 +213,4 @@ def stochastic_diag(
         acc += res.x**2
     if failed == samples:
         raise InvalidStep("no probe solve converged; loosen the iteration budget")
-    return DiagEstimate(
-        values=acc / (samples - failed),
-        samples=samples,
-        seed=seed,
-        probe_kind=probe_kind,
-        failed_samples=failed,
-    )
+    return DiagEstimate(values=acc / (samples - failed), failed_samples=failed)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from typing import Sequence
 
@@ -114,7 +115,8 @@ def write_pgm(path, grid) -> None:
     """Write a min-max normalized grayscale render of a 2-D map.
 
     NaN cells (undefined statuses) render as black, and so does a flat
-    map, whose finite values agree to rounding.
+    map, whose finite values agree to rounding.  A map whose span exceeds
+    the float range still renders in 0.._PGM_MAXVAL.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2:
@@ -124,7 +126,9 @@ def write_pgm(path, grid) -> None:
     if finite.any():
         lo, hi = float(grid[finite].min()), float(grid[finite].max())
         if hi - lo > _PGM_FLAT_RTOL * max(abs(lo), abs(hi)):
-            scaled = np.where(finite, (grid - lo) / (hi - lo) * _PGM_MAXVAL, 0.0)
+            # scale by a power of two only where hi - lo could overflow
+            s = math.ldexp(1.0, -max(0, math.frexp(max(abs(lo), abs(hi)))[1] - 1022))
+            scaled = np.where(finite, (grid * s - lo * s) / (hi * s - lo * s) * _PGM_MAXVAL, 0.0)
     pix = np.clip(np.rint(scaled), 0, _PGM_MAXVAL).astype(int)
     with open(path, "w", newline="\n") as fh:
         fh.write(f"P2\n{grid.shape[1]} {grid.shape[0]}\n{_PGM_MAXVAL}\n")

@@ -497,6 +497,7 @@ def run_pipeline(cfg: dict) -> PipelineResult:
     for rs in systems:
         sys_ = LinearSystem(a=svd_truncated(rs.a_complex), b=rs.b_complex, epsilon=0.0)
         f = sys_.factors()
+        report = bnd.condition_report(f)
         c, sup, n_sup = rs.line_index, rs.voxel_rows, rs.n_sup
         # sizes in the units of the lifted real system, where every complex
         # row, column and singular value counts twice
@@ -505,8 +506,8 @@ def run_pipeline(cfg: dict) -> PipelineResult:
             "m": 2 * f.shape[0],
             "n": 2 * f.shape[1],
             "rank": 2 * f.rank,
-            "sigma_max": float(f.sigma[0]) if f.rank else 0.0,
-            "sigma_min": float(f.sigma[-1]) if f.rank else 0.0,
+            "sigma_max": report.sigma_max,
+            "sigma_min": report.sigma_min_pos,
             "residual": sys_.residual(),
         }
         line_stats.append(stats)
@@ -524,7 +525,6 @@ def run_pipeline(cfg: dict) -> PipelineResult:
             eps = float(eps_cfg["value"])
         # the copy keeps the factors and the residual projection
         sys_eps = dataclasses.replace(sys_, epsilon=eps)
-        report = bnd.condition_report(f)
         stats.update(kappa=report.kappa_global, epsilon=eps)
 
         # row j < n_sup is Re x[sup[j]], row n_sup + j its Im
@@ -542,11 +542,10 @@ def run_pipeline(cfg: dict) -> PipelineResult:
 
         # differences Re x[r] - Re x[r + 1] between neighboring supported voxels
         nb = np.flatnonzero(np.diff(sup) == 1)
-        if nb.size:
-            pairs = np.column_stack([nb, nb + 1])
-            db = bnd.bounds_for(sys_eps, bnd.difference_rows(n_sup, pairs))
-            maps["diff_lower"][sup[nb], c] = db.lower
-            maps["diff_upper"][sup[nb], c] = db.upper
+        pairs = np.column_stack([nb, nb + 1])
+        db = bnd.bounds_for(sys_eps, bnd.difference_rows(n_sup, pairs))
+        maps["diff_lower"][sup[nb], c] = db.lower
+        maps["diff_upper"][sup[nb], c] = db.upper
 
         # extremal images pinned at the chosen cross-line voxel
         j_re = np.flatnonzero(sup == extremal_line)

@@ -63,6 +63,47 @@ class TestNonFiniteInputs:
             extremal_solution(sys_, [bad, 1.0], Target.UPPER)
 
 
+class TestWeightRowRange:
+    """Weight rows so tiny or huge that their products or norms under- or
+    overflow: the interval and its endpoints are exact, or NumericalFailure
+    is raised (a RuntimeWarning fails the suite)."""
+
+    @pytest.mark.parametrize(
+        "scale, w, lower, upper",
+        [(1e10, [1e-160, 0.0], 5e-171, 1.5e-170), (1.0, [1e308, 0.0], 5e307, 1.5e308),
+         (1.0, [1e-320, 0.0], 5e-321, 1.5e-320)],
+        ids=["underflow", "huge", "subnormal"],
+    )
+    def test_exact_interval_and_endpoints(self, scale, w, lower, upper):
+        sys_ = LinearSystem(a=scale * np.eye(2), b=[1.0, 2.0], epsilon=0.5)
+        got = functional_bound(sys_, w)
+        assert got.status is BoundStatus.FINITE
+        assert got.lower == pytest.approx(lower, rel=1e-15)
+        assert got.upper == pytest.approx(upper, rel=1e-15)
+        assert got.half_width == pytest.approx((upper - lower) / 2, rel=1e-15)
+        for target, end in ((Target.UPPER, upper), (Target.LOWER, lower)):
+            sol = extremal_solution(sys_, w, target)
+            assert sol.achieved_value == pytest.approx(end, rel=1e-15)
+            assert sol.residual_norm == pytest.approx(0.5, rel=1e-15)
+
+    def test_overflowing_interval_rejected(self):
+        sys_ = LinearSystem(a=np.eye(2), b=[1.0, 2.0], epsilon=0.5)
+        w = [1e308, 1e308]
+        with pytest.raises(NumericalFailure, match="must be finite"):
+            functional_bound(sys_, w)
+        with pytest.raises(NumericalFailure, match="must be finite"):
+            bounds_for(sys_, np.array([[1.0, 0.0], w]))
+        with pytest.raises(NumericalFailure, match="must be finite"):
+            extremal_solution(sys_, w, Target.UPPER)
+
+    def test_tiny_row_reaches_arbitrary_value(self):
+        sys_ = LinearSystem(a=np.array([[1.0, 0.0]]), b=[1.0], epsilon=0.1)
+        sol = extremal_solution(sys_, [1e-170, 1e-170], Target.ARBITRARY, alpha=1e-160)
+        assert sol.achieved_value == pytest.approx(1e-160, rel=1e-12)
+        with pytest.raises(NumericalFailure, match="must be finite"):
+            extremal_solution(sys_, [1e-300, 1e-300], Target.ARBITRARY, alpha=1e300)
+
+
 class TestFunctionalBound:
     def test_identity(self):
         sys = LinearSystem(a=np.eye(2), b=[1.0, 2.0], epsilon=0.5)
@@ -153,6 +194,15 @@ class TestAdjacentDifference:
         with pytest.raises(SamePair):
             adjacent_difference_bounds(sys, [(1, 1)])
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_no_rows_gives_empty_arrays(self, dtype):
+        sys = LinearSystem(a=np.eye(3, dtype=dtype), b=[1.0, 2.0, 3.0], epsilon=0.5)
+        res = bounds_for(sys, np.zeros((0, 3)))
+        assert res.lam == 0.5
+        for name in ("status", "lower", "upper", "midpoint", "half_width", "sensitivity"):
+            assert getattr(res, name).shape == (0,)
+        assert adjacent_difference_bounds(sys, []) == []
+
     def test_matches_oracle(self, rng):
         a = rng.standard_normal((6, 4))
         b = a @ rng.standard_normal(4) + 0.2 * rng.standard_normal(6)
@@ -223,6 +273,16 @@ class TestConditionReport:
         rep = condition_report(a)
         assert np.all(rep.kappa_entry <= rep.kappa_global * (1 + 1e-10))
         assert np.all(rep.spectral_entry <= 1.0 / rep.sigma_min_pos * (1 + 1e-10))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5)], ids=["tall", "wide"])
+    def test_rank_zero(self, shape, dtype):
+        rep = condition_report(np.zeros(shape, dtype=dtype))
+        assert rep.sigma_max == 0.0 and rep.sigma_min_pos == 0.0
+        assert rep.kappa_global is None
+        size = shape[1] * (2 if dtype is complex else 1)
+        np.testing.assert_array_equal(rep.kappa_entry, np.zeros(size))
+        np.testing.assert_array_equal(rep.spectral_entry, np.zeros(size))
 
     def test_rank_deficient_omits_global(self, rng):
         a = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))

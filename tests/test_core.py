@@ -60,6 +60,25 @@ class TestSvdTruncated:
             core.svd_truncated(np.eye(2), rtol=1.5)
 
 
+class TestRankZero:
+    """At rank 0 the factors are empty, and the general formulas give the
+    exact results: +0.0 vectors of the data's dtype, a zero norm, ||b||."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("m, n", [(5, 3), (3, 5)], ids=["tall", "wide"])
+    def test_exact_results(self, rng, m, n, dtype):
+        f = core.svd_truncated(np.zeros((m, n), dtype=dtype))
+        assert f.rank == 0 and f.sigma.shape == (0,) and f.v_perp.shape == (n, n)
+        b = rng.standard_normal(m).astype(dtype)
+        w = rng.standard_normal(n).astype(dtype)
+        for out, size in ((core.pinv_apply(f, b), n), (core.pinv_transpose_apply(f, w), m)):
+            assert out.dtype == dtype
+            np.testing.assert_array_equal(out, np.zeros(size))
+            assert not np.signbit(out.real).any()
+        assert core.pinv_transpose_norm(f, w) == 0.0
+        assert core.residual_projection_norm(f, b) == np.linalg.norm(b)
+
+
 class TestPinvApply:
     def test_identity(self):
         f = core.svd_truncated(np.eye(2))
@@ -152,10 +171,7 @@ class TestNullspaceComponent:
         f = core.svd_truncated(a)
         _, norm = core.nullspace_component(f, w)
         q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-        rotated = core.SvdFactors(
-            u=f.u, sigma=f.sigma, v=f.v, v_perp=f.v_perp @ q, rank=f.rank,
-            trunc_rtol=f.trunc_rtol,
-        )
+        rotated = core.SvdFactors(u=f.u, sigma=f.sigma, v=f.v, v_perp=f.v_perp @ q)
         _, norm2 = core.nullspace_component(rotated, w)
         assert norm2 == pytest.approx(norm, abs=1e-10)
 

@@ -98,6 +98,12 @@ class TestPgm:
             pix = [int(v) for row in path.read_text().splitlines()[3:] for v in row.split()]
             assert set(pix) == {0}
 
+    def test_span_beyond_float_range(self, tmp_path):
+        path = tmp_path / "s.pgm"
+        mio.write_pgm(path, [[1e308, -1e308, 0.0], [np.finfo(float).max, np.nan, -np.inf]])
+        pix = [int(v) for row in path.read_text().splitlines()[3:] for v in row.split()]
+        assert pix == [182, 0, 91, 255, 0, 0]  # lo -1e308, hi the largest float
+
 
 def write_identity_fixture(tmp_path):
     mpath, dpath = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -159,8 +165,9 @@ class TestBoundsCommand:
     @pytest.mark.parametrize(
         "data, eps, weights",
         [([1.0, float("nan")], "0.5", None), ([1.0, 2.0], "nan", None),
-         ([1.0, 2.0], "inf", None), ([1.0, 2.0], "0.5", [float("inf"), 0.0])],
-        ids=["nan-data", "nan-epsilon", "inf-epsilon", "inf-weights"],
+         ([1.0, 2.0], "inf", None), ([1.0, 2.0], "0.5", [float("inf"), 0.0]),
+         ([1.0, 2.0], "0.5", [1e308, 1e308])],
+        ids=["nan-data", "nan-epsilon", "inf-epsilon", "inf-weights", "overflow-weights"],
     )
     def test_nonfinite_input_exit_code(self, tmp_path, capsys, data, eps, weights):
         mpath, dpath, wpath = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "w.csv"

@@ -45,6 +45,10 @@ class TestPowerIteration:
         assert est <= s1 * (1 + 1e-12)
         assert est >= 0.999 * s1
 
+    @pytest.mark.parametrize("shape", [(3, 2), (3, 0)], ids=["zero", "no-columns"])
+    def test_zero_operator(self, shape):
+        assert power_iteration_sigma1(op_from(np.zeros(shape))) == 0.0
+
     def test_deterministic(self, rng):
         a = rng.standard_normal((10, 6))
         op = op_from(a)
