@@ -13,8 +13,8 @@ functional Re(w^H x) has the interval Re(w^H A^+ b) +/- lam *
 ||Sigma^-1 V^H w|| on the complex factors, the same interval as w's
 lifted real weight on the lifted real system.
 
-A rank tolerance other than the default is chosen where the SVD is made:
-pass ``svd_truncated(a, rtol)`` factors, or set ``LinearSystem.rank_rtol``.
+A system sets its rank tolerance with ``LinearSystem.rank_rtol``; the
+functions that take a bare matrix also take ``svd_truncated(a, rtol)``.
 """
 
 from __future__ import annotations
@@ -70,13 +70,13 @@ class Target(enum.Enum):
 class LinearSystem:
     """The triple (A, b, epsilon) defining the near-consistency set.
 
-    ``a`` may be a dense matrix or precomputed :class:`SvdFactors`; the
-    factorization and the residual projection are computed once on first
-    use and shared.  The system is complex when ``a`` or ``b`` is: then
-    ``b`` is stored as complex, and the unknown x is complex.
+    The factorization of ``a``, truncated at ``rank_rtol``, and the residual
+    projection are computed once on first use and shared.  The system is
+    complex when ``a`` or ``b`` is: then ``b`` is stored as complex, and the
+    unknown x is complex.
     """
 
-    a: np.ndarray | SvdFactors
+    a: np.ndarray
     b: np.ndarray
     epsilon: float
     rank_rtol: float = core.DEFAULT_RANK_RTOL
@@ -84,17 +84,15 @@ class LinearSystem:
     _residual: Optional[float] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        a = self.a.v if isinstance(self.a, SvdFactors) else self.a
+        self.a = core.as_real_or_complex(self.a)
         self.b = core.as_real_or_complex(self.b).reshape(-1)
-        if np.iscomplexobj(a):
+        if np.iscomplexobj(self.a):
             self.b = self.b.astype(complex, copy=False)
         self.epsilon = float(self.epsilon)
         if not (math.isfinite(self.epsilon) and np.isfinite(self.b).all()):
             raise NumericalFailure(f"data vector and epsilon must be finite (epsilon={self.epsilon})")
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if isinstance(self.a, SvdFactors):
-            self._factors = self.a
         m = self.shape[0]
         if self.b.shape[0] != m:
             raise DimensionMismatch(
@@ -103,9 +101,7 @@ class LinearSystem:
 
     @property
     def shape(self) -> tuple[int, int]:
-        if isinstance(self.a, SvdFactors):
-            return self.a.shape
-        return np.asarray(self.a).shape
+        return self.a.shape
 
     @property
     def is_complex(self) -> bool:
@@ -171,17 +167,20 @@ class ConditionReport:
 def _lambda_from(sys: LinearSystem) -> Optional[float]:
     """Effective tolerance sqrt(eps^2 - residual^2), or None if the
     feasible set is empty.  Tiny negative values of the discriminant are
-    clamped to zero."""
+    clamped to zero.  The squares are taken in units of a power of two
+    near the larger of eps and the residual, so they stay in range."""
     eps, residual = sys.epsilon, sys.residual()
-    if residual <= RESIDUAL_FLOOR_RTOL * float(np.linalg.norm(sys.b)):
+    if residual <= RESIDUAL_FLOOR_RTOL * core._norm(sys.b):
         residual = 0.0
+    e = math.frexp(max(eps, residual))[1]
+    eps, residual = math.ldexp(eps, -e), math.ldexp(residual, -e)
     lam_sq = eps * eps - residual * residual
     if lam_sq < 0.0:
         if lam_sq >= -LAMBDA_CLAMP_RTOL * eps * eps:
             lam_sq = 0.0
         else:
             return None
-    return math.sqrt(lam_sq)
+    return math.ldexp(math.sqrt(lam_sq), e)
 
 
 @dataclass(frozen=True)
@@ -230,12 +229,6 @@ def _unit_rows(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, e
 
 
-def _unit_sigma(f: SvdFactors) -> tuple[np.ndarray, int]:
-    """(s, es) with sigma = 2**es * s exactly and s in (rtol / 2, 1)."""
-    es = int(np.frexp(f.sigma.max(initial=0.0))[1])
-    return np.ldexp(f.sigma, -es), es
-
-
 def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
     """Tight interval for w^T x over all nearly data-consistent x, for
     every row w of the k x N weight matrix ``W`` (None: the N coordinates
@@ -278,9 +271,8 @@ def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
     lam = _lambda_from(sys)
     if lam is None:
         return BoundArrays(np.full(k, 2), *(np.full(k, np.nan) for _ in range(5)), None)
-    sigma, es = _unit_sigma(f)
     mid = rows(core.pinv_apply(f, sys.b)).real
-    sens = np.ldexp(np.linalg.norm(rows(f.v) / sigma, axis=1), -es)
+    sens = core._sigma_inv_norms(f, rows(f.v))
     half = sens * lam
     unbounded = np.linalg.norm(rows(f.v_perp), axis=1) > core.DEFAULT_ORTHO_TOL * wnorm
     # back from the units of the scaled rows: exact unless a value leaves the float range
@@ -364,28 +356,20 @@ def extremal_solution(
             # Unit-norm coefficient vector aligned with Sigma^-1 V^H w; riding
             # the ellipsoid boundary along +/- that direction attains the
             # endpoints.  On a finite row its norm in these units is >= ~|u|.
-            p = (f.v.conj().T @ u) / _unit_sigma(f)[0]
+            p = (f.v.conj().T @ u) / core._unit_sigma(f)[0]
             p = p / np.linalg.norm(p)
             step = bound.lam * (f.v @ (p / f.sigma))
             x = z + step if target is Target.UPPER else z - step
         achieved = float(np.ldexp(_re_dot(u, x), e))
     if not (math.isfinite(achieved) and np.isfinite(x).all()):
         raise NumericalFailure(f"target {target.value}: the vector must be finite")
-    return ExtremalSolution(x=x, achieved_value=achieved, residual_norm=_residual_norm(sys, x))
+    return ExtremalSolution(x=x, achieved_value=achieved,
+                            residual_norm=core._norm(sys.a @ x - sys.b))
 
 
 def _re_dot(w: np.ndarray, x: np.ndarray) -> float:
     """Re(w^H x); w^T x for real vectors."""
     return float((w.conj() @ x).real)
-
-
-def _residual_norm(sys: LinearSystem, x: np.ndarray) -> float:
-    if isinstance(sys.a, SvdFactors):
-        f = sys.a
-        ax = f.u @ (f.sigma * (f.v.conj().T @ x))
-    else:
-        ax = np.asarray(sys.a) @ x
-    return float(np.linalg.norm(ax - sys.b))
 
 
 def condition_report(a) -> ConditionReport:
@@ -403,7 +387,7 @@ def condition_report(a) -> ConditionReport:
     reps = 2 if f.is_complex else 1
     sigma_max = float(f.sigma[0]) if f.rank else 0.0
     sigma_min_pos = float(f.sigma[-1]) if f.rank else 0.0
-    spectral = np.tile(np.linalg.norm(f.v / f.sigma, axis=1), reps)
+    spectral = np.tile(core._sigma_inv_norms(f, f.v), reps)
     kappa_global = sigma_max / sigma_min_pos if f.rank == n else None
     return ConditionReport(
         sigma_max=sigma_max,
@@ -474,8 +458,8 @@ def crlb_identity_check(a, i: int):
     return lhs, rhs
 
 
-def epsilon_heuristic(f: SvdFactors, b) -> float:
-    """Consistency tolerance inferred from the data residual.
+def epsilon_heuristic(sys: LinearSystem) -> float:
+    """Consistency tolerance inferred from the data residual of ``sys``.
 
     Assumes the unmodelled perturbation spreads its energy evenly across
     subspaces, so its full norm is estimated by rescaling the observable
@@ -484,16 +468,11 @@ def epsilon_heuristic(f: SvdFactors, b) -> float:
     complex system M and N count complex rows and columns; the lifted real
     counts 2M and 2N give the same factor.
     """
-    return heuristic_scale(f) * core.residual_projection_norm(f, b)
-
-
-def heuristic_scale(f: SvdFactors) -> float:
-    """The factor sqrt(M / (M - N)) of :func:`epsilon_heuristic`, which
-    multiplies a residual projection already at hand."""
-    m, n = f.shape
-    if m <= n or f.rank < n:
-        kind = "complex " if f.is_complex else ""
+    m, n = sys.shape
+    rank = sys.factors().rank
+    if m <= n or rank < n:
+        kind = "complex " if sys.is_complex else ""
         raise NotOverdetermined(
-            f"heuristic requires M > N with full column rank ({kind}M={m}, N={n}, r={f.rank})"
+            f"heuristic requires M > N with full column rank ({kind}M={m}, N={n}, r={rank})"
         )
-    return math.sqrt(m / (m - n))
+    return math.sqrt(m / (m - n)) * sys.residual()

@@ -148,7 +148,7 @@ def cmd_estimate_diag(args) -> int:
     else:
         raise EntryBoundsError("estimate-diag requires --matrix or --op")
 
-    sigma1 = matfree.power_iteration_sigma1(op, iters=200, seed=args.seed)
+    sigma1 = matfree.power_iteration_sigma1(op, seed=args.seed)
     cfg_lw = matfree.LandweberConfig(
         sigma1_estimate=sigma1,
         tau=args.tau,
@@ -256,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--probe", choices=["gaussian", "rademacher"], default="gaussian")
     pd.add_argument("--seed", type=int, default=0)
     pd.add_argument("--tau", type=float, default=None, help="step size (default 1/sigma1^2)")
-    pd.add_argument("--max-iters", type=int, default=10000)
-    pd.add_argument("--rel-tol", type=float, default=1e-9)
+    pd.add_argument("--max-iters", type=int, default=matfree.LandweberConfig.max_iters)
+    pd.add_argument("--rel-tol", type=float, default=matfree.LandweberConfig.rel_tol)
     pd.add_argument("--json", default=None)
     pd.add_argument("--csv", default=None)
     pd.add_argument("--manifest", default=None)

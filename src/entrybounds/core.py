@@ -14,6 +14,7 @@ real path does the same arithmetic as a real-only one).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,20 +114,45 @@ def pinv_transpose_apply(f: SvdFactors, w) -> np.ndarray:
     return f.u @ ((f.v.conj().T @ w) / f.sigma)
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x||_2, taken in units of a power of two near the largest magnitude
+    of x so that no square under- or overflows; :class:`NumericalFailure`
+    if the norm itself exceeds the float range."""
+    peak = np.maximum(np.abs(x.real), np.abs(x.imag)).max(initial=0.0)
+    e = max(int(np.frexp(peak)[1]), -1021)  # 2**-e stays a normal float
+    try:
+        return math.ldexp(float(np.linalg.norm(x * math.ldexp(1.0, -e))), e)
+    except OverflowError:
+        raise NumericalFailure("a vector norm exceeds the float range") from None
+
+
+def _unit_sigma(f: SvdFactors) -> tuple[np.ndarray, int]:
+    """(s, es) with sigma = 2**es * s exactly and s in (rtol / 2, 1)."""
+    es = int(np.frexp(f.sigma.max(initial=0.0))[1])
+    return np.ldexp(f.sigma, -es), es
+
+
+def _sigma_inv_norms(f: SvdFactors, c: np.ndarray) -> np.ndarray:
+    """||Sigma^-1 c_k||_2 for every row c_k = V^H w_k of ``c`` (k x r), divided
+    by the scaled singular values so that the squares stay in range."""
+    s, es = _unit_sigma(f)
+    return np.ldexp(np.linalg.norm(c / s, axis=1), -es)
+
+
 def pinv_transpose_norm(f: SvdFactors, w) -> float:
     """Norm-only path for ``pinv_transpose_apply``: ||Sigma^-1 V^H w||_2.
 
     Avoids the M-length product when only the sensitivity is needed.
     """
     w = _as_vector(w, f.shape[1], "weight vector")
-    return float(np.linalg.norm((f.v.conj().T @ w) / f.sigma))
+    return float(_sigma_inv_norms(f, (f.v.conj().T @ w)[None, :])[0])
 
 
 def residual_projection_norm(f: SvdFactors, b) -> float:
     """Norm of the projection of ``b`` onto the orthogonal complement of
     the range: ||b - U (U^H b)||_2."""
     b = _as_vector(b, f.shape[0], "data vector")
-    return float(np.linalg.norm(b - f.u @ (f.u.conj().T @ b)))
+    return _norm(b - f.u @ (f.u.conj().T @ b))
 
 
 def nullspace_component(f: SvdFactors, w) -> tuple[np.ndarray, float]:

@@ -28,7 +28,6 @@ import numpy as np
 from . import bounds as bnd
 from . import lifting
 from .bounds import LinearSystem, Target
-from .core import svd_truncated
 from .errors import ConfigError, NotOverdetermined, ShapeMismatch, UnknownPreset
 
 log = logging.getLogger(__name__)
@@ -311,6 +310,7 @@ def build_monolithic_system(
 ) -> tuple[LinearSystem, list]:
     """Dense undecoupled system over all supported voxels (oracle for the
     decoupling-equivalence check; only viable at small grid sizes)."""
+    _check_grid(ph, coils, pat)
     h, w = ph.shape
     kept = pat.phase_encodes_kept
     l = coils.num_channels
@@ -495,7 +495,7 @@ def run_pipeline(cfg: dict) -> PipelineResult:
         extremal_line = h // 2
 
     for rs in systems:
-        sys_ = LinearSystem(a=svd_truncated(rs.a_complex), b=rs.b_complex, epsilon=0.0)
+        sys_ = LinearSystem(a=rs.a_complex, b=rs.b_complex, epsilon=0.0)
         f = sys_.factors()
         report = bnd.condition_report(f)
         c, sup, n_sup = rs.line_index, rs.voxel_rows, rs.n_sup
@@ -513,7 +513,7 @@ def run_pipeline(cfg: dict) -> PipelineResult:
         line_stats.append(stats)
         if mode == "heuristic":
             try:
-                eps = bnd.heuristic_scale(f) * sys_.residual()
+                eps = bnd.epsilon_heuristic(sys_)
             except NotOverdetermined as exc:
                 log.info("line %d skipped: %s", c, exc)
                 status[sup, c] = STATUS_UNDETERMINED

@@ -287,8 +287,7 @@ def grid_bound_maps(systems, epsilon, shape):
     """Lower/upper maps (re, im) from a list of decoupled systems."""
     maps = {k: np.full(shape, np.nan) for k in ("lower_re", "upper_re", "lower_im", "upper_im")}
     for rs in systems:
-        f = svd_truncated(rs.system.a)
-        sys_ = LinearSystem(a=f, b=rs.system.b, epsilon=epsilon)
+        sys_ = LinearSystem(a=rs.system.a, b=rs.system.b, epsilon=epsilon)
         for j, bound in enumerate(entrywise_bounds(sys_)):
             row, part = rs.col_map[j]
             if bound.status is not BoundStatus.FINITE:

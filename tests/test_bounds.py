@@ -104,6 +104,40 @@ class TestWeightRowRange:
             extremal_solution(sys_, [1e-300, 1e-300], Target.ARBITRARY, alpha=1e300)
 
 
+# Data b = s * [1, 2, 0.5] with eps = s on this matrix: lam = sqrt(3) / 2 * s
+_TALL = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+_HALF = math.sqrt(0.75)
+
+
+class TestDataRange:
+    """Data and tolerances so tiny or huge that eps^2, the squared residual
+    or ||b||^2 leave the float range: the intervals and their endpoints are
+    exact all the same (a RuntimeWarning fails the suite)."""
+
+    @pytest.mark.parametrize(
+        "a, b, eps, lam, lower, upper",
+        [(1e-200 * np.eye(2), [1e-200, 2e-200], 5e-201, 5e-201, [0.5, 1.5], [1.5, 2.5]),
+         (1e-200 * _TALL, [1e-200, 2e-200, 5e-201], 1e-200, _HALF * 1e-200,
+          [1 - _HALF, 2 - _HALF], [1 + _HALF, 2 + _HALF]),
+         (1e200 * _TALL, [1e200, 2e200, 5e199], 1e200, _HALF * 1e200,
+          [1 - _HALF, 2 - _HALF], [1 + _HALF, 2 + _HALF]),
+         (1e200 * np.eye(2), [1e200, 2e200], 1e200, 1e200, [0.0, 1.0], [2.0, 3.0])],
+        ids=["tiny-square", "tiny-tall", "huge-tall", "huge-square"],
+    )
+    def test_exact_intervals_and_endpoints(self, a, b, eps, lam, lower, upper):
+        sys_ = LinearSystem(a=a, b=b, epsilon=eps)
+        got = bounds_for(sys_)
+        np.testing.assert_array_equal(got.status, [0, 0])
+        assert got.lam == pytest.approx(lam, rel=1e-15)
+        np.testing.assert_allclose(got.lower, lower, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(got.upper, upper, rtol=1e-15)
+        for i in range(2):
+            for target, end in ((Target.UPPER, upper[i]), (Target.LOWER, lower[i])):
+                sol = extremal_solution(sys_, e(i, 2), target)
+                assert sol.achieved_value == pytest.approx(end, rel=1e-15, abs=1e-15)
+                assert sol.residual_norm == pytest.approx(eps, rel=1e-15)
+
+
 class TestFunctionalBound:
     def test_identity(self):
         sys = LinearSystem(a=np.eye(2), b=[1.0, 2.0], epsilon=0.5)
@@ -284,6 +318,14 @@ class TestConditionReport:
         np.testing.assert_array_equal(rep.kappa_entry, np.zeros(size))
         np.testing.assert_array_equal(rep.spectral_entry, np.zeros(size))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["huge", "tiny"])
+    def test_huge_and_tiny_matrix(self, scale):
+        rep = condition_report(scale * np.eye(2))
+        np.testing.assert_allclose(rep.spectral_entry, [1 / scale] * 2, rtol=1e-15)
+        np.testing.assert_allclose(rep.kappa_entry, [1.0, 1.0], rtol=1e-15)
+        f = svd_truncated(scale * np.eye(2))
+        assert core.pinv_transpose_norm(f, [1.0, 0.0]) == pytest.approx(1 / scale, rel=1e-15)
+
     def test_rank_deficient_omits_global(self, rng):
         a = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))
         rep = condition_report(a)
@@ -348,18 +390,18 @@ class TestEpsilonHeuristic:
         from entrybounds import residual_projection_norm
 
         res = residual_projection_norm(f, b)
-        assert epsilon_heuristic(f, b) == pytest.approx(math.sqrt(2.0) * res)
+        assert epsilon_heuristic(LinearSystem(a=a, b=b, epsilon=0.0)) == pytest.approx(
+            math.sqrt(2.0) * res)
 
     def test_noiseless(self, rng):
         a = rng.standard_normal((6, 3))
         x = rng.standard_normal(3)
-        f = svd_truncated(a)
-        assert epsilon_heuristic(f, a @ x) < 1e-10
+        assert epsilon_heuristic(LinearSystem(a=a, b=a @ x, epsilon=0.0)) < 1e-10
 
     def test_requires_overdetermined(self, rng):
-        f = svd_truncated(rng.standard_normal((3, 3)))
+        a = rng.standard_normal((3, 3))
         with pytest.raises(NotOverdetermined):
-            epsilon_heuristic(f, np.zeros(3))
+            epsilon_heuristic(LinearSystem(a=a, b=np.zeros(3), epsilon=0.0))
 
 
 class TestProperties:
@@ -512,8 +554,8 @@ class TestComplexSystems:
         a_r, b_r = lift_matrix(a), lift_vector(b)
         assert ellipsoid_volume(a, 0.7) == pytest.approx(ellipsoid_volume(a_r, 0.7), rel=1e-10)
         assert ellipsoid_volume(a[:, [0, 0]], 0.7) == math.inf
-        assert epsilon_heuristic(svd_truncated(a), b) == pytest.approx(
-            epsilon_heuristic(svd_truncated(a_r), b_r), rel=1e-12)
+        assert epsilon_heuristic(LinearSystem(a=a, b=b, epsilon=0.0)) == pytest.approx(
+            epsilon_heuristic(LinearSystem(a=a_r, b=b_r, epsilon=0.0)), rel=1e-12)
         lhs, rhs = crlb_identity_check(a, 1)
         assert lhs == pytest.approx(rhs, rel=1e-10)
         assert rhs == pytest.approx(crlb_identity_check(a_r, 1)[1], rel=1e-10)

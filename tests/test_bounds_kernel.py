@@ -19,9 +19,12 @@ from entrybounds import (
     LinearSystem,
     adjacent_difference_bounds,
     bounds_for,
+    condition_report,
     entrywise_bounds,
     functional_bound,
     lift_system,
+    pinv_transpose_norm,
+    svd_truncated,
 )
 from entrybounds.bounds import BOUND_STATUSES, difference_rows
 
@@ -188,3 +191,30 @@ def test_complex_kernel_matches_lifted(problem):
         scale = max(abs(lo), abs(hi), 1.0)
         assert abs(res.lower[k] - lo) <= 1e-6 * scale
         assert abs(res.upper[k] - hi) <= 1e-6 * scale
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(problems().map(lambda p: p[:4]), complex_problems()),
+       st.integers(-600, 600), st.integers(-600, 600))
+def test_scale_homogeneity(problem, j, k):
+    """Scaling b and eps by 2**j scales every interval by 2**j exactly, as the
+    factors are the same; scaling A by 2**k keeps the entrywise condition
+    numbers and scales the sensitivities by 2**-k (LAPACK may rescale the
+    matrix inside the SVD, so these agree to rounding)."""
+    a, b, eps, w = problem
+    res = bounds_for(LinearSystem(a=a, b=b, epsilon=eps), w)
+    got = bounds_for(LinearSystem(a=a, b=2.0**j * b, epsilon=2.0**j * eps), w)
+    np.testing.assert_array_equal(got.status, res.status)
+    assert got.lam == (None if res.lam is None else 2.0**j * res.lam)
+    for name in ("lower", "upper", "midpoint", "half_width"):
+        np.testing.assert_array_equal(getattr(got, name), 2.0**j * getattr(res, name),
+                                      err_msg=name)
+    np.testing.assert_array_equal(got.sensitivity, res.sensitivity)
+
+    rep, rep_k = condition_report(a), condition_report(2.0**k * a)
+    np.testing.assert_allclose(rep_k.kappa_entry, rep.kappa_entry, rtol=1e-12)
+    np.testing.assert_allclose(rep_k.spectral_entry, 2.0**-k * rep.spectral_entry, rtol=1e-12)
+    f, f_k = svd_truncated(a), svd_truncated(2.0**k * a)
+    for row in np.eye(a.shape[1]) if w is None else w:
+        assert pinv_transpose_norm(f_k, row) == pytest.approx(
+            2.0**-k * pinv_transpose_norm(f, row), rel=1e-12)

@@ -3,6 +3,7 @@ import pytest
 
 from entrybounds import (
     LinearSystem,
+    bounds,
     bounds_for,
     condition_report,
     core,
@@ -11,7 +12,6 @@ from entrybounds import (
     extremal_solution,
     lifting,
     pinv_apply,
-    sense,
     svd_truncated,
 )
 from entrybounds.bounds import Target, difference_rows
@@ -33,6 +33,11 @@ from entrybounds.sense import (
     sense_operator,
     simulate_acquisition,
 )
+
+
+def monolithic(ph, coils, pat):
+    """``build_monolithic_system`` without data: the grid check comes first."""
+    return build_monolithic_system(ph, coils, pat, None)
 
 
 def total_variation(profile):
@@ -133,7 +138,7 @@ class TestRowSystems:
 
             rep = condition_report(f)
             np.testing.assert_allclose(rep.kappa_entry, 1.0, atol=1e-10)
-            sys = LinearSystem(a=f, b=rs.system.b, epsilon=0.3)
+            sys = LinearSystem(a=rs.system.a, b=rs.system.b, epsilon=0.3)
             for b in entrywise_bounds(sys):
                 widths.append(b.half_width)
         assert np.ptp(widths) <= 1e-10
@@ -219,8 +224,10 @@ class TestSenseOperator:
 
     @pytest.mark.parametrize(
         "build, coil_size, pattern_lines",
-        [(build_row_systems, 16, 20), (sense_operator, 16, 12), (sense_operator, 12, 16)],
-        ids=["rows-pattern-20", "operator-pattern-12", "operator-coils-12"],
+        [(build_row_systems, 16, 20), (sense_operator, 16, 12), (sense_operator, 12, 16),
+         (monolithic, 20, 16), (monolithic, 16, 12)],
+        ids=["rows-pattern-20", "operator-pattern-12", "operator-coils-12",
+             "monolithic-coils-20", "monolithic-pattern-12"],
     )
     def test_grid_mismatch(self, build, coil_size, pattern_lines):
         ph = make_phantom("smooth-blobs", 16, 16, seed=0)
@@ -373,11 +380,11 @@ def lifted_reference(cfg, res):
         c, sup, n = rs.line_index, rs.voxel_rows, rs.n_sup
         assert (stats["m"], stats["n"], stats["rank"]) == (*rs.system.shape, f.rank)
         if "epsilon" not in cfg:
-            eps = epsilon_heuristic(f, rs.system.b)
+            eps = epsilon_heuristic(rs.system)
             assert stats["epsilon"] == pytest.approx(eps, rel=1e-12)
         else:
             eps = stats["epsilon"]
-        sys_ = LinearSystem(a=f, b=rs.system.b, epsilon=eps)
+        sys_ = LinearSystem(a=rs.system.a, b=rs.system.b, epsilon=eps)
         rep = condition_report(f)
         eb = bounds_for(sys_)
         status[sup, c] = eb.status[:n]
@@ -429,7 +436,7 @@ class TestLiftedReference:
         def no_lifting(*args):
             raise AssertionError("the pipeline lifted a line system")
 
-        monkeypatch.setattr(sense, "svd_truncated", counted("svd", sense.svd_truncated))
+        monkeypatch.setattr(bounds, "svd_truncated", counted("svd", bounds.svd_truncated))
         monkeypatch.setattr(core, "residual_projection_norm",
                             counted("residual", core.residual_projection_norm))
         monkeypatch.setattr(lifting, "lift_system", no_lifting)
