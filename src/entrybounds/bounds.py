@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -70,10 +70,10 @@ class Target(enum.Enum):
 class LinearSystem:
     """The triple (A, b, epsilon) defining the near-consistency set.
 
-    The factorization of ``a``, truncated at ``rank_rtol``, and the residual
-    projection are computed once on first use and shared.  The system is
-    complex when ``a`` or ``b`` is: then ``b`` is stored as complex, and the
-    unknown x is complex.
+    The factorization of ``a``, truncated at ``rank_rtol``, the residual
+    projection and ``A^+ b`` are computed once on first use and shared.
+    The system is complex when ``a`` or ``b`` is: then ``b`` is stored as
+    complex, and the unknown x is complex.
     """
 
     a: np.ndarray
@@ -82,6 +82,7 @@ class LinearSystem:
     rank_rtol: float = core.DEFAULT_RANK_RTOL
     _factors: Optional[SvdFactors] = field(default=None, repr=False, compare=False)
     _residual: Optional[float] = field(default=None, repr=False, compare=False)
+    _solution: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.a = core.as_real_or_complex(self.a)
@@ -117,6 +118,12 @@ class LinearSystem:
         if self._residual is None:
             self._residual = core.residual_projection_norm(self.factors(), self.b)
         return self._residual
+
+    def solution(self) -> np.ndarray:
+        """A^+ b, the center of the feasible set (a copy of the cached vector)."""
+        if self._solution is None:
+            self._solution = core.pinv_apply(self.factors(), self.b)
+        return self._solution.copy()
 
 
 @dataclass(frozen=True)
@@ -215,18 +222,56 @@ class BoundArrays:
         return out
 
 
-def _unit_rows(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(U, e) with W[k] = 2**e[k] * U[k] exactly and the largest part of
-    U[k] near 1, so that products and norms of U's rows stay in range."""
-    peak = np.maximum(np.abs(W.real), np.abs(W.imag)).max(axis=1)
-    if not np.all(peak > 0.0):
-        raise ZeroFunctional(f"weight row {int(np.argmin(peak))} is identically zero")
-    e = np.maximum(np.frexp(peak)[1], -1021)  # 2**-e stays a normal float
-    scale = np.ldexp(1.0, -e)[:, None]
-    u = W * scale
-    if not np.array_equal(u / scale, W):
-        raise NumericalFailure("a weight row spans too many magnitudes to be rescaled exactly")
-    return u, e
+class _RowProducts(NamedTuple):
+    """Products of the weight rows w_k = 2**e[k] * u_k, in units of 2**e[k]."""
+
+    u: Optional[np.ndarray]  # None for the coordinate rows
+    e: np.ndarray
+    lam: Optional[float]  # None when the feasible set is empty
+    mid: np.ndarray  # Re(u_k^H A^+ b)
+    wv: np.ndarray  # u_k^H V
+    sens: np.ndarray  # ||Sigma^-1 V^H u_k||
+    wv_perp: np.ndarray  # u_k^H V_perp
+    perp: np.ndarray  # ||V_perp^H u_k||
+    unbounded: np.ndarray  # perp above the nullspace tolerance
+
+
+def _row_products(sys: LinearSystem, W) -> _RowProducts:
+    """The rows of ``W``, validated and scaled as :func:`bounds_for` states, and their products."""
+    f = sys.factors()
+    n = f.shape[1]
+    if W is None:
+        if sys.is_complex:
+            # Im x_i = Re(conj(1j) x_i): the rows of [I; 1j I], conjugated
+            rows, k = (lambda x: np.concatenate([x, -1j * x])), 2 * n
+        else:
+            rows, k = (lambda x: x), n
+        u, e, wnorm = None, np.zeros(k, dtype=int), 1.0
+    else:
+        W = core.as_real_or_complex(W)
+        if W.ndim != 2 or W.shape[1] != n:
+            raise DimensionMismatch(f"weight matrix has shape {W.shape}, matrix has {n} columns")
+        if np.iscomplexobj(W) and not sys.is_complex:
+            raise DimensionMismatch("a complex weight matrix needs a complex system")
+        if not np.isfinite(W).all():
+            raise NumericalFailure("weight matrix must be finite")
+        # W[k] = 2**e[k] * u[k] exactly, with the largest part of u[k] near 1,
+        # so that products and norms of u's rows stay in range
+        peak = np.maximum(np.abs(W.real), np.abs(W.imag)).max(axis=1)
+        if not np.all(peak > 0.0):
+            raise ZeroFunctional(f"weight row {int(np.argmin(peak))} is identically zero")
+        e = np.maximum(np.frexp(peak)[1], -1021)  # 2**-e stays a normal float
+        scale = np.ldexp(1.0, -e)[:, None]
+        u = W * scale
+        if not np.array_equal(u / scale, W):
+            raise NumericalFailure("a weight row spans too many magnitudes to be rescaled exactly")
+        wnorm = np.linalg.norm(u, axis=1)
+        rows = u.conj().__matmul__
+    wv, wv_perp = rows(f.v), rows(f.v_perp)
+    perp = np.linalg.norm(wv_perp, axis=1)
+    return _RowProducts(u, e, _lambda_from(sys), rows(sys.solution()).real, wv,
+                        core._sigma_inv_norms(f, wv), wv_perp, perp,
+                        perp > core.DEFAULT_ORTHO_TOL * wnorm)
 
 
 def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
@@ -237,9 +282,8 @@ def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
     A row is INFEASIBLE when the residual projection of b exceeds epsilon,
     UNBOUNDED when it has a component in the nullspace of A, and otherwise
     gets the interval w^T A^+ b +/- lam * ||Sigma^-1 V^T w||.  All rows
-    share the system's one residual projection; midpoints, sensitivities
-    and nullspace components come from the products W A^+ b, W V and
-    W V_perp.
+    share the system's one residual projection and A^+ b; midpoints and
+    the rest come from the products W A^+ b, W V and W V_perp.
 
     On a complex system a row w (real or complex) bounds Re(w^H x), and
     ``W=None`` gives 2N rows: Re x_i for every i, then Im x_i (the column
@@ -248,44 +292,22 @@ def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
     interval outside the float range, :class:`NumericalFailure`.  The
     products take rows and singular values scaled exactly by powers of two.
     """
-    f = sys.factors()
-    n = f.shape[1]
-    if W is None:
-        if sys.is_complex:
-            # Im x_i = Re(conj(1j) x_i): the rows of [I; 1j I], conjugated
-            rows, k = (lambda x: np.concatenate([x, -1j * x])), 2 * n
-        else:
-            rows, k = (lambda x: x), n
-        wnorm, e = 1.0, 0
-    else:
-        W = core.as_real_or_complex(W)
-        if W.ndim != 2 or W.shape[1] != n:
-            raise DimensionMismatch(f"weight matrix has shape {W.shape}, matrix has {n} columns")
-        if np.iscomplexobj(W) and not sys.is_complex:
-            raise DimensionMismatch("a complex weight matrix needs a complex system")
-        if not np.isfinite(W).all():
-            raise NumericalFailure("weight matrix must be finite")
-        W, e = _unit_rows(W)
-        wnorm = np.linalg.norm(W, axis=1)
-        rows, k = W.conj().__matmul__, W.shape[0]
-    lam = _lambda_from(sys)
-    if lam is None:
+    p = _row_products(sys, W)
+    k = p.e.size
+    if p.lam is None:
         return BoundArrays(np.full(k, 2), *(np.full(k, np.nan) for _ in range(5)), None)
-    mid = rows(core.pinv_apply(f, sys.b)).real
-    sens = core._sigma_inv_norms(f, rows(f.v))
-    half = sens * lam
-    unbounded = np.linalg.norm(rows(f.v_perp), axis=1) > core.DEFAULT_ORTHO_TOL * wnorm
     # back from the units of the scaled rows: exact unless a value leaves the float range
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.array([mid - half, mid + half, mid, half, sens])
-        lower, upper, midpoint, half_width, sensitivity = out = np.ldexp(scaled, e)
-        lost = ~unbounded & ~(np.isfinite(out) & (np.ldexp(out, -e) == scaled)).all(axis=0)
+        half = p.sens * p.lam
+        scaled = np.array([p.mid - half, p.mid + half, p.mid, half, p.sens])
+        lower, upper, midpoint, half_width, sensitivity = out = np.ldexp(scaled, p.e)
+        lost = ~p.unbounded & ~(np.isfinite(out) & (np.ldexp(out, -p.e) == scaled)).all(axis=0)
     if lost.any():
         raise NumericalFailure(f"weight row {int(np.argmax(lost))}: bounds must be finite")
     for arr in (lower, upper, midpoint, half_width, sensitivity):
-        arr[unbounded] = np.nan
-    return BoundArrays(unbounded.astype(int), lower, upper, midpoint, half_width,
-                       sensitivity, lam)
+        arr[p.unbounded] = np.nan
+    return BoundArrays(p.unbounded.astype(int), lower, upper, midpoint, half_width,
+                       sensitivity, p.lam)
 
 
 def functional_bound(sys: LinearSystem, w, index: Optional[int] = None) -> EntryBound:
@@ -327,49 +349,40 @@ def extremal_solution(
 ) -> ExtremalSolution:
     """Construct a feasible x attaining the lower or upper end of the
     interval for w^T x (Re(w^H x) on a complex system), or (when the
-    functional is unbounded) an arbitrary prescribed value ``alpha``."""
-    f = sys.factors()
-    w = core.as_real_or_complex(w).reshape(-1)
-    bound = bounds_for(sys, w[None, :])
-    status = BOUND_STATUSES[bound.status[0]]
-
-    if status is BoundStatus.INFEASIBLE:
+    functional is unbounded) an arbitrary prescribed value ``alpha``.
+    The step from A^+ b takes the interval kernel's products of w."""
+    p = _row_products(sys, core.as_real_or_complex(w).reshape(1, -1))
+    if p.lam is None:
         raise InfeasibleSystem("no vector is consistent with the data within epsilon")
-
-    z = core.pinv_apply(f, sys.b)
-    # w = 2**e * u exactly: the products below take u and stay in range
-    (u,), (e,) = _unit_rows(w[None, :])
+    f = sys.factors()
+    (u,), (e,) = p.u, p.e
+    # the products are in units of 2**e, so they stay in range
     with np.errstate(over="ignore", invalid="ignore"):
         if target is Target.ARBITRARY:
-            if status is not BoundStatus.UNBOUNDED:
+            if not p.unbounded[0]:
                 raise StatusMismatch("arbitrary target requires an unbounded functional")
             if alpha is None:
                 raise ValueError("arbitrary target requires a value")
             if not math.isfinite(alpha):
                 raise NumericalFailure(f"arbitrary target value must be finite, got {alpha}")
-            coeffs, perp_norm = core.nullspace_component(f, u)
-            q = (np.ldexp(alpha, -e) - _re_dot(u, z)) * coeffs / (perp_norm**2)
-            x = f.v_perp @ q + z
+            q = (np.ldexp(alpha, -e) - p.mid[0]) * p.wv_perp[0].conj() / (p.perp[0] ** 2)
+            x = f.v_perp @ q + sys.solution()
         else:
-            if status is not BoundStatus.FINITE:
+            if p.unbounded[0]:
                 raise StatusMismatch(f"target {target.value} requires a finite interval")
-            # Unit-norm coefficient vector aligned with Sigma^-1 V^H w; riding
-            # the ellipsoid boundary along +/- that direction attains the
-            # endpoints.  On a finite row its norm in these units is >= ~|u|.
-            p = (f.v.conj().T @ u) / core._unit_sigma(f)[0]
-            p = p / np.linalg.norm(p)
-            step = bound.lam * (f.v @ (p / f.sigma))
-            x = z + step if target is Target.UPPER else z - step
-        achieved = float(np.ldexp(_re_dot(u, x), e))
+            if not math.isfinite(p.sens[0]):
+                raise NumericalFailure(f"target {target.value}: the sensitivity must be finite")
+            # Sigma^-1 V^H w over its norm, the kernel's sensitivity: riding the
+            # ellipsoid boundary along +/- this unit vector attains the endpoints
+            s, es = core._unit_sigma(f)
+            d = p.wv[0].conj() / s / np.ldexp(p.sens[0], es)
+            step = p.lam * (f.v @ (d / f.sigma))
+            x = sys.solution() + (step if target is Target.UPPER else -step)
+        achieved = float(np.ldexp((u.conj() @ x).real, e))
     if not (math.isfinite(achieved) and np.isfinite(x).all()):
         raise NumericalFailure(f"target {target.value}: the vector must be finite")
     return ExtremalSolution(x=x, achieved_value=achieved,
                             residual_norm=core._norm(sys.a @ x - sys.b))
-
-
-def _re_dot(w: np.ndarray, x: np.ndarray) -> float:
-    """Re(w^H x); w^T x for real vectors."""
-    return float((w.conj() @ x).real)
 
 
 def condition_report(a) -> ConditionReport:
@@ -380,7 +393,8 @@ def condition_report(a) -> ConditionReport:
     kappa_i = ||(A^+)^H e_i||_2 * sigma_1 and never exceed the global one.
     For a complex matrix they come in the order of ``bounds_for`` with
     ``W=None``: the N real parts, then the N imaginary parts, which share
-    one value per entry.
+    one value per entry.  A sensitivity beyond the float range raises
+    :class:`NumericalFailure`.
     """
     f = a if isinstance(a, SvdFactors) else svd_truncated(a)
     n = f.shape[1]
@@ -388,6 +402,8 @@ def condition_report(a) -> ConditionReport:
     sigma_max = float(f.sigma[0]) if f.rank else 0.0
     sigma_min_pos = float(f.sigma[-1]) if f.rank else 0.0
     spectral = np.tile(core._sigma_inv_norms(f, f.v), reps)
+    if not np.isfinite(spectral).all():
+        raise NumericalFailure("an entrywise sensitivity exceeds the float range")
     kappa_global = sigma_max / sigma_min_pos if f.rank == n else None
     return ConditionReport(
         sigma_max=sigma_max,

@@ -134,18 +134,24 @@ def _unit_sigma(f: SvdFactors) -> tuple[np.ndarray, int]:
 
 def _sigma_inv_norms(f: SvdFactors, c: np.ndarray) -> np.ndarray:
     """||Sigma^-1 c_k||_2 for every row c_k = V^H w_k of ``c`` (k x r), divided
-    by the scaled singular values so that the squares stay in range."""
+    by the scaled singular values so that the squares stay in range.  A norm
+    beyond the float range comes back as inf, and the caller decides."""
     s, es = _unit_sigma(f)
-    return np.ldexp(np.linalg.norm(c / s, axis=1), -es)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.linalg.norm(c / s, axis=1), -es)
 
 
 def pinv_transpose_norm(f: SvdFactors, w) -> float:
     """Norm-only path for ``pinv_transpose_apply``: ||Sigma^-1 V^H w||_2.
 
     Avoids the M-length product when only the sensitivity is needed.
+    Raises :class:`NumericalFailure` when the norm exceeds the float range.
     """
     w = _as_vector(w, f.shape[1], "weight vector")
-    return float(_sigma_inv_norms(f, (f.v.conj().T @ w)[None, :])[0])
+    norm = float(_sigma_inv_norms(f, (f.v.conj().T @ w)[None, :])[0])
+    if not math.isfinite(norm):
+        raise NumericalFailure("the sensitivity exceeds the float range")
+    return norm
 
 
 def residual_projection_norm(f: SvdFactors, b) -> float:

@@ -33,7 +33,8 @@ def _write_csv(path, a, fmt) -> None:
 
 def _read_csv(path, dtype, parse) -> np.ndarray:
     """Read a CSV written by :func:`_write_csv`, parsing each token with
-    ``parse``; errors name the file and the line."""
+    ``parse``; errors name the file and the line.  Only blank lines may
+    follow the header's row count."""
     with open(path) as fh:
         header = fh.readline().strip()
         try:
@@ -54,6 +55,9 @@ def _read_csv(path, dtype, parse) -> np.ndarray:
                 out[r] = [parse(v) for v in vals]
             except ValueError as exc:
                 raise ConfigError(f"{path}:{r + 2}: {exc}")
+        for lineno, line in enumerate(fh, rows + 2):
+            if line.strip():
+                raise ConfigError(f"{path}:{lineno}: expected {rows} data rows, found more")
     return out
 
 

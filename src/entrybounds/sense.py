@@ -54,17 +54,6 @@ class Phantom:
 
 
 @dataclass(frozen=True)
-class CoilSet:
-    """Complex sensitivity profiles, one (H, W) map per channel."""
-
-    profiles: np.ndarray  # (L, H, W)
-
-    @property
-    def num_channels(self) -> int:
-        return self.profiles.shape[0]
-
-
-@dataclass(frozen=True)
 class SamplingPattern:
     """Strided phase-encode sampling plus fully sampled central lines."""
 
@@ -180,8 +169,8 @@ def make_coils(
     phase_fold: bool = False,
     seed: int = 0,
     phantom: Optional[Phantom] = None,
-) -> CoilSet:
-    """Smooth complex Gaussian-bump sensitivity profiles.
+) -> np.ndarray:
+    """Smooth complex Gaussian-bump sensitivity profiles, as an (L, H, W) array.
 
     Channels are centered on a ring around the image; every profile is
     strictly positive in magnitude, so no voxel is blind to all coils.
@@ -212,17 +201,15 @@ def make_coils(
         fold = np.exp(1j * np.angle(phantom.grid, deg=False))
         fold[~phantom.support_mask] = 1.0
         profiles = profiles * fold[None, :, :]
-    return CoilSet(profiles=profiles)
+    return profiles
 
 
-def _check_grid(ph: Phantom, coils: CoilSet, pat: SamplingPattern) -> None:
+def _check_grid(ph: Phantom, coils: np.ndarray, pat: SamplingPattern) -> None:
     """Raise :class:`ShapeMismatch` unless the coil maps and the sampling
     pattern are those of the phantom's grid."""
     h, w = ph.shape
-    if coils.profiles.shape[1:] != (h, w):
-        raise ShapeMismatch(
-            f"coil maps {coils.profiles.shape[1:]} do not match grid {(h, w)}"
-        )
+    if coils.shape[1:] != (h, w):
+        raise ShapeMismatch(f"coil maps {coils.shape[1:]} do not match grid {(h, w)}")
     if pat.num_lines != h:
         raise ShapeMismatch(
             f"pattern covers {pat.num_lines} lines, grid has {h} phase encodes"
@@ -245,7 +232,7 @@ def _voxel_map(sup_idx: np.ndarray) -> list:
 
 def simulate_acquisition(
     ph: Phantom,
-    coils: CoilSet,
+    coils: np.ndarray,
     pat: SamplingPattern,
     noise_sigma: float = 0.0,
     seed: int = 0,
@@ -257,7 +244,7 @@ def simulate_acquisition(
     if noise_sigma < 0:
         raise ConfigError(f"noise sigma must be nonnegative, got {noise_sigma}")
     rng = np.random.default_rng(seed)
-    samples = _forward(coils.profiles, ph.grid, pat.phase_encodes_kept)
+    samples = _forward(coils, ph.grid, pat.phase_encodes_kept)
     shape = samples.shape
     noise = noise_sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return AcquiredData(samples=samples + noise, noise=noise)
@@ -270,7 +257,7 @@ def _hybrid(samples: np.ndarray) -> np.ndarray:
 
 def build_row_systems(
     ph: Phantom,
-    coils: CoilSet,
+    coils: np.ndarray,
     pat: SamplingPattern,
     data: Optional[AcquiredData] = None,
 ) -> list[RowSystem]:
@@ -292,7 +279,7 @@ def build_row_systems(
             log.info("readout position %d has no supported voxels; skipped", c)
             continue
         # (L, K, n_sup) flattened channel-major, the row order of b_c below
-        a_c = f_kept[None, :, sup] * coils.profiles[:, sup, c][:, None, :]
+        a_c = f_kept[None, :, sup] * coils[:, sup, c][:, None, :]
         a_c = a_c.reshape(-1, sup.size)
         if hybrid is not None:
             b_c = hybrid[:, :, c].reshape(-1)
@@ -304,7 +291,7 @@ def build_row_systems(
 
 def build_monolithic_system(
     ph: Phantom,
-    coils: CoilSet,
+    coils: np.ndarray,
     pat: SamplingPattern,
     data: AcquiredData,
 ) -> tuple[LinearSystem, list]:
@@ -313,7 +300,6 @@ def build_monolithic_system(
     _check_grid(ph, coils, pat)
     h, w = ph.shape
     kept = pat.phase_encodes_kept
-    l = coils.num_channels
     sup_idx = np.argwhere(ph.support_mask)  # (n_sup, 2) as (y, c)
     n_sup = sup_idx.shape[0]
     ky = kept[:, None, None]
@@ -322,14 +308,14 @@ def build_monolithic_system(
     cv = sup_idx[:, 1][None, None, :]
     f2d = np.exp(-2j * np.pi * (ky * yv / h + kx * cv / w)) / np.sqrt(h * w)
     blocks = []
-    for k in range(l):
-        s_vals = coils.profiles[k][sup_idx[:, 0], sup_idx[:, 1]]
+    for profile in coils:
+        s_vals = profile[sup_idx[:, 0], sup_idx[:, 1]]
         blocks.append((f2d * s_vals[None, None, :]).reshape(kept.size * w, n_sup))
     lifted, b_real = lifting.lift_system(np.vstack(blocks), data.samples.reshape(-1))
     return LinearSystem(a=lifted.a_real, b=b_real, epsilon=0.0), _voxel_map(sup_idx)
 
 
-def sense_operator(ph: Phantom, coils: CoilSet, pat: SamplingPattern):
+def sense_operator(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
     """Matrix-free real-lifted forward operator over all supported voxels.
 
     Forward/adjoint go through FFTs and pointwise products only; the
@@ -341,7 +327,7 @@ def sense_operator(ph: Phantom, coils: CoilSet, pat: SamplingPattern):
     _check_grid(ph, coils, pat)
     h, w = ph.shape
     kept = pat.phase_encodes_kept
-    l = coils.num_channels
+    l = coils.shape[0]
     sup_idx = np.argwhere(ph.support_mask)
     n_sup = sup_idx.shape[0]
     m_complex = l * kept.size * w
@@ -350,14 +336,14 @@ def sense_operator(ph: Phantom, coils: CoilSet, pat: SamplingPattern):
     def apply(x: np.ndarray) -> np.ndarray:
         img = np.zeros((h, w), dtype=complex)
         img[ys, cs] = x[:n_sup] + 1j * x[n_sup:]
-        return lifting.lift_vector(_forward(coils.profiles, img, kept))
+        return lifting.lift_vector(_forward(coils, img, kept))
 
     def apply_transpose(y: np.ndarray) -> np.ndarray:
         yc = y[:m_complex] + 1j * y[m_complex:]
         full = np.zeros((l, h, w), dtype=complex)
         full[:, kept, :] = yc.reshape(l, kept.size, w)
         coil_imgs = np.fft.ifft2(full, axes=(-2, -1), norm="ortho")
-        return lifting.lift_vector((np.conj(coils.profiles) * coil_imgs).sum(axis=0)[ys, cs])
+        return lifting.lift_vector((np.conj(coils) * coil_imgs).sum(axis=0)[ys, cs])
 
     op = LinearOperator(
         shape=(2 * m_complex, 2 * n_sup), apply=apply, apply_transpose=apply_transpose
@@ -438,7 +424,7 @@ def _default_cfg(cfg: dict) -> dict:
     return out
 
 
-def build_problem(cfg: dict) -> tuple[Phantom, CoilSet, SamplingPattern]:
+def build_problem(cfg: dict) -> tuple[Phantom, np.ndarray, SamplingPattern]:
     """Phantom, coils and sampling pattern of a pipeline config.
 
     The phantom is the unknown the pipeline reconstructs: with

@@ -326,6 +326,29 @@ class TestConditionReport:
         f = svd_truncated(scale * np.eye(2))
         assert core.pinv_transpose_norm(f, [1.0, 0.0]) == pytest.approx(1 / scale, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "case", ["unbounded-row", "finite-row", "condition-report", "pinv-transpose-norm"]
+    )
+    def test_overflowing_sensitivity(self, case):
+        """A sensitivity beyond the float range raises NumericalFailure, except
+        on an unbounded row, which stays unbounded (a RuntimeWarning fails the
+        suite)."""
+        sys_ = LinearSystem(a=1e-300 * np.diag([1.0, 1e-9, 0.0]), b=np.zeros(3), epsilon=1.0)
+        if case == "unbounded-row":
+            got = bounds_for(sys_, [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+            np.testing.assert_array_equal(got.status, [1, 0])
+            assert got.lower[1] == pytest.approx(-1e300, rel=1e-15)
+            assert got.upper[1] == pytest.approx(1e300, rel=1e-15)
+            return
+        overflowing = {
+            "finite-row": lambda: bounds_for(sys_, [[0.0, 1.0, 0.0]]),
+            "condition-report": lambda: condition_report(1e-300 * np.diag([1.0, 1e-9])),
+            "pinv-transpose-norm": lambda: core.pinv_transpose_norm(
+                svd_truncated(1e-300 * np.eye(2)), [1e20, 0.0]),
+        }
+        with pytest.raises(NumericalFailure):
+            overflowing[case]()
+
     def test_rank_deficient_omits_global(self, rng):
         a = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))
         rep = condition_report(a)

@@ -8,6 +8,9 @@ oracle and statuses against scipy's null_space, both from conftest.
 
 Complex systems are checked against the same kernel on their lifted real
 form (``lifting.lift_system``) and against the oracles on that form.
+
+The feasible vectors of ``extremal_solution`` are checked against the
+kernel's intervals on the same systems.
 """
 
 import numpy as np
@@ -17,16 +20,20 @@ from hypothesis import given, settings, strategies as st
 from conftest import kkt_interval, nullspace_overlap
 from entrybounds import (
     LinearSystem,
+    Target,
     adjacent_difference_bounds,
     bounds_for,
     condition_report,
     entrywise_bounds,
+    extremal_solution,
     functional_bound,
     lift_system,
+    lift_vector,
     pinv_transpose_norm,
     svd_truncated,
 )
 from entrybounds.bounds import BOUND_STATUSES, difference_rows
+from entrybounds.errors import InfeasibleSystem, StatusMismatch
 
 FINITE, UNBOUNDED, INFEASIBLE = range(3)
 
@@ -218,3 +225,68 @@ def test_scale_homogeneity(problem, j, k):
     for row in np.eye(a.shape[1]) if w is None else w:
         assert pinv_transpose_norm(f_k, row) == pytest.approx(
             2.0**-k * pinv_transpose_norm(f, row), rel=1e-12)
+
+
+VALUE = 3.25  # the value: target of every unbounded row
+
+
+def checked_extremals(sys_, w, res):
+    """``extremal_solution`` for every row of ``w``, checked against the
+    kernel's intervals ``res``: feasible vectors attaining both endpoints of
+    a finite row, and VALUE on an unbounded one; a target that does not
+    fit the row's status raises StatusMismatch, and every target of an
+    infeasible system InfeasibleSystem.  One list of solutions per row."""
+    targets = (Target.UPPER, Target.LOWER, Target.ARBITRARY)
+    if res.lam is None:
+        for row in w:
+            for target in targets:
+                with pytest.raises(InfeasibleSystem):
+                    extremal_solution(sys_, row, target, alpha=VALUE)
+        return []
+    out = []
+    for k, row in enumerate(w):
+        if res.status[k] == UNBOUNDED:
+            sols = [extremal_solution(sys_, row, Target.ARBITRARY, alpha=VALUE)]
+            assert abs(sols[0].achieved_value - VALUE) <= 1e-12 * VALUE
+            wrong = Target.UPPER
+        else:
+            sols = [extremal_solution(sys_, row, target) for target in targets[:2]]
+            for sol, end in zip(sols, (res.upper[k], res.lower[k])):
+                assert abs(sol.achieved_value - end) <= 1e-12 * max(1.0, abs(end),
+                                                                      res.half_width[k])
+            wrong = Target.ARBITRARY
+        for sol in sols:
+            assert sol.residual_norm <= sys_.epsilon * (1 + 1e-10)
+        with pytest.raises(StatusMismatch):
+            extremal_solution(sys_, row, wrong, alpha=VALUE)
+        out.append(sols)
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(problems())
+def test_extremal_solutions_attain_kernel(problem):
+    a, b, eps, w, _ = problem
+    sys_ = LinearSystem(a=a, b=b, epsilon=eps)
+    sys_.solution()[:] = np.nan  # a copy: the cached A^+ b stays as it was
+    checked_extremals(sys_, w, bounds_for(sys_, w))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(complex_problems())
+def test_complex_extremal_solutions_match_lifted(problem):
+    a, b, eps, w = problem
+    if w is None:  # Re x_i, then Im x_i = Re(conj(1j) x_i)
+        w = np.vstack([np.eye(a.shape[1]), 1j * np.eye(a.shape[1])])
+    sys_c = LinearSystem(a=a, b=b, epsilon=eps)
+    lifted, b_real = lift_system(a, b)
+    sys_r = LinearSystem(a=lifted.a_real, b=b_real, epsilon=eps)
+    w_real = np.hstack([w.real, w.imag])
+    got = checked_extremals(sys_c, w, bounds_for(sys_c, w))
+    want = checked_extremals(sys_r, w_real, bounds_for(sys_r, w_real))
+    assert len(got) == len(want)
+    for sols, refs in zip(got, want):
+        for sol, ref in zip(sols, refs, strict=True):
+            scale = max(1.0, float(np.max(np.abs(ref.x))))
+            np.testing.assert_allclose(lift_vector(sol.x), ref.x, rtol=0, atol=1e-9 * scale)
+            assert sol.achieved_value == pytest.approx(ref.achieved_value, rel=1e-9, abs=1e-9)

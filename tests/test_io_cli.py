@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from entrybounds import cli, mio
+from entrybounds import cli, mio, sense
 from entrybounds.errors import ConfigError, DimensionMismatch
 
 from conftest import kkt_interval
@@ -55,6 +55,14 @@ class TestCsvDiagnostics:
         with pytest.raises(ConfigError, match=r"short\.csv:3: expected 3 data rows, found 1"):
             mio.read_complex_csv(path)
 
+    def test_rows_past_header(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("2,2\n1,0\n0,1\n5,5\n")
+        with pytest.raises(ConfigError, match=r"long\.csv:4: expected 2 data rows, found more"):
+            mio.read_matrix_csv(path)
+        path.write_text("2,2\n1,0\n0,1\n\n  \n")
+        np.testing.assert_array_equal(mio.read_matrix_csv(path), np.eye(2))
+
     def test_bad_token_reports_row(self, tmp_path):
         path = tmp_path / "tok.csv"
         path.write_text("2,2\n1,2\n3,oops\n")
@@ -97,6 +105,22 @@ class TestPgm:
             mio.write_pgm(path, grid)
             pix = [int(v) for row in path.read_text().splitlines()[3:] for v in row.split()]
             assert set(pix) == {0}
+
+    def test_one_coil_flat_maps_keep_bytes(self, tmp_path):
+        """With one coil only two mirror-image lines are bounded, and their
+        values of these maps agree to rounding: 1e-14 relative perturbations
+        keep the renders."""
+        res = sense.run_pipeline({"coils": {"l": 1}})
+        rng = np.random.default_rng(0)
+        for name in ("global_envelope", "kappa_line"):
+            grid = res.maps[name]
+            assert np.isfinite(grid).any(), name
+            mio.write_pgm(tmp_path / "map.pgm", grid)
+            want = (tmp_path / "map.pgm").read_bytes()
+            for _ in range(5):
+                noisy = grid * (1.0 + 1e-14 * rng.uniform(-1.0, 1.0, grid.shape))
+                mio.write_pgm(tmp_path / "noisy.pgm", noisy)
+                assert (tmp_path / "noisy.pgm").read_bytes() == want, name
 
     def test_span_beyond_float_range(self, tmp_path):
         path = tmp_path / "s.pgm"

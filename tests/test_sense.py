@@ -21,7 +21,6 @@ from entrybounds.sense import (
     STATUS_FINITE,
     STATUS_OFF_SUPPORT,
     STATUS_UNDETERMINED,
-    CoilSet,
     Phantom,
     SamplingPattern,
     build_monolithic_system,
@@ -76,17 +75,17 @@ class TestPhantom:
 class TestCoils:
     def test_single_channel_constant(self):
         coils = make_coils(1, 8, 8)
-        np.testing.assert_array_equal(coils.profiles[0], np.ones((8, 8)))
+        np.testing.assert_array_equal(coils[0], np.ones((8, 8)))
 
     def test_no_coil_blind_voxels(self):
         ph = make_phantom("smooth-blobs", 16, 16, seed=2)
         coils = make_coils(8, 16, 16, seed=2)
-        combined = np.sum(np.abs(coils.profiles) ** 2, axis=0)
+        combined = np.sum(np.abs(coils) ** 2, axis=0)
         assert np.all(combined[ph.support_mask] > 0.0)
 
     def test_smoothness_cap(self):
         coils = make_coils(8, 16, 16, seed=0)
-        for prof in coils.profiles:
+        for prof in coils:
             # smooth bumps: variation well below one unit per pixel pair
             assert total_variation(prof) < 0.2 * prof.size
 
@@ -341,7 +340,7 @@ class TestPipeline:
         np.testing.assert_array_equal(ph.support_mask, raw.support_mask)
         np.testing.assert_array_equal(ph.grid, np.abs(raw.grid))
         want = make_coils(3, 12, 10, phase_fold=True, seed=1, phantom=raw)
-        np.testing.assert_array_equal(coils.profiles, want.profiles)
+        np.testing.assert_array_equal(coils, want)
         assert (pat.num_lines, pat.accel, pat.acs_lines) == (12, 4, 6)
 
     def test_unknown_config_keys_rejected(self):
@@ -425,7 +424,7 @@ class TestLiftedReference:
             assert np.max(np.abs(got[ok] - want[ok])) <= 1e-12 * scale, name
 
     def test_one_factorization_and_projection_per_line(self, monkeypatch):
-        counts = {"svd": 0, "residual": 0}
+        counts = {"svd": 0, "residual": 0, "solution": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -439,6 +438,8 @@ class TestLiftedReference:
         monkeypatch.setattr(bounds, "svd_truncated", counted("svd", bounds.svd_truncated))
         monkeypatch.setattr(core, "residual_projection_norm",
                             counted("residual", core.residual_projection_norm))
+        monkeypatch.setattr(core, "pinv_apply", counted("solution", core.pinv_apply))
         monkeypatch.setattr(lifting, "lift_system", no_lifting)
         res = run_pipeline(LIFTED_CASES["heuristic"])
-        assert counts == {"svd": len(res.line_stats), "residual": len(res.line_stats)}
+        lines = len(res.line_stats)
+        assert counts == {"svd": lines, "residual": lines, "solution": lines}
