@@ -67,26 +67,62 @@ class Target(enum.Enum):
 
 
 @dataclass
+class _Factored:
+    """The factors of a system and its data in their basis, computed from
+    the arrays ``key`` holds: A = Q U diag(sigma) V^H with Q^H Q = I, and
+    b = Q c + (a part of norm ``rho`` outside the range of Q).  Without a
+    QR, Q is the identity, c is b and rho is 0."""
+
+    key: tuple
+    f: SvdFactors
+    c: np.ndarray
+    rho: float
+    residual: Optional[float] = None
+    solution: Optional[np.ndarray] = None
+
+
+def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
+    """Factors of (a, b) truncated at ``rtol``.  A matrix with at least
+    twice as many rows as columns is reduced first: one QR of [A | b]
+    gives the N x N triangle R, whose SVD has the singular values and V
+    of A, and b in the basis of Q.  Below that shape the QR saves nothing,
+    and A itself is factored."""
+    key = (a, b, rtol)
+    a = core._as_matrix(a)
+    m, n = a.shape
+    if m < 2 * n:
+        return _Factored(key, svd_truncated(a, rtol), b, 0.0)
+    # a real A keeps real factors: complex data becomes the columns Re b, Im b
+    split = np.iscomplexobj(b) and not np.iscomplexobj(a)
+    r = np.linalg.qr(np.column_stack([a, b.real, b.imag] if split else [a, b]), mode="r")
+    d = r[:, n] + 1j * r[:, n + 1] if split else r[:, n]
+    return _Factored(key, svd_truncated(r[:n, :n], rtol), d[:n], core._norm(d[n:]))
+
+
+@dataclass
 class LinearSystem:
     """The triple (A, b, epsilon) defining the near-consistency set.
 
     The factorization of ``a``, truncated at ``rank_rtol``, the residual
-    projection and ``A^+ b`` are computed once on first use and shared.
-    The system is complex when ``a`` or ``b`` is: then ``b`` is stored as
-    complex, and the unknown x is complex.
+    projection and ``A^+ b`` are computed once on first use and shared,
+    also with the copies ``dataclasses.replace`` makes.  They are used only
+    while ``a``, ``b`` and ``rank_rtol`` are the objects they were computed
+    from; a change inside the arrays is not detected.  The system is
+    complex when ``a`` or ``b`` is: then ``b`` is stored as complex, and
+    the unknown x is complex.
     """
 
     a: np.ndarray
     b: np.ndarray
     epsilon: float
     rank_rtol: float = core.DEFAULT_RANK_RTOL
-    _factors: Optional[SvdFactors] = field(default=None, repr=False, compare=False)
-    _residual: Optional[float] = field(default=None, repr=False, compare=False)
-    _solution: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _cache: Optional[_Factored] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.a = core.as_real_or_complex(self.a)
-        self.b = core.as_real_or_complex(self.b).reshape(-1)
+        self.b = core.as_real_or_complex(self.b)
+        if self.b.ndim != 1:  # a 1-D b stays the object the caches were made from
+            self.b = self.b.reshape(-1)
         if np.iscomplexobj(self.a):
             self.b = self.b.astype(complex, copy=False)
         self.epsilon = float(self.epsilon)
@@ -108,22 +144,30 @@ class LinearSystem:
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.b)
 
+    def _factored(self) -> _Factored:
+        key = (self.a, self.b, self.rank_rtol)
+        if self._cache is None or any(x is not y for x, y in zip(key, self._cache.key)):
+            self._cache = _factor(*key)
+        return self._cache
+
     def factors(self) -> SvdFactors:
-        if self._factors is None:
-            self._factors = svd_truncated(self.a, self.rank_rtol)
-        return self._factors
+        """The truncated SVD of ``a``, or for M >= 2N that of the N x N
+        triangle of its QR: the same sigma and V, with an N x r ``u``."""
+        return self._factored().f
 
     def residual(self) -> float:
         """||b - A A^+ b||_2, the part of b outside the range of A."""
-        if self._residual is None:
-            self._residual = core.residual_projection_norm(self.factors(), self.b)
-        return self._residual
+        fc = self._factored()
+        if fc.residual is None:
+            fc.residual = math.hypot(core.residual_projection_norm(fc.f, fc.c), fc.rho)
+        return fc.residual
 
     def solution(self) -> np.ndarray:
         """A^+ b, the center of the feasible set (a copy of the cached vector)."""
-        if self._solution is None:
-            self._solution = core.pinv_apply(self.factors(), self.b)
-        return self._solution.copy()
+        fc = self._factored()
+        if fc.solution is None:
+            fc.solution = core.pinv_apply(fc.f, fc.c)
+        return fc.solution.copy()
 
 
 @dataclass(frozen=True)

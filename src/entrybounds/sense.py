@@ -489,8 +489,8 @@ def run_pipeline(cfg: dict) -> PipelineResult:
         # row, column and singular value counts twice
         stats = {
             "line": c,
-            "m": 2 * f.shape[0],
-            "n": 2 * f.shape[1],
+            "m": 2 * sys_.shape[0],
+            "n": 2 * sys_.shape[1],
             "rank": 2 * f.rank,
             "sigma_max": report.sigma_max,
             "sigma_min": report.sigma_min_pos,

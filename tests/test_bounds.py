@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,13 +45,23 @@ def e(i, n):
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
-        "b, eps",
-        [([1.0, np.nan], 0.5), ([np.inf, 2.0], 0.5), ([1.0, 2.0], np.nan), ([1.0, 2.0], np.inf)],
-        ids=["nan-data", "inf-data", "nan-epsilon", "inf-epsilon"],
+        "a, b, eps",
+        [(np.eye(2), [1.0, np.nan], 0.5), (np.eye(2), [np.inf, 2.0], 0.5),
+         (np.eye(2), [1.0, 2.0], np.nan), (np.eye(2), [1.0, 2.0], np.inf),
+         # M >= 2N, the shape factored from a QR of [A | b]
+         ([[1.0, 0.0], [0.0, np.inf], [0.0, 0.0], [0.0, 0.0]], [1.0, 2.0, 0.0, 0.0], 0.5),
+         ([[1j, 0.0], [0.0, np.nan], [0.0, 0.0], [0.0, 0.0]], [1.0, 2.0, 0.0, 0.0], 0.5)],
+        ids=["nan-data", "inf-data", "nan-epsilon", "inf-epsilon", "inf-matrix-tall",
+             "nan-complex-matrix-tall"],
     )
-    def test_rejected_with_typed_error(self, b, eps):
-        with pytest.raises(NumericalFailure):
-            LinearSystem(a=np.eye(2), b=b, epsilon=eps)
+    def test_rejected_with_typed_error(self, a, b, eps):
+        if np.isfinite(a).all():  # data and epsilon are checked on construction
+            with pytest.raises(NumericalFailure):
+                LinearSystem(a=a, b=b, epsilon=eps)
+        else:  # the matrix on first use
+            sys_ = LinearSystem(a=a, b=b, epsilon=eps)
+            with pytest.raises(NumericalFailure, match="NaN or Inf"):
+                bounds_for(sys_)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_nonfinite_weights_rejected(self, bad):
@@ -519,6 +530,31 @@ def complex_system(rng, m, n, r, eps_ratio=2.0):
             LinearSystem(a=lifted.a_real, b=b_real, epsilon=eps))
 
 
+def assign_b(sys_, b):
+    sys_.b = np.asarray(b, dtype=float)
+    return sys_
+
+
+class TestCachedFactors:
+    # A = [diag(1, 1e-6); 0] (M = 2N) and b = [1, 2, 0, 0]: A^+ b = [1, 2e6], residual 0
+    @pytest.mark.parametrize(
+        "change, solution, residual",
+        [(lambda s: replace(s, b=[5.0, 5.0, 3.0, 4.0]), [5.0, 5e6], 5.0),
+         (lambda s: replace(s, a=np.eye(4, 2)), [1.0, 2.0], 0.0),
+         (lambda s: replace(s, rank_rtol=1e-3), [1.0, 0.0], 2.0),
+         (lambda s: assign_b(s, [5.0, 5.0, 3.0, 4.0]), [5.0, 5e6], 5.0)],
+        ids=["b", "a", "rank_rtol", "assign-b"],
+    )
+    def test_changed_system_is_factored_again(self, change, solution, residual):
+        sys_ = LinearSystem(a=np.diag([1.0, 1e-6, 0.0, 0.0])[:, :2], b=[1.0, 2.0, 0.0, 0.0],
+                            epsilon=10.0)
+        np.testing.assert_allclose(sys_.solution(), [1.0, 2e6], rtol=1e-9)
+        assert sys_.residual() == pytest.approx(0.0, abs=1e-9)
+        changed = change(sys_)
+        np.testing.assert_allclose(changed.solution(), solution, rtol=1e-9, atol=1e-9)
+        assert changed.residual() == pytest.approx(residual, rel=1e-12, abs=1e-9)
+
+
 class TestComplexSystems:
     def test_real_matrix_with_complex_data_is_complex(self):
         sys_ = LinearSystem(a=np.eye(2), b=[1 + 2j, 3 - 1j], epsilon=0.5)
@@ -527,6 +563,25 @@ class TestComplexSystems:
         res = bounds_for(sys_)
         np.testing.assert_allclose(res.lower, [0.5, 2.5, 1.5, -1.5], atol=1e-15)
         np.testing.assert_allclose(res.upper, [1.5, 3.5, 2.5, -0.5], atol=1e-15)
+
+    @pytest.mark.parametrize("m, n", [(9, 3), (2, 1)])
+    def test_tall_real_matrix_with_complex_data_keeps_real_factors(self, rng, m, n):
+        a = rng.standard_normal((m, n))
+        b = complex_gaussian(rng, m)
+        eps = 2.0 * max(np.linalg.norm(b - a @ (np.linalg.pinv(a) @ b)), 0.1)
+        sys_ = LinearSystem(a=a, b=b, epsilon=eps)
+        assert sys_.factors().v.dtype == np.float64
+        report = condition_report(sys_.factors())
+        assert report.kappa_entry.size == n
+        np.testing.assert_allclose(report.kappa_entry, condition_report(a).kappa_entry, rtol=1e-12)
+        lifted, b_real = lift_system(a, b)
+        res = bounds_for(sys_)
+        ref = bounds_for(LinearSystem(a=lifted.a_real, b=b_real, epsilon=eps))
+        np.testing.assert_array_equal(res.status, ref.status)
+        for name in ("lower", "upper", "midpoint", "half_width", "sensitivity"):
+            np.testing.assert_allclose(getattr(res, name), getattr(ref, name), rtol=1e-10,
+                                       atol=1e-12, err_msg=name)
+        assert res.lam == pytest.approx(ref.lam, rel=1e-10)
 
     def test_complex_weights_need_complex_system(self):
         sys_ = LinearSystem(a=np.eye(2), b=[1.0, 2.0], epsilon=0.5)

@@ -1,10 +1,11 @@
 """Differential property test of the interval kernel ``bounds_for``.
 
 Random systems cover tall, square and wide shapes and every rank from 0 to
-min(M, N).  Weight rows mix random dense rows (unbounded whenever A has a
-nullspace), rows drawn from the row space of A (always finite) and +/-1
-difference rows.  Intervals are checked against the Lagrangian bisection
-oracle and statuses against scipy's null_space, both from conftest.
+min(M, N), also tall ones with M >= 2N up to 60 x 12.  Weight rows mix
+random dense rows (unbounded whenever A has a nullspace), rows drawn from
+the row space of A (always finite) and +/-1 difference rows.  Intervals
+are checked against the Lagrangian bisection oracle and statuses against
+scipy's null_space, both from conftest.
 
 Complex systems are checked against the same kernel on their lifted real
 form (``lifting.lift_system``) and against the oracles on that form.
@@ -38,10 +39,16 @@ from entrybounds.errors import InfeasibleSystem, StatusMismatch
 FINITE, UNBOUNDED, INFEASIBLE = range(3)
 
 
+def shapes(m_max, n_max):
+    """(M, N): up to m_max x n_max, or tall with M >= 2N up to 60 x 12, the
+    shapes a system factors from one QR of [A | b]."""
+    tall = st.integers(1, 12).flatmap(lambda n: st.tuples(st.integers(2 * n, 60), st.just(n)))
+    return st.one_of(st.tuples(st.integers(1, m_max), st.integers(1, n_max)), tall)
+
+
 @st.composite
 def problems(draw):
-    m = draw(st.integers(1, 7))
-    n = draw(st.integers(1, 6))
+    m, n = draw(shapes(7, 6))
     rank = draw(st.integers(0, min(m, n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
@@ -136,8 +143,7 @@ def complex_problems(draw):
     """A complex system of any shape and rank, and its weight rows: W=None,
     real difference rows, random complex rows and complex rows from the
     row space of A (always finite)."""
-    m = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 5))
+    m, n = draw(shapes(6, 5))
     rank = draw(st.integers(0, min(m, n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 

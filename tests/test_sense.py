@@ -425,10 +425,13 @@ class TestLiftedReference:
 
     def test_one_factorization_and_projection_per_line(self, monkeypatch):
         counts = {"svd": 0, "residual": 0, "solution": 0}
+        svd_shapes = []
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
                 counts[key] += 1
+                if key == "svd":
+                    svd_shapes.append(args[0].shape)
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -443,3 +446,6 @@ class TestLiftedReference:
         res = run_pipeline(LIFTED_CASES["heuristic"])
         lines = len(res.line_stats)
         assert counts == {"svd": lines, "residual": lines, "solution": lines}
+        # every line has M >= 2N, so only the N x N triangle of its QR is factored
+        assert all(s["m"] >= 2 * s["n"] for s in res.line_stats)
+        assert svd_shapes == [(s["n"] // 2, s["n"] // 2) for s in res.line_stats]
