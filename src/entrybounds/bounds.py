@@ -13,8 +13,10 @@ functional Re(w^H x) has the interval Re(w^H A^+ b) +/- lam *
 ||Sigma^-1 V^H w|| on the complex factors, the same interval as w's
 lifted real weight on the lifted real system.
 
-A system sets its rank tolerance with ``LinearSystem.rank_rtol``; the
-functions that take a bare matrix also take ``svd_truncated(a, rtol)``.
+A system sets its rank tolerance with ``LinearSystem.rank_rtol``;
+``condition_report``, ``global_bounds`` and ``ellipsoid_volume`` take a
+matrix or a system, whose cached factors they use.  The interval of a row
+and both its extremal vectors can come from one evaluation of its products.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
     return _Factored(key, svd_truncated(r[:n, :n], rtol), d[:n], core._norm(d[n:]))
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearSystem:
     """The triple (A, b, epsilon) defining the near-consistency set.
 
@@ -107,7 +109,8 @@ class LinearSystem:
     projection and ``A^+ b`` are computed once on first use and shared,
     also with the copies ``dataclasses.replace`` makes.  They are used only
     while ``a``, ``b`` and ``rank_rtol`` are the objects they were computed
-    from; a change inside the arrays is not detected.  The system is
+    from; a change inside the arrays is not detected.  Like the caches, two
+    systems are equal only if they are the same object.  The system is
     complex when ``a`` or ``b`` is: then ``b`` is stored as complex, and
     the unknown x is complex.
     """
@@ -116,7 +119,7 @@ class LinearSystem:
     b: np.ndarray
     epsilon: float
     rank_rtol: float = core.DEFAULT_RANK_RTOL
-    _cache: Optional[_Factored] = field(default=None, repr=False, compare=False)
+    _cache: Optional[_Factored] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.a = core.as_real_or_complex(self.a)
@@ -336,7 +339,11 @@ def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
     interval outside the float range, :class:`NumericalFailure`.  The
     products take rows and singular values scaled exactly by powers of two.
     """
-    p = _row_products(sys, W)
+    return _bound_arrays(_row_products(sys, W))
+
+
+def _bound_arrays(p: _RowProducts) -> BoundArrays:
+    """The intervals of :func:`bounds_for` from the products ``p`` of its rows."""
     k = p.e.size
     if p.lam is None:
         return BoundArrays(np.full(k, 2), *(np.full(k, np.nan) for _ in range(5)), None)
@@ -395,7 +402,11 @@ def extremal_solution(
     interval for w^T x (Re(w^H x) on a complex system), or (when the
     functional is unbounded) an arbitrary prescribed value ``alpha``.
     The step from A^+ b takes the interval kernel's products of w."""
-    p = _row_products(sys, core.as_real_or_complex(w).reshape(1, -1))
+    return _extremal(sys, _row_products(sys, np.reshape(w, (1, -1))), target, alpha)
+
+
+def _extremal(sys: LinearSystem, p: _RowProducts, target: Target, alpha=None) -> ExtremalSolution:
+    """:func:`extremal_solution` from the products ``p`` of its one row."""
     if p.lam is None:
         raise InfeasibleSystem("no vector is consistent with the data within epsilon")
     f = sys.factors()
@@ -440,7 +451,7 @@ def condition_report(a) -> ConditionReport:
     one value per entry.  A sensitivity beyond the float range raises
     :class:`NumericalFailure`.
     """
-    f = a if isinstance(a, SvdFactors) else svd_truncated(a)
+    f = a.factors() if isinstance(a, LinearSystem) else svd_truncated(a)
     n = f.shape[1]
     reps = 2 if f.is_complex else 1
     sigma_max = float(f.sigma[0]) if f.rank else 0.0
@@ -462,12 +473,22 @@ def global_bounds(a, n_norm: float) -> float:
     """Classical spectral-norm error bound sigma_N^-1 * ||n||_2.
 
     It bounds the error in the 2-norm, and so also every entry, via
-    ||.||_inf <= ||.||_2.
+    ||.||_inf <= ||.||_2.  A negative norm raises ``ValueError``; a
+    non-finite one, or a bound beyond the float range,
+    :class:`NumericalFailure`.
     """
-    f = a if isinstance(a, SvdFactors) else svd_truncated(a)
+    n_norm = float(n_norm)
+    if not math.isfinite(n_norm):
+        raise NumericalFailure(f"noise norm must be finite, got {n_norm}")
+    if n_norm < 0:
+        raise ValueError(f"noise norm must be nonnegative, got {n_norm}")
+    f = a.factors() if isinstance(a, LinearSystem) else svd_truncated(a)
     if f.rank < f.shape[1]:
         raise RankDeficient("spectral bound requires full column rank")
-    return float(n_norm) / float(f.sigma[-1])
+    bound = n_norm / float(f.sigma[-1])
+    if not math.isfinite(bound):
+        raise NumericalFailure("the spectral bound exceeds the float range")
+    return bound
 
 
 def ellipsoid_volume(a, lam: float) -> float:
@@ -476,11 +497,15 @@ def ellipsoid_volume(a, lam: float) -> float:
     When A is rank deficient the ellipsoid is degenerate and extends
     infinitely along the nullspace; the volume is reported as +inf.  A
     complex A gives the volume in the 2N real dimensions of x, where each
-    singular value counts twice, as in the lifted real matrix.
+    singular value counts twice, as in the lifted real matrix.  A negative
+    ``lam`` raises ``ValueError``; a non-finite one, or a volume beyond the
+    float range, :class:`NumericalFailure`.
     """
+    if not math.isfinite(lam):
+        raise NumericalFailure(f"lambda must be finite, got {lam}")
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    f = a if isinstance(a, SvdFactors) else svd_truncated(a)
+    f = a.factors() if isinstance(a, LinearSystem) else svd_truncated(a)
     if f.rank < f.shape[1]:
         return math.inf
     if lam == 0.0:
@@ -494,7 +519,10 @@ def ellipsoid_volume(a, lam: float) -> float:
         - math.lgamma(0.5 * n + 1.0)
         - reps * float(np.sum(np.log(f.sigma)))
     )
-    return math.exp(log_vol)
+    try:
+        return math.exp(log_vol)
+    except OverflowError:
+        raise NumericalFailure("the ellipsoid volume exceeds the float range") from None
 
 
 def crlb_identity_check(a, i: int):
@@ -510,12 +538,7 @@ def crlb_identity_check(a, i: int):
     if not 0 <= i < n:
         raise IndexOutOfRange(f"index {i} out of range for N={n}")
     gram_pinv = np.linalg.pinv(a.conj().T @ a)
-    lhs = float(gram_pinv[i, i].real)
-    f = svd_truncated(a)
-    e_i = np.zeros(n)
-    e_i[i] = 1.0
-    rhs = core.pinv_transpose_norm(f, e_i) ** 2
-    return lhs, rhs
+    return float(gram_pinv[i, i].real), float(condition_report(a).spectral_entry[i] ** 2)
 
 
 def epsilon_heuristic(sys: LinearSystem) -> float:

@@ -115,8 +115,10 @@ def cmd_extremal(args) -> int:
     else:
         raise EntryBoundsError(f"--target must be lower|upper|value:<a>, got {args.target!r}")
 
-    bound = bnd.functional_bound(sys_, w)
-    sol = bnd.extremal_solution(sys_, w, target, alpha=alpha)
+    # one evaluation of w's products gives both the interval and the vector
+    p = bnd._row_products(sys_, w[None, :])
+    bound = bnd._bound_arrays(p).entry_bounds()[0]
+    sol = bnd._extremal(sys_, p, target, alpha)
     if target is Target.ARBITRARY:
         expected = alpha
     else:

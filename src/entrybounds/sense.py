@@ -482,8 +482,7 @@ def run_pipeline(cfg: dict) -> PipelineResult:
 
     for rs in systems:
         sys_ = LinearSystem(a=rs.a_complex, b=rs.b_complex, epsilon=0.0)
-        f = sys_.factors()
-        report = bnd.condition_report(f)
+        report = bnd.condition_report(sys_)
         c, sup, n_sup = rs.line_index, rs.voxel_rows, rs.n_sup
         # sizes in the units of the lifted real system, where every complex
         # row, column and singular value counts twice
@@ -491,7 +490,7 @@ def run_pipeline(cfg: dict) -> PipelineResult:
             "line": c,
             "m": 2 * sys_.shape[0],
             "n": 2 * sys_.shape[1],
-            "rank": 2 * f.rank,
+            "rank": 2 * sys_.factors().rank,
             "sigma_max": report.sigma_max,
             "sigma_min": report.sigma_min_pos,
             "residual": sys_.residual(),
@@ -538,9 +537,9 @@ def run_pipeline(cfg: dict) -> PipelineResult:
         if j_re.size and eb.status[j_re[0]] == STATUS_FINITE:
             wvec = np.zeros(n_sup)
             wvec[j_re[0]] = 1.0
+            p = bnd._row_products(sys_eps, wvec[None, :])  # shared by both ends
             for tgt, name in ((Target.UPPER, "extremal_upper"), (Target.LOWER, "extremal_lower")):
-                sol = bnd.extremal_solution(sys_eps, wvec, tgt)
-                maps[name][sup, c] = sol.x.real
+                maps[name][sup, c] = bnd._extremal(sys_eps, p, tgt).x.real
 
     t_end = time.perf_counter()
     kept = pat.phase_encodes_kept

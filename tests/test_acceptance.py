@@ -148,7 +148,7 @@ def test_criterion_3_condition_dominance():
         for a in mats:
             f = svd_truncated(a)
             assert f.rank == a.shape[1]
-            rep = condition_report(f)
+            rep = condition_report(a)
             sigma_min = f.sigma[-1]
             for i in range(a.shape[1]):
                 assert rep.spectral_entry[i] <= (1.0 / sigma_min) * (1 + 1e-10)

@@ -10,6 +10,7 @@ from entrybounds import (
     LinearSystem,
     Target,
     adjacent_difference_bounds,
+    bounds,
     bounds_for,
     condition_report,
     core,
@@ -384,6 +385,16 @@ class TestGlobalBounds:
         with pytest.raises(RankDeficient):
             global_bounds(a, 1.0)
 
+    @pytest.mark.parametrize(
+        "a, n_norm, error",
+        [(np.eye(2), -1.0, ValueError), (np.eye(2), math.nan, NumericalFailure),
+         (np.eye(2), math.inf, NumericalFailure), (1e-300 * np.eye(2), 1e10, NumericalFailure)],
+        ids=["negative", "nan", "inf", "overflowing-bound"],
+    )
+    def test_bad_norm_or_bound_rejected(self, a, n_norm, error):
+        with pytest.raises(error):
+            global_bounds(a, n_norm)
+
 
 class TestEllipsoidVolume:
     def test_unit_disk(self):
@@ -400,6 +411,17 @@ class TestEllipsoidVolume:
     def test_degenerate_is_infinite(self, rng):
         a = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))
         assert ellipsoid_volume(a, 1.0) == math.inf
+
+    @pytest.mark.parametrize(
+        "a, lam, error",
+        [(np.eye(2), -1.0, ValueError), (np.eye(2), math.nan, NumericalFailure),
+         (np.eye(2), math.inf, NumericalFailure), (1e-300 * np.eye(3), 1.0, NumericalFailure),
+         (1e-3 * np.eye(400), 1.0, NumericalFailure)],
+        ids=["negative", "nan", "inf", "tiny-matrix", "many-dimensions"],
+    )
+    def test_bad_lambda_or_volume_rejected(self, a, lam, error):
+        with pytest.raises(error):
+            ellipsoid_volume(a, lam)
 
 
 class TestCrlbIdentity:
@@ -554,6 +576,34 @@ class TestCachedFactors:
         np.testing.assert_allclose(changed.solution(), solution, rtol=1e-9, atol=1e-9)
         assert changed.residual() == pytest.approx(residual, rel=1e-12, abs=1e-9)
 
+    def test_equality_is_identity(self):
+        sys_, twin = (LinearSystem(a=np.eye(2), b=[1.0, 2.0], epsilon=0.5) for _ in range(2))
+        assert sys_ == sys_
+        assert sys_ != twin
+
+    @pytest.mark.parametrize("rtol, rank", [(core.DEFAULT_RANK_RTOL, 2), (1e-3, 1)])
+    def test_spectral_helpers_use_the_cached_factors(self, monkeypatch, rtol, rank):
+        sys_ = LinearSystem(a=np.diag([1.0, 1e-6, 0.0, 0.0])[:, :2], b=[1.0, 2.0, 0.0, 0.0],
+                            epsilon=10.0, rank_rtol=rtol)
+        assert sys_.factors().rank == rank
+
+        def no_factoring(*args):
+            raise AssertionError("the system was factored again")
+
+        monkeypatch.setattr(bounds, "svd_truncated", no_factoring)
+        rep = condition_report(sys_)
+        if rank == 2:
+            assert rep.kappa_global == pytest.approx(1e6, rel=1e-9)
+            np.testing.assert_allclose(rep.spectral_entry, [1.0, 1e6], rtol=1e-9)
+            assert global_bounds(sys_, 1.0) == pytest.approx(1e6, rel=1e-9)
+            assert ellipsoid_volume(sys_, 1.0) == pytest.approx(math.pi * 1e6, rel=1e-9)
+        else:
+            assert rep.kappa_global is None
+            np.testing.assert_array_equal(rep.spectral_entry, [1.0, 0.0])
+            with pytest.raises(RankDeficient):
+                global_bounds(sys_, 1.0)
+            assert ellipsoid_volume(sys_, 1.0) == math.inf
+
 
 class TestComplexSystems:
     def test_real_matrix_with_complex_data_is_complex(self):
@@ -571,7 +621,7 @@ class TestComplexSystems:
         eps = 2.0 * max(np.linalg.norm(b - a @ (np.linalg.pinv(a) @ b)), 0.1)
         sys_ = LinearSystem(a=a, b=b, epsilon=eps)
         assert sys_.factors().v.dtype == np.float64
-        report = condition_report(sys_.factors())
+        report = condition_report(sys_)
         assert report.kappa_entry.size == n
         np.testing.assert_allclose(report.kappa_entry, condition_report(a).kappa_entry, rtol=1e-12)
         lifted, b_real = lift_system(a, b)

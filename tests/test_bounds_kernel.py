@@ -11,7 +11,8 @@ Complex systems are checked against the same kernel on their lifted real
 form (``lifting.lift_system``) and against the oracles on that form.
 
 The feasible vectors of ``extremal_solution`` are checked against the
-kernel's intervals on the same systems.
+kernel's intervals on the same systems, and against both ends taken from
+one evaluation of the row's products.
 """
 
 import numpy as np
@@ -33,7 +34,13 @@ from entrybounds import (
     pinv_transpose_norm,
     svd_truncated,
 )
-from entrybounds.bounds import BOUND_STATUSES, difference_rows
+from entrybounds.bounds import (
+    BOUND_STATUSES,
+    _bound_arrays,
+    _extremal,
+    _row_products,
+    difference_rows,
+)
 from entrybounds.errors import InfeasibleSystem, StatusMismatch
 
 FINITE, UNBOUNDED, INFEASIBLE = range(3)
@@ -260,6 +267,15 @@ def checked_extremals(sys_, w, res):
             for sol, end in zip(sols, (res.upper[k], res.lower[k])):
                 assert abs(sol.achieved_value - end) <= 1e-12 * max(1.0, abs(end),
                                                                       res.half_width[k])
+            # both ends and the interval from one evaluation of the row, as
+            # the sense pipeline and the extremal command take them
+            p = _row_products(sys_, row[None, :])
+            for sol, target in zip(sols, targets[:2]):
+                one = _extremal(sys_, p, target)
+                np.testing.assert_array_equal(one.x, sol.x)
+                assert one.achieved_value == sol.achieved_value
+            ends, bound = _bound_arrays(p).entry_bounds()[0], functional_bound(sys_, row)
+            assert (ends.lower, ends.upper) == (bound.lower, bound.upper)
             wrong = Target.ARBITRARY
         for sol in sols:
             assert sol.residual_norm <= sys_.epsilon * (1 + 1e-10)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from entrybounds import cli, mio, sense
+from entrybounds import bounds, cli, mio, sense
 from entrybounds.errors import ConfigError, DimensionMismatch
 
 from conftest import kkt_interval
@@ -259,9 +259,12 @@ class TestGoldenFixture:
 
 
 class TestExtremalCommand:
-    def test_upper_target_achieves_bound(self, tmp_path):
+    def test_upper_target_achieves_bound(self, tmp_path, monkeypatch):
         out_x = tmp_path / "x.csv"
         out_json = tmp_path / "v.json"
+        calls = []  # row passes: the vector and `expected` share one
+        real = bounds._row_products
+        monkeypatch.setattr(bounds, "_row_products", lambda *args: calls.append(1) or real(*args))
         code = cli.main(
             ["extremal",
              "--matrix", os.path.join(FIXTURES, "system_6x4.csv"),
@@ -270,6 +273,7 @@ class TestExtremalCommand:
              "--out", str(out_x), "--json", str(out_json)]
         )
         assert code == 0
+        assert len(calls) == 1
         v = json.loads(out_json.read_text())
         assert v["achieved"] == pytest.approx(v["expected"], abs=1e-10)
         assert v["residual_norm"] <= v["epsilon"] * (1 + 1e-10)

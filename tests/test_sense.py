@@ -135,7 +135,7 @@ class TestRowSystems:
             f = svd_truncated(rs.system.a)
             from entrybounds import condition_report
 
-            rep = condition_report(f)
+            rep = condition_report(rs.system.a)
             np.testing.assert_allclose(rep.kappa_entry, 1.0, atol=1e-10)
             sys = LinearSystem(a=rs.system.a, b=rs.system.b, epsilon=0.3)
             for b in entrywise_bounds(sys):
@@ -384,7 +384,7 @@ def lifted_reference(cfg, res):
         else:
             eps = stats["epsilon"]
         sys_ = LinearSystem(a=rs.system.a, b=rs.system.b, epsilon=eps)
-        rep = condition_report(f)
+        rep = condition_report(sys_)
         eb = bounds_for(sys_)
         status[sup, c] = eb.status[:n]
         for part, cols in (("re", slice(None, n)), ("im", slice(n, None))):
@@ -424,7 +424,7 @@ class TestLiftedReference:
             assert np.max(np.abs(got[ok] - want[ok])) <= 1e-12 * scale, name
 
     def test_one_factorization_and_projection_per_line(self, monkeypatch):
-        counts = {"svd": 0, "residual": 0, "solution": 0}
+        counts = {"svd": 0, "residual": 0, "solution": 0, "rows": 0}
         svd_shapes = []
 
         def counted(key, fn):
@@ -442,10 +442,22 @@ class TestLiftedReference:
         monkeypatch.setattr(core, "residual_projection_norm",
                             counted("residual", core.residual_projection_norm))
         monkeypatch.setattr(core, "pinv_apply", counted("solution", core.pinv_apply))
+        monkeypatch.setattr(bounds, "_row_products", counted("rows", bounds._row_products))
         monkeypatch.setattr(lifting, "lift_system", no_lifting)
-        res = run_pipeline(LIFTED_CASES["heuristic"])
-        lines = len(res.line_stats)
-        assert counts == {"svd": lines, "residual": lines, "solution": lines}
-        # every line has M >= 2N, so only the N x N triangle of its QR is factored
-        assert all(s["m"] >= 2 * s["n"] for s in res.line_stats)
-        assert svd_shapes == [(s["n"] // 2, s["n"] // 2) for s in res.line_stats]
+        # the second case has lines whose pinned voxel is off the support
+        for case in ("heuristic", "complex-truth-fixed"):
+            counts.update(dict.fromkeys(counts, 0))
+            svd_shapes.clear()
+            res = run_pipeline(LIFTED_CASES[case])
+            lines = len(res.line_stats)
+            # one row pass for the entries, one for the differences, and one
+            # for both extremal vectors where the pinned voxel is finite
+            pinned = np.isfinite(res.maps["extremal_upper"]).any(axis=0)[
+                [s["line"] for s in res.line_stats]]
+            assert counts == {"svd": lines, "residual": lines, "solution": lines,
+                              "rows": 2 * lines + int(np.count_nonzero(pinned))}
+            assert pinned.any()
+            # every line has M >= 2N, so only the N x N triangle of its QR is factored
+            assert all(s["m"] >= 2 * s["n"] for s in res.line_stats)
+            assert svd_shapes == [(s["n"] // 2, s["n"] // 2) for s in res.line_stats]
+        assert not pinned.all()
