@@ -10,7 +10,7 @@ numbers, ellipsoid volume, and the Fisher-information identity check.
 
 A complex system is bounded without lifting it to real form: the real
 functional Re(w^H x) has the interval Re(w^H A^+ b) +/- lam *
-||Sigma^-1 V^H w|| on the complex factors, the same interval as w's
+||(A^+)^H w|| on the complex factors, the same interval as w's
 lifted real weight on the lifted real system.
 
 A system sets its rank tolerance with ``LinearSystem.rank_rtol``;
@@ -70,35 +70,80 @@ class Target(enum.Enum):
 
 @dataclass
 class _Factored:
-    """The factors of a system and its data in their basis, computed from
-    the arrays ``key`` holds: A = Q U diag(sigma) V^H with Q^H Q = I, and
-    b = Q c + (a part of norm ``rho`` outside the range of Q).  Without a
-    QR, Q is the identity, c is b and rho is 0."""
+    """A system factored as A^+ = 2**-es K diag(1/d) G^H, where G has
+    orthonormal columns and spans the range of A, and its data as
+    b = G g + (a part of norm ``residual`` outside that range); ``key``
+    holds the arrays it was computed from.
+
+    A tall full-rank A = Q R takes K = (R / 2**es)^-1, d = 1 and G = Q; any
+    other A = U diag(sigma) V^H takes K = V, d = sigma / 2**es and G = U.
+    In both, 2**es is the power of two just above sigma_1, so K diag(1/d)
+    stays in range.  The truncated SVD ``f`` of the triangle ``r`` is
+    computed on request.
+    """
 
     key: tuple
-    f: SvdFactors
-    c: np.ndarray
-    rho: float
-    residual: Optional[float] = None
-    solution: Optional[np.ndarray] = None
+    k: np.ndarray  # N x r
+    d: np.ndarray  # r values in (rtol / 2, 1]
+    es: int
+    sigma: np.ndarray  # the r retained singular values of A
+    v_perp: np.ndarray  # N x (N - r), an orthonormal basis of the nullspace
+    residual: float
+    g: np.ndarray  # b in the basis G
+    solution: np.ndarray = field(init=False)  # A^+ b
+    f: Optional[SvdFactors] = None
+    r: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        self.solution = self.apply(self.g)
+
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        """A^+ G g, for coefficients g in the basis G."""
+        return self.k @ (g / self.d * math.ldexp(1.0, -self.es))
+
+    def sensitivities(self, wk: np.ndarray) -> np.ndarray:
+        """||(A^+)^H w||_2 for every row w^H K of ``wk``: inf beyond the float range."""
+        return core._scaled_inv_norms(wk, self.d, self.es)
 
 
 def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
     """Factors of (a, b) truncated at ``rtol``.  A matrix with at least
     twice as many rows as columns is reduced first: one QR of [A | b]
-    gives the N x N triangle R, whose SVD has the singular values and V
-    of A, and b in the basis of Q.  Below that shape the QR saves nothing,
-    and A itself is factored."""
+    gives the N x N triangle R, with the singular values of A, and b in
+    the basis of Q.  At full rank R itself is inverted; below it, R is
+    factored as A is below that shape, where the QR saves nothing."""
     key = (a, b, rtol)
     a = core._as_matrix(a)
     m, n = a.shape
-    if m < 2 * n:
-        return _Factored(key, svd_truncated(a, rtol), b, 0.0)
-    # a real A keeps real factors: complex data becomes the columns Re b, Im b
-    split = np.iscomplexobj(b) and not np.iscomplexobj(a)
-    r = np.linalg.qr(np.column_stack([a, b.real, b.imag] if split else [a, b]), mode="r")
-    d = r[:, n] + 1j * r[:, n + 1] if split else r[:, n]
-    return _Factored(key, svd_truncated(r[:n, :n], rtol), d[:n], core._norm(d[n:]))
+    rho = 0.0
+    if m >= 2 * n:
+        # a real A keeps real factors: complex data becomes the columns Re b, Im b
+        split = np.iscomplexobj(b) and not np.iscomplexobj(a)
+        r = np.linalg.qr(np.column_stack([a, b.real, b.imag] if split else [a, b]), mode="r")
+        c = r[:, n] + 1j * r[:, n + 1] if split else r[:, n]
+        a, b, rho = r[:n, :n], c[:n], core._norm(c[n:])
+        try:
+            sigma = np.linalg.svd(a, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"SVD did not converge: {exc}") from None
+        if core._rank(sigma, rtol) == n:
+            es = core._unit_sigma(sigma)[1]
+            k = np.linalg.inv(a * math.ldexp(1.0, -es))
+            return _Factored(key, k, np.ones(n), es, sigma, np.zeros((n, 0), k.dtype), rho, b,
+                             r=a)
+    f = svd_truncated(a, rtol)
+    d, es = core._unit_sigma(f.sigma)
+    g = f.u.conj().T @ b
+    return _Factored(key, f.v, d, es, f.sigma, f.v_perp,
+                     math.hypot(core._norm(b - f.u @ g), rho), g, f=f)
+
+
+def _factored(a) -> _Factored:
+    """The factors of a system, or of a matrix with zero data."""
+    if isinstance(a, LinearSystem):
+        return a._factored()
+    a = core._as_matrix(a)
+    return _factor(a, np.zeros(a.shape[0], a.dtype), core.DEFAULT_RANK_RTOL)
 
 
 @dataclass(eq=False)
@@ -155,22 +200,25 @@ class LinearSystem:
 
     def factors(self) -> SvdFactors:
         """The truncated SVD of ``a``, or for M >= 2N that of the N x N
-        triangle of its QR: the same sigma and V, with an N x r ``u``."""
-        return self._factored().f
+        triangle of its QR: the same sigma and V, with an N x r ``u``.  A
+        full-rank system is bounded without it, and computes it here."""
+        fc = self._factored()
+        if fc.f is None:
+            fc.f = svd_truncated(fc.r, self.rank_rtol)
+        return fc.f
+
+    @property
+    def rank(self) -> int:
+        """The numerical rank of ``a`` at ``rank_rtol``."""
+        return self._factored().sigma.size
 
     def residual(self) -> float:
         """||b - A A^+ b||_2, the part of b outside the range of A."""
-        fc = self._factored()
-        if fc.residual is None:
-            fc.residual = math.hypot(core.residual_projection_norm(fc.f, fc.c), fc.rho)
-        return fc.residual
+        return self._factored().residual
 
     def solution(self) -> np.ndarray:
         """A^+ b, the center of the feasible set (a copy of the cached vector)."""
-        fc = self._factored()
-        if fc.solution is None:
-            fc.solution = core.pinv_apply(fc.f, fc.c)
-        return fc.solution.copy()
+        return self._factored().solution.copy()
 
 
 @dataclass(frozen=True)
@@ -270,14 +318,15 @@ class BoundArrays:
 
 
 class _RowProducts(NamedTuple):
-    """Products of the weight rows w_k = 2**e[k] * u_k, in units of 2**e[k]."""
+    """Products of the weight rows w_k = 2**e[k] * u_k, in units of 2**e[k],
+    with the factors K and V_perp of :class:`_Factored`."""
 
     u: Optional[np.ndarray]  # None for the coordinate rows
     e: np.ndarray
     lam: Optional[float]  # None when the feasible set is empty
     mid: np.ndarray  # Re(u_k^H A^+ b)
-    wv: np.ndarray  # u_k^H V
-    sens: np.ndarray  # ||Sigma^-1 V^H u_k||
+    wk: np.ndarray  # u_k^H K
+    sens: np.ndarray  # ||(A^+)^H u_k||
     wv_perp: np.ndarray  # u_k^H V_perp
     perp: np.ndarray  # ||V_perp^H u_k||
     unbounded: np.ndarray  # perp above the nullspace tolerance
@@ -285,8 +334,8 @@ class _RowProducts(NamedTuple):
 
 def _row_products(sys: LinearSystem, W) -> _RowProducts:
     """The rows of ``W``, validated and scaled as :func:`bounds_for` states, and their products."""
-    f = sys.factors()
-    n = f.shape[1]
+    fc = sys._factored()
+    n = fc.k.shape[0]
     if W is None:
         if sys.is_complex:
             # Im x_i = Re(conj(1j) x_i): the rows of [I; 1j I], conjugated
@@ -314,10 +363,10 @@ def _row_products(sys: LinearSystem, W) -> _RowProducts:
             raise NumericalFailure("a weight row spans too many magnitudes to be rescaled exactly")
         wnorm = np.linalg.norm(u, axis=1)
         rows = u.conj().__matmul__
-    wv, wv_perp = rows(f.v), rows(f.v_perp)
+    wk, wv_perp = rows(fc.k), rows(fc.v_perp)
     perp = np.linalg.norm(wv_perp, axis=1)
-    return _RowProducts(u, e, _lambda_from(sys), rows(sys.solution()).real, wv,
-                        core._sigma_inv_norms(f, wv), wv_perp, perp,
+    return _RowProducts(u, e, _lambda_from(sys), rows(fc.solution).real, wk,
+                        fc.sensitivities(wk), wv_perp, perp,
                         perp > core.DEFAULT_ORTHO_TOL * wnorm)
 
 
@@ -328,9 +377,10 @@ def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
 
     A row is INFEASIBLE when the residual projection of b exceeds epsilon,
     UNBOUNDED when it has a component in the nullspace of A, and otherwise
-    gets the interval w^T A^+ b +/- lam * ||Sigma^-1 V^T w||.  All rows
+    gets the interval w^T A^+ b +/- lam * ||(A^+)^H w||.  All rows
     share the system's one residual projection and A^+ b; midpoints and
-    the rest come from the products W A^+ b, W V and W V_perp.
+    the rest come from the products W A^+ b, W K and W V_perp, with the
+    kernel matrix K of the system's factors.
 
     On a complex system a row w (real or complex) bounds Re(w^H x), and
     ``W=None`` gives 2N rows: Re x_i for every i, then Im x_i (the column
@@ -369,19 +419,26 @@ def functional_bound(sys: LinearSystem, w, index: Optional[int] = None) -> Entry
 
 
 def entrywise_bounds(sys: LinearSystem) -> list[EntryBound]:
-    """Interval for every coordinate x_i, sharing one SVD."""
+    """Interval for every coordinate x_i, sharing one factorization."""
     return bounds_for(sys).entry_bounds()
 
 
 def difference_rows(n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Weight matrix whose k-th row is e_i - e_j for the k-th pair (i, j)."""
-    w = np.zeros((len(pairs), n))
-    for k, (i, j) in enumerate(pairs):
-        if not (0 <= i < n) or not (0 <= j < n):
+    """Weight matrix whose k-th row is e_i - e_j for the k-th pair (i, j).
+    The first pair with an index out of range, or with i == j, raises."""
+    p = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
+    outside = ((p < 0) | (p >= n)).any(axis=1)
+    bad = outside | (p[:, 0] == p[:, 1])
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j = p[k].tolist()
+        if outside[k]:
             raise IndexOutOfRange(f"pair ({i}, {j}) out of range for N={n}")
-        if i == j:
-            raise SamePair(f"difference pair has identical indices ({i}, {i})")
-        w[k, i], w[k, j] = 1.0, -1.0
+        raise SamePair(f"difference pair has identical indices ({i}, {i})")
+    w = np.zeros((len(p), n))
+    k = np.arange(len(p))
+    w[k, p[:, 0]] = 1.0
+    w[k, p[:, 1]] = -1.0
     return w
 
 
@@ -409,7 +466,7 @@ def _extremal(sys: LinearSystem, p: _RowProducts, target: Target, alpha=None) ->
     """:func:`extremal_solution` from the products ``p`` of its one row."""
     if p.lam is None:
         raise InfeasibleSystem("no vector is consistent with the data within epsilon")
-    f = sys.factors()
+    fc = sys._factored()
     (u,), (e,) = p.u, p.e
     # the products are in units of 2**e, so they stay in range
     with np.errstate(over="ignore", invalid="ignore"):
@@ -421,18 +478,17 @@ def _extremal(sys: LinearSystem, p: _RowProducts, target: Target, alpha=None) ->
             if not math.isfinite(alpha):
                 raise NumericalFailure(f"arbitrary target value must be finite, got {alpha}")
             q = (np.ldexp(alpha, -e) - p.mid[0]) * p.wv_perp[0].conj() / (p.perp[0] ** 2)
-            x = f.v_perp @ q + sys.solution()
+            x = fc.v_perp @ q + fc.solution
         else:
             if p.unbounded[0]:
                 raise StatusMismatch(f"target {target.value} requires a finite interval")
             if not math.isfinite(p.sens[0]):
                 raise NumericalFailure(f"target {target.value}: the sensitivity must be finite")
-            # Sigma^-1 V^H w over its norm, the kernel's sensitivity: riding the
-            # ellipsoid boundary along +/- this unit vector attains the endpoints
-            s, es = core._unit_sigma(f)
-            d = p.wv[0].conj() / s / np.ldexp(p.sens[0], es)
-            step = p.lam * (f.v @ (d / f.sigma))
-            x = sys.solution() + (step if target is Target.UPPER else -step)
+            # (A^+)^H w over its norm, the kernel's sensitivity, in the basis G:
+            # riding the ellipsoid boundary along A^+ of +/- it attains the endpoints
+            t = p.wk[0].conj() / fc.d / np.ldexp(p.sens[0], fc.es)
+            step = p.lam * fc.apply(t)
+            x = fc.solution + (step if target is Target.UPPER else -step)
         achieved = float(np.ldexp((u.conj() @ x).real, e))
     if not (math.isfinite(achieved) and np.isfinite(x).all()):
         raise NumericalFailure(f"target {target.value}: the vector must be finite")
@@ -451,15 +507,15 @@ def condition_report(a) -> ConditionReport:
     one value per entry.  A sensitivity beyond the float range raises
     :class:`NumericalFailure`.
     """
-    f = a.factors() if isinstance(a, LinearSystem) else svd_truncated(a)
-    n = f.shape[1]
-    reps = 2 if f.is_complex else 1
-    sigma_max = float(f.sigma[0]) if f.rank else 0.0
-    sigma_min_pos = float(f.sigma[-1]) if f.rank else 0.0
-    spectral = np.tile(core._sigma_inv_norms(f, f.v), reps)
+    fc = _factored(a)
+    n, rank = fc.k.shape
+    reps = 2 if np.iscomplexobj(fc.k) else 1
+    sigma_max = float(fc.sigma[0]) if rank else 0.0
+    sigma_min_pos = float(fc.sigma[-1]) if rank else 0.0
+    spectral = np.tile(fc.sensitivities(fc.k), reps)
     if not np.isfinite(spectral).all():
         raise NumericalFailure("an entrywise sensitivity exceeds the float range")
-    kappa_global = sigma_max / sigma_min_pos if f.rank == n else None
+    kappa_global = sigma_max / sigma_min_pos if rank == n else None
     return ConditionReport(
         sigma_max=sigma_max,
         sigma_min_pos=sigma_min_pos,
@@ -482,10 +538,11 @@ def global_bounds(a, n_norm: float) -> float:
         raise NumericalFailure(f"noise norm must be finite, got {n_norm}")
     if n_norm < 0:
         raise ValueError(f"noise norm must be nonnegative, got {n_norm}")
-    f = a.factors() if isinstance(a, LinearSystem) else svd_truncated(a)
-    if f.rank < f.shape[1]:
+    fc = _factored(a)
+    n, rank = fc.k.shape
+    if rank < n:
         raise RankDeficient("spectral bound requires full column rank")
-    bound = n_norm / float(f.sigma[-1])
+    bound = n_norm / float(fc.sigma[-1])
     if not math.isfinite(bound):
         raise NumericalFailure("the spectral bound exceeds the float range")
     return bound
@@ -498,31 +555,35 @@ def ellipsoid_volume(a, lam: float) -> float:
     infinitely along the nullspace; the volume is reported as +inf.  A
     complex A gives the volume in the 2N real dimensions of x, where each
     singular value counts twice, as in the lifted real matrix.  A negative
-    ``lam`` raises ``ValueError``; a non-finite one, or a volume beyond the
-    float range, :class:`NumericalFailure`.
+    ``lam`` raises ``ValueError``; a non-finite one, or a positive volume
+    outside the range of normal floats, :class:`NumericalFailure`.
     """
     if not math.isfinite(lam):
         raise NumericalFailure(f"lambda must be finite, got {lam}")
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    f = a.factors() if isinstance(a, LinearSystem) else svd_truncated(a)
-    if f.rank < f.shape[1]:
+    fc = _factored(a)
+    n, rank = fc.k.shape
+    if rank < n:
         return math.inf
     if lam == 0.0:
         return 0.0
-    reps = 2 if f.is_complex else 1
-    n = reps * f.shape[1]
+    reps = 2 if np.iscomplexobj(fc.k) else 1
+    n *= reps
     # sqrt(det((A^T A)^-1)) = prod(1 / sigma_i)
     log_vol = (
         0.5 * n * math.log(math.pi)
         + n * math.log(lam)
         - math.lgamma(0.5 * n + 1.0)
-        - reps * float(np.sum(np.log(f.sigma)))
+        - reps * float(np.sum(np.log(fc.sigma)))
     )
     try:
-        return math.exp(log_vol)
+        vol = math.exp(log_vol)
     except OverflowError:
         raise NumericalFailure("the ellipsoid volume exceeds the float range") from None
+    if vol < np.finfo(float).tiny:
+        raise NumericalFailure("the ellipsoid volume is below the range of normal floats")
+    return vol
 
 
 def crlb_identity_check(a, i: int):
@@ -552,7 +613,7 @@ def epsilon_heuristic(sys: LinearSystem) -> float:
     counts 2M and 2N give the same factor.
     """
     m, n = sys.shape
-    rank = sys.factors().rank
+    rank = sys.rank
     if m <= n or rank < n:
         kind = "complex " if sys.is_complex else ""
         raise NotOverdetermined(

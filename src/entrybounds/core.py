@@ -78,6 +78,13 @@ class SvdFactors:
         return np.iscomplexobj(self.v)
 
 
+def _rank(s: np.ndarray, rtol: float) -> int:
+    """Number of the nonincreasing singular values ``s`` with sigma_i > rtol * sigma_1."""
+    if not 0.0 < rtol < 1.0:
+        raise ValueError(f"rank tolerance must be in (0, 1), got {rtol}")
+    return int(np.count_nonzero(s > rtol * s[0]))
+
+
 def svd_truncated(a, rtol: float = DEFAULT_RANK_RTOL) -> SvdFactors:
     """Compute the SVD of ``a`` truncated at numerical rank.
 
@@ -87,13 +94,11 @@ def svd_truncated(a, rtol: float = DEFAULT_RANK_RTOL) -> SvdFactors:
     nullspace; a tall one gets the economy SVD, without the M x M ``U``.
     """
     a = _as_matrix(a)
-    if not 0.0 < rtol < 1.0:
-        raise ValueError(f"rank tolerance must be in (0, 1), got {rtol}")
     try:
         u_full, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from None
-    rank = int(np.count_nonzero(s > rtol * s[0]))
+    rank = _rank(s, rtol)
     return SvdFactors(
         u=np.ascontiguousarray(u_full[:, :rank]),
         sigma=s[:rank].copy(),
@@ -126,19 +131,19 @@ def _norm(x: np.ndarray) -> float:
         raise NumericalFailure("a vector norm exceeds the float range") from None
 
 
-def _unit_sigma(f: SvdFactors) -> tuple[np.ndarray, int]:
+def _unit_sigma(sigma: np.ndarray) -> tuple[np.ndarray, int]:
     """(s, es) with sigma = 2**es * s exactly and s in (rtol / 2, 1)."""
-    es = int(np.frexp(f.sigma.max(initial=0.0))[1])
-    return np.ldexp(f.sigma, -es), es
+    es = int(np.frexp(sigma.max(initial=0.0))[1])
+    return np.ldexp(sigma, -es), es
 
 
-def _sigma_inv_norms(f: SvdFactors, c: np.ndarray) -> np.ndarray:
-    """||Sigma^-1 c_k||_2 for every row c_k = V^H w_k of ``c`` (k x r), divided
-    by the scaled singular values so that the squares stay in range.  A norm
-    beyond the float range comes back as inf, and the caller decides."""
-    s, es = _unit_sigma(f)
+def _scaled_inv_norms(c: np.ndarray, d: np.ndarray, es: int) -> np.ndarray:
+    """2**-es * ||c_k / d||_2 for every row c_k of ``c`` (k x r): with
+    d = sigma / 2**es these are ||Sigma^-1 c_k||_2, whose squares stay in
+    range.  A norm beyond the float range comes back as inf, and the
+    caller decides."""
     with np.errstate(over="ignore"):
-        return np.ldexp(np.linalg.norm(c / s, axis=1), -es)
+        return np.ldexp(np.linalg.norm(c / d, axis=1), -es)
 
 
 def pinv_transpose_norm(f: SvdFactors, w) -> float:
@@ -148,7 +153,7 @@ def pinv_transpose_norm(f: SvdFactors, w) -> float:
     Raises :class:`NumericalFailure` when the norm exceeds the float range.
     """
     w = _as_vector(w, f.shape[1], "weight vector")
-    norm = float(_sigma_inv_norms(f, (f.v.conj().T @ w)[None, :])[0])
+    norm = float(_scaled_inv_norms((f.v.conj().T @ w)[None, :], *_unit_sigma(f.sigma))[0])
     if not math.isfinite(norm):
         raise NumericalFailure("the sensitivity exceeds the float range")
     return norm

@@ -22,13 +22,12 @@ _PGM_MAXVAL = 255
 _PGM_FLAT_RTOL = 1e-12  # a relative span at or below this is rounding: one gray level
 
 
-def _write_csv(path, a, fmt) -> None:
-    """Write a 2-D array as CSV with a leading ``rows,cols`` line,
-    formatting each entry with ``fmt``."""
+def _write_csv(path, a, row_text) -> None:
+    """Write a 2-D array as CSV with a leading ``rows,cols`` line and one
+    line ``row_text(row)`` per row (a list of Python scalars)."""
     with open(path, "w", newline="\n") as fh:
         fh.write(f"{a.shape[0]},{a.shape[1]}\n")
-        for row in a.tolist():
-            fh.write(",".join(map(fmt, row)) + "\n")
+        fh.writelines(map(row_text, a.tolist()))
 
 
 def _read_csv(path, dtype, parse) -> np.ndarray:
@@ -63,7 +62,9 @@ def _read_csv(path, dtype, parse) -> np.ndarray:
 
 def write_matrix_csv(path, a) -> None:
     """Write a real matrix as CSV with a leading ``rows,cols`` line."""
-    _write_csv(path, np.atleast_2d(np.asarray(a, dtype=float)), FLOAT_FMT.__mod__)
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    line = ",".join([FLOAT_FMT] * a.shape[1]) + "\n"
+    _write_csv(path, a, lambda row: line % tuple(row))
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -90,7 +91,8 @@ def _fmt_complex(z: complex) -> str:
 
 def write_complex_csv(path, a) -> None:
     """Write a complex matrix as CSV with ``re+imj`` tokens."""
-    _write_csv(path, np.atleast_2d(np.asarray(a, dtype=complex)), _fmt_complex)
+    _write_csv(path, np.atleast_2d(np.asarray(a, dtype=complex)),
+               lambda row: ",".join(map(_fmt_complex, row)) + "\n")
 
 
 def read_complex_csv(path) -> np.ndarray:

@@ -490,7 +490,7 @@ def run_pipeline(cfg: dict) -> PipelineResult:
             "line": c,
             "m": 2 * sys_.shape[0],
             "n": 2 * sys_.shape[1],
-            "rank": 2 * sys_.factors().rank,
+            "rank": 2 * sys_.rank,
             "sigma_max": report.sigma_max,
             "sigma_min": report.sigma_min_pos,
             "residual": sys_.residual(),

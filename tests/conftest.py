@@ -3,9 +3,12 @@
 The oracles here deliberately avoid the closed-form interval formulas:
 the constrained extremum is found by Lagrangian bisection on the residual
 norm, nullspace questions go through scipy's null_space, and feasibility
-through a dense pseudoinverse.
+through a dense pseudoinverse.  The least-squares solution and the
+sensitivities of a full-rank system also have an mpmath oracle that
+shares no LAPACK call with the package.
 """
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -86,3 +89,20 @@ def random_system(rng, m_range=(2, 8), n_range=(1, 6), allow_rank_deficient=True
     b = rng.standard_normal(m)
     eps = float(rng.uniform(0.05, 2.0))
     return a, b, eps
+
+
+def mp_least_squares(a, b, dps=50):
+    """(A^+ b, diag((A^H A)^-1)) of a full-column-rank A at ``dps`` digits,
+    from the normal equations in mpmath, rounded to double at the end.
+    The float inputs convert to mpmath exactly."""
+    a = np.asarray(a)
+    b = np.asarray(b).reshape(-1)
+    with mpmath.workdps(dps):
+        am = mpmath.matrix(a.tolist())
+        ah = am.H
+        gram_inv = mpmath.inverse(ah * am)
+        x = gram_inv * (ah * mpmath.matrix(b.tolist()))
+        n = a.shape[1]
+        cast = complex if np.iscomplexobj(a) or np.iscomplexobj(b) else float
+        return (np.array([cast(x[i]) for i in range(n)]),
+                np.array([float(mpmath.re(gram_inv[i, i])) for i in range(n)]))

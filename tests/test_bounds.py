@@ -26,8 +26,10 @@ from entrybounds import (
     lift_vector,
     svd_truncated,
 )
+from entrybounds.bounds import difference_rows
 from entrybounds.errors import (
     DimensionMismatch,
+    IndexOutOfRange,
     InfeasibleSystem,
     NotOverdetermined,
     NumericalFailure,
@@ -228,6 +230,18 @@ class TestEntrywiseBounds:
                 assert bb.upper == pytest.approx(single.upper, rel=1e-12, abs=1e-12)
 
 
+def difference_rows_loop(n, pairs):
+    """Reference for ``difference_rows``: one pair at a time, in order."""
+    w = np.zeros((len(pairs), n))
+    for k, (i, j) in enumerate(pairs):
+        if not (0 <= i < n) or not (0 <= j < n):
+            raise IndexOutOfRange(f"pair ({i}, {j}) out of range for N={n}")
+        if i == j:
+            raise SamePair(f"difference pair has identical indices ({i}, {i})")
+        w[k, i], w[k, j] = 1.0, -1.0
+    return w
+
+
 class TestAdjacentDifference:
     def test_identity_pair(self):
         sys = LinearSystem(a=np.eye(2), b=[1.0, 2.0], epsilon=0.5)
@@ -239,6 +253,28 @@ class TestAdjacentDifference:
         sys = LinearSystem(a=np.eye(2), b=[0.0, 0.0], epsilon=1.0)
         with pytest.raises(SamePair):
             adjacent_difference_bounds(sys, [(1, 1)])
+
+    @pytest.mark.parametrize(
+        "pairs, error, message",
+        [([(0, 1), (2, 2), (5, 1)], SamePair, "difference pair has identical indices (2, 2)"),
+         ([(0, 1), (4, 4), (1, 1)], IndexOutOfRange, "pair (4, 4) out of range for N=4"),
+         ([(-1, 2), (3, 3)], IndexOutOfRange, "pair (-1, 2) out of range for N=4"),
+         ([(1, 1), (0, 9)], SamePair, "difference pair has identical indices (1, 1)"),
+         (np.array([[0, 1], [3, 2], [2, 7], [0, 0]]), IndexOutOfRange,
+          "pair (2, 7) out of range for N=4")],
+        ids=["same-first", "range-before-same", "negative", "same-before-range", "array"],
+    )
+    def test_first_bad_pair_rejected(self, pairs, error, message):
+        for fn in (difference_rows, difference_rows_loop):
+            with pytest.raises(error) as exc:
+                fn(4, pairs)
+            assert str(exc.value) == message
+
+    def test_difference_rows_match_loop(self, rng):
+        pairs = [tuple(rng.choice(6, 2, replace=False)) for _ in range(20)]
+        np.testing.assert_array_equal(difference_rows(6, pairs), difference_rows_loop(6, pairs))
+        np.testing.assert_array_equal(difference_rows(6, np.array(pairs)),
+                                      difference_rows_loop(6, pairs))
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_no_rows_gives_empty_arrays(self, dtype):
@@ -416,8 +452,10 @@ class TestEllipsoidVolume:
         "a, lam, error",
         [(np.eye(2), -1.0, ValueError), (np.eye(2), math.nan, NumericalFailure),
          (np.eye(2), math.inf, NumericalFailure), (1e-300 * np.eye(3), 1.0, NumericalFailure),
-         (1e-3 * np.eye(400), 1.0, NumericalFailure)],
-        ids=["negative", "nan", "inf", "tiny-matrix", "many-dimensions"],
+         (1e-3 * np.eye(400), 1.0, NumericalFailure), (np.eye(2), 1e-200, NumericalFailure),
+         (1e3 * np.eye(400), 1.0, NumericalFailure)],
+        ids=["negative", "nan", "inf", "tiny-matrix", "many-dimensions", "tiny-lambda",
+             "many-dimensions-underflow"],
     )
     def test_bad_lambda_or_volume_rejected(self, a, lam, error):
         with pytest.raises(error):
@@ -605,6 +643,50 @@ class TestCachedFactors:
             assert ellipsoid_volume(sys_, 1.0) == math.inf
 
 
+    @pytest.mark.parametrize("ratio, rank", [(2.0, 3), (0.5, 2)], ids=["above", "below"])
+    def test_tall_rank_threshold(self, rng, ratio, rank):
+        # sigma_3 on either side of rank_rtol * sigma_1, for M >= 2N
+        rtol = 1e-6
+        q = np.linalg.qr(rng.standard_normal((8, 3)))[0]
+        v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        a = q @ np.diag([1.0, 0.5, ratio * rtol]) @ v.T
+        sys_ = LinearSystem(a=a, b=rng.standard_normal(8), epsilon=10.0, rank_rtol=rtol)
+        assert sys_.rank == rank
+        assert sys_.factors().rank == rank
+        rep = condition_report(sys_)
+        res = bounds_for(sys_)
+        ref = svd_truncated(a, rtol)
+        np.testing.assert_allclose(sys_.solution(), ref.v @ (ref.u.T @ sys_.b / ref.sigma),
+                                   rtol=1e-8)
+        if rank == 3:
+            assert rep.kappa_global == pytest.approx(0.5 / rtol, rel=1e-9)
+            np.testing.assert_array_equal(res.status, [0, 0, 0])
+            assert epsilon_heuristic(sys_) > 0.0
+        else:
+            assert rep.kappa_global is None
+            np.testing.assert_array_equal(res.status, [1, 1, 1])
+            with pytest.raises(NotOverdetermined):
+                epsilon_heuristic(sys_)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_triangle_factors_match_svd(self, rng, dtype):
+        # a full-rank system with M >= 2N is bounded without the SVD
+        # vectors of its triangle; factors() computes them on request
+        a = rng.standard_normal((12, 4)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.standard_normal((12, 4))
+        sys_ = LinearSystem(a=a, b=rng.standard_normal(12), epsilon=1.0)
+        sys_.solution()
+        f, ref = sys_.factors(), svd_truncated(a)
+        assert f.u.shape == (4, 4)
+        np.testing.assert_allclose(f.sigma, ref.sigma, rtol=1e-12)
+        phases = np.sum(ref.v.conj() * f.v, axis=0)  # v_i = phase_i * ref.v_i
+        np.testing.assert_allclose(np.abs(phases), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(f.v, ref.v * phases, atol=1e-12)
+        assert f.v_perp.shape == (4, 0)
+        assert sys_.factors() is f
+
+
 class TestComplexSystems:
     def test_real_matrix_with_complex_data_is_complex(self):
         sys_ = LinearSystem(a=np.eye(2), b=[1 + 2j, 3 - 1j], epsilon=0.5)
@@ -689,11 +771,17 @@ class TestComplexSystems:
         assert rhs == pytest.approx(crlb_identity_check(a_r, 1)[1], rel=1e-10)
 
     def test_one_residual_projection_per_system(self, rng, monkeypatch):
+        # a full-rank system with M = 2N: its residual projection is the one
+        # QR of [A | b]; the triangle's singular values and inverse follow,
+        # and its singular vectors (svd_truncated) are never computed
         calls = []
-        real = core.residual_projection_norm
-        monkeypatch.setattr(core, "residual_projection_norm", lambda *a: calls.append(1) or real(*a))
+        for mod, name in ((bounds, "_factor"), (np.linalg, "qr"), (np.linalg, "svd"),
+                          (np.linalg, "inv"), (bounds, "svd_truncated")):
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, _n=name, _f=real, **k: calls.append(_n)
+                                or _f(*a, **k))
         sys_c, _ = complex_system(rng, 6, 3, 3)
         bounds_for(sys_c)
         bounds_for(sys_c, [[1.0, -1.0, 0.0]])
         extremal_solution(sys_c, [1.0, 0.0, 0.0], Target.UPPER)
-        assert len(calls) == 1
+        assert calls == ["_factor", "qr", "svd", "inv"]

@@ -38,6 +38,18 @@ class TestCsvRoundTrip:
         mio.write_matrix_csv(p2, mio.read_matrix_csv(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_row_format_matches_per_value_format(self, tmp_path, rng):
+        """The one-format-per-row writer gives the bytes of formatting each
+        value with ``FLOAT_FMT``, on NaN, +-inf, signed zeros and subnormals."""
+        a = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5))
+        a[0, :] = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+        a[1, :] = [5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, np.finfo(float).max]
+        path = tmp_path / "m.csv"
+        mio.write_matrix_csv(path, a)
+        rows = "".join(",".join(mio.FLOAT_FMT % x for x in row) + "\n" for row in a.tolist())
+        assert path.read_bytes() == ("6,5\n" + rows).encode()
+        np.testing.assert_array_equal(mio.read_matrix_csv(path), a)
+
 
 class TestCsvDiagnostics:
     def test_bad_header_names_file_and_line(self, tmp_path):

@@ -1,0 +1,69 @@
+"""The triangle path against a multiprecision referee.
+
+A tall full-rank system (M >= 2N) is bounded from the inverse of its QR
+triangle, without an SVD.  Its A^+ b and its sensitivities
+||(A^+)^H e_i||_2 are checked against ``conftest.mp_least_squares``, which
+solves the normal equations at 50 digits in mpmath, and compared with the
+same quantities from ``svd_truncated(A)``.  Both must be within
+10 * N * kappa * u of the referee, and the triangle path's worst error in
+units of kappa * u may not exceed the SVD path's.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import mp_least_squares
+from entrybounds import LinearSystem, bounds, bounds_for, core, svd_truncated
+
+M, N = 30, 8
+U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def sweep(dtype, seed):
+    """15 systems of kappa 1e0 to 1e8 with consistent data: for each, the
+    errors of both paths in units of kappa * u, as {(path, quantity): ratio}."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if dtype is complex else z
+
+    out = []
+    for k in np.linspace(0.0, 8.0, 15):
+        q1, q2 = np.linalg.qr(draw(M, N))[0], np.linalg.qr(draw(N, N))[0]
+        a = q1 @ np.diag(np.logspace(0.0, -k, N)) @ q2.conj().T
+        b = a @ draw(N)
+        x_mp, gram_inv_diag = mp_least_squares(a, b)
+        s_mp = np.sqrt(gram_inv_diag)
+        sys_ = LinearSystem(a=a, b=b, epsilon=1.0)
+        f = svd_truncated(a)
+        found = {
+            ("triangle", "x"): sys_.solution(),
+            ("triangle", "sens"): bounds_for(sys_).sensitivity[:N],
+            ("svd", "x"): core.pinv_apply(f, b),
+            ("svd", "sens"): np.array([core.pinv_transpose_norm(f, e) for e in np.eye(N)]),
+        }
+        scale = np.linalg.cond(a) * U
+        ratios = {}
+        for (path, what), got in found.items():
+            if what == "x":
+                err = np.linalg.norm(got - x_mp) / np.linalg.norm(x_mp)
+            else:
+                err = np.max(np.abs(got - s_mp) / s_mp)
+            ratios[path, what] = err / scale
+        out.append(ratios)
+    return out
+
+
+@pytest.mark.parametrize("dtype, seed", [(float, 7), (complex, 8)], ids=["real", "complex"])
+def test_triangle_path_against_mpmath(dtype, seed, monkeypatch):
+    def no_svd(*args):
+        raise AssertionError("a full-rank tall system was bounded from an SVD")
+
+    monkeypatch.setattr(bounds, "svd_truncated", no_svd)
+    ratios = sweep(dtype, seed)
+    for what in ("x", "sens"):
+        worst = {path: max(r[path, what] for r in ratios) for path in ("triangle", "svd")}
+        assert worst["triangle"] <= 10 * N, (what, worst)
+        assert worst["svd"] <= 10 * N, (what, worst)
+        assert worst["triangle"] <= worst["svd"], (what, worst)

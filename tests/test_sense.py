@@ -424,40 +424,54 @@ class TestLiftedReference:
             assert np.max(np.abs(got[ok] - want[ok])) <= 1e-12 * scale, name
 
     def test_one_factorization_and_projection_per_line(self, monkeypatch):
-        counts = {"svd": 0, "residual": 0, "solution": 0, "rows": 0}
-        svd_shapes = []
+        counts = dict.fromkeys(["factor", "qr", "values", "inverse", "svd", "apply", "rows"], 0)
+        shapes = {"qr": [], "values": []}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
                 counts[key] += 1
-                if key == "svd":
-                    svd_shapes.append(args[0].shape)
+                if key in shapes:
+                    shapes[key].append(args[0].shape)
                 return fn(*args, **kwargs)
             return wrapper
+
+        real_svd = np.linalg.svd
+
+        def svd(a, *args, compute_uv=True, **kwargs):
+            key = "svd" if compute_uv else "values"
+            return counted(key, real_svd)(a, *args, compute_uv=compute_uv, **kwargs)
 
         def no_lifting(*args):
             raise AssertionError("the pipeline lifted a line system")
 
+        monkeypatch.setattr(bounds, "_factor", counted("factor", bounds._factor))
+        monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "inv", counted("inverse", np.linalg.inv))
         monkeypatch.setattr(bounds, "svd_truncated", counted("svd", bounds.svd_truncated))
-        monkeypatch.setattr(core, "residual_projection_norm",
-                            counted("residual", core.residual_projection_norm))
-        monkeypatch.setattr(core, "pinv_apply", counted("solution", core.pinv_apply))
+        monkeypatch.setattr(bounds._Factored, "apply", counted("apply", bounds._Factored.apply))
         monkeypatch.setattr(bounds, "_row_products", counted("rows", bounds._row_products))
         monkeypatch.setattr(lifting, "lift_system", no_lifting)
         # the second case has lines whose pinned voxel is off the support
         for case in ("heuristic", "complex-truth-fixed"):
             counts.update(dict.fromkeys(counts, 0))
-            svd_shapes.clear()
+            for v in shapes.values():
+                v.clear()
             res = run_pipeline(LIFTED_CASES[case])
             lines = len(res.line_stats)
             # one row pass for the entries, one for the differences, and one
             # for both extremal vectors where the pinned voxel is finite
             pinned = np.isfinite(res.maps["extremal_upper"]).any(axis=0)[
                 [s["line"] for s in res.line_stats]]
-            assert counts == {"svd": lines, "residual": lines, "solution": lines,
-                              "rows": 2 * lines + int(np.count_nonzero(pinned))}
+            n_pinned = int(np.count_nonzero(pinned))
+            # every line is full rank with M >= 2N: one QR of [A | b], the
+            # singular values and the inverse of its N x N triangle, and no
+            # singular vectors; A^+ applied once for A^+ b, once per extremal end
+            assert all(s["m"] >= 2 * s["n"] and s["rank"] == s["n"] for s in res.line_stats)
+            assert counts == {"factor": lines, "qr": lines, "values": lines, "inverse": lines,
+                              "svd": 0, "apply": lines + 2 * n_pinned,
+                              "rows": 2 * lines + n_pinned}
             assert pinned.any()
-            # every line has M >= 2N, so only the N x N triangle of its QR is factored
-            assert all(s["m"] >= 2 * s["n"] for s in res.line_stats)
-            assert svd_shapes == [(s["n"] // 2, s["n"] // 2) for s in res.line_stats]
+            assert shapes["qr"] == [(s["m"] // 2, s["n"] // 2 + 1) for s in res.line_stats]
+            assert shapes["values"] == [(s["n"] // 2, s["n"] // 2) for s in res.line_stats]
         assert not pinned.all()
