@@ -122,11 +122,14 @@ def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
         r = np.linalg.qr(np.column_stack([a, b.real, b.imag] if split else [a, b]), mode="r")
         c = r[:, n] + 1j * r[:, n + 1] if split else r[:, n]
         a, b, rho = r[:n, :n], c[:n], core._norm(c[n:])
+        # sigma_n <= min|R_ii| and max|R_ii| <= sigma_1, so a diagonal that fails
+        # the rank rule shows R rank-deficient without this values-only SVD
+        diag = np.abs(np.diagonal(a))
         try:
-            sigma = np.linalg.svd(a, compute_uv=False)
+            sigma = np.linalg.svd(a, compute_uv=False) if diag.min() > rtol * diag.max() else None
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"SVD did not converge: {exc}") from None
-        if core._rank(sigma, rtol) == n:
+        if sigma is not None and core._rank(sigma, rtol) == n:
             es = core._unit_sigma(sigma)[1]
             k = np.linalg.inv(a * math.ldexp(1.0, -es))
             return _Factored(key, k, np.ones(n), es, sigma, np.zeros((n, 0), k.dtype), rho, b,

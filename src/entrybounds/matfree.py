@@ -15,29 +15,46 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .core import as_real_or_complex
 from .errors import DimensionMismatch, InvalidStep
 
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """Abstract M x N operator given by its forward and transpose actions."""
+    """Abstract M x N operator given by its forward action and its adjoint
+    A^H (``apply_transpose``), on complex vectors when ``is_complex``."""
 
     shape: tuple[int, int]
     apply: Callable[[np.ndarray], np.ndarray]
     apply_transpose: Callable[[np.ndarray], np.ndarray]
+    is_complex: bool = False
 
     @classmethod
     def from_matrix(cls, a) -> "LinearOperator":
-        a = np.asarray(a, dtype=float)
+        a = as_real_or_complex(a)
         return cls(
             shape=(a.shape[0], a.shape[1]),
             apply=lambda x, _a=a: _a @ x,
-            apply_transpose=lambda y, _a=a: _a.T @ y,
+            apply_transpose=lambda y, _ah=a.conj().T: _ah @ y,
+            is_complex=np.iscomplexobj(a),
         )
 
 
+def _draw(rng: np.random.Generator, op: LinearOperator, k: int, kind="gaussian") -> np.ndarray:
+    """A random vector of length k for ``op``: k reals, or for a complex operator
+    2k reals z read as z[:k] + 1j * z[k:], whose blocked real form [Re; Im] is z."""
+    size = 2 * k if op.is_complex else k
+    if kind == "gaussian":
+        z = rng.standard_normal(size)
+    elif kind == "rademacher":
+        z = rng.integers(0, 2, size=size) * 2.0 - 1.0
+    else:
+        raise ValueError(f"unknown probe kind: {kind!r}")
+    return z[:k] + 1j * z[k:] if op.is_complex else z
+
+
 def adjoint_mismatch(op: LinearOperator, trials: int = 5, seed: int = 0) -> float:
-    """Largest relative defect |<Ax, y> - <x, A^T y>| over random probes.
+    """Largest relative defect |<y, Ax> - <A^H y, x>| over random probes.
 
     Useful as a smoke test that ``apply`` and ``apply_transpose`` really
     are adjoint to one another.
@@ -46,26 +63,24 @@ def adjoint_mismatch(op: LinearOperator, trials: int = 5, seed: int = 0) -> floa
     m, n = op.shape
     worst = 0.0
     for _ in range(trials):
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(m)
-        lhs = float(op.apply(x) @ y)
-        rhs = float(x @ op.apply_transpose(y))
+        x = _draw(rng, op, n)
+        y = _draw(rng, op, m)
+        lhs = np.vdot(y, op.apply(x))
+        rhs = np.vdot(op.apply_transpose(y), x)
         scale = np.linalg.norm(x) * np.linalg.norm(y)
-        worst = max(worst, abs(lhs - rhs) / scale)
+        worst = max(worst, float(abs(lhs - rhs) / scale))
     return worst
 
 
 def power_iteration_sigma1(op: LinearOperator, iters: int = 200, seed: int = 0) -> float:
-    """Estimate the largest singular value by power iteration on A^T A.
+    """Estimate the largest singular value by power iteration on A^H A.
 
     The returned Rayleigh estimate never exceeds the true sigma_1 and is
     deterministic for a given seed.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    rng = np.random.default_rng(seed)
-    n = op.shape[1]
-    v = rng.standard_normal(n)
+    v = _draw(np.random.default_rng(seed), op, op.shape[1])
     v /= np.linalg.norm(v)
     estimate = 0.0
     for _ in range(iters):
@@ -133,7 +148,7 @@ class LandweberResult:
 
 
 def landweber_pinv(op: LinearOperator, m, cfg: LandweberConfig) -> LandweberResult:
-    """Iterate x <- x - tau A^T (A x - m) from zero to approximate A^+ m.
+    """Iterate x <- x - tau A^H (A x - m) from zero to approximate A^+ m.
 
     Zero initialization is mandatory: every update lies in the row space,
     so the limit carries no nullspace component and is exactly the
@@ -141,7 +156,7 @@ def landweber_pinv(op: LinearOperator, m, cfg: LandweberConfig) -> LandweberResu
     requested tolerance is applied; truncating the iteration early would
     understate the sensitivities computed from the result.
     """
-    m = np.asarray(m, dtype=float).reshape(-1)
+    m = as_real_or_complex(m).reshape(-1)
     if m.shape[0] != op.shape[0]:
         raise DimensionMismatch(
             f"data vector has length {m.shape[0]}, operator has {op.shape[0]} rows"
@@ -150,16 +165,17 @@ def landweber_pinv(op: LinearOperator, m, cfg: LandweberConfig) -> LandweberResu
     k_bound = cfg.iteration_bound()
     max_iters = cfg.max_iters if k_bound is None else min(cfg.max_iters, k_bound)
 
-    x = np.zeros(op.shape[1])
+    x = np.zeros(op.shape[1], complex if op.is_complex else m.dtype)
+    # np.linalg.norm's sum of squares without its per-call overhead, which
+    # dominates for small operators; v.dot(v) is the faster one for a real v
+    sq = (lambda v: np.vdot(v, v).real) if np.iscomplexobj(x) else (lambda v: v.dot(v))
     update_norm = math.inf
     k = 0
     for k in range(1, max_iters + 1):
         step = tau * op.apply_transpose(op.apply(x) - m)
         x = x - step
-        # sqrt(v.dot(v)) is what np.linalg.norm computes for a real vector,
-        # minus its per-call overhead, which dominates for small operators
-        update_norm = math.sqrt(step.dot(step))
-        xnorm = math.sqrt(x.dot(x))
+        update_norm = math.sqrt(sq(step))
+        xnorm = math.sqrt(sq(x))
         if update_norm <= cfg.rel_tol * xnorm:
             return LandweberResult(x=x, iterations=k, converged=True, last_update_norm=update_norm)
     converged = k_bound is not None and k >= k_bound
@@ -168,18 +184,11 @@ def landweber_pinv(op: LinearOperator, m, cfg: LandweberConfig) -> LandweberResu
 
 @dataclass(frozen=True)
 class DiagEstimate:
-    """Stochastic estimates of the squared sensitivities ||(A^+)^T e_i||_2^2."""
+    """Stochastic estimates of the squared sensitivities ||(A^+)^H e_i||_2^2; for
+    a complex operator 2N of them, Re x_i then Im x_i (the lifted real order)."""
 
     values: np.ndarray
     failed_samples: int = 0
-
-
-def _draw_probe(rng: np.random.Generator, m: int, probe_kind: str) -> np.ndarray:
-    if probe_kind == "gaussian":
-        return rng.standard_normal(m)
-    if probe_kind == "rademacher":
-        return rng.integers(0, 2, size=m) * 2.0 - 1.0
-    raise ValueError(f"unknown probe kind: {probe_kind!r}")
 
 
 def stochastic_diag(
@@ -192,8 +201,9 @@ def stochastic_diag(
 ) -> DiagEstimate:
     """Estimate all squared sensitivities at once by random probing.
 
-    For isotropic unit-covariance probes z, the entrywise mean of
-    |A^+ z|^2 over samples is unbiased for ||(A^+)^T e_i||_2^2.  Each
+    For isotropic unit-covariance probes z, the entrywise mean of |A^+ z|^2
+    over samples is unbiased for ||(A^+)^H e_i||_2^2; for a complex probe with
+    unit-variance parts, so is each of (Re A^+ z)^2 and (Im A^+ z)^2.  Each
     sample uses an independent RNG substream keyed by (seed, sample), so
     the result is identical under any evaluation order.  Samples whose
     inner iteration fails to converge are counted, not silently included.
@@ -201,16 +211,15 @@ def stochastic_diag(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     m, n = op.shape
-    acc = np.zeros(n)
+    acc = np.zeros(2 * n if op.is_complex else n)
     failed = 0
     for s in range(samples):
-        rng = np.random.default_rng([seed, s])
-        z = _draw_probe(rng, m, probe_kind)
+        z = _draw(np.random.default_rng([seed, s]), op, m, probe_kind)
         res = landweber_pinv(op, z, cfg)
         if not res.converged:
             failed += 1
             continue
-        acc += res.x**2
+        acc += (np.concatenate((res.x.real, res.x.imag)) if op.is_complex else res.x) ** 2
     if failed == samples:
         raise InvalidStep("no probe solve converged; loosen the iteration budget")
     return DiagEstimate(values=acc / (samples - failed), failed_samples=failed)

@@ -316,11 +316,11 @@ def build_monolithic_system(
 
 
 def sense_operator(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
-    """Matrix-free real-lifted forward operator over all supported voxels.
+    """Matrix-free complex forward operator over all supported voxels.
 
     Forward/adjoint go through FFTs and pointwise products only; the
-    monolithic matrix is never materialized.  Returns the operator and
-    the supported-voxel index list (in (y, c) order, real block first).
+    monolithic matrix is never materialized.  Returns the operator and the
+    lifted voxel map ((y, c) order, real block first) of its diagonal estimates.
     """
     from .matfree import LinearOperator
 
@@ -329,25 +329,21 @@ def sense_operator(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
     kept = pat.phase_encodes_kept
     l = coils.shape[0]
     sup_idx = np.argwhere(ph.support_mask)
-    n_sup = sup_idx.shape[0]
-    m_complex = l * kept.size * w
     ys, cs = sup_idx[:, 0], sup_idx[:, 1]
 
     def apply(x: np.ndarray) -> np.ndarray:
         img = np.zeros((h, w), dtype=complex)
-        img[ys, cs] = x[:n_sup] + 1j * x[n_sup:]
-        return lifting.lift_vector(_forward(coils, img, kept))
+        img[ys, cs] = x
+        return _forward(coils, img, kept).reshape(-1)
 
     def apply_transpose(y: np.ndarray) -> np.ndarray:
-        yc = y[:m_complex] + 1j * y[m_complex:]
         full = np.zeros((l, h, w), dtype=complex)
-        full[:, kept, :] = yc.reshape(l, kept.size, w)
+        full[:, kept, :] = y.reshape(l, kept.size, w)
         coil_imgs = np.fft.ifft2(full, axes=(-2, -1), norm="ortho")
-        return lifting.lift_vector((np.conj(coils) * coil_imgs).sum(axis=0)[ys, cs])
+        return (np.conj(coils) * coil_imgs).sum(axis=0)[ys, cs]
 
-    op = LinearOperator(
-        shape=(2 * m_complex, 2 * n_sup), apply=apply, apply_transpose=apply_transpose
-    )
+    op = LinearOperator(shape=(l * kept.size * w, ys.size), apply=apply,
+                        apply_transpose=apply_transpose, is_complex=True)
     return op, _voxel_map(sup_idx)
 
 

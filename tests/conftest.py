@@ -3,9 +3,9 @@
 The oracles here deliberately avoid the closed-form interval formulas:
 the constrained extremum is found by Lagrangian bisection on the residual
 norm, nullspace questions go through scipy's null_space, and feasibility
-through a dense pseudoinverse.  The least-squares solution and the
-sensitivities of a full-rank system also have an mpmath oracle that
-shares no LAPACK call with the package.
+through a dense pseudoinverse.  The least-squares solution, the
+sensitivities and the effective tolerance lam of a full-rank system also
+have an mpmath oracle that shares no LAPACK call with the package.
 """
 
 import mpmath
@@ -91,6 +91,19 @@ def random_system(rng, m_range=(2, 8), n_range=(1, 6), allow_rank_deficient=True
     return a, b, eps
 
 
+def _mp_normal_solve(a, b):
+    """(A, b, A^+ b, (A^H A)^-1) as mpmath matrices at the working precision."""
+    am, bm = mpmath.matrix(a.tolist()), mpmath.matrix(b.tolist())
+    ah = am.H
+    gram_inv = mpmath.inverse(ah * am)
+    return am, bm, gram_inv * (ah * bm), gram_inv
+
+
+def _mp_round(x, a, b):
+    cast = complex if np.iscomplexobj(a) or np.iscomplexobj(b) else float
+    return np.array([cast(x[i]) for i in range(x.rows)])
+
+
 def mp_least_squares(a, b, dps=50):
     """(A^+ b, diag((A^H A)^-1)) of a full-column-rank A at ``dps`` digits,
     from the normal equations in mpmath, rounded to double at the end.
@@ -98,11 +111,19 @@ def mp_least_squares(a, b, dps=50):
     a = np.asarray(a)
     b = np.asarray(b).reshape(-1)
     with mpmath.workdps(dps):
-        am = mpmath.matrix(a.tolist())
-        ah = am.H
-        gram_inv = mpmath.inverse(ah * am)
-        x = gram_inv * (ah * mpmath.matrix(b.tolist()))
-        n = a.shape[1]
-        cast = complex if np.iscomplexobj(a) or np.iscomplexobj(b) else float
-        return (np.array([cast(x[i]) for i in range(n)]),
-                np.array([float(mpmath.re(gram_inv[i, i])) for i in range(n)]))
+        _, _, x, gram_inv = _mp_normal_solve(a, b)
+        return (_mp_round(x, a, b),
+                np.array([float(mpmath.re(gram_inv[i, i])) for i in range(x.rows)]))
+
+
+def mp_interval_parts(a, b, epsilon, dps=50):
+    """(A^+ b, ||(A^+)^H e_i||_2, lam) of a full-column-rank A at ``dps``
+    digits, with lam = sqrt(epsilon^2 - ||b - A A^+ b||^2): the midpoints,
+    sensitivities and effective tolerance of every entry's interval."""
+    a = np.asarray(a)
+    b = np.asarray(b).reshape(-1)
+    with mpmath.workdps(dps):
+        am, bm, x, gram_inv = _mp_normal_solve(a, b)
+        lam = mpmath.sqrt(mpmath.mpf(epsilon) ** 2 - mpmath.norm(bm - am * x) ** 2)
+        sens = [float(mpmath.sqrt(mpmath.re(gram_inv[i, i]))) for i in range(x.rows)]
+        return _mp_round(x, a, b), np.array(sens), float(lam)

@@ -669,6 +669,27 @@ class TestCachedFactors:
                 epsilon_heuristic(sys_)
 
     @pytest.mark.parametrize("dtype", [float, complex])
+    def test_tall_rank_deficient_takes_one_svd(self, rng, dtype, monkeypatch):
+        # duplicated columns put a zero on the diagonal of R, which fails the
+        # rank rule without the triangle's singular values: the one SVD is
+        # svd_truncated(R)
+        calls = []
+        for mod, name in ((bounds, "_factor"), (np.linalg, "qr"), (np.linalg, "svd"),
+                          (bounds, "svd_truncated")):
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, _n=name, _f=real, **k: calls.append(_n)
+                                or _f(*a, **k))
+        a = rng.standard_normal((60, 12)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.standard_normal((60, 12))
+        a[:, 10:] = a[:, :2]
+        sys_ = LinearSystem(a=a, b=rng.standard_normal(60), epsilon=10.0)
+        res = bounds_for(sys_)
+        assert calls == ["_factor", "qr", "svd_truncated", "svd"]
+        assert sys_.rank == 10
+        np.testing.assert_array_equal(res.status[:12] == 1, np.isin(np.arange(12), [0, 1, 10, 11]))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
     def test_triangle_factors_match_svd(self, rng, dtype):
         # a full-rank system with M >= 2N is bounded without the SVD
         # vectors of its triangle; factors() computes them on request

@@ -5,6 +5,7 @@ from entrybounds import (
     LandweberConfig,
     LinearOperator,
     landweber_pinv,
+    lift_matrix,
     power_iteration_sigma1,
     stochastic_diag,
     svd_truncated,
@@ -183,3 +184,52 @@ class TestStochasticDiag:
         mean = runs.mean(axis=0)
         stderr = runs.std(axis=0, ddof=1) / np.sqrt(runs.shape[0])
         assert np.all(np.abs(mean - exact) <= 3 * stderr)
+
+
+class TestComplexOperator:
+    """A complex operator works on complex vectors and draws each probe as
+    the complex vector whose blocked real form is the lifted operator's
+    probe, so it reproduces the lifted operator to rounding."""
+
+    @staticmethod
+    def complex_matrix(rng, m, n):
+        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    def test_keeps_the_imaginary_part(self):
+        op = LinearOperator.from_matrix([[1j, 0.0], [0.0, 1.0]])
+        assert op.is_complex
+        np.testing.assert_array_equal(op.apply([1.0, 0.0]), [1j, 0.0])
+        np.testing.assert_array_equal(op.apply_transpose([1.0, 0.0]), [-1j, 0.0])
+
+    def test_matches_lifted_operator(self, rng):
+        a = self.complex_matrix(rng, 9, 4)
+        op, lifted = LinearOperator.from_matrix(a), LinearOperator.from_matrix(lift_matrix(a))
+        s1 = power_iteration_sigma1(op, seed=4)
+        assert s1 == pytest.approx(power_iteration_sigma1(lifted, seed=4), rel=1e-13)
+        # a budget that some probes miss, so the failure counts are compared too
+        cfg = LandweberConfig(sigma1_estimate=s1, max_iters=89, rel_tol=1e-6)
+        for kind in ("gaussian", "rademacher"):
+            got = stochastic_diag(op, samples=40, probe_kind=kind, seed=6, cfg=cfg)
+            want = stochastic_diag(lifted, samples=40, probe_kind=kind, seed=6, cfg=cfg)
+            assert 0 < got.failed_samples < 40
+            assert got.failed_samples == want.failed_samples
+            np.testing.assert_allclose(got.values, want.values, rtol=1e-13)
+
+    def test_landweber_matches_dense_pinv(self, rng):
+        a = self.complex_matrix(rng, 12, 5)
+        m = self.complex_matrix(rng, 12, 1)[:, 0]
+        s = np.linalg.svd(a, compute_uv=False)
+        cfg = LandweberConfig(sigma1_estimate=float(s[0]), sigma_min=float(s[-1]),
+                              rate_tol=1e-10, max_iters=10**6, rel_tol=0.0)
+        res = landweber_pinv(LinearOperator.from_matrix(a), m, cfg)
+        expected = np.linalg.pinv(a) @ m
+        assert np.linalg.norm(res.x - expected) <= 1e-8 * np.linalg.norm(expected)
+
+    def test_adjoint_without_conjugate_detected(self, rng):
+        a = self.complex_matrix(rng, 5, 4)
+        good = LinearOperator(shape=(5, 4), apply=lambda x: a @ x,
+                              apply_transpose=lambda y: a.conj().T @ y, is_complex=True)
+        bad = LinearOperator(shape=(5, 4), apply=lambda x: a @ x,
+                             apply_transpose=lambda y: a.T @ y, is_complex=True)
+        assert adjoint_mismatch(good) < 1e-12
+        assert adjoint_mismatch(bad) > 1e-3

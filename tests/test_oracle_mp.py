@@ -1,4 +1,4 @@
-"""The triangle path against a multiprecision referee.
+"""The bounds against a multiprecision referee.
 
 A tall full-rank system (M >= 2N) is bounded from the inverse of its QR
 triangle, without an SVD.  Its A^+ b and its sensitivities
@@ -7,12 +7,16 @@ solves the normal equations at 50 digits in mpmath, and compared with the
 same quantities from ``svd_truncated(A)``.  Both must be within
 10 * N * kappa * u of the referee, and the triangle path's worst error in
 units of kappa * u may not exceed the SVD path's.
+
+The intervals of ``bounds_for`` (midpoints, half-widths and lam) are
+checked against ``conftest.mp_interval_parts`` on square systems and on
+tall systems whose data lies outside the range of A.
 """
 
 import numpy as np
 import pytest
 
-from conftest import mp_least_squares
+from conftest import mp_interval_parts, mp_least_squares
 from entrybounds import LinearSystem, bounds, bounds_for, core, svd_truncated
 
 M, N = 30, 8
@@ -67,3 +71,58 @@ def test_triangle_path_against_mpmath(dtype, seed, monkeypatch):
         assert worst["triangle"] <= 10 * N, (what, worst)
         assert worst["svd"] <= 10 * N, (what, worst)
         assert worst["triangle"] <= worst["svd"], (what, worst)
+
+
+def interval_ratios(m, dtype, seed):
+    """9 systems of kappa 1e0 to 1e8: the errors of the midpoints, the
+    half-widths and lam of ``bounds_for``, each in units of its own scale.
+
+    A square system's data lies in the range of A.  A tall one gets a
+    residual r orthogonal to that range, with ||r|| = ||A x||.  Then the
+    midpoints A^+ b are only as accurate as the least-squares condition
+    number kappa + kappa^2 ||r|| / (||A|| ||x||) allows (Higham, 2002,
+    ch. 20), and that is their scale; the half-widths (sensitivities times
+    lam) and lam keep the scale kappa."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if dtype is complex else z
+
+    def rows(v):  # the row order of bounds_for: Re then Im on a complex system
+        return np.concatenate([v.real, v.imag]) if dtype is complex else v
+
+    out = []
+    for k in range(9):
+        q1, q2 = np.linalg.qr(draw(m, N))[0], np.linalg.qr(draw(N, N))[0]
+        a = q1 @ np.diag(np.logspace(0.0, -k, N)) @ q2.conj().T
+        b = a @ draw(N)
+        rho = 0.0
+        if m > N:  # a residual orthogonal to the range, as long as A x
+            rho = np.linalg.norm(b)
+            r = draw(m)
+            r -= q1 @ (q1.conj().T @ r)
+            b = b + r * (rho / np.linalg.norm(r))
+        eps = 2.0 * np.linalg.norm(b)
+        x_mp, sens_mp, lam_mp = mp_interval_parts(a, b, eps)
+        res = bounds_for(LinearSystem(a=a, b=b, epsilon=eps))
+        kappa = np.linalg.cond(a)
+        kappa_ls = kappa + kappa**2 * rho / (np.linalg.norm(a, 2) * np.linalg.norm(x_mp))
+        mid_mp, half_mp = rows(x_mp), lam_mp * np.tile(sens_mp, 2 if dtype is complex else 1)
+        mid_err = np.linalg.norm(res.midpoint - mid_mp) / np.linalg.norm(mid_mp)
+        half_err = np.max(np.abs(res.half_width - half_mp) / half_mp)
+        lam_err = abs(res.lam - lam_mp) / lam_mp
+        out.append({"midpoint": mid_err / (kappa_ls * U), "half_width": half_err / (kappa * U),
+                    "lam": lam_err / (kappa * U)})
+    return out
+
+
+@pytest.mark.parametrize(
+    "m, dtype, seed",
+    [(N, float, 9), (N, complex, 10), (M, float, 11), (M, complex, 12)],
+    ids=["square-real", "square-complex", "outside-range-real", "outside-range-complex"],
+)
+def test_intervals_against_mpmath(m, dtype, seed):
+    ratios = interval_ratios(m, dtype, seed)
+    worst = {what: max(r[what] for r in ratios) for what in ratios[0]}
+    assert all(v <= 10 * N for v in worst.values()), worst

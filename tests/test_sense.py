@@ -214,8 +214,10 @@ class TestSenseOperator:
         a_dense = np.asarray(sys.a)
         x = rng.standard_normal(a_dense.shape[1])
         y = rng.standard_normal(a_dense.shape[0])
-        np.testing.assert_allclose(op.apply(x), a_dense @ x, atol=1e-10)
-        np.testing.assert_allclose(op.apply_transpose(y), a_dense.T @ y, atol=1e-10)
+        x_c, y_c = (v[: v.size // 2] + 1j * v[v.size // 2 :] for v in (x, y))
+        np.testing.assert_allclose(lifting.lift_vector(op.apply(x_c)), a_dense @ x, atol=1e-10)
+        np.testing.assert_allclose(lifting.lift_vector(op.apply_transpose(y_c)), a_dense.T @ y,
+                                   atol=1e-10)
         truth = ph.grid[ph.support_mask]
         np.testing.assert_allclose(
             sys.b, a_dense @ np.concatenate([truth.real, truth.imag]), atol=1e-10
