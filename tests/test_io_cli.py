@@ -1,8 +1,10 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from entrybounds import bounds, cli, mio, sense
 from entrybounds.errors import ConfigError, DimensionMismatch
@@ -67,6 +69,15 @@ class TestCsvDiagnostics:
         with pytest.raises(ConfigError, match=r"short\.csv:3: expected 3 data rows, found 1"):
             mio.read_complex_csv(path)
 
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        """``np.loadtxt`` warns on input without lines; the reader does not."""
+        path = tmp_path / "short.csv"
+        path.write_text("3,2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"short\.csv:2: expected 3 data rows, found 0$"):
+                mio.read_matrix_csv(path)
+
     def test_rows_past_header(self, tmp_path):
         path = tmp_path / "long.csv"
         path.write_text("2,2\n1,0\n0,1\n5,5\n")
@@ -86,6 +97,82 @@ class TestCsvDiagnostics:
         mio.write_matrix_csv(path, np.eye(2))
         with pytest.raises(DimensionMismatch):
             mio.read_vector_csv(path)
+
+
+# Tokens on which float() and np.loadtxt may disagree: 1_0 and non-ASCII
+# digits (only float() parses them), whitespace, non-finite spellings,
+# overflow and underflow, and tokens both reject.
+_CSV_TOKENS = ["1", "-2.5", "0", "-0.0", "1_0", "\u0661\u0662", " 1.5 ", "\t2", "nan", "-nan",
+               "Infinity", "1e999", "1e-400", "5e-324", "0x10", "1e", "", '""', "#1", "1,",
+               "\u20031", "1\x0b"]
+
+
+@st.composite
+def csv_files(draw):
+    """The bytes of a small CSV, mostly well formed: a header (possibly
+    ``0,k``, ``k,0`` or malformed), data rows with tokens from
+    ``_CSV_TOKENS`` or finite doubles, blank lines inside and after the
+    rows, and LF or CRLF endings."""
+    size = st.sampled_from([0, 1, 1, 2, 2, 3, 3])
+    rows, cols = draw(size), draw(size)
+    header = draw(st.sampled_from([f"{rows},{cols}"] * 10 + [f"{rows}", f"{rows},x"]))
+    double = st.floats(allow_nan=False)
+    token = st.one_of(st.sampled_from(_CSV_TOKENS), double.map(lambda x: mio.FLOAT_FMT % x),
+                      double.map(repr), st.integers(-99, 99).map(str))
+    lines = [header]
+    for _ in range(rows + draw(st.sampled_from([0] * 6 + [-1, 1]))):
+        if draw(st.integers(0, 14)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        else:
+            width = max(1, cols + draw(st.sampled_from([0] * 10 + [-1, 1])))
+            lines.append(",".join(draw(st.lists(token, min_size=width, max_size=width))))
+    lines += draw(st.lists(st.sampled_from(["", "", " ", "\t", "7"]), max_size=2))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return (end.join(lines) + draw(st.sampled_from([end, ""]))).encode()
+
+
+def _read_outcome(read, path):
+    try:
+        out = read(path)
+    except ConfigError as exc:
+        return "error", str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+class TestCsvFastPath:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(csv_files())
+    @example("2,2\n1_0,2\n3,4\n".encode())
+    @example("1,2\n\u0661\u0662,-nan\r\n".encode())
+    @example(b"2,1\n1\n\n2\n")
+    @example(b"0,3\n\n")
+    def test_matches_token_loop(self, tmp_path_factory, data):
+        """Every file reads to the array bytes of the token loop alone, or
+        fails with its message."""
+        path = tmp_path_factory.getbasetemp() / "fast_path.csv"
+        path.write_bytes(data)
+        assert _read_outcome(mio.read_matrix_csv, path) == \
+            _read_outcome(lambda p: mio._read_csv(p, float, float), path)
+
+    def test_well_formed_file_skips_token_loop(self, tmp_path, rng, monkeypatch):
+        a = rng.standard_normal((200, 50))
+        mio.write_matrix_csv(tmp_path / "a.csv", a)
+        mio.write_vector_csv(tmp_path / "b.csv", a[:, 0])
+
+        def fail(*args):
+            raise AssertionError("the token loop ran on a well-formed file")
+
+        monkeypatch.setattr(mio, "_read_csv", fail)
+        np.testing.assert_array_equal(mio.read_matrix_csv(tmp_path / "a.csv"), a)
+        np.testing.assert_array_equal(mio.read_vector_csv(tmp_path / "b.csv"), a[:, 0])
+
+
+@pytest.mark.parametrize("write", [mio.write_matrix_csv, mio.write_vector_csv, mio.write_pgm])
+def test_real_writers_reject_complex(tmp_path, write):
+    path = tmp_path / "z.out"
+    with pytest.raises(TypeError, match="write_complex_csv"):
+        write(path, np.array([[1j, 2.0], [0.0, 1.0]]))
+    assert not path.exists()
 
 
 def test_write_json_rejects_nonfinite(tmp_path):
@@ -139,6 +226,17 @@ class TestPgm:
         mio.write_pgm(path, [[1e308, -1e308, 0.0], [np.finfo(float).max, np.nan, -np.inf]])
         pix = [int(v) for row in path.read_text().splitlines()[3:] for v in row.split()]
         assert pix == [182, 0, 91, 255, 0, 0]  # lo -1e308, hi the largest float
+
+    @pytest.mark.parametrize("shape", [(7, 5), (4, 1), (1, 9)])
+    def test_row_format_matches_per_value_format(self, tmp_path, rng, shape):
+        grid = rng.standard_normal(shape)
+        grid.flat[0] = np.nan
+        path = tmp_path / "g.pgm"
+        mio.write_pgm(path, grid)
+        lines = path.read_text().splitlines()
+        pix = [[int(v) for v in row.split()] for row in lines[3:]]
+        rows = "".join(" ".join(str(v) for v in row) + "\n" for row in pix)
+        assert path.read_bytes() == (f"P2\n{shape[1]} {shape[0]}\n255\n" + rows).encode()
 
 
 def write_identity_fixture(tmp_path):
