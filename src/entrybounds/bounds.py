@@ -22,6 +22,7 @@ and both its extremal vectors can come from one evaluation of its products.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -29,7 +30,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import core
-from .core import SvdFactors, svd_truncated
+from .core import svd_truncated
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -78,8 +79,7 @@ class _Factored:
     A tall full-rank A = Q R takes K = (R / 2**es)^-1, d = 1 and G = Q; any
     other A = U diag(sigma) V^H takes K = V, d = sigma / 2**es and G = U.
     In both, 2**es is the power of two just above sigma_1, so K diag(1/d)
-    stays in range.  The truncated SVD ``f`` of the triangle ``r`` is
-    computed on request.
+    stays in range.
     """
 
     key: tuple
@@ -90,12 +90,12 @@ class _Factored:
     v_perp: np.ndarray  # N x (N - r), an orthonormal basis of the nullspace
     residual: float
     g: np.ndarray  # b in the basis G
-    solution: np.ndarray = field(init=False)  # A^+ b
-    f: Optional[SvdFactors] = None
-    r: Optional[np.ndarray] = None
 
-    def __post_init__(self):
-        self.solution = self.apply(self.g)
+    @functools.cached_property
+    def solution(self) -> np.ndarray:
+        """A^+ b, formed on first use: inf or NaN where it leaves the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.apply(self.g)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """A^+ G g, for coefficients g in the basis G."""
@@ -132,13 +132,12 @@ def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
         if sigma is not None and core._rank(sigma, rtol) == n:
             es = core._unit_sigma(sigma)[1]
             k = np.linalg.inv(a * math.ldexp(1.0, -es))
-            return _Factored(key, k, np.ones(n), es, sigma, np.zeros((n, 0), k.dtype), rho, b,
-                             r=a)
+            return _Factored(key, k, np.ones(n), es, sigma, np.zeros((n, 0), k.dtype), rho, b)
     f = svd_truncated(a, rtol)
     d, es = core._unit_sigma(f.sigma)
     g = f.u.conj().T @ b
     return _Factored(key, f.v, d, es, f.sigma, f.v_perp,
-                     math.hypot(core._norm(b - f.u @ g), rho), g, f=f)
+                     math.hypot(core._norm(b - f.u @ g), rho), g)
 
 
 def _factored(a) -> _Factored:
@@ -201,15 +200,6 @@ class LinearSystem:
             self._cache = _factor(*key)
         return self._cache
 
-    def factors(self) -> SvdFactors:
-        """The truncated SVD of ``a``, or for M >= 2N that of the N x N
-        triangle of its QR: the same sigma and V, with an N x r ``u``.  A
-        full-rank system is bounded without it, and computes it here."""
-        fc = self._factored()
-        if fc.f is None:
-            fc.f = svd_truncated(fc.r, self.rank_rtol)
-        return fc.f
-
     @property
     def rank(self) -> int:
         """The numerical rank of ``a`` at ``rank_rtol``."""
@@ -220,8 +210,9 @@ class LinearSystem:
         return self._factored().residual
 
     def solution(self) -> np.ndarray:
-        """A^+ b, the center of the feasible set (a copy of the cached vector)."""
-        return self._factored().solution.copy()
+        """A^+ b, the center of the feasible set (a copy of the cached vector);
+        :class:`NumericalFailure` if it leaves the float range."""
+        return core._finite(self._factored().solution, "A^+ b").copy()
 
 
 @dataclass(frozen=True)
@@ -265,8 +256,12 @@ class ConditionReport:
     sigma_max: float
     sigma_min_pos: float
     kappa_global: Optional[float]
-    kappa_entry: np.ndarray
     spectral_entry: np.ndarray
+
+    @property
+    def kappa_entry(self) -> np.ndarray:
+        """The entrywise condition numbers ||(A^+)^H e_i||_2 * sigma_1."""
+        return self.spectral_entry * self.sigma_max
 
 
 def _lambda_from(sys: LinearSystem) -> Optional[float]:
@@ -368,7 +363,9 @@ def _row_products(sys: LinearSystem, W) -> _RowProducts:
         rows = u.conj().__matmul__
     wk, wv_perp = rows(fc.k), rows(fc.v_perp)
     perp = np.linalg.norm(wv_perp, axis=1)
-    return _RowProducts(u, e, _lambda_from(sys), rows(fc.solution).real, wk,
+    with np.errstate(invalid="ignore"):  # a NaN midpoint raises in _bound_arrays
+        mid = rows(fc.solution).real
+    return _RowProducts(u, e, _lambda_from(sys), mid, wk,
                         fc.sensitivities(wk), wv_perp, perp,
                         perp > core.DEFAULT_ORTHO_TOL * wnorm)
 
@@ -523,7 +520,6 @@ def condition_report(a) -> ConditionReport:
         sigma_max=sigma_max,
         sigma_min_pos=sigma_min_pos,
         kappa_global=kappa_global,
-        kappa_entry=spectral * sigma_max,
         spectral_entry=spectral,
     )
 

@@ -107,16 +107,27 @@ def svd_truncated(a, rtol: float = DEFAULT_RANK_RTOL) -> SvdFactors:
     )
 
 
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    """``x``; :class:`NumericalFailure`, naming ``what``, if an entry is not finite."""
+    if not np.isfinite(x).all():
+        raise NumericalFailure(f"{what} exceeds the float range")
+    return x
+
+
 def pinv_apply(f: SvdFactors, m) -> np.ndarray:
-    """Apply the Moore-Penrose pseudoinverse: V Sigma^-1 U^H m."""
+    """Apply the Moore-Penrose pseudoinverse: V Sigma^-1 U^H m.  Raises
+    :class:`NumericalFailure` when the result exceeds the float range."""
     m = _as_vector(m, f.shape[0], "data vector")
-    return f.v @ ((f.u.conj().T @ m) / f.sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(f.v @ ((f.u.conj().T @ m) / f.sigma), "A^+ m")
 
 
 def pinv_transpose_apply(f: SvdFactors, w) -> np.ndarray:
-    """Apply the conjugate-transposed pseudoinverse: U Sigma^-1 V^H w."""
+    """Apply the conjugate-transposed pseudoinverse: U Sigma^-1 V^H w.
+    Raises :class:`NumericalFailure` when the result exceeds the float range."""
     w = _as_vector(w, f.shape[1], "weight vector")
-    return f.u @ ((f.v.conj().T @ w) / f.sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(f.u @ ((f.v.conj().T @ w) / f.sigma), "(A^+)^H w")
 
 
 def _norm(x: np.ndarray) -> float:

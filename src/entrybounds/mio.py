@@ -55,10 +55,11 @@ def _read_header(fh, path) -> tuple[int, int]:
 def _read_csv(path, dtype, parse) -> np.ndarray:
     """Read a CSV written by :func:`_write_csv`, parsing each token with
     ``parse``; errors name the file and the line.  Only blank lines may
-    follow the header's row count."""
+    follow the header's row count.  The array is built from the rows read,
+    so a header that claims more than the file holds allocates nothing."""
+    out = []
     with open(path) as fh:
         rows, cols = _read_header(fh, path)
-        out = np.empty((rows, cols), dtype=dtype)
         for r in range(rows):
             line = fh.readline()
             if not line:
@@ -67,13 +68,13 @@ def _read_csv(path, dtype, parse) -> np.ndarray:
             if len(vals) != cols:
                 raise ConfigError(f"{path}:{r + 2}: expected {cols} values, found {len(vals)}")
             try:
-                out[r] = [parse(v) for v in vals]
+                out.append([parse(v) for v in vals])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{r + 2}: {exc}")
         for lineno, line in enumerate(fh, rows + 2):
             if line.strip():
                 raise ConfigError(f"{path}:{lineno}: expected {rows} data rows, found more")
-    return out
+    return np.array(out, dtype=dtype).reshape(rows, cols)
 
 
 def _data_rows(fh, rows):

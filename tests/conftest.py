@@ -116,6 +116,11 @@ def mp_least_squares(a, b, dps=50):
                 np.array([float(mpmath.re(gram_inv[i, i])) for i in range(x.rows)]))
 
 
+def _mp_lam(am, bm, x, epsilon):
+    """sqrt(epsilon^2 - ||b - A x||^2) for the least-squares solution x."""
+    return mpmath.sqrt(mpmath.mpf(epsilon) ** 2 - mpmath.norm(bm - am * x) ** 2)
+
+
 def mp_interval_parts(a, b, epsilon, dps=50):
     """(A^+ b, ||(A^+)^H e_i||_2, lam) of a full-column-rank A at ``dps``
     digits, with lam = sqrt(epsilon^2 - ||b - A A^+ b||^2): the midpoints,
@@ -124,6 +129,23 @@ def mp_interval_parts(a, b, epsilon, dps=50):
     b = np.asarray(b).reshape(-1)
     with mpmath.workdps(dps):
         am, bm, x, gram_inv = _mp_normal_solve(a, b)
-        lam = mpmath.sqrt(mpmath.mpf(epsilon) ** 2 - mpmath.norm(bm - am * x) ** 2)
+        lam = _mp_lam(am, bm, x, epsilon)
         sens = [float(mpmath.sqrt(mpmath.re(gram_inv[i, i]))) for i in range(x.rows)]
         return _mp_round(x, a, b), np.array(sens), float(lam)
+
+
+def mp_extremal(a, b, epsilon, w, dps=50):
+    """The feasible vectors of a full-column-rank A that attain the lower
+    and the upper end of Re(w^H x), and those ends, at ``dps`` digits:
+    x+- = A^+ b +- lam (A^H A)^-1 w / sqrt(w^H (A^H A)^-1 w), with lam as
+    in :func:`mp_interval_parts`.  Returns [(x-, lower), (x+, upper)]."""
+    a = np.asarray(a)
+    b = np.asarray(b).reshape(-1)
+    with mpmath.workdps(dps):
+        am, bm, x, gram_inv = _mp_normal_solve(a, b)
+        wm = mpmath.matrix(np.asarray(w).reshape(-1).tolist())
+        gw = gram_inv * wm
+        root = mpmath.sqrt(mpmath.re((wm.H * gw)[0]))
+        lam, mid = _mp_lam(am, bm, x, epsilon), mpmath.re((wm.H * x)[0])
+        return [(_mp_round(x + gw * (sign * lam / root), a, b), float(mid + sign * lam * root))
+                for sign in (-1, 1)]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -150,6 +151,33 @@ class TestDataRange:
                 sol = extremal_solution(sys_, e(i, 2), target)
                 assert sol.achieved_value == pytest.approx(end, rel=1e-15, abs=1e-15)
                 assert sol.residual_norm == pytest.approx(eps, rel=1e-15)
+
+
+class TestSolutionBeyondRange:
+    """A^+ b = [1e310, 1e300] leaves the float range, the factors do not:
+    what does not read A^+ b is answered without a warning, and what does
+    raises :class:`NumericalFailure`."""
+
+    @pytest.mark.parametrize("m", [2, 5], ids=["square", "tall"])
+    def test_only_readers_of_the_solution_fail(self, m):
+        b = np.zeros(m)
+        b[:2] = [1e10, 1.0]
+        sys_ = LinearSystem(a=1e-300 * np.eye(m, 2), b=b, epsilon=1e-290)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sys_.rank == 2
+            rep = condition_report(sys_)
+            assert rep.kappa_global == 1.0
+            np.testing.assert_allclose(rep.spectral_entry, [1e300, 1e300], rtol=1e-15)
+            assert global_bounds(sys_, 1e-10) == pytest.approx(1e290, rel=1e-15)
+            assert ellipsoid_volume(sys_, 1e-290) == pytest.approx(math.pi * 1e20, rel=1e-12)
+            if m > 2:
+                assert epsilon_heuristic(sys_) == 0.0
+            for W in (None, [[0.0, 1.0]]):
+                with pytest.raises(NumericalFailure):
+                    bounds_for(sys_, W)
+            with pytest.raises(NumericalFailure):
+                sys_.solution()
 
 
 class TestFunctionalBound:
@@ -623,7 +651,7 @@ class TestCachedFactors:
     def test_spectral_helpers_use_the_cached_factors(self, monkeypatch, rtol, rank):
         sys_ = LinearSystem(a=np.diag([1.0, 1e-6, 0.0, 0.0])[:, :2], b=[1.0, 2.0, 0.0, 0.0],
                             epsilon=10.0, rank_rtol=rtol)
-        assert sys_.factors().rank == rank
+        assert sys_.rank == rank
 
         def no_factoring(*args):
             raise AssertionError("the system was factored again")
@@ -652,7 +680,6 @@ class TestCachedFactors:
         a = q @ np.diag([1.0, 0.5, ratio * rtol]) @ v.T
         sys_ = LinearSystem(a=a, b=rng.standard_normal(8), epsilon=10.0, rank_rtol=rtol)
         assert sys_.rank == rank
-        assert sys_.factors().rank == rank
         rep = condition_report(sys_)
         res = bounds_for(sys_)
         ref = svd_truncated(a, rtol)
@@ -692,20 +719,19 @@ class TestCachedFactors:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_triangle_factors_match_svd(self, rng, dtype):
         # a full-rank system with M >= 2N is bounded without the SVD
-        # vectors of its triangle; factors() computes them on request
+        # vectors of its triangle; its singular values are those of A
         a = rng.standard_normal((12, 4)).astype(dtype)
         if dtype is complex:
             a += 1j * rng.standard_normal((12, 4))
         sys_ = LinearSystem(a=a, b=rng.standard_normal(12), epsilon=1.0)
-        sys_.solution()
-        f, ref = sys_.factors(), svd_truncated(a)
-        assert f.u.shape == (4, 4)
-        np.testing.assert_allclose(f.sigma, ref.sigma, rtol=1e-12)
-        phases = np.sum(ref.v.conj() * f.v, axis=0)  # v_i = phase_i * ref.v_i
-        np.testing.assert_allclose(np.abs(phases), 1.0, rtol=1e-12)
-        np.testing.assert_allclose(f.v, ref.v * phases, atol=1e-12)
-        assert f.v_perp.shape == (4, 0)
-        assert sys_.factors() is f
+        ref = svd_truncated(a)
+        assert sys_.rank == ref.rank == 4
+        rep = condition_report(sys_)
+        assert rep.sigma_max == pytest.approx(ref.sigma[0], rel=1e-12)
+        assert rep.sigma_min_pos == pytest.approx(ref.sigma[-1], rel=1e-12)
+        # the volume is a function of the product of all singular values
+        want = ellipsoid_volume(np.diag(ref.sigma).astype(dtype), 0.7)
+        assert ellipsoid_volume(sys_, 0.7) == pytest.approx(want, rel=1e-12)
 
 
 class TestComplexSystems:
@@ -723,7 +749,6 @@ class TestComplexSystems:
         b = complex_gaussian(rng, m)
         eps = 2.0 * max(np.linalg.norm(b - a @ (np.linalg.pinv(a) @ b)), 0.1)
         sys_ = LinearSystem(a=a, b=b, epsilon=eps)
-        assert sys_.factors().v.dtype == np.float64
         report = condition_report(sys_)
         assert report.kappa_entry.size == n
         np.testing.assert_allclose(report.kappa_entry, condition_report(a).kappa_entry, rtol=1e-12)

@@ -129,6 +129,15 @@ class TestPinvTransposeApply:
         np.testing.assert_allclose(core.pinv_transpose_apply(f, w), pinv[1], atol=1e-10)
 
 
+@pytest.mark.parametrize("apply", [core.pinv_apply, core.pinv_transpose_apply])
+def test_pinv_products_beyond_float_range_raise(apply):
+    # 1e10 / 1e-300 overflows: a typed error, not inf and a RuntimeWarning
+    f = core.svd_truncated(1e-300 * np.eye(2))
+    with pytest.raises(NumericalFailure):
+        apply(f, [1e10, 1.0])
+    np.testing.assert_allclose(apply(f, [1e-10, 1.0]), [1e290, 1e300], rtol=1e-15)
+
+
 class TestResidualProjection:
     def test_full_row_rank(self, rng):
         f = core.svd_truncated(np.eye(2))

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from entrybounds import bounds, cli, mio, sense
 from entrybounds.errors import ConfigError, DimensionMismatch
 
-from conftest import kkt_interval
+from conftest import kkt_interval, nullspace_overlap
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -77,6 +79,19 @@ class TestCsvDiagnostics:
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match=r"short\.csv:2: expected 3 data rows, found 0$"):
                 mio.read_matrix_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1000000000000,1000000000000\n1,2\n", r"big\.csv:2: expected 1000000000000 values, found 2$"),
+         ("100000000000,2\n1,2\n", r"big\.csv:3: expected 100000000000 data rows, found 1$")],
+        ids=["columns", "rows"],
+    )
+    def test_huge_header_names_file_and_line(self, tmp_path, text, message):
+        # the header's shape is never allocated before the rows are read
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            mio.read_matrix_csv(path)
 
     def test_rows_past_header(self, tmp_path):
         path = tmp_path / "long.csv"
@@ -340,32 +355,80 @@ class TestBoundsCommand:
         assert len(recs) == 1 and recs[0]["index"] == 1
 
 
-class TestGoldenFixture:
-    MATRIX = os.path.join(FIXTURES, "system_6x4.csv")
-    DATA = os.path.join(FIXTURES, "data_6.csv")
-    GOLDEN = os.path.join(FIXTURES, "golden_bounds.json")
+# (matrix, data, golden output) in FIXTURES, all bounded at epsilon 0.4
+GOLDEN_CASES = {
+    "6x4": ("system_6x4.csv", "data_6.csv", "golden_bounds.json"),
+    # column 3 equals column 0: rank 3, bounded through the SVD of the QR triangle
+    "12x4-rank3": ("system_12x4_rank3.csv", "data_12.csv", "golden_bounds_12x4_rank3.json"),
+    # full rank with M >= 2N: bounded through the inverse of the QR triangle
+    "12x4-full": ("system_12x4_full.csv", "data_12.csv", "golden_bounds_12x4_full.json"),
+}
 
+
+def _golden_paths(case):
+    return (os.path.join(FIXTURES, f) for f in GOLDEN_CASES[case])
+
+
+class TestGoldenFixture:
     def test_rerun_is_byte_identical(self, tmp_path):
-        out = tmp_path / "bounds.json"
-        code = cli.main(
-            ["bounds", "--matrix", self.MATRIX, "--data", self.DATA,
-             "--epsilon", "0.4", "--json", str(out)]
-        )
-        assert code == 0
-        with open(self.GOLDEN, "rb") as fh:
-            assert out.read_bytes() == fh.read()
+        self._check_rerun(tmp_path, "6x4")
 
     def test_golden_values_match_oracle(self):
-        a = mio.read_matrix_csv(self.MATRIX)
-        b = mio.read_vector_csv(self.DATA)
-        with open(self.GOLDEN) as fh:
+        self._check_oracle("6x4")
+
+    @pytest.mark.parametrize("case", ["12x4-rank3", "12x4-full"])
+    def test_qr_rerun_is_byte_identical(self, tmp_path, case):
+        self._check_rerun(tmp_path, case)
+
+    @pytest.mark.parametrize("case", ["12x4-rank3", "12x4-full"])
+    def test_qr_golden_values_match_oracle(self, case):
+        self._check_oracle(case)
+
+    @staticmethod
+    def _check_rerun(tmp_path, case):
+        matrix, data, golden = _golden_paths(case)
+        out = tmp_path / "bounds.json"
+        code = cli.main(
+            ["bounds", "--matrix", matrix, "--data", data, "--epsilon", "0.4", "--json", str(out)]
+        )
+        assert code == 0
+        with open(golden, "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
+    @staticmethod
+    def _check_oracle(case):
+        matrix, data, golden = _golden_paths(case)
+        a = mio.read_matrix_csv(matrix)
+        b = mio.read_vector_csv(data)
+        with open(golden) as fh:
             recs = json.load(fh)["bounds"]
+        assert [r["index"] for r in recs] == list(range(a.shape[1]))
         for r in recs:
             w = np.zeros(a.shape[1])
             w[r["index"]] = 1.0
+            if r["status"] == "unbounded":
+                assert nullspace_overlap(a, w) > 1e-8
+                continue
+            assert r["status"] == "finite"
             lo, hi = kkt_interval(a, b, 0.4, w)
             assert r["lower"] == pytest.approx(lo, abs=1e-9)
             assert r["upper"] == pytest.approx(hi, abs=1e-9)
+
+
+def test_cli_loads_no_test_dependency(tmp_path):
+    """scipy, mpmath and hypothesis are the ``test`` extra: a run imports none."""
+    matrix, data, _ = _golden_paths("6x4")
+    argv = ["bounds", "--matrix", matrix, "--data", data, "--epsilon", "0.4",
+            "--json", str(tmp_path / "bounds.json")]
+    code = ("import sys\n"
+            "from entrybounds import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'hypothesis'}))")
+    src = os.path.join(os.path.dirname(FIXTURES), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 class TestExtremalCommand:

@@ -10,14 +10,23 @@ units of kappa * u may not exceed the SVD path's.
 
 The intervals of ``bounds_for`` (midpoints, half-widths and lam) are
 checked against ``conftest.mp_interval_parts`` on square systems and on
-tall systems whose data lies outside the range of A.
+tall systems whose data lies outside the range of A, and both vectors of
+``extremal_solution`` against ``conftest.mp_extremal``.
 """
 
 import numpy as np
 import pytest
 
-from conftest import mp_interval_parts, mp_least_squares
-from entrybounds import LinearSystem, bounds, bounds_for, core, svd_truncated
+from conftest import mp_extremal, mp_interval_parts, mp_least_squares
+from entrybounds import (
+    LinearSystem,
+    Target,
+    bounds,
+    bounds_for,
+    core,
+    extremal_solution,
+    svd_truncated,
+)
 
 M, N = 30, 8
 U = np.finfo(float).eps / 2  # unit roundoff
@@ -124,5 +133,50 @@ def interval_ratios(m, dtype, seed):
 )
 def test_intervals_against_mpmath(m, dtype, seed):
     ratios = interval_ratios(m, dtype, seed)
+    worst = {what: max(r[what] for r in ratios) for what in ratios[0]}
+    assert all(v <= 10 * N for v in worst.values()), worst
+
+
+def extremal_ratios(m, dtype, seed):
+    """9 systems of kappa 1e0 to 1e8 with data in the range of A, and a
+    random functional w: for both ends, the error of the value that
+    ``extremal_solution`` achieves in units of kappa * u times the size
+    ||w|| ||A^+ b|| + lam ||(A^+)^H w|| of that end (its midpoint and its
+    half-width are each accurate to kappa * u of their own size), and the
+    normwise error of its vector in units of kappa^2 * u (the step
+    lam (A^H A)^-1 w / ||(A^+)^H w|| applies A^+ twice)."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if dtype is complex else z
+
+    out = []
+    for k in range(9):
+        q1, q2 = np.linalg.qr(draw(m, N))[0], np.linalg.qr(draw(N, N))[0]
+        a = q1 @ np.diag(np.logspace(0.0, -k, N)) @ q2.conj().T
+        b = a @ draw(N)
+        w = draw(N)
+        eps = float(np.linalg.norm(b))
+        sys_ = LinearSystem(a=a, b=b, epsilon=eps)
+        kappa = np.linalg.cond(a)
+        (x_lo, lower), (x_hi, upper) = mp_extremal(a, b, eps, w)
+        size = np.linalg.norm(w) * np.linalg.norm(0.5 * (x_lo + x_hi)) + 0.5 * (upper - lower)
+        for target, x_mp, end in ((Target.LOWER, x_lo, lower), (Target.UPPER, x_hi, upper)):
+            sol = extremal_solution(sys_, w, target)
+            out.append({
+                "value": abs(sol.achieved_value - end) / (size * kappa * U),
+                "vector": np.linalg.norm(sol.x - x_mp) / np.linalg.norm(x_mp) / (kappa**2 * U),
+            })
+    return out
+
+
+@pytest.mark.parametrize(
+    "m, dtype, seed",
+    [(N, float, 13), (N, complex, 14), (M, float, 15), (M, complex, 16)],
+    ids=["square-real", "square-complex", "tall-real", "tall-complex"],
+)
+def test_extremal_vectors_against_mpmath(m, dtype, seed):
+    ratios = extremal_ratios(m, dtype, seed)
     worst = {what: max(r[what] for r in ratios) for what in ratios[0]}
     assert all(v <= 10 * N for v in worst.values()), worst
