@@ -20,16 +20,8 @@ from .bounds import (
     functional_bound,
     global_bounds,
 )
-from .core import (
-    SvdFactors,
-    nullspace_component,
-    pinv_apply,
-    pinv_transpose_apply,
-    pinv_transpose_norm,
-    residual_projection_norm,
-    svd_truncated,
-)
-from .lifting import LiftedSystem, lift_matrix, lift_system, lift_vector, unlift_solution
+from .core import SvdFactors, residual_projection_norm, svd_truncated
+from .lifting import LiftedSystem, lift_matrix, lift_system, lift_vector
 from .matfree import (
     DiagEstimate,
     LandweberConfig,
@@ -70,13 +62,8 @@ __all__ = [
     "lift_matrix",
     "lift_system",
     "lift_vector",
-    "nullspace_component",
-    "pinv_apply",
-    "pinv_transpose_apply",
-    "pinv_transpose_norm",
     "power_iteration_sigma1",
     "residual_projection_norm",
     "stochastic_diag",
     "svd_truncated",
-    "unlift_solution",
 ]

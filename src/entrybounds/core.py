@@ -1,10 +1,11 @@
-"""Dense linear-algebra substrate: rank-truncated SVD, pseudoinverse
-application, orthogonal projections, and nullspace bases.
+"""Dense linear-algebra substrate: the numerical-rank rule, the
+rank-truncated SVD, norms in scaled units, and the residual projection.
 
 All heavy lifting is delegated to LAPACK through numpy; what this module
-adds is an explicit, reportable numerical-rank rule and the handful of
-derived quantities (pseudoinverse products, residual projections,
-nullspace components) that everything downstream is built from.
+adds is an explicit, reportable rank rule, the power-of-two scalings that
+keep norms and inverse singular values in range, and the one residual
+formula ||b - U U^H b||.  The pseudoinverse products themselves live in
+the interval kernel of :mod:`entrybounds.bounds`.
 
 Real and complex inputs share every function: arrays stay float64 or
 become complex128, never losing an imaginary part, and transposes are
@@ -56,8 +57,8 @@ class SvdFactors:
     ``u`` (M x r) and ``v`` (N x r) have orthonormal columns, ``sigma``
     holds the r retained singular values in nonincreasing order, and
     ``v_perp`` (N x (N - r)) is an orthonormal basis of the nullspace.
-    The bases are complex when the matrix is.  At rank 0 the formulas
-    below need no special case: they give exact zeros, or ``||b||``.
+    The bases are complex when the matrix is.  At rank 0 the bases are
+    empty, and :func:`residual_projection_norm` gives ``||b||``.
     """
 
     u: np.ndarray
@@ -72,10 +73,6 @@ class SvdFactors:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.u.shape[0], self.v.shape[0])
-
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.v)
 
 
 def _rank(s: np.ndarray, rtol: float) -> int:
@@ -114,22 +111,6 @@ def _finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def pinv_apply(f: SvdFactors, m) -> np.ndarray:
-    """Apply the Moore-Penrose pseudoinverse: V Sigma^-1 U^H m.  Raises
-    :class:`NumericalFailure` when the result exceeds the float range."""
-    m = _as_vector(m, f.shape[0], "data vector")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(f.v @ ((f.u.conj().T @ m) / f.sigma), "A^+ m")
-
-
-def pinv_transpose_apply(f: SvdFactors, w) -> np.ndarray:
-    """Apply the conjugate-transposed pseudoinverse: U Sigma^-1 V^H w.
-    Raises :class:`NumericalFailure` when the result exceeds the float range."""
-    w = _as_vector(w, f.shape[1], "weight vector")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(f.u @ ((f.v.conj().T @ w) / f.sigma), "(A^+)^H w")
-
-
 def _norm(x: np.ndarray) -> float:
     """||x||_2, taken in units of a power of two near the largest magnitude
     of x so that no square under- or overflows; :class:`NumericalFailure`
@@ -157,28 +138,8 @@ def _scaled_inv_norms(c: np.ndarray, d: np.ndarray, es: int) -> np.ndarray:
         return np.ldexp(np.linalg.norm(c / d, axis=1), -es)
 
 
-def pinv_transpose_norm(f: SvdFactors, w) -> float:
-    """Norm-only path for ``pinv_transpose_apply``: ||Sigma^-1 V^H w||_2.
-
-    Avoids the M-length product when only the sensitivity is needed.
-    Raises :class:`NumericalFailure` when the norm exceeds the float range.
-    """
-    w = _as_vector(w, f.shape[1], "weight vector")
-    norm = float(_scaled_inv_norms((f.v.conj().T @ w)[None, :], *_unit_sigma(f.sigma))[0])
-    if not math.isfinite(norm):
-        raise NumericalFailure("the sensitivity exceeds the float range")
-    return norm
-
-
 def residual_projection_norm(f: SvdFactors, b) -> float:
     """Norm of the projection of ``b`` onto the orthogonal complement of
     the range: ||b - U (U^H b)||_2."""
     b = _as_vector(b, f.shape[0], "data vector")
     return _norm(b - f.u @ (f.u.conj().T @ b))
-
-
-def nullspace_component(f: SvdFactors, w) -> tuple[np.ndarray, float]:
-    """Coefficients of ``w`` in the nullspace basis, and their norm."""
-    w = _as_vector(w, f.shape[1], "weight vector")
-    coeffs = f.v_perp.conj().T @ w
-    return coeffs, float(np.linalg.norm(coeffs))

@@ -26,10 +26,6 @@ class LiftedSystem:
 
     a_real: np.ndarray
 
-    @property
-    def n_complex(self) -> int:
-        return self.a_real.shape[1] // 2
-
 
 def lift_matrix(a) -> np.ndarray:
     """Real block form [[Re A, -Im A], [Im A, Re A]] of a complex matrix."""
@@ -57,13 +53,3 @@ def lift_system(a, b) -> tuple[LiftedSystem, np.ndarray]:
     lifted = LiftedSystem(a_real=lift_matrix(a))
     return lifted, lift_vector(b)
 
-
-def unlift_solution(sys: LiftedSystem, x_real) -> np.ndarray:
-    """Recombine a blocked real solution into its complex form."""
-    x_real = np.asarray(x_real, dtype=float).reshape(-1)
-    n = sys.n_complex
-    if x_real.shape[0] != 2 * n:
-        raise DimensionMismatch(
-            f"lifted solution has length {x_real.shape[0]}, expected {2 * n}"
-        )
-    return x_real[:n] + 1j * x_real[n:]

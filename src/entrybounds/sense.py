@@ -28,7 +28,7 @@ import numpy as np
 from . import bounds as bnd
 from . import lifting
 from .bounds import LinearSystem, Target
-from .errors import ConfigError, NotOverdetermined, ShapeMismatch, UnknownPreset
+from .errors import ConfigError, NotOverdetermined, NumericalFailure, ShapeMismatch, UnknownPreset
 
 log = logging.getLogger(__name__)
 
@@ -38,7 +38,9 @@ STATUS_FINITE = 0
 STATUS_UNBOUNDED = 1
 STATUS_INFEASIBLE = 2
 STATUS_OFF_SUPPORT = 3
-STATUS_UNDETERMINED = 4  # heuristic epsilon undefined on the voxel's line
+# the voxel's line was skipped: its heuristic epsilon is undefined, or its
+# bounds leave the float range
+STATUS_UNDETERMINED = 4
 
 
 @dataclass(frozen=True)
@@ -438,14 +440,51 @@ def build_problem(cfg: dict) -> tuple[Phantom, np.ndarray, SamplingPattern]:
     return ph, coils, pat
 
 
+def _bound_line(sys_eps: LinearSystem, report: bnd.ConditionReport, rs: RowSystem,
+                extremal_line: int, maps: dict, status: np.ndarray) -> None:
+    """Write the bounds, conditioning and extremal maps of one decoupled
+    line into ``maps`` and ``status``."""
+    c, sup, n_sup = rs.line_index, rs.voxel_rows, rs.n_sup
+    # row j < n_sup is Re x[sup[j]], row n_sup + j its Im
+    eb = bnd.bounds_for(sys_eps)
+    status[sup, c] = eb.status[:n_sup]
+    maps["lower_re"][sup, c] = eb.lower[:n_sup]
+    maps["upper_re"][sup, c] = eb.upper[:n_sup]
+    maps["lower_im"][sup, c] = eb.lower[n_sup:]
+    maps["upper_im"][sup, c] = eb.upper[n_sup:]
+    maps["sensitivity"][sup, c] = eb.sensitivity[:n_sup]
+    maps["kappa_entry"][sup, c] = report.kappa_entry[:n_sup]
+    maps["global_envelope"][sup, c] = 1.0 / report.sigma_min_pos
+    if report.kappa_global is not None:
+        maps["kappa_line"][sup, c] = report.kappa_global
+
+    # differences Re x[r] - Re x[r + 1] between neighboring supported voxels
+    nb = np.flatnonzero(np.diff(sup) == 1)
+    pairs = np.column_stack([nb, nb + 1])
+    db = bnd.bounds_for(sys_eps, bnd.difference_rows(n_sup, pairs))
+    maps["diff_lower"][sup[nb], c] = db.lower
+    maps["diff_upper"][sup[nb], c] = db.upper
+
+    # extremal images pinned at the chosen cross-line voxel
+    j_re = np.flatnonzero(sup == extremal_line)
+    if j_re.size and eb.status[j_re[0]] == STATUS_FINITE:
+        wvec = np.zeros(n_sup)
+        wvec[j_re[0]] = 1.0
+        p = bnd._row_products(sys_eps, wvec[None, :])  # shared by both ends
+        for tgt, name in ((Target.UPPER, "extremal_upper"), (Target.LOWER, "extremal_lower")):
+            maps[name][sup, c] = bnd._extremal(sys_eps, p, tgt).x.real
+
+
 def run_pipeline(cfg: dict) -> PipelineResult:
     """Run the full synthetic workflow: phantom, coils, acquisition,
     decoupled interval bounds, difference bounds, conditioning maps, and
     extremal images for one cross-line of voxels.
 
     A line whose heuristic epsilon is undefined (not overdetermined or
-    rank deficient) is skipped: its voxels get ``STATUS_UNDETERMINED``
-    and NaN maps, and its ``line_stats`` entry gives the reason."""
+    rank deficient), or whose bounds leave the float range, is skipped:
+    its voxels get ``STATUS_UNDETERMINED`` and NaN maps, and its
+    ``line_stats`` entry gives the reason.  If no line is bounded and a
+    line failed on the float range, the first such failure is raised."""
     t0 = time.perf_counter()
     cfg = _default_cfg(cfg)
     h, w = cfg["grid"]["h"], cfg["grid"]["w"]
@@ -458,28 +497,21 @@ def run_pipeline(cfg: dict) -> PipelineResult:
     mode = eps_cfg["mode"]
     noise_hybrid = _hybrid(data.noise)
 
-    names = [
-        "lower_re", "upper_re", "lower_im", "upper_im",
-        "diff_lower", "diff_upper",
-        "sensitivity", "global_envelope",
-        "kappa_entry", "kappa_line",
-        "extremal_upper", "extremal_lower",
-        "truth_re", "truth_im",
-    ]
+    names = ["lower_re", "upper_re", "lower_im", "upper_im", "diff_lower", "diff_upper",
+             "sensitivity", "global_envelope", "kappa_entry", "kappa_line",
+             "extremal_upper", "extremal_lower"]
     maps = {name: np.full((h, w), np.nan) for name in names}
     status = np.full((h, w), STATUS_OFF_SUPPORT, dtype=int)
     maps["truth_re"] = truth.grid.real.copy()
     maps["truth_im"] = truth.grid.imag.copy()
 
-    line_stats = []
-    extremal_line = cfg["extremal"]["line"]
-    if extremal_line is None:
-        extremal_line = h // 2
+    line_stats, failure = [], None
+    extremal_line = h // 2 if cfg["extremal"]["line"] is None else cfg["extremal"]["line"]
 
     for rs in systems:
         sys_ = LinearSystem(a=rs.a_complex, b=rs.b_complex, epsilon=0.0)
         report = bnd.condition_report(sys_)
-        c, sup, n_sup = rs.line_index, rs.voxel_rows, rs.n_sup
+        c, sup = rs.line_index, rs.voxel_rows
         # sizes in the units of the lifted real system, where every complex
         # row, column and singular value counts twice
         stats = {
@@ -492,50 +524,27 @@ def run_pipeline(cfg: dict) -> PipelineResult:
             "residual": sys_.residual(),
         }
         line_stats.append(stats)
-        if mode == "heuristic":
-            try:
+        try:
+            if mode == "heuristic":
                 eps = bnd.epsilon_heuristic(sys_)
-            except NotOverdetermined as exc:
-                log.info("line %d skipped: %s", c, exc)
-                status[sup, c] = STATUS_UNDETERMINED
-                stats.update(kappa=None, epsilon=None, skipped=str(exc))
-                continue
-        elif mode == "oracle":
-            eps = float(np.linalg.norm(noise_hybrid[:, :, c]))
-        else:
-            eps = float(eps_cfg["value"])
-        # the copy keeps the factors and the residual projection
-        sys_eps = dataclasses.replace(sys_, epsilon=eps)
-        stats.update(kappa=report.kappa_global, epsilon=eps)
-
-        # row j < n_sup is Re x[sup[j]], row n_sup + j its Im
-        eb = bnd.bounds_for(sys_eps)
-        status[sup, c] = eb.status[:n_sup]
-        maps["lower_re"][sup, c] = eb.lower[:n_sup]
-        maps["upper_re"][sup, c] = eb.upper[:n_sup]
-        maps["lower_im"][sup, c] = eb.lower[n_sup:]
-        maps["upper_im"][sup, c] = eb.upper[n_sup:]
-        maps["sensitivity"][sup, c] = eb.sensitivity[:n_sup]
-        maps["kappa_entry"][sup, c] = report.kappa_entry[:n_sup]
-        maps["global_envelope"][sup, c] = 1.0 / report.sigma_min_pos
-        if report.kappa_global is not None:
-            maps["kappa_line"][sup, c] = report.kappa_global
-
-        # differences Re x[r] - Re x[r + 1] between neighboring supported voxels
-        nb = np.flatnonzero(np.diff(sup) == 1)
-        pairs = np.column_stack([nb, nb + 1])
-        db = bnd.bounds_for(sys_eps, bnd.difference_rows(n_sup, pairs))
-        maps["diff_lower"][sup[nb], c] = db.lower
-        maps["diff_upper"][sup[nb], c] = db.upper
-
-        # extremal images pinned at the chosen cross-line voxel
-        j_re = np.flatnonzero(sup == extremal_line)
-        if j_re.size and eb.status[j_re[0]] == STATUS_FINITE:
-            wvec = np.zeros(n_sup)
-            wvec[j_re[0]] = 1.0
-            p = bnd._row_products(sys_eps, wvec[None, :])  # shared by both ends
-            for tgt, name in ((Target.UPPER, "extremal_upper"), (Target.LOWER, "extremal_lower")):
-                maps[name][sup, c] = bnd._extremal(sys_eps, p, tgt).x.real
+            elif mode == "oracle":
+                eps = float(np.linalg.norm(noise_hybrid[:, :, c]))
+            else:
+                eps = float(eps_cfg["value"])
+            stats.update(kappa=report.kappa_global, epsilon=eps)
+            # the copy keeps the factors and the residual projection
+            _bound_line(dataclasses.replace(sys_, epsilon=eps), report, rs, extremal_line,
+                        maps, status)
+        except (NotOverdetermined, NumericalFailure) as exc:
+            log.info("line %d skipped: %s", c, exc)
+            if isinstance(exc, NumericalFailure) and failure is None:
+                failure = f"line {c}: {exc}"
+            for name in names:
+                maps[name][sup, c] = np.nan
+            status[sup, c] = STATUS_UNDETERMINED
+            stats.update(kappa=stats.get("kappa"), epsilon=stats.get("epsilon"), skipped=str(exc))
+    if failure is not None and all("skipped" in stats for stats in line_stats):
+        raise NumericalFailure(f"no line could be bounded; {failure}")
 
     t_end = time.perf_counter()
     kept = pat.phase_encodes_kept

@@ -23,6 +23,14 @@ def dense_pinv(a):
     return np.linalg.pinv(a)
 
 
+def svd_least_squares(a, b):
+    """(A^+ b, ||(A^+)^H e_i||_2) of a full-column-rank A from np.linalg.svd:
+    V diag(1/s) U^H b and the row norms of V diag(1/s)."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    v = np.ascontiguousarray(vh.conj().T)  # C order, as svd_truncated stores V
+    return v @ ((u.conj().T @ b) / s), np.linalg.norm(v / s, axis=1)
+
+
 def kkt_extremum(a, b, eps, w, sign, iters=200):
     """Extremum of w^T x over {||Ax - b|| <= eps} by bisection on the
     Lagrangian stationarity path x(nu) = A^+ b + sign * nu * (A^T A)^+ w.

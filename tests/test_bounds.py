@@ -399,8 +399,9 @@ class TestConditionReport:
         rep = condition_report(scale * np.eye(2))
         np.testing.assert_allclose(rep.spectral_entry, [1 / scale] * 2, rtol=1e-15)
         np.testing.assert_allclose(rep.kappa_entry, [1.0, 1.0], rtol=1e-15)
-        f = svd_truncated(scale * np.eye(2))
-        assert core.pinv_transpose_norm(f, [1.0, 0.0]) == pytest.approx(1 / scale, rel=1e-15)
+        sys_ = LinearSystem(a=scale * np.eye(2), b=np.zeros(2), epsilon=1.0)
+        got = bounds_for(sys_, [[1.0, 0.0]]).sensitivity[0]
+        assert got == pytest.approx(1 / scale, rel=1e-15)
 
     @pytest.mark.parametrize(
         "case", ["unbounded-row", "finite-row", "condition-report", "pinv-transpose-norm"]
@@ -419,8 +420,8 @@ class TestConditionReport:
         overflowing = {
             "finite-row": lambda: bounds_for(sys_, [[0.0, 1.0, 0.0]]),
             "condition-report": lambda: condition_report(1e-300 * np.diag([1.0, 1e-9])),
-            "pinv-transpose-norm": lambda: core.pinv_transpose_norm(
-                svd_truncated(1e-300 * np.eye(2)), [1e20, 0.0]),
+            "pinv-transpose-norm": lambda: bounds_for(
+                LinearSystem(a=1e-300 * np.eye(2), b=np.zeros(2), epsilon=1.0), [[1e20, 0.0]]),
         }
         with pytest.raises(NumericalFailure):
             overflowing[case]()
@@ -508,10 +509,7 @@ class TestEpsilonHeuristic:
     def test_plugin_formula(self, rng):
         a = rng.standard_normal((6, 3))
         b = rng.standard_normal(6)
-        f = svd_truncated(a)
-        from entrybounds import residual_projection_norm
-
-        res = residual_projection_norm(f, b)
+        res = np.linalg.norm(b - a @ (np.linalg.pinv(a) @ b))
         assert epsilon_heuristic(LinearSystem(a=a, b=b, epsilon=0.0)) == pytest.approx(
             math.sqrt(2.0) * res)
 

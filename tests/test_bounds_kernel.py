@@ -5,7 +5,8 @@ min(M, N), also tall ones with M >= 2N up to 60 x 12.  Weight rows mix
 random dense rows (unbounded whenever A has a nullspace), rows drawn from
 the row space of A (always finite) and +/-1 difference rows.  Intervals
 are checked against the Lagrangian bisection oracle and statuses against
-scipy's null_space, both from conftest.
+scipy's null_space, both from conftest; the system's A^+ b and residual,
+real and complex, against a dense pseudoinverse.
 
 Complex systems are checked against the same kernel on their lifted real
 form (``lifting.lift_system``) and against the oracles on that form.
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import kkt_interval, nullspace_overlap
+from conftest import dense_pinv, kkt_interval, nullspace_overlap
 from entrybounds import (
     LinearSystem,
     Target,
@@ -31,8 +32,6 @@ from entrybounds import (
     functional_bound,
     lift_system,
     lift_vector,
-    pinv_transpose_norm,
-    svd_truncated,
 )
 from entrybounds.bounds import (
     BOUND_STATUSES,
@@ -105,11 +104,22 @@ def assert_records_match(records, arrays):
     assert all(r.lam == (arrays.lam if s != INFEASIBLE else None) for r, s in zip(records, status))
 
 
+def assert_solution_matches_pinv(sys_):
+    """A^+ b and ||b - A A^+ b|| of the system's factors against a dense pinv."""
+    a, b = sys_.a, sys_.b
+    x = dense_pinv(a) @ b
+    residual = np.linalg.norm(b - a @ x)
+    assert np.linalg.norm(sys_.solution() - x) <= 1e-12 * max(np.linalg.norm(x), 1.0)
+    assert abs(sys_.residual() - residual) <= 1e-12 * max(np.linalg.norm(b), 1.0)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(problems())
 def test_kernel_matches_oracles(problem):
     a, b, eps, w, _ = problem
-    res = bounds_for(LinearSystem(a=a, b=b, epsilon=eps), w)
+    sys_ = LinearSystem(a=a, b=b, epsilon=eps)
+    assert_solution_matches_pinv(sys_)
+    res = bounds_for(sys_, w)
     assert res.status.shape == (w.shape[0],)
     if kkt_interval(a, b, eps, w[0]) is None:
         assert np.all(res.status == INFEASIBLE) and res.lam is None
@@ -181,7 +191,9 @@ def complex_problems(draw):
 def test_complex_kernel_matches_lifted(problem):
     a, b, eps, w = problem
     n = a.shape[1]
-    res = bounds_for(LinearSystem(a=a, b=b, epsilon=eps), w)
+    sys_ = LinearSystem(a=a, b=b, epsilon=eps)
+    assert_solution_matches_pinv(sys_)
+    res = bounds_for(sys_, w)
     lifted, b_real = lift_system(a, b)
     a_real = lifted.a_real
     # Re(w^H x) = Re(w) . Re(x) + Im(w) . Im(x): the lifted weight is [Re w, Im w]
@@ -234,10 +246,10 @@ def test_scale_homogeneity(problem, j, k):
     rep, rep_k = condition_report(a), condition_report(2.0**k * a)
     np.testing.assert_allclose(rep_k.kappa_entry, rep.kappa_entry, rtol=1e-12)
     np.testing.assert_allclose(rep_k.spectral_entry, 2.0**-k * rep.spectral_entry, rtol=1e-12)
-    f, f_k = svd_truncated(a), svd_truncated(2.0**k * a)
-    for row in np.eye(a.shape[1]) if w is None else w:
-        assert pinv_transpose_norm(f_k, row) == pytest.approx(
-            2.0**-k * pinv_transpose_norm(f, row), rel=1e-12)
+    # the kernel forms ||(A^+)^H w|| for every row, bounded or not
+    sens, sens_k = (_row_products(LinearSystem(a=s * a, b=b, epsilon=eps), w).sens
+                    for s in (1.0, 2.0**k))
+    np.testing.assert_allclose(sens_k, 2.0**-k * sens, rtol=1e-12)
 
 
 VALUE = 3.25  # the value: target of every unbounded row

@@ -1,14 +1,38 @@
+"""The rank-truncated SVD of ``core``, and the quantities the interval
+kernel takes from a system's factors: A^+ b (``LinearSystem.solution``),
+the residual ||b - A A^+ b|| (``LinearSystem.residual``), the sensitivity
+||(A^+)^H w|| and the nullspace component of w (``bounds_for``).  Each is
+checked against a dense pseudoinverse, the normal equations or scipy's
+null_space."""
+
 import numpy as np
 import pytest
 
-from entrybounds import core
+from conftest import nullspace_overlap
+from entrybounds import LinearSystem, bounds_for, condition_report, core
+from entrybounds.bounds import _row_products
 from entrybounds.errors import DimensionMismatch, NumericalFailure
+
+FINITE, UNBOUNDED = 0, 1
 
 
 def orthonormality_defect(q):
     if q.shape[1] == 0:
         return 0.0
     return np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
+
+
+def zero_data(a):
+    """The system (A, 0, 1): every bounded row is feasible, with lam = 1."""
+    a = np.asarray(a)
+    return LinearSystem(a=a, b=np.zeros(a.shape[0]), epsilon=1.0)
+
+
+def row_norms(a, w):
+    """(||(A^+)^H w||_2, ||V_perp^H w||_2) from the kernel's products of w,
+    which it forms for every row, bounded or not."""
+    p = _row_products(zero_data(a), np.reshape(w, (1, -1)))
+    return float(np.ldexp(p.sens[0], p.e[0])), float(np.ldexp(p.perp[0], p.e[0]))
 
 
 class TestSvdTruncated:
@@ -62,127 +86,130 @@ class TestSvdTruncated:
 
 class TestRankZero:
     """At rank 0 the factors are empty, and the general formulas give the
-    exact results: +0.0 vectors of the data's dtype, a zero norm, ||b||."""
+    exact results: +0.0 vectors of the data's dtype, zero sensitivities,
+    ||b||."""
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("m, n", [(5, 3), (3, 5)], ids=["tall", "wide"])
     def test_exact_results(self, rng, m, n, dtype):
-        f = core.svd_truncated(np.zeros((m, n), dtype=dtype))
+        a = np.zeros((m, n), dtype=dtype)
+        f = core.svd_truncated(a)
         assert f.rank == 0 and f.sigma.shape == (0,) and f.v_perp.shape == (n, n)
         b = rng.standard_normal(m).astype(dtype)
-        w = rng.standard_normal(n).astype(dtype)
-        for out, size in ((core.pinv_apply(f, b), n), (core.pinv_transpose_apply(f, w), m)):
-            assert out.dtype == dtype
-            np.testing.assert_array_equal(out, np.zeros(size))
-            assert not np.signbit(out.real).any()
-        assert core.pinv_transpose_norm(f, w) == 0.0
-        assert core.residual_projection_norm(f, b) == np.linalg.norm(b)
+        sys_ = LinearSystem(a=a, b=b, epsilon=1.0)
+        assert sys_.rank == 0
+        x = sys_.solution()
+        assert x.dtype == dtype
+        np.testing.assert_array_equal(x, np.zeros(n))
+        assert not np.signbit(x.real).any()
+        spectral = condition_report(sys_).spectral_entry
+        np.testing.assert_array_equal(spectral, np.zeros(n * (2 if dtype is complex else 1)))
+        assert row_norms(a, rng.standard_normal(n).astype(dtype))[0] == 0.0
+        assert sys_.residual() == np.linalg.norm(b)
 
 
 class TestPinvApply:
+    """A^+ b, as ``LinearSystem.solution`` forms it."""
+
     def test_identity(self):
-        f = core.svd_truncated(np.eye(2))
-        np.testing.assert_allclose(core.pinv_apply(f, [3.0, -1.0]), [3.0, -1.0])
+        x = LinearSystem(a=np.eye(2), b=[3.0, -1.0], epsilon=0.0).solution()
+        np.testing.assert_allclose(x, [3.0, -1.0])
 
     def test_diagonal(self):
-        f = core.svd_truncated(np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(core.pinv_apply(f, [2.0, 1.0]), [1.0, 1.0])
+        x = LinearSystem(a=np.diag([2.0, 1.0]), b=[2.0, 1.0], epsilon=0.0).solution()
+        np.testing.assert_allclose(x, [1.0, 1.0])
 
     def test_normal_equations_oracle(self, rng):
         a = rng.standard_normal((4, 3))
         m = rng.standard_normal(4)
-        f = core.svd_truncated(a)
         expected = np.linalg.solve(a.T @ a, a.T @ m)
-        np.testing.assert_allclose(core.pinv_apply(f, m), expected, atol=1e-10)
+        np.testing.assert_allclose(LinearSystem(a=a, b=m, epsilon=0.0).solution(), expected,
+                                   atol=1e-10)
 
     def test_dimension_mismatch(self):
-        f = core.svd_truncated(np.eye(2))
         with pytest.raises(DimensionMismatch):
-            core.pinv_apply(f, [1.0, 2.0, 3.0])
+            LinearSystem(a=np.eye(2), b=[1.0, 2.0, 3.0], epsilon=0.0)
 
     def test_zero_matrix_gives_zero(self):
-        f = core.svd_truncated(np.zeros((2, 3)))
-        np.testing.assert_array_equal(core.pinv_apply(f, [1.0, 2.0]), np.zeros(3))
+        x = LinearSystem(a=np.zeros((2, 3)), b=[1.0, 2.0], epsilon=0.0).solution()
+        np.testing.assert_array_equal(x, np.zeros(3))
 
 
 class TestPinvTransposeApply:
+    """The sensitivity ||(A^+)^H w||, as ``bounds_for`` gives it."""
+
     def test_identity(self):
-        f = core.svd_truncated(np.eye(2))
-        out = core.pinv_transpose_apply(f, [1.0, 0.0])
-        np.testing.assert_allclose(out, [1.0, 0.0])
-        assert core.pinv_transpose_norm(f, [1.0, 0.0]) == pytest.approx(1.0)
+        assert bounds_for(zero_data(np.eye(2)), [[1.0, 0.0]]).sensitivity[0] == pytest.approx(1.0)
 
     def test_diagonal(self):
-        f = core.svd_truncated(np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(core.pinv_transpose_apply(f, [1.0, 0.0]), [0.5, 0.0])
-        assert core.pinv_transpose_norm(f, [1.0, 0.0]) == pytest.approx(0.5)
+        got = bounds_for(zero_data(np.diag([2.0, 1.0])), [[1.0, 0.0]]).sensitivity[0]
+        assert got == pytest.approx(0.5)
 
     def test_row_norm_oracle(self, rng):
         a = rng.standard_normal((6, 4))
-        f = core.svd_truncated(a)
         pinv = np.linalg.pinv(a)
         w = np.zeros(4)
         w[1] = 1.0
-        assert core.pinv_transpose_norm(f, w) == pytest.approx(
+        assert bounds_for(zero_data(a), w[None, :]).sensitivity[0] == pytest.approx(
             np.linalg.norm(pinv[1]), rel=1e-10
         )
-        np.testing.assert_allclose(core.pinv_transpose_apply(f, w), pinv[1], atol=1e-10)
 
 
-@pytest.mark.parametrize("apply", [core.pinv_apply, core.pinv_transpose_apply])
-def test_pinv_products_beyond_float_range_raise(apply):
+# A^+ v and ||(A^+)^H v|| of A = 1e-300 I, and their values at v = [1e-10, 1]
+BEYOND_RANGE = {
+    "pinv_apply": (lambda v: LinearSystem(a=1e-300 * np.eye(2), b=v, epsilon=0.0).solution(),
+                   [1e290, 1e300]),
+    "pinv_transpose_apply": (lambda v: bounds_for(zero_data(1e-300 * np.eye(2)),
+                                                  [v]).sensitivity[0],
+                             np.hypot(1e290, 1e300)),
+}
+
+
+@pytest.mark.parametrize("quantity", BEYOND_RANGE)
+def test_pinv_products_beyond_float_range_raise(quantity):
     # 1e10 / 1e-300 overflows: a typed error, not inf and a RuntimeWarning
-    f = core.svd_truncated(1e-300 * np.eye(2))
+    product, want = BEYOND_RANGE[quantity]
     with pytest.raises(NumericalFailure):
-        apply(f, [1e10, 1.0])
-    np.testing.assert_allclose(apply(f, [1e-10, 1.0]), [1e290, 1e300], rtol=1e-15)
+        product([1e10, 1.0])
+    np.testing.assert_allclose(product([1e-10, 1.0]), want, rtol=1e-15)
 
 
 class TestResidualProjection:
+    """||b - A A^+ b||, as ``LinearSystem.residual`` gives it."""
+
     def test_full_row_rank(self, rng):
-        f = core.svd_truncated(np.eye(2))
-        assert core.residual_projection_norm(f, rng.standard_normal(2)) < 1e-12
+        sys_ = LinearSystem(a=np.eye(2), b=rng.standard_normal(2), epsilon=0.0)
+        assert sys_.residual() < 1e-12
 
     def test_orthogonal_data(self):
-        f = core.svd_truncated(np.array([[1.0], [0.0]]))
-        assert core.residual_projection_norm(f, [0.0, 3.0]) == pytest.approx(3.0)
+        sys_ = LinearSystem(a=np.array([[1.0], [0.0]]), b=[0.0, 3.0], epsilon=0.0)
+        assert sys_.residual() == pytest.approx(3.0)
 
     def test_dense_oracle(self, rng):
         a = rng.standard_normal((5, 2))
         b = rng.standard_normal(5)
-        f = core.svd_truncated(a)
         expected = np.linalg.norm(b - a @ np.linalg.pinv(a) @ b)
-        assert core.residual_projection_norm(f, b) == pytest.approx(expected, rel=1e-10)
+        assert LinearSystem(a=a, b=b, epsilon=0.0).residual() == pytest.approx(expected, rel=1e-10)
 
 
 class TestNullspaceComponent:
+    """The part of w in the nullspace of A, which makes its row unbounded."""
+
     def test_trivial_nullspace(self):
-        f = core.svd_truncated(np.eye(3))
-        _, norm = core.nullspace_component(f, [0.0, 1.0, 0.0])
-        assert norm == 0.0
+        res = bounds_for(zero_data(np.eye(3)), [[0.0, 1.0, 0.0]])
+        assert res.status[0] == FINITE
+        assert row_norms(np.eye(3), [0.0, 1.0, 0.0])[1] == 0.0
 
     def test_spanning_vector(self):
-        f = core.svd_truncated(np.array([[1.0, 0.0]]))
-        _, norm = core.nullspace_component(f, [0.0, 1.0])
-        assert norm == pytest.approx(1.0)
+        a = np.array([[1.0, 0.0]])
+        assert bounds_for(zero_data(a), [[0.0, 1.0]]).status[0] == UNBOUNDED
+        assert row_norms(a, [0.0, 1.0])[1] == pytest.approx(1.0)
 
     def test_projector_oracle(self, rng):
         a = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 4))
         w = rng.standard_normal(4)
-        f = core.svd_truncated(a)
-        _, norm = core.nullspace_component(f, w)
-        expected = np.linalg.norm(w - f.v @ (f.v.T @ w))
-        assert norm == pytest.approx(expected, rel=1e-10)
-
-    def test_basis_freedom(self, rng):
-        a = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 4))
-        w = rng.standard_normal(4)
-        f = core.svd_truncated(a)
-        _, norm = core.nullspace_component(f, w)
-        q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-        rotated = core.SvdFactors(u=f.u, sigma=f.sigma, v=f.v, v_perp=f.v_perp @ q)
-        _, norm2 = core.nullspace_component(rotated, w)
-        assert norm2 == pytest.approx(norm, abs=1e-10)
+        assert bounds_for(zero_data(a), w[None, :]).status[0] == UNBOUNDED
+        assert row_norms(a, w)[1] == pytest.approx(nullspace_overlap(a, w), rel=1e-10)
 
 
 class TestInvariants:
@@ -191,27 +218,25 @@ class TestInvariants:
         f = core.svd_truncated(a)
         p = rng.standard_normal(f.rank)
         x = f.v @ p
-        recovered = core.pinv_apply(f, a @ x)
+        recovered = LinearSystem(a=a, b=a @ x, epsilon=0.0).solution()
         assert np.linalg.norm(recovered - x) <= 1e-8 * np.linalg.norm(x)
 
     def test_pythagoras_decomposition(self, rng):
         a = rng.standard_normal((5, 3))
         b = rng.standard_normal(5)
         x = rng.standard_normal(3)
-        f = core.svd_truncated(a)
+        sys_ = LinearSystem(a=a, b=b, epsilon=0.0)
         lhs = np.linalg.norm(a @ x - b) ** 2
-        zb = a @ core.pinv_apply(f, b)
-        rhs = np.linalg.norm(a @ x - zb) ** 2 + core.residual_projection_norm(f, b) ** 2
+        zb = a @ sys_.solution()
+        rhs = np.linalg.norm(a @ x - zb) ** 2 + sys_.residual() ** 2
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_sensitivity_bounded_by_sigma_min(self, rng):
         a = rng.standard_normal((6, 4))
-        f = core.svd_truncated(a)
-        for _ in range(10):
-            w = rng.standard_normal(4)
-            assert core.pinv_transpose_norm(f, w) <= np.linalg.norm(w) / f.sigma[-1] * (
-                1 + 1e-12
-            )
+        w = rng.standard_normal((10, 4))
+        sens = bounds_for(zero_data(a), w).sensitivity
+        sigma_min = core.svd_truncated(a).sigma[-1]
+        assert np.all(sens <= np.linalg.norm(w, axis=1) / sigma_min * (1 + 1e-12))
 
 
 def complex_gaussian(rng, *shape):
@@ -222,7 +247,7 @@ class TestComplex:
     def test_rank_keeps_imaginary_part(self):
         f = core.svd_truncated([[1j, 0], [0, 1]])
         assert f.rank == 2
-        assert f.is_complex
+        assert f.v.dtype == complex
         np.testing.assert_allclose(f.sigma, [1.0, 1.0])
 
     @pytest.mark.parametrize("m, n, r", [(5, 3, 3), (3, 5, 3), (4, 4, 2), (3, 3, 0)])
@@ -237,17 +262,15 @@ class TestComplex:
         assert np.linalg.norm(f.v.conj().T @ f.v_perp) < 1e-10
         assert np.linalg.norm(a @ f.v_perp) <= 1e-10 * max(np.linalg.norm(a), 1.0)
         pinv = np.linalg.pinv(a)
-        np.testing.assert_allclose(core.pinv_apply(f, b), pinv @ b, atol=1e-10)
-        np.testing.assert_allclose(core.pinv_transpose_apply(f, w), pinv.conj().T @ w, atol=1e-10)
-        assert core.pinv_transpose_norm(f, w) == pytest.approx(
-            np.linalg.norm(pinv.conj().T @ w), rel=1e-10, abs=1e-12)
-        assert core.residual_projection_norm(f, b) == pytest.approx(
-            np.linalg.norm(b - a @ (pinv @ b)), rel=1e-10)
-        _, norm = core.nullspace_component(f, w)
-        assert norm == pytest.approx(np.linalg.norm(w - pinv @ (a @ w)), rel=1e-10, abs=1e-12)
+        sys_ = LinearSystem(a=a, b=b, epsilon=0.0)
+        np.testing.assert_allclose(sys_.solution(), pinv @ b, atol=1e-10)
+        sens, perp = row_norms(a, w)
+        assert sens == pytest.approx(np.linalg.norm(pinv.conj().T @ w), rel=1e-10, abs=1e-12)
+        assert sys_.residual() == pytest.approx(np.linalg.norm(b - a @ (pinv @ b)), rel=1e-10)
+        assert perp == pytest.approx(np.linalg.norm(w - pinv @ (a @ w)), rel=1e-10, abs=1e-12)
 
     def test_real_factors_apply_to_complex_data(self, rng):
         a = rng.standard_normal((5, 3))
         b = complex_gaussian(rng, 5)
-        f = core.svd_truncated(a)
-        np.testing.assert_allclose(core.pinv_apply(f, b), np.linalg.pinv(a) @ b, atol=1e-12)
+        x = LinearSystem(a=a, b=b, epsilon=0.0).solution()
+        np.testing.assert_allclose(x, np.linalg.pinv(a) @ b, atol=1e-12)

@@ -612,6 +612,21 @@ class TestSenseCommand:
         status = mio.read_matrix_csv(outdir / "status.csv")
         assert np.any(status == 4)
 
+    @pytest.mark.parametrize("eps, code", [(1e307, 0), (1e308, 1)])
+    def test_overflowing_lines_skipped(self, tmp_path, eps, code):
+        """Lines whose bounds leave the float range are skipped and every map
+        is written; a run in which every line overflows exits 1."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "grid": {"h": 32, "w": 32, "seed": 1}, "coils": {"seed": 1}, "noise": {"seed": 1},
+            "pattern": {"accel": 4, "acs": 6}, "epsilon": {"mode": "fixed", "value": eps}}))
+        outdir = tmp_path / "run"
+        assert cli.main(["sense", "--config", str(cfg_path), "--out", str(outdir)]) == code
+        if code == 0:
+            manifest = json.loads((outdir / "manifest.json").read_text())
+            assert manifest["lines_skipped"] == 18 and len(manifest["outputs"]) == 15
+            assert all((outdir / name).exists() for name in manifest["outputs"])
+
     @pytest.mark.parametrize("manifest_only", [False, True], ids=["run", "manifest-only"])
     @pytest.mark.parametrize(
         "cfg",

@@ -1,0 +1,39 @@
+"""The public surface of ``entrybounds``: the exact export list, and every
+package function the benchmark's span tracer wraps or reads by name."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import entrybounds
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+
+PUBLIC = [
+    "BoundArrays", "BoundStatus", "ConditionReport", "DiagEstimate", "EntryBound",
+    "ExtremalSolution", "LandweberConfig", "LandweberResult", "LiftedSystem", "LinearOperator",
+    "LinearSystem", "SvdFactors", "Target", "adjacent_difference_bounds", "bounds_for",
+    "condition_report", "crlb_identity_check", "ellipsoid_volume", "entrywise_bounds",
+    "epsilon_heuristic", "extremal_solution", "functional_bound", "global_bounds",
+    "landweber_pinv", "lift_matrix", "lift_system", "lift_vector", "power_iteration_sigma1",
+    "residual_projection_norm", "stochastic_diag", "svd_truncated",
+]
+
+
+def test_exports_are_pinned():
+    assert entrybounds.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert getattr(entrybounds, name) is not None, name
+
+
+def test_benchmark_spans_resolve():
+    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS_PATH)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = set(spans.SPANS) | set(spans.CALL_COUNTS) | set(spans.ATTRS)
+    names -= set(spans.OP_SPANS)  # methods of the operator sense_operator returns
+    assert names
+    for qual in sorted(names):
+        mod_name, attr = qual.split(".")
+        mod = importlib.import_module(f"entrybounds.{mod_name}")
+        assert callable(getattr(mod, attr, None)), qual

@@ -11,11 +11,10 @@ from entrybounds import (
     epsilon_heuristic,
     extremal_solution,
     lifting,
-    pinv_apply,
     svd_truncated,
 )
 from entrybounds.bounds import Target, difference_rows
-from entrybounds.errors import ConfigError, ShapeMismatch, UnknownPreset
+from entrybounds.errors import ConfigError, NumericalFailure, ShapeMismatch, UnknownPreset
 from entrybounds.matfree import adjoint_mismatch
 from entrybounds.sense import (
     STATUS_FINITE,
@@ -100,8 +99,7 @@ class TestCoils:
         pat = SamplingPattern(num_lines=12, accel=2, acs_lines=4)
         data = simulate_acquisition(truth, coils, pat, noise_sigma=0.0, seed=0)
         for rs in build_row_systems(truth, coils, pat, data):
-            f = svd_truncated(rs.system.a)
-            sol = pinv_apply(f, rs.system.b)
+            sol = rs.system.solution()
             n_sup = rs.n_sup
             assert np.max(np.abs(sol[n_sup:])) <= 1e-8
 
@@ -132,9 +130,6 @@ class TestRowSystems:
         data = simulate_acquisition(ph, coils, pat, noise_sigma=0.0, seed=0)
         widths = []
         for rs in build_row_systems(ph, coils, pat, data):
-            f = svd_truncated(rs.system.a)
-            from entrybounds import condition_report
-
             rep = condition_report(rs.system.a)
             np.testing.assert_allclose(rep.kappa_entry, 1.0, atol=1e-10)
             sys = LinearSystem(a=rs.system.a, b=rs.system.b, epsilon=0.3)
@@ -158,11 +153,8 @@ class TestRowSystems:
         coils = make_coils(4, 16, 16, seed=5)
         pat = SamplingPattern(num_lines=16, accel=2, acs_lines=4)
         data = simulate_acquisition(ph, coils, pat, noise_sigma=0.0, seed=0)
-        from entrybounds import residual_projection_norm
-
         for rs in build_row_systems(ph, coils, pat, data):
-            f = svd_truncated(rs.system.a)
-            assert residual_projection_norm(f, rs.system.b) <= 1e-8
+            assert rs.system.residual() <= 1e-8
 
     def test_shape_mismatch(self):
         ph = make_phantom("smooth-blobs", 16, 16, seed=0)
@@ -236,6 +228,12 @@ class TestSenseOperator:
         pat = SamplingPattern(num_lines=pattern_lines, accel=2, acs_lines=4)
         with pytest.raises(ShapeMismatch):
             build(ph, coils, pat)
+
+
+# 26 readout lines; a fixed epsilon near the largest double makes the bounds
+# of some or all of them leave the float range
+OVERFLOW_CFG = {"grid": {"h": 32, "w": 32, "seed": 1}, "coils": {"seed": 1},
+                "pattern": {"accel": 4, "acs": 6}, "noise": {"sigma": 0.01, "seed": 1}}
 
 
 class TestPipeline:
@@ -334,6 +332,36 @@ class TestPipeline:
                     assert np.all(np.isnan(res.maps[name][:, c])), name
             else:
                 assert np.all(col == STATUS_FINITE)
+
+    @pytest.mark.parametrize("eps, n_skipped", [(1e307, 18), (4e307, 24)])
+    def test_overflowing_lines_skipped(self, eps, n_skipped):
+        """A line whose bounds leave the float range is skipped alone.  At
+        4e307, 4 of the skipped lines overflow only in their difference
+        bounds, after their entrywise maps were written.  Every other line
+        is bounded exactly as on its own."""
+        cfg = {**OVERFLOW_CFG, "epsilon": {"mode": "fixed", "value": eps}}
+        res = run_pipeline(cfg)
+        truth, coils, pat = build_problem(cfg)
+        data = simulate_acquisition(truth, coils, pat, 0.01, 1)
+        systems = build_row_systems(truth, coils, pat, data)
+        assert sum("skipped" in stats for stats in res.line_stats) == n_skipped
+        for rs, stats in zip(systems, res.line_stats, strict=True):
+            c, sup, n = rs.line_index, rs.voxel_rows, rs.n_sup
+            col = {name: grid[:, c] for name, grid in res.maps.items() if "truth" not in name}
+            if "skipped" in stats:
+                assert "finite" in stats["skipped"] and stats["epsilon"] == eps
+                assert np.all(res.status[sup, c] == STATUS_UNDETERMINED)
+                assert all(np.isnan(v).all() for v in col.values()), c
+                continue
+            eb = bounds_for(LinearSystem(a=rs.a_complex, b=rs.b_complex, epsilon=eps))
+            np.testing.assert_array_equal(res.status[sup, c], eb.status[:n])
+            for name, want in (("lower_re", eb.lower[:n]), ("upper_re", eb.upper[:n]),
+                               ("lower_im", eb.lower[n:]), ("upper_im", eb.upper[n:])):
+                np.testing.assert_array_equal(col[name][sup], want, err_msg=name)
+
+    def test_every_line_overflowing_raises(self):
+        with pytest.raises(NumericalFailure, match="no line could be bounded"):
+            run_pipeline({**OVERFLOW_CFG, "epsilon": {"mode": "fixed", "value": 1e308}})
 
     def test_build_problem_folds_phase(self):
         cfg = {"grid": {"h": 12, "w": 10, "seed": 3}, "coils": {"l": 3, "seed": 1}}
