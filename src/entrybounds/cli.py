@@ -167,6 +167,12 @@ def cmd_estimate_diag(args) -> int:
         "failed_samples": est.failed_samples,
         "sigma1_estimate": sigma1,
         "values": list(est.values),
+        "iterations": {
+            "min": int(est.iterations.min()),
+            "median": float(np.median(est.iterations)),
+            "max": int(est.iterations.max()),
+        },
+        "max_last_update_norm": est.max_last_update_norm,
     }
     if dense is not None:
         exact = bnd.condition_report(dense).spectral_entry ** 2

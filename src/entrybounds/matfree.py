@@ -10,7 +10,7 @@ estimator that recovers all squared row norms of A^+ simultaneously.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,12 +22,24 @@ from .errors import DimensionMismatch, InvalidStep
 @dataclass(frozen=True)
 class LinearOperator:
     """Abstract M x N operator given by its forward action and its adjoint
-    A^H (``apply_transpose``), on complex vectors when ``is_complex``."""
+    A^H (``apply_transpose``), on complex vectors when ``is_complex``.
+
+    ``apply_normal`` is an optional action x -> A^H A x, for an operator
+    whose normal matrix is cheaper to apply than the two actions in turn;
+    when unset, :meth:`normal` composes them.
+    """
 
     shape: tuple[int, int]
     apply: Callable[[np.ndarray], np.ndarray]
     apply_transpose: Callable[[np.ndarray], np.ndarray]
     is_complex: bool = False
+    apply_normal: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def normal(self, x: np.ndarray) -> np.ndarray:
+        """A^H A x."""
+        if self.apply_normal is not None:
+            return self.apply_normal(x)
+        return self.apply_transpose(self.apply(x))
 
     @classmethod
     def from_matrix(cls, a) -> "LinearOperator":
@@ -54,39 +66,48 @@ def _draw(rng: np.random.Generator, op: LinearOperator, k: int, kind="gaussian")
 
 
 def adjoint_mismatch(op: LinearOperator, trials: int = 5, seed: int = 0) -> float:
-    """Largest relative defect |<y, Ax> - <A^H y, x>| over random probes.
+    """Largest relative defect over random probes of the adjoint,
+    |<y, Ax> - <A^H y, x>| / ||x|| ||y||, and of the normal action,
+    |<x, A^H A x> - ||Ax||^2| / ||A||^2 ||x||^2, with ||A|| estimated by
+    power iteration on ``apply_transpose(apply(x))`` alone.
 
-    Useful as a smoke test that ``apply`` and ``apply_transpose`` really
-    are adjoint to one another.
+    Useful as a smoke test that ``apply``, ``apply_transpose`` and
+    ``normal`` are consistent with one another.
     """
     rng = np.random.default_rng(seed)
     m, n = op.shape
+    sigma1 = power_iteration_sigma1(replace(op, apply_normal=None), seed=seed)
     worst = 0.0
     for _ in range(trials):
         x = _draw(rng, op, n)
         y = _draw(rng, op, m)
-        lhs = np.vdot(y, op.apply(x))
+        ax = op.apply(x)
+        lhs = np.vdot(y, ax)
         rhs = np.vdot(op.apply_transpose(y), x)
-        scale = np.linalg.norm(x) * np.linalg.norm(y)
-        worst = max(worst, float(abs(lhs - rhs) / scale))
+        xnorm = np.linalg.norm(x)
+        worst = max(worst, float(abs(lhs - rhs) / (xnorm * np.linalg.norm(y))))
+        if sigma1 > 0.0:
+            defect = abs(np.vdot(x, op.normal(x)) - np.vdot(ax, ax).real)
+            worst = max(worst, float(defect / (sigma1 * xnorm) ** 2))
     return worst
 
 
 def power_iteration_sigma1(op: LinearOperator, iters: int = 200, seed: int = 0) -> float:
     """Estimate the largest singular value by power iteration on A^H A.
 
-    The returned Rayleigh estimate never exceeds the true sigma_1 and is
-    deterministic for a given seed.
+    The returned Rayleigh estimate sqrt(Re <v, A^H A v>) of the last unit
+    iterate v equals ||A v||, so it never exceeds the true sigma_1 (to
+    rounding), and is deterministic for a given seed.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     v = _draw(np.random.default_rng(seed), op, op.shape[1])
     v /= np.linalg.norm(v)
+    normal = op.normal
     estimate = 0.0
     for _ in range(iters):
-        av = op.apply(v)
-        estimate = float(np.linalg.norm(av))
-        w = op.apply_transpose(av)
+        w = normal(v)
+        estimate = math.sqrt(max(np.vdot(v, w).real, 0.0))
         wnorm = np.linalg.norm(w)
         if wnorm == 0.0:
             return 0.0
@@ -148,13 +169,15 @@ class LandweberResult:
 
 
 def landweber_pinv(op: LinearOperator, m, cfg: LandweberConfig) -> LandweberResult:
-    """Iterate x <- x - tau A^H (A x - m) from zero to approximate A^+ m.
+    """Iterate x <- x - tau (A^H A x - A^H m) from zero to approximate A^+ m.
 
-    Zero initialization is mandatory: every update lies in the row space,
-    so the limit carries no nullspace component and is exactly the
-    minimum-norm least-squares solution.  No early stopping beyond the
-    requested tolerance is applied; truncating the iteration early would
-    understate the sensitivities computed from the result.
+    ``A^H m`` is formed once; each step applies the normal action
+    :meth:`LinearOperator.normal`.  Zero initialization is mandatory: every
+    update lies in the row space, so the limit carries no nullspace
+    component and is exactly the minimum-norm least-squares solution.  No
+    early stopping beyond the requested tolerance is applied; truncating the
+    iteration early would understate the sensitivities computed from the
+    result.
     """
     m = as_real_or_complex(m).reshape(-1)
     if m.shape[0] != op.shape[0]:
@@ -166,13 +189,15 @@ def landweber_pinv(op: LinearOperator, m, cfg: LandweberConfig) -> LandweberResu
     max_iters = cfg.max_iters if k_bound is None else min(cfg.max_iters, k_bound)
 
     x = np.zeros(op.shape[1], complex if op.is_complex else m.dtype)
+    rhs = op.apply_transpose(m)
+    normal = op.normal
     # np.linalg.norm's sum of squares without its per-call overhead, which
     # dominates for small operators; v.dot(v) is the faster one for a real v
     sq = (lambda v: np.vdot(v, v).real) if np.iscomplexobj(x) else (lambda v: v.dot(v))
     update_norm = math.inf
     k = 0
     for k in range(1, max_iters + 1):
-        step = tau * op.apply_transpose(op.apply(x) - m)
+        step = tau * (normal(x) - rhs)
         x = x - step
         update_norm = math.sqrt(sq(step))
         xnorm = math.sqrt(sq(x))
@@ -185,10 +210,16 @@ def landweber_pinv(op: LinearOperator, m, cfg: LandweberConfig) -> LandweberResu
 @dataclass(frozen=True)
 class DiagEstimate:
     """Stochastic estimates of the squared sensitivities ||(A^+)^H e_i||_2^2; for
-    a complex operator 2N of them, Re x_i then Im x_i (the lifted real order)."""
+    a complex operator 2N of them, Re x_i then Im x_i (the lifted real order).
+
+    ``iterations`` holds the Landweber iteration count of every probe in
+    sample order, failed probes included; ``max_last_update_norm`` is the
+    largest last update norm over all probes."""
 
     values: np.ndarray
-    failed_samples: int = 0
+    failed_samples: int
+    iterations: np.ndarray
+    max_last_update_norm: float
 
 
 def stochastic_diag(
@@ -212,14 +243,19 @@ def stochastic_diag(
         raise ValueError(f"samples must be >= 1, got {samples}")
     m, n = op.shape
     acc = np.zeros(2 * n if op.is_complex else n)
+    iterations = np.zeros(samples, dtype=int)
+    last_update = 0.0
     failed = 0
     for s in range(samples):
         z = _draw(np.random.default_rng([seed, s]), op, m, probe_kind)
         res = landweber_pinv(op, z, cfg)
+        iterations[s] = res.iterations
+        last_update = max(last_update, res.last_update_norm)
         if not res.converged:
             failed += 1
             continue
         acc += (np.concatenate((res.x.real, res.x.imag)) if op.is_complex else res.x) ** 2
     if failed == samples:
         raise InvalidStep("no probe solve converged; loosen the iteration budget")
-    return DiagEstimate(values=acc / (samples - failed), failed_samples=failed)
+    return DiagEstimate(values=acc / (samples - failed), failed_samples=failed,
+                        iterations=iterations, max_last_update_norm=last_update)

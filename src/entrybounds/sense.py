@@ -252,6 +252,12 @@ def simulate_acquisition(
     return AcquiredData(samples=samples + noise, noise=noise)
 
 
+def _kept_dft(h: int, kept: np.ndarray) -> np.ndarray:
+    """Rows of the unitary 1-D DFT of length ``h`` at the kept phase-encode
+    lines, (K, H)."""
+    return np.exp(-2j * np.pi * np.outer(kept, np.arange(h)) / h) / np.sqrt(h)
+
+
 def _hybrid(samples: np.ndarray) -> np.ndarray:
     """Unitary inverse DFT along the readout dimension (last axis)."""
     return np.fft.ifft(samples, axis=-1, norm="ortho")
@@ -268,10 +274,7 @@ def build_row_systems(
     empty support are skipped with a log record."""
     _check_grid(ph, coils, pat)
     h, w = ph.shape
-    kept = pat.phase_encodes_kept
-    # Unitary 1-D DFT rows for the kept phase-encode lines.
-    y = np.arange(h)
-    f_kept = np.exp(-2j * np.pi * np.outer(kept, y) / h) / np.sqrt(h)
+    f_kept = _kept_dft(h, pat.phase_encodes_kept)
     hybrid = _hybrid(data.samples) if data is not None else None
 
     systems = []
@@ -317,12 +320,41 @@ def build_monolithic_system(
     return LinearSystem(a=lifted.a_real, b=b_real, epsilon=0.0), _voxel_map(sup_idx)
 
 
+def _line_grams(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
+    """The normal matrices of all readout lines, as a (W, n_max, n_max) stack
+    zero-padded to the longest line, and the flat index into the (W, n_max)
+    layout of every supported voxel in (y, c) order.
+
+    The readout DFT is unitary and fully sampled, so it cancels in A^H A,
+    which is block diagonal over readout positions c with the blocks
+    G_c = C[sup_c, sup_c] * (S_c^H S_c): C = F_kept^H F_kept is the H x H
+    point-spread matrix of the sampling pattern and S_c the (L, n_sup) coil
+    values on line c.  G_c is the normal matrix of ``build_row_systems``'
+    line system.
+    """
+    mask = ph.support_mask
+    h, w = mask.shape
+    ys, cs = np.nonzero(mask)
+    pos = (np.cumsum(mask, axis=0) - 1)[ys, cs]  # rank of y within its line
+    n_max = int(mask.sum(axis=0).max())
+    f_kept = _kept_dft(h, pat.phase_encodes_kept)
+    psf = f_kept.conj().T @ f_kept
+    rows = np.zeros((w, n_max), dtype=int)
+    rows[cs, pos] = ys
+    s = np.zeros((w, n_max, coils.shape[0]), dtype=complex)  # zero in the padding
+    s[cs, pos] = coils[:, ys, cs].T
+    gram = psf[rows[:, :, None], rows[:, None, :]] * (s.conj() @ s.transpose(0, 2, 1))
+    return gram, cs * n_max + pos
+
+
 def sense_operator(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
     """Matrix-free complex forward operator over all supported voxels.
 
     Forward/adjoint go through FFTs and pointwise products only; the
-    monolithic matrix is never materialized.  Returns the operator and the
-    lifted voxel map ((y, c) order, real block first) of its diagonal estimates.
+    monolithic matrix is never materialized.  The normal action A^H A is one
+    batched product with the per-line normal matrices of :func:`_line_grams`.
+    Returns the operator and the lifted voxel map ((y, c) order, real block
+    first) of its diagonal estimates.
     """
     from .matfree import LinearOperator
 
@@ -332,6 +364,7 @@ def sense_operator(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
     l = coils.shape[0]
     sup_idx = np.argwhere(ph.support_mask)
     ys, cs = sup_idx[:, 0], sup_idx[:, 1]
+    gram, flat = _line_grams(ph, coils, pat)
 
     def apply(x: np.ndarray) -> np.ndarray:
         img = np.zeros((h, w), dtype=complex)
@@ -344,8 +377,14 @@ def sense_operator(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
         coil_imgs = np.fft.ifft2(full, axes=(-2, -1), norm="ortho")
         return (np.conj(coils) * coil_imgs).sum(axis=0)[ys, cs]
 
+    def apply_normal(x: np.ndarray) -> np.ndarray:
+        lines = np.zeros(gram.shape[0] * gram.shape[1], dtype=complex)
+        lines[flat] = x
+        return (gram @ lines.reshape(gram.shape[0], -1, 1)).reshape(-1)[flat]
+
     op = LinearOperator(shape=(l * kept.size * w, ys.size), apply=apply,
-                        apply_transpose=apply_transpose, is_complex=True)
+                        apply_transpose=apply_transpose, is_complex=True,
+                        apply_normal=apply_normal)
     return op, _voxel_map(sup_idx)
 
 

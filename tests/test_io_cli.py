@@ -515,6 +515,36 @@ class TestEstimateDiagCommand:
         assert payload["failed_samples"] == 0
         assert max(payload["relative_error"]) <= 0.2
 
+    def test_dense_payload_keeps_its_keys(self, tmp_path):
+        # 5x3 matrix, a budget of 180 iterations that 3 of the 12 probes
+        # meet (they stop after 156, 173 and 179; the rest need 182 to 186)
+        a = [[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.5, 3.0], [0.0, 2.0, 1.0],
+             [1.0, 1.0, 1.0]]
+        mpath, out = tmp_path / "a.csv", tmp_path / "d.json"
+        mio.write_matrix_csv(mpath, np.array(a))
+        code = cli.main(["estimate-diag", "--matrix", str(mpath), "--samples", "12",
+                         "--seed", "4", "--rel-tol", "1e-10", "--max-iters", "180",
+                         "--json", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        # the payload of the residual form x <- x - tau A^T (A x - m), which
+        # the normal form A^T A x - A^T m reproduces up to the last bits
+        before = {
+            "exact": [0.3476190476190476, 0.2285714285714285, 0.2238095238095237],
+            "failed_samples": 9, "probe_kind": "gaussian",
+            "relative_error": [0.8336417787198912, 0.29444755923846144, 0.7488580711482342],
+            "samples": 12, "seed": 4, "sigma1_estimate": 4.195119548915796,
+            "values": [0.0578292864449902, 0.29587372782593396, 0.05620795550491898],
+        }
+        assert set(payload) == set(before) | {"iterations", "max_last_update_norm"}
+        for key, want in before.items():
+            if isinstance(want, (float, list)):
+                np.testing.assert_allclose(payload[key], want, rtol=1e-13, err_msg=key)
+            else:
+                assert payload[key] == want, key
+        assert payload["iterations"] == {"min": 156, "median": 180.0, "max": 180}
+        assert 0.0 < payload["max_last_update_norm"] < 1e-9
+
     def test_requires_an_operator(self, capsys):
         code = cli.main(["estimate-diag", "--samples", "10"])
         assert code == 1

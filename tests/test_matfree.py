@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -233,3 +235,18 @@ class TestComplexOperator:
                              apply_transpose=lambda y: a.T @ y, is_complex=True)
         assert adjoint_mismatch(good) < 1e-12
         assert adjoint_mismatch(bad) > 1e-3
+
+    def test_normal_without_conjugate_detected(self, rng):
+        a = self.complex_matrix(rng, 5, 4)
+        op = LinearOperator.from_matrix(a)
+        good = dataclasses.replace(op, apply_normal=lambda x: a.conj().T @ (a @ x))
+        bad = dataclasses.replace(op, apply_normal=lambda x: a.T @ (a @ x))
+        assert adjoint_mismatch(good) < 1e-12
+        assert adjoint_mismatch(bad) > 1e-3
+
+    def test_normal_defaults_to_the_composition(self, rng):
+        a = self.complex_matrix(rng, 6, 3)
+        op = LinearOperator.from_matrix(a)
+        assert op.apply_normal is None
+        x = self.complex_matrix(rng, 3, 1)[:, 0]
+        np.testing.assert_array_equal(op.normal(x), op.apply_transpose(op.apply(x)))

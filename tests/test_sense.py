@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,19 @@ from entrybounds import (
 )
 from entrybounds.bounds import Target, difference_rows
 from entrybounds.errors import ConfigError, NumericalFailure, ShapeMismatch, UnknownPreset
-from entrybounds.matfree import adjoint_mismatch
+from entrybounds.matfree import (
+    LandweberConfig,
+    adjoint_mismatch,
+    landweber_pinv,
+    power_iteration_sigma1,
+    stochastic_diag,
+)
 from entrybounds.sense import (
     STATUS_FINITE,
     STATUS_OFF_SUPPORT,
     STATUS_UNDETERMINED,
     Phantom,
+    _line_grams,
     SamplingPattern,
     build_monolithic_system,
     build_problem,
@@ -214,6 +223,82 @@ class TestSenseOperator:
         np.testing.assert_allclose(
             sys.b, a_dense @ np.concatenate([truth.real, truth.imag]), atol=1e-10
         )
+
+    @pytest.mark.parametrize("accel", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "h, w, l, empty_line",
+        [(8, 8, 1, None), (8, 8, 3, None), (10, 8, 3, None), (8, 10, 1, None), (8, 10, 3, 4)],
+        ids=["8x8-1coil", "8x8-3coils", "10x8-3coils", "8x10-1coil", "8x10-3coils-empty-line"],
+    )
+    def test_normal_matches_fft_composition(self, rng, h, w, l, accel, empty_line):
+        # the 8-wide support ellipse leaves its edge lines empty; one more
+        # empty line inside it pads the Gram stack between nonempty ones
+        ph = make_phantom("smooth-blobs", h, w, seed=4)
+        if empty_line is not None:
+            mask = ph.support_mask.copy()
+            mask[:, empty_line] = False
+            ph = Phantom(grid=np.where(mask, ph.grid, 0.0), support_mask=mask)
+        coils = make_coils(l, h, w, seed=4)
+        op, _ = sense_operator(ph, coils, SamplingPattern(num_lines=h, accel=accel, acs_lines=2))
+        for _ in range(3):
+            x = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
+            want = op.apply_transpose(op.apply(x))
+            assert np.linalg.norm(op.normal(x) - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("h, w, l", [(8, 8, 3), (10, 8, 3), (8, 10, 1), (12, 12, 4)])
+    def test_line_grams_are_the_row_normal_matrices(self, h, w, l):
+        ph = make_phantom("smooth-blobs", h, w, seed=1)
+        coils = make_coils(l, h, w, seed=1)
+        pat = SamplingPattern(num_lines=h, accel=2, acs_lines=2)
+        gram, flat = _line_grams(ph, coils, pat)
+        systems = build_row_systems(ph, coils, pat)
+        n_max = gram.shape[1]
+        assert gram.shape == (w, n_max, n_max)
+        assert n_max == max(rs.n_sup for rs in systems)
+        ys, cs = np.nonzero(ph.support_mask)
+        lines = {rs.line_index: rs for rs in systems}
+        for c in range(w):
+            rs = lines.get(c)
+            n = 0 if rs is None else rs.n_sup
+            if rs is not None:
+                np.testing.assert_allclose(gram[c, :n, :n], rs.a_complex.conj().T @ rs.a_complex,
+                                           rtol=0, atol=1e-14 * np.abs(gram[c]).max())
+                # the flat index puts line c's voxels, in order, at its rows
+                np.testing.assert_array_equal(flat[cs == c] - c * n_max, np.arange(n))
+                np.testing.assert_array_equal(ys[cs == c], rs.voxel_rows)
+            assert not gram[c, n:, :].any() and not gram[c, :, n:].any()
+
+    def test_landweber_matches_monolithic_pinv(self, rng):
+        ph = make_phantom("smooth-blobs", 8, 8, seed=2)
+        coils = make_coils(3, 8, 8, seed=2)
+        pat = SamplingPattern(num_lines=8, accel=2, acs_lines=2)
+        data = simulate_acquisition(ph, coils, pat, noise_sigma=0.05, seed=1)
+        sys, _ = build_monolithic_system(ph, coils, pat, data)
+        op, _ = sense_operator(ph, coils, pat)
+        s = np.linalg.svd(np.asarray(sys.a), compute_uv=False)
+        cfg = LandweberConfig(sigma1_estimate=float(s[0]), sigma_min=float(s[-1]),
+                              rate_tol=1e-11, max_iters=10**6, rel_tol=0.0)
+        res = landweber_pinv(op, data.samples.reshape(-1), cfg)
+        expected = np.linalg.pinv(np.asarray(sys.a)) @ np.asarray(sys.b)
+        got = lifting.lift_vector(res.x)
+        assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("kind, failed", [("gaussian", 7), ("rademacher", 8)])
+    def test_stochastic_diag_matches_fft_composition(self, kind, failed):
+        ph = make_phantom("smooth-blobs", 8, 8, seed=2)
+        coils = make_coils(3, 8, 8, seed=2)
+        op, _ = sense_operator(ph, coils, SamplingPattern(num_lines=8, accel=2, acs_lines=2))
+        fft = dataclasses.replace(op, apply_normal=None)
+        s1 = power_iteration_sigma1(op, seed=1)
+        assert s1 == pytest.approx(power_iteration_sigma1(fft, seed=1), rel=1e-14)
+        # the probes stop after 789 to 866 iterations; the budget splits them
+        # 3 iterations or more away from any probe's count
+        cfg = LandweberConfig(sigma1_estimate=s1, max_iters=818, rel_tol=1e-8)
+        got = stochastic_diag(op, samples=10, probe_kind=kind, seed=3, cfg=cfg)
+        want = stochastic_diag(fft, samples=10, probe_kind=kind, seed=3, cfg=cfg)
+        assert got.failed_samples == want.failed_samples == failed
+        np.testing.assert_array_equal(got.iterations, want.iterations)
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "build, coil_size, pattern_lines",
