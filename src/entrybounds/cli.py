@@ -215,6 +215,9 @@ def cmd_sense(args) -> int:
         epsilon_mode=result.config["epsilon"]["mode"],
         line_stats=result.line_stats,
         lines_skipped=sum("skipped" in stats for stats in result.line_stats),
+        # voxels per status code, 0 through STATUS_UNDETERMINED
+        status_counts={str(code): int(n) for code, n in enumerate(
+            np.bincount(result.status.ravel(), minlength=sense.STATUS_UNDETERMINED + 1))},
         timings=result.timings,
     )
     mio.write_json(os.path.join(outdir, "manifest.json"), manifest)

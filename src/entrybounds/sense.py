@@ -263,6 +263,29 @@ def _hybrid(samples: np.ndarray) -> np.ndarray:
     return np.fft.ifft(samples, axis=-1, norm="ortho")
 
 
+def _line_systems(ph: Phantom, coils: np.ndarray, pat: SamplingPattern,
+                  hybrid: Optional[np.ndarray]):
+    """Yield the decoupled system of each readout position with supported
+    voxels, one at a time, from the hybrid-space data ``hybrid`` (L, K, W),
+    or with zero data if it is None.  The generator keeps no reference to a
+    line once it is yielded.  The caller checks the grid."""
+    h, w = ph.shape
+    f_kept = _kept_dft(h, pat.phase_encodes_kept)
+    for c in range(w):
+        sup = np.flatnonzero(ph.support_mask[:, c])
+        if sup.size == 0:
+            log.info("readout position %d has no supported voxels; skipped", c)
+            continue
+        # (L, K, n_sup) flattened channel-major, the row order of b below
+        yield RowSystem(
+            line_index=c,
+            voxel_rows=sup,
+            a_complex=(f_kept[None, :, sup] * coils[:, sup, c][:, None, :]).reshape(-1, sup.size),
+            b_complex=(hybrid[:, :, c].reshape(-1) if hybrid is not None
+                       else np.zeros(coils.shape[0] * f_kept.shape[0], dtype=complex)),
+        )
+
+
 def build_row_systems(
     ph: Phantom,
     coils: np.ndarray,
@@ -271,27 +294,11 @@ def build_row_systems(
 ) -> list[RowSystem]:
     """Build one decoupled system per readout position with supported
     voxels.  Columns of off-support voxels are removed; positions with an
-    empty support are skipped with a log record."""
+    empty support are skipped with a log record.  :func:`run_pipeline`
+    streams the same systems one at a time instead."""
     _check_grid(ph, coils, pat)
-    h, w = ph.shape
-    f_kept = _kept_dft(h, pat.phase_encodes_kept)
     hybrid = _hybrid(data.samples) if data is not None else None
-
-    systems = []
-    for c in range(w):
-        sup = np.flatnonzero(ph.support_mask[:, c])
-        if sup.size == 0:
-            log.info("readout position %d has no supported voxels; skipped", c)
-            continue
-        # (L, K, n_sup) flattened channel-major, the row order of b_c below
-        a_c = f_kept[None, :, sup] * coils[:, sup, c][:, None, :]
-        a_c = a_c.reshape(-1, sup.size)
-        if hybrid is not None:
-            b_c = hybrid[:, :, c].reshape(-1)
-        else:
-            b_c = np.zeros(a_c.shape[0], dtype=complex)
-        systems.append(RowSystem(line_index=c, voxel_rows=sup, a_complex=a_c, b_complex=b_c))
-    return systems
+    return list(_line_systems(ph, coils, pat, hybrid))
 
 
 def build_monolithic_system(
@@ -343,7 +350,8 @@ def _line_grams(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
     rows[cs, pos] = ys
     s = np.zeros((w, n_max, coils.shape[0]), dtype=complex)  # zero in the padding
     s[cs, pos] = coils[:, ys, cs].T
-    gram = psf[rows[:, :, None], rows[:, None, :]] * (s.conj() @ s.transpose(0, 2, 1))
+    gram = psf[rows[:, :, None], rows[:, None, :]]
+    gram *= s.conj() @ s.transpose(0, 2, 1)
     return gram, cs * n_max + pos
 
 
@@ -519,9 +527,11 @@ def run_pipeline(cfg: dict) -> PipelineResult:
     decoupled interval bounds, difference bounds, conditioning maps, and
     extremal images for one cross-line of voxels.
 
-    A line whose heuristic epsilon is undefined (not overdetermined or
-    rank deficient), or whose bounds leave the float range, is skipped:
-    its voxels get ``STATUS_UNDETERMINED`` and NaN maps, and its
+    The readout lines are built, bounded and released one at a time, so
+    the line stage holds one line's system, never all of them.  A line
+    whose heuristic epsilon is undefined (not overdetermined or rank
+    deficient), or whose bounds leave the float range, is skipped: its
+    voxels get ``STATUS_UNDETERMINED`` and NaN maps, and its
     ``line_stats`` entry gives the reason.  If no line is bounded and a
     line failed on the float range, the first such failure is raised."""
     t0 = time.perf_counter()
@@ -529,12 +539,10 @@ def run_pipeline(cfg: dict) -> PipelineResult:
     h, w = cfg["grid"]["h"], cfg["grid"]["w"]
     truth, coils, pat = build_problem(cfg)
     data = simulate_acquisition(truth, coils, pat, cfg["noise"]["sigma"], cfg["noise"]["seed"])
-    systems = build_row_systems(truth, coils, pat, data)
-    t_build = time.perf_counter()
 
     eps_cfg = cfg["epsilon"]
     mode = eps_cfg["mode"]
-    noise_hybrid = _hybrid(data.noise)
+    noise_hybrid = _hybrid(data.noise) if mode == "oracle" else None
 
     names = ["lower_re", "upper_re", "lower_im", "upper_im", "diff_lower", "diff_upper",
              "sensitivity", "global_envelope", "kappa_entry", "kappa_line",
@@ -547,7 +555,13 @@ def run_pipeline(cfg: dict) -> PipelineResult:
     line_stats, failure = [], None
     extremal_line = h // 2 if cfg["extremal"]["line"] is None else cfg["extremal"]["line"]
 
-    for rs in systems:
+    # build_s: set-up plus the construction of every line; bounds_s: the rest
+    # of every line's work
+    mark = time.perf_counter()
+    build_s, bounds_s = mark - t0, 0.0
+    for rs in _line_systems(truth, coils, pat, _hybrid(data.samples)):
+        t_line = time.perf_counter()
+        build_s += t_line - mark
         sys_ = LinearSystem(a=rs.a_complex, b=rs.b_complex, epsilon=0.0)
         report = bnd.condition_report(sys_)
         c, sup = rs.line_index, rs.voxel_rows
@@ -582,6 +596,10 @@ def run_pipeline(cfg: dict) -> PipelineResult:
                 maps[name][sup, c] = np.nan
             status[sup, c] = STATUS_UNDETERMINED
             stats.update(kappa=stats.get("kappa"), epsilon=stats.get("epsilon"), skipped=str(exc))
+        # release the line, its system and its factors before the next is built
+        del rs, sys_, report
+        mark = time.perf_counter()
+        bounds_s += mark - t_line
     if failure is not None and all("skipped" in stats for stats in line_stats):
         raise NumericalFailure(f"no line could be bounded; {failure}")
 
@@ -600,8 +618,8 @@ def run_pipeline(cfg: dict) -> PipelineResult:
         config=cfg_echo,
         truth=truth,
         timings={
-            "build_s": t_build - t0,
-            "bounds_s": t_end - t_build,
+            "build_s": build_s,
+            "bounds_s": bounds_s,
             "total_s": t_end - t0,
         },
     )

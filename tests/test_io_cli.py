@@ -569,6 +569,21 @@ class TestEstimateDiagCommand:
         assert all(v >= 0 for v in payload["values"])
 
 
+def check_sense_manifest(outdir):
+    """The manifest's status counts are those of ``status.csv``, over every
+    voxel, and the build and bound timings fit inside the total."""
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    status = mio.read_matrix_csv(outdir / "status.csv")
+    counts = manifest["status_counts"]
+    assert list(counts) == ["0", "1", "2", "3", "4"]
+    assert sum(counts.values()) == status.size
+    assert counts == {code: int(np.count_nonzero(status == int(code))) for code in counts}
+    timings = manifest["timings"]
+    assert 0 < timings["build_s"] and 0 < timings["bounds_s"]
+    assert timings["build_s"] + timings["bounds_s"] <= timings["total_s"]
+    return manifest, status
+
+
 class TestSenseCommand:
     CFG = {
         "grid": {"h": 12, "w": 12, "preset": "smooth-blobs", "seed": 0},
@@ -587,7 +602,8 @@ class TestSenseCommand:
     def test_outputs_and_manifest(self, tmp_path):
         code, outdir = self.run_once(tmp_path, "run")
         assert code == 0
-        manifest = json.loads((outdir / "manifest.json").read_text())
+        manifest, status = check_sense_manifest(outdir)
+        assert status.shape == (12, 12) and manifest["status_counts"]["0"] > 0
         for name in ("lower_re", "upper_re", "status", "sensitivity"):
             assert (outdir / f"{name}.csv").exists()
             assert f"{name}.csv" in manifest["outputs"]
@@ -636,11 +652,10 @@ class TestSenseCommand:
         outdir = tmp_path / "run"
         code = cli.main(["sense", "--config", str(cfg_path), "--out", str(outdir)])
         assert code == 0
-        manifest = json.loads((outdir / "manifest.json").read_text())
+        manifest, status = check_sense_manifest(outdir)
         skipped = [s for s in manifest["line_stats"] if "skipped" in s]
         assert manifest["lines_skipped"] == len(skipped) > 0
-        status = mio.read_matrix_csv(outdir / "status.csv")
-        assert np.any(status == 4)
+        assert np.any(status == 4) and manifest["status_counts"]["4"] > 0
 
     @pytest.mark.parametrize("eps, code", [(1e307, 0), (1e308, 1)])
     def test_overflowing_lines_skipped(self, tmp_path, eps, code):

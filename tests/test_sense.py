@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from entrybounds import (
     epsilon_heuristic,
     extremal_solution,
     lifting,
+    sense,
     svd_truncated,
 )
 from entrybounds.bounds import Target, difference_rows
@@ -590,3 +592,53 @@ class TestLiftedReference:
             assert shapes["qr"] == [(s["m"] // 2, s["n"] // 2 + 1) for s in res.line_stats]
             assert shapes["values"] == [(s["n"] // 2, s["n"] // 2) for s in res.line_stats]
         assert not pinned.all()
+
+
+def acquired_lines(cfg):
+    """``build_row_systems`` over the data the pipeline acquires for ``cfg``."""
+    truth, coils, pat = build_problem(cfg)
+    noise = {"sigma": 0.01, "seed": 0, **cfg.get("noise", {})}
+    data = simulate_acquisition(truth, coils, pat, noise["sigma"], noise["seed"])
+    return build_row_systems(truth, coils, pat, data)
+
+
+class TestStreamedLines:
+    @pytest.mark.parametrize("case", sorted(LIFTED_CASES))
+    def test_pipeline_streams_the_listed_systems(self, case, monkeypatch):
+        cfg = LIFTED_CASES[case]
+        streamed, stream = [], sense._line_systems
+
+        def recorded(*args):
+            for rs in stream(*args):
+                streamed.append(rs)
+                yield rs
+
+        monkeypatch.setattr(sense, "_line_systems", recorded)
+        res = run_pipeline(cfg)
+        monkeypatch.undo()
+        systems = acquired_lines(cfg)
+        # the grid has readout positions without support, which both skip
+        assert 0 < len(systems) < cfg["grid"]["w"]
+        assert len(streamed) == len(systems)
+        for got, want in zip(streamed, systems):
+            assert got.line_index == want.line_index
+            for name in ("voxel_rows", "a_complex", "b_complex"):
+                x, y = getattr(got, name), getattr(want, name)
+                assert x.dtype == y.dtype and x.shape == y.shape, name
+                assert x.tobytes() == y.tobytes(), name
+        assert [s["line"] for s in res.line_stats] == [rs.line_index for rs in systems]
+
+    def test_line_stage_holds_one_line(self):
+        """The pipeline's traced peak stays well below the bytes of all its
+        line systems together: each line is released before the next one
+        is built."""
+        cfg = {"grid": {"h": 96, "w": 96}}
+        all_lines = sum(rs.a_complex.nbytes + rs.b_complex.nbytes
+                        for rs in acquired_lines(cfg))
+        tracemalloc.start()
+        try:
+            run_pipeline(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < all_lines / 2, (peak, all_lines)
