@@ -52,6 +52,10 @@ LAMBDA_CLAMP_RTOL = 1e-12
 # remains feasible for noiseless systems.
 RESIDUAL_FLOOR_RTOL = 1e-12
 
+# Columns of the largest triangle that np.linalg.inv inverts whole;
+# :func:`_triangular_inverse` splits a larger one into 2 x 2 blocks.
+TRIANGLE_LEAF = 32
+
 
 class BoundStatus(enum.Enum):
     FINITE = "finite"
@@ -79,7 +83,7 @@ class _Factored:
     A tall full-rank A = Q R takes K = (R / 2**es)^-1, d = 1 and G = Q; any
     other A = U diag(sigma) V^H takes K = V, d = sigma / 2**es and G = U.
     In both, 2**es is the power of two just above sigma_1, so K diag(1/d)
-    stays in range.
+    stays in range.  ``path`` names the way K was made.
     """
 
     key: tuple
@@ -90,6 +94,7 @@ class _Factored:
     v_perp: np.ndarray  # N x (N - r), an orthonormal basis of the nullspace
     residual: float
     g: np.ndarray  # b in the basis G
+    path: str  # "triangle" or "svd"
 
     @functools.cached_property
     def solution(self) -> np.ndarray:
@@ -104,6 +109,33 @@ class _Factored:
     def sensitivities(self, wk: np.ndarray) -> np.ndarray:
         """||(A^+)^H w||_2 for every row w^H K of ``wk``: inf beyond the float range."""
         return core._scaled_inv_norms(wk, self.d, self.es)
+
+    @functools.cached_property
+    def entry_sensitivities(self) -> np.ndarray:
+        """||(A^+)^H e_i||_2 for every coordinate i, from the rows of K; on a
+        complex system Re x_i and Im x_i share it."""
+        return self.sensitivities(self.k)
+
+    @functools.cached_property
+    def b_norm(self) -> float:
+        """||b||_2 of the data the factors were computed from."""
+        return core._norm(self.key[1])
+
+
+def _triangular_inverse(r: np.ndarray) -> np.ndarray:
+    """The inverse of the nonsingular upper triangle ``r``, by 2 x 2 blocks:
+    [[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]], with the
+    inverses of A and D taken the same way, down to blocks of at most
+    TRIANGLE_LEAF columns, which np.linalg.inv inverts."""
+    n = r.shape[0]
+    if n <= TRIANGLE_LEAF:
+        return np.linalg.inv(r)
+    h = n // 2
+    a_inv, d_inv = _triangular_inverse(r[:h, :h]), _triangular_inverse(r[h:, h:])
+    out = np.zeros_like(r)
+    out[:h, :h], out[h:, h:] = a_inv, d_inv
+    out[:h, h:] = -(a_inv @ r[:h, h:]) @ d_inv
+    return out
 
 
 def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
@@ -131,12 +163,13 @@ def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
             raise NumericalFailure(f"SVD did not converge: {exc}") from None
         if sigma is not None and core._rank(sigma, rtol) == n:
             es = core._unit_sigma(sigma)[1]
-            k = np.linalg.inv(a * math.ldexp(1.0, -es))
-            return _Factored(key, k, np.ones(n), es, sigma, np.zeros((n, 0), k.dtype), rho, b)
+            k = _triangular_inverse(a * math.ldexp(1.0, -es))
+            return _Factored(key, k, np.ones(n), es, sigma, np.zeros((n, 0), k.dtype), rho, b,
+                             "triangle")
     f = svd_truncated(a, rtol)
     d, es = core._unit_sigma(f.sigma)
     return _Factored(key, f.v, d, es, f.sigma, f.v_perp,
-                     math.hypot(core.residual_projection_norm(f, b), rho), f.u.conj().T @ b)
+                     math.hypot(core.residual_projection_norm(f, b), rho), f.u.conj().T @ b, "svd")
 
 
 def _factored(a) -> _Factored:
@@ -268,8 +301,9 @@ def _lambda_from(sys: LinearSystem) -> Optional[float]:
     feasible set is empty.  Tiny negative values of the discriminant are
     clamped to zero.  The squares are taken in units of a power of two
     near the larger of eps and the residual, so they stay in range."""
-    eps, residual = sys.epsilon, sys.residual()
-    if residual <= RESIDUAL_FLOOR_RTOL * core._norm(sys.b):
+    fc = sys._factored()
+    eps, residual = sys.epsilon, fc.residual
+    if residual <= RESIDUAL_FLOOR_RTOL * fc.b_norm:
         residual = 0.0
     e = math.frexp(max(eps, residual))[1]
     eps, residual = math.ldexp(eps, -e), math.ldexp(residual, -e)
@@ -318,28 +352,52 @@ class _RowProducts(NamedTuple):
     """Products of the weight rows w_k = 2**e[k] * u_k, in units of 2**e[k],
     with the factors K and V_perp of :class:`_Factored`."""
 
-    u: Optional[np.ndarray]  # None for the coordinate rows
+    u: Optional[np.ndarray]  # None for the coordinate and the pair rows
     e: np.ndarray
     lam: Optional[float]  # None when the feasible set is empty
     mid: np.ndarray  # Re(u_k^H A^+ b)
-    wk: np.ndarray  # u_k^H K
+    wk: Optional[np.ndarray]  # u_k^H K; None for the coordinate rows
     sens: np.ndarray  # ||(A^+)^H u_k||
-    wv_perp: np.ndarray  # u_k^H V_perp
+    wv_perp: Optional[np.ndarray]  # u_k^H V_perp; None for the coordinate rows
     perp: np.ndarray  # ||V_perp^H u_k||
     unbounded: np.ndarray  # perp above the nullspace tolerance
 
 
-def _row_products(sys: LinearSystem, W) -> _RowProducts:
-    """The rows of ``W``, validated and scaled as :func:`bounds_for` states, and their products."""
+def _row_products(sys: LinearSystem, W=None, *, entries=None, pairs=None) -> _RowProducts:
+    """The products of one family of rows, validated and scaled as
+    :func:`bounds_for` states:
+
+    - the rows of a dense ``W``, multiplied with the factors;
+    - with ``W=None``, the coordinate rows of :func:`bounds_for` (on a
+      complex system Re x_i, then Im x_i), or those numbered in
+      ``entries``: rows of A^+ b and V_perp gathered, and the sensitivities
+      the factors keep for every coordinate;
+    - with ``pairs``, the differences x_i - x_j (their real parts on a
+      complex system), the rows of :func:`difference_rows`: rows of K,
+      V_perp and A^+ b halved and subtracted, as the dense row
+      e_i - e_j = 2 * u with u = (e_i - e_j) / 2 is scaled, so that every
+      product equals the dense one up to the sign of a zero.
+    """
     fc = sys._factored()
     n = fc.k.shape[0]
-    if W is None:
-        if sys.is_complex:
-            # Im x_i = Re(conj(1j) x_i): the rows of [I; 1j I], conjugated
-            rows, k = (lambda x: np.concatenate([x, -1j * x])), 2 * n
-        else:
-            rows, k = (lambda x: x), n
-        u, e, wnorm = None, np.zeros(k, dtype=int), 1.0
+    if pairs is not None:
+        i, j = _pair_index(n, pairs).T
+
+        def rows(f):  # halved before the subtraction, as the dense product does
+            return f[i] * 0.5 - f[j] * 0.5
+
+        u, e, wnorm = None, np.ones(i.size, dtype=int), math.sqrt(0.5)
+    elif W is None:
+        reps = 2 if sys.is_complex else 1
+        x = fc.solution  # a NaN midpoint raises in _bound_arrays
+        mid = np.concatenate([x.real, x.imag]) if reps == 2 else x
+        sens = np.tile(fc.entry_sensitivities, reps)
+        perp = np.tile(np.linalg.norm(fc.v_perp, axis=1), reps)
+        if entries is not None:
+            idx = np.asarray(entries, dtype=np.intp)
+            mid, sens, perp = mid[idx], sens[idx], perp[idx]
+        return _RowProducts(None, np.zeros(mid.size, dtype=int), _lambda_from(sys), mid, None,
+                            sens, None, perp, perp > core.DEFAULT_ORTHO_TOL)
     else:
         W = core.as_real_or_complex(W)
         if W.ndim != 2 or W.shape[1] != n:
@@ -379,7 +437,8 @@ def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
     gets the interval w^T A^+ b +/- lam * ||(A^+)^H w||.  All rows
     share the system's one residual projection and A^+ b; midpoints and
     the rest come from the products W A^+ b, W K and W V_perp, with the
-    kernel matrix K of the system's factors.
+    kernel matrix K of the system's factors.  The coordinate rows of
+    ``W=None`` are read from A^+ b and the row norms of K instead.
 
     On a complex system a row w (real or complex) bounds Re(w^H x), and
     ``W=None`` gives 2N rows: Re x_i for every i, then Im x_i (the column
@@ -417,14 +476,17 @@ def functional_bound(sys: LinearSystem, w, index: Optional[int] = None) -> Entry
     return bounds_for(sys, w).entry_bounds([index])[0]
 
 
-def entrywise_bounds(sys: LinearSystem) -> list[EntryBound]:
-    """Interval for every coordinate x_i, sharing one factorization."""
-    return bounds_for(sys).entry_bounds()
+def entrywise_bounds(sys: LinearSystem,
+                     entries: Optional[Sequence[int]] = None) -> list[EntryBound]:
+    """Interval for every coordinate x_i, sharing one factorization: the
+    rows of :func:`bounds_for` with ``W=None``, or only those numbered in
+    ``entries``, labelled by their numbers."""
+    return _bound_arrays(_row_products(sys, entries=entries)).entry_bounds(entries)
 
 
-def difference_rows(n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Weight matrix whose k-th row is e_i - e_j for the k-th pair (i, j).
-    The first pair with an index out of range, or with i == j, raises."""
+def _pair_index(n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """``pairs`` as a k x 2 index array.  The first pair with an index out
+    of range for ``n`` columns, or with i == j, raises."""
     p = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
     outside = ((p < 0) | (p >= n)).any(axis=1)
     bad = outside | (p[:, 0] == p[:, 1])
@@ -434,6 +496,15 @@ def difference_rows(n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
         if outside[k]:
             raise IndexOutOfRange(f"pair ({i}, {j}) out of range for N={n}")
         raise SamePair(f"difference pair has identical indices ({i}, {i})")
+    return p
+
+
+def difference_rows(n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Weight matrix whose k-th row is e_i - e_j for the k-th pair (i, j).
+    The first pair with an index out of range, or with i == j, raises.
+    The kernel bounds these rows without forming them
+    (:func:`adjacent_difference_bounds`); this is their dense form."""
+    p = _pair_index(n, pairs)
     w = np.zeros((len(p), n))
     k = np.arange(len(p))
     w[k, p[:, 0]] = 1.0
@@ -444,8 +515,10 @@ def difference_rows(n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
 def adjacent_difference_bounds(
     sys: LinearSystem, pairs: Sequence[tuple[int, int]]
 ) -> list[EntryBound]:
-    """Intervals for coordinate differences x_i - x_j over given pairs."""
-    return bounds_for(sys, difference_rows(sys.shape[1], pairs)).entry_bounds()
+    """Intervals for coordinate differences x_i - x_j over given pairs:
+    those of :func:`bounds_for` on :func:`difference_rows`, from the
+    subtracted rows of the factors."""
+    return _bound_arrays(_row_products(sys, pairs=pairs)).entry_bounds()
 
 
 def extremal_solution(
@@ -463,6 +536,14 @@ def extremal_solution(
 
 def _extremal(sys: LinearSystem, p: _RowProducts, target: Target, alpha=None) -> ExtremalSolution:
     """:func:`extremal_solution` from the products ``p`` of its one row."""
+    x, achieved = _extremal_point(sys, p, target, alpha)
+    return ExtremalSolution(x=x, achieved_value=achieved,
+                            residual_norm=core._norm(sys.a @ x - sys.b))
+
+
+def _extremal_point(sys: LinearSystem, p: _RowProducts, target: Target,
+                    alpha=None) -> tuple[np.ndarray, float]:
+    """The vector of :func:`_extremal` and the value it attains, without its residual."""
     if p.lam is None:
         raise InfeasibleSystem("no vector is consistent with the data within epsilon")
     fc = sys._factored()
@@ -491,8 +572,7 @@ def _extremal(sys: LinearSystem, p: _RowProducts, target: Target, alpha=None) ->
         achieved = float(np.ldexp((u.conj() @ x).real, e))
     if not (math.isfinite(achieved) and np.isfinite(x).all()):
         raise NumericalFailure(f"target {target.value}: the vector must be finite")
-    return ExtremalSolution(x=x, achieved_value=achieved,
-                            residual_norm=core._norm(sys.a @ x - sys.b))
+    return x, achieved
 
 
 def condition_report(a) -> ConditionReport:
@@ -511,7 +591,7 @@ def condition_report(a) -> ConditionReport:
     reps = 2 if np.iscomplexobj(fc.k) else 1
     sigma_max = float(fc.sigma[0]) if rank else 0.0
     sigma_min_pos = float(fc.sigma[-1]) if rank else 0.0
-    spectral = np.tile(fc.sensitivities(fc.k), reps)
+    spectral = np.tile(fc.entry_sensitivities, reps)
     if not np.isfinite(spectral).all():
         raise NumericalFailure("an entrywise sensitivity exceeds the float range")
     kappa_global = sigma_max / sigma_min_pos if rank == n else None

@@ -79,8 +79,7 @@ def cmd_bounds(args) -> int:
         results = [bnd.functional_bound(sys_, w, index=0)]
     else:
         idx = _parse_entries(args.entries, n)
-        all_bounds = bnd.entrywise_bounds(sys_)
-        results = [all_bounds[i] for i in idx]
+        results = bnd.entrywise_bounds(sys_, idx)
     records = [r.to_record() for r in results]
     payload = {
         "epsilon": sys_.epsilon,
@@ -214,6 +213,8 @@ def cmd_sense(args) -> int:
     manifest.update(
         epsilon_mode=result.config["epsilon"]["mode"],
         line_stats=result.line_stats,
+        # bounded lines per factor path: the triangle (M >= 2N at full rank) or the SVD
+        factor_paths=result.factor_paths,
         lines_skipped=sum("skipped" in stats for stats in result.line_stats),
         # voxels per status code, 0 through STATUS_UNDETERMINED
         status_counts={str(code): int(n) for code, n in enumerate(

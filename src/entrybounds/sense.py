@@ -403,6 +403,7 @@ class PipelineResult:
     maps: dict  # name -> (H, W) float array, NaN where undefined
     status: np.ndarray  # (H, W) int codes
     line_stats: list  # per decoupled line: dict of scalars
+    factor_paths: dict  # bounded lines per factor path: "triangle" and "svd"
     config: dict
     truth: Phantom
     timings: dict
@@ -507,8 +508,7 @@ def _bound_line(sys_eps: LinearSystem, report: bnd.ConditionReport, rs: RowSyste
 
     # differences Re x[r] - Re x[r + 1] between neighboring supported voxels
     nb = np.flatnonzero(np.diff(sup) == 1)
-    pairs = np.column_stack([nb, nb + 1])
-    db = bnd.bounds_for(sys_eps, bnd.difference_rows(n_sup, pairs))
+    db = bnd._bound_arrays(bnd._row_products(sys_eps, pairs=np.column_stack([nb, nb + 1])))
     maps["diff_lower"][sup[nb], c] = db.lower
     maps["diff_upper"][sup[nb], c] = db.upper
 
@@ -519,7 +519,7 @@ def _bound_line(sys_eps: LinearSystem, report: bnd.ConditionReport, rs: RowSyste
         wvec[j_re[0]] = 1.0
         p = bnd._row_products(sys_eps, wvec[None, :])  # shared by both ends
         for tgt, name in ((Target.UPPER, "extremal_upper"), (Target.LOWER, "extremal_lower")):
-            maps[name][sup, c] = bnd._extremal(sys_eps, p, tgt).x.real
+            maps[name][sup, c] = bnd._extremal_point(sys_eps, p, tgt)[0].real
 
 
 def run_pipeline(cfg: dict) -> PipelineResult:
@@ -553,6 +553,7 @@ def run_pipeline(cfg: dict) -> PipelineResult:
     maps["truth_im"] = truth.grid.imag.copy()
 
     line_stats, failure = [], None
+    factor_paths = {"triangle": 0, "svd": 0}
     extremal_line = h // 2 if cfg["extremal"]["line"] is None else cfg["extremal"]["line"]
 
     # build_s: set-up plus the construction of every line; bounds_s: the rest
@@ -588,6 +589,7 @@ def run_pipeline(cfg: dict) -> PipelineResult:
             # the copy keeps the factors and the residual projection
             _bound_line(dataclasses.replace(sys_, epsilon=eps), report, rs, extremal_line,
                         maps, status)
+            factor_paths[sys_._factored().path] += 1
         except (NotOverdetermined, NumericalFailure) as exc:
             log.info("line %d skipped: %s", c, exc)
             if isinstance(exc, NumericalFailure) and failure is None:
@@ -615,6 +617,7 @@ def run_pipeline(cfg: dict) -> PipelineResult:
         maps=maps,
         status=status,
         line_stats=line_stats,
+        factor_paths=factor_paths,
         config=cfg_echo,
         truth=truth,
         timings={

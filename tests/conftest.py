@@ -5,7 +5,8 @@ the constrained extremum is found by Lagrangian bisection on the residual
 norm, nullspace questions go through scipy's null_space, and feasibility
 through a dense pseudoinverse.  The least-squares solution, the
 sensitivities and the effective tolerance lam of a full-rank system also
-have an mpmath oracle that shares no LAPACK call with the package.
+have an mpmath oracle that shares no LAPACK call with the package, and so
+has the inverse of a triangle.
 """
 
 import mpmath
@@ -157,3 +158,22 @@ def mp_extremal(a, b, epsilon, w, dps=50):
         lam, mid = _mp_lam(am, bm, x, epsilon), mpmath.re((wm.H * x)[0])
         return [(_mp_round(x + gw * (sign * lam / root), a, b), float(mid + sign * lam * root))
                 for sign in (-1, 1)]
+
+
+def mp_triangular_inverse(r, dps=40):
+    """The inverse of the nonsingular upper triangle ``r`` at ``dps`` digits,
+    by back substitution in mpmath, column by column, rounded to double at
+    the end.  The float inputs convert to mpmath exactly."""
+    r = np.asarray(r)
+    n = r.shape[0]
+    cast = complex if np.iscomplexobj(r) else float
+    out = np.zeros((n, n), dtype=cast)
+    with mpmath.workdps(dps):
+        rm = [[mpmath.mpmathify(cast(v)) for v in row] for row in r]
+        for j in range(n):
+            col = {j: 1 / rm[j][j]}
+            for i in range(j - 1, -1, -1):
+                col[i] = -mpmath.fsum(rm[i][k] * col[k] for k in range(i + 1, j + 1)) / rm[i][i]
+            for i, v in col.items():
+                out[i, j] = cast(v)
+    return out

@@ -14,6 +14,11 @@ form (``lifting.lift_system``) and against the oracles on that form.
 The feasible vectors of ``extremal_solution`` are checked against the
 kernel's intervals on the same systems, and against both ends taken from
 one evaluation of the row's products.
+
+The coordinate and pair rows, which the kernel gathers and subtracts from
+the factors instead of multiplying, are checked bit for bit: the pairs
+against the dense rows of ``difference_rows``, and the coordinates'
+sensitivities, Re and Im rows alike, against ``condition_report``.
 """
 
 import numpy as np
@@ -40,7 +45,7 @@ from entrybounds.bounds import (
     _row_products,
     difference_rows,
 )
-from entrybounds.errors import InfeasibleSystem, StatusMismatch
+from entrybounds.errors import IndexOutOfRange, InfeasibleSystem, SamePair, StatusMismatch
 
 FINITE, UNBOUNDED, INFEASIBLE = range(3)
 
@@ -324,3 +329,94 @@ def test_complex_extremal_solutions_match_lifted(problem):
             scale = max(1.0, float(np.max(np.abs(ref.x))))
             np.testing.assert_allclose(lift_vector(sol.x), ref.x, rtol=0, atol=1e-9 * scale)
             assert sol.achieved_value == pytest.approx(ref.achieved_value, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def pair_problems(draw):
+    """A real or complex system of any shape and rank (tall, square, wide,
+    rank-deficient, also tall ones with M >= 2N), with epsilon on either
+    side of its residual, and a list of up to 6 index pairs, often empty."""
+    m, n = draw(shapes(7, 6))
+    rank = draw(st.integers(0, min(m, n)))
+    cplx = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def draw_normal(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if cplx else z
+
+    a = draw_normal(m, rank) @ draw_normal(rank, n)
+    b = a @ draw_normal(n) + draw(st.sampled_from([0.0, 0.05, 0.5])) * draw_normal(m)
+    residual = float(np.linalg.norm(b - a @ (np.linalg.pinv(a) @ b)))
+    ratio = draw(st.one_of(st.floats(0.2, 0.9), st.floats(1.1, 3.0)))
+    eps = ratio * residual if residual > 1e-8 else ratio
+    pairs = []
+    if n > 1:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+        pairs = draw(st.lists(pair, max_size=6))
+    return LinearSystem(a=a, b=b, epsilon=eps), pairs
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(pair_problems())
+def test_pair_rows_equal_dense_difference_rows(problem):
+    """The pair family gives the dense rows' products and intervals bit for
+    bit; assert_array_equal lets a zero differ only in its sign."""
+    sys_, pairs = problem
+    got = _row_products(sys_, pairs=pairs)
+    want = _row_products(sys_, difference_rows(sys_.shape[1], pairs))
+    assert got.u is None and got.lam == want.lam
+    for name in ("e", "mid", "wk", "sens", "wv_perp", "perp", "unbounded"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert_same(_bound_arrays(got), bounds_for(sys_, difference_rows(sys_.shape[1], pairs)))
+    assert_records_match(adjacent_difference_bounds(sys_, pairs), _bound_arrays(want))
+
+
+def test_pair_rows_cover_unbounded_and_empty_lists():
+    """A rank-deficient system has finite and unbounded pairs, and an empty
+    list gives no rows; both as the dense rows give them."""
+    a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, 0.0, 0.0]])  # x_2 free
+    for sys_ in (LinearSystem(a=a, b=[1.0, 2.0, 3.0, 4.0], epsilon=5.0),
+                 LinearSystem(a=a * (1 + 1j), b=[1.0, 2j, 3.0, 4.0], epsilon=5.0)):
+        pairs = [(0, 1), (1, 2), (2, 0)]
+        got = _bound_arrays(_row_products(sys_, pairs=pairs))
+        np.testing.assert_array_equal(got.status, [FINITE, UNBOUNDED, UNBOUNDED])
+        assert_same(got, bounds_for(sys_, difference_rows(3, pairs)))
+        empty = _bound_arrays(_row_products(sys_, pairs=[]))
+        assert empty.status.shape == (0,) and empty.lam == got.lam
+        assert_same(empty, bounds_for(sys_, difference_rows(3, [])))
+        assert adjacent_difference_bounds(sys_, []) == []
+        with pytest.raises(IndexOutOfRange):
+            _row_products(sys_, pairs=[(0, 3)])
+        with pytest.raises(SamePair):
+            _row_products(sys_, pairs=[(0, 1), (2, 2)])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(pair_problems(), st.data())
+def test_coordinate_rows_share_condition_report_sensitivities(problem, data):
+    """Every coordinate row, the Re and the Im row of a complex entry alike,
+    has the sensitivity of ``condition_report`` bit for bit, and its
+    midpoint is the entry of A^+ b; a subset of the rows (``entries``) is
+    those rows of the full family, labelled by their numbers."""
+    sys_, _ = problem
+    n = sys_.shape[1]
+    reps = 2 if sys_.is_complex else 1
+    rep = condition_report(sys_)
+    full = _row_products(sys_)
+    np.testing.assert_array_equal(full.sens, rep.spectral_entry)
+    np.testing.assert_array_equal(full.sens[:n], full.sens[n:] if reps == 2 else full.sens)
+    x = sys_.solution()
+    np.testing.assert_array_equal(full.mid, np.concatenate([x.real, x.imag]) if reps == 2 else x)
+    res = _bound_arrays(full)
+    assert_same(bounds_for(sys_), res)
+    finite = res.status == FINITE
+    np.testing.assert_array_equal(res.sensitivity[finite], rep.spectral_entry[finite])
+    idx = data.draw(st.lists(st.integers(0, reps * n - 1), max_size=5))
+    sub = _bound_arrays(_row_products(sys_, entries=idx))
+    for name in ("status", "lower", "upper", "midpoint", "half_width", "sensitivity"):
+        np.testing.assert_array_equal(getattr(sub, name), getattr(res, name)[idx], err_msg=name)
+    assert sub.lam == res.lam
+    records = entrywise_bounds(sys_, idx)
+    assert [r.index for r in records] == idx
+    assert_records_match(records, sub)

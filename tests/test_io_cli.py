@@ -384,6 +384,23 @@ class TestGoldenFixture:
     def test_qr_golden_values_match_oracle(self, case):
         self._check_oracle(case)
 
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_entry_subset_is_golden_records(self, tmp_path, monkeypatch, case):
+        """``--entries`` bounds only the listed coordinates, and writes the
+        golden file's records of them, byte for byte."""
+        matrix, data, golden = _golden_paths(case)
+        sizes = []
+        real = bounds._bound_arrays
+        monkeypatch.setattr(bounds, "_bound_arrays", lambda p: sizes.append(p.e.size) or real(p))
+        out = tmp_path / "bounds.json"
+        code = cli.main(["bounds", "--matrix", matrix, "--data", data, "--epsilon", "0.4",
+                         "--entries", "3,0,3", "--json", str(out)])
+        assert code == 0 and sizes == [3]
+        with open(golden) as fh:
+            want = json.load(fh)
+        want["bounds"] = [want["bounds"][i] for i in (3, 0, 3)]
+        assert out.read_bytes() == mio.json_text(want).encode()
+
     @staticmethod
     def _check_rerun(tmp_path, case):
         matrix, data, golden = _golden_paths(case)
@@ -571,8 +588,12 @@ class TestEstimateDiagCommand:
 
 def check_sense_manifest(outdir):
     """The manifest's status counts are those of ``status.csv``, over every
-    voxel, and the build and bound timings fit inside the total."""
+    voxel, its factor paths count the lines not skipped, and the build and
+    bound timings fit inside the total."""
     manifest = json.loads((outdir / "manifest.json").read_text())
+    paths = manifest["factor_paths"]
+    assert sorted(paths) == ["svd", "triangle"]
+    assert sum(paths.values()) == sum("skipped" not in s for s in manifest["line_stats"])
     status = mio.read_matrix_csv(outdir / "status.csv")
     counts = manifest["status_counts"]
     assert list(counts) == ["0", "1", "2", "3", "4"]

@@ -13,12 +13,26 @@ The intervals of ``bounds_for`` (midpoints, half-widths and lam) are
 checked against ``conftest.mp_interval_parts`` on square systems and on
 tall systems whose data lies outside the range of A, and both vectors of
 ``extremal_solution`` against ``conftest.mp_extremal``.
+
+A triangle of more than ``bounds.TRIANGLE_LEAF`` columns is inverted by
+2 x 2 blocks; at N = 40 the inverse is checked against
+``conftest.mp_triangular_inverse``, and at N = 33, 64 and 100 the A^+ b
+and sensitivities of a system built on it against
+``conftest.svd_least_squares``, within the same 10 * N * kappa * u.  A
+triangle of at most TRIANGLE_LEAF columns is np.linalg.inv's, byte for
+byte.
 """
 
 import numpy as np
 import pytest
 
-from conftest import mp_extremal, mp_interval_parts, mp_least_squares, svd_least_squares
+from conftest import (
+    mp_extremal,
+    mp_interval_parts,
+    mp_least_squares,
+    mp_triangular_inverse,
+    svd_least_squares,
+)
 from entrybounds import LinearSystem, Target, bounds, bounds_for, extremal_solution
 
 M, N = 30, 8
@@ -173,3 +187,60 @@ def test_extremal_vectors_against_mpmath(m, dtype, seed):
     ratios = extremal_ratios(m, dtype, seed)
     worst = {what: max(r[what] for r in ratios) for what in ratios[0]}
     assert all(v <= 10 * N for v in worst.values()), worst
+
+
+def conditioned(n, kappa, dtype, seed):
+    """A 2n x n matrix with singular values from 1 down to 1 / kappa, and its
+    QR triangle R, as the triangle path takes it."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if dtype is complex else z
+
+    q1, q2 = np.linalg.qr(draw(2 * n, n))[0], np.linalg.qr(draw(n, n))[0]
+    a = q1 @ np.diag(np.logspace(0.0, -np.log10(kappa), n)) @ q2.conj().T
+    return a, np.linalg.qr(a, mode="r"), draw(n)
+
+
+DTYPES = pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+
+
+@DTYPES
+@pytest.mark.parametrize("n", [1, 4, 12, 31, bounds.TRIANGLE_LEAF])
+def test_small_triangle_is_one_lapack_inverse(n, dtype):
+    _, r, _ = conditioned(n, 1e4, dtype, n)
+    assert bounds._triangular_inverse(r).tobytes() == np.linalg.inv(r).tobytes()
+
+
+@DTYPES
+@pytest.mark.parametrize("kappa", [1.0, 1e4, 1e8])
+def test_blocked_triangle_inverse_against_mpmath(kappa, dtype):
+    """At N = 40 (blocks of 20 columns): the inverse and its row norms, the
+    unscaled sensitivities, within 10 * N * kappa * u of the referee; the
+    blocks below the diagonal are exact zeros."""
+    n = 40
+    _, r, _ = conditioned(n, kappa, dtype, 17)
+    k = bounds._triangular_inverse(r)
+    k_mp = mp_triangular_inverse(r)
+    assert not np.tril(k, -1).any()
+    scale = 10 * n * np.linalg.cond(r) * U
+    assert np.linalg.norm(k - k_mp) / np.linalg.norm(k_mp) <= scale
+    rows, rows_mp = np.linalg.norm(k, axis=1), np.linalg.norm(k_mp, axis=1)
+    assert np.max(np.abs(rows - rows_mp) / rows_mp) <= scale
+
+
+@DTYPES
+@pytest.mark.parametrize("kappa", [1.0, 1e4, 1e8])
+@pytest.mark.parametrize("n", [33, 64, 100])
+def test_blocked_triangle_path_against_svd(n, kappa, dtype):
+    """A tall full-rank system whose triangle is inverted by blocks: its A^+ b
+    and its sensitivities within 10 * N * kappa * u of the SVD's."""
+    a, _, x = conditioned(n, kappa, dtype, n)
+    sys_ = LinearSystem(a=a, b=a @ x, epsilon=1.0)
+    assert sys_._factored().path == "triangle"
+    x_svd, sens_svd = svd_least_squares(a, sys_.b)
+    scale = 10 * n * np.linalg.cond(a) * U
+    assert np.linalg.norm(sys_.solution() - x_svd) / np.linalg.norm(x_svd) <= scale
+    sens = bounds_for(sys_).sensitivity[:n]
+    assert np.max(np.abs(sens - sens_svd) / sens_svd) <= scale

@@ -420,6 +420,23 @@ class TestPipeline:
             else:
                 assert np.all(col == STATUS_FINITE)
 
+    @pytest.mark.parametrize("mode", ["fixed", "heuristic"])
+    def test_factor_paths_count_bounded_lines(self, mode):
+        """One coil at accel 2 on 16 x 16 has tall full-rank lines (M >= 2N),
+        full-rank lines below that shape, and wide rank-deficient ones: the
+        first go down the triangle path, the others the SVD.  A fixed
+        epsilon bounds every line; the heuristic one skips the rank-deficient
+        lines, which then count on no path."""
+        cfg = {"grid": {"h": 16, "w": 16}, "coils": {"l": 1}, "pattern": {"accel": 2, "acs": 2},
+               "epsilon": {"mode": "fixed", "value": 1.0} if mode == "fixed" else {"mode": mode}}
+        res = run_pipeline(cfg)
+        bounded = [s for s in res.line_stats if "skipped" not in s]
+        deficient = [s for s in bounded if s["rank"] < s["n"]]
+        triangle = sum(s["m"] >= 2 * s["n"] and s["rank"] == s["n"] for s in bounded)
+        assert res.factor_paths == {"triangle": triangle, "svd": len(bounded) - triangle}
+        assert triangle > 0 and len(bounded) - triangle > len(deficient)
+        assert len(deficient) > 0 if mode == "fixed" else not deficient
+
     @pytest.mark.parametrize("eps, n_skipped", [(1e307, 18), (4e307, 24)])
     def test_overflowing_lines_skipped(self, eps, n_skipped):
         """A line whose bounds leave the float range is skipped alone.  At
