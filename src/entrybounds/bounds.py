@@ -108,7 +108,8 @@ class _Factored:
 
     def sensitivities(self, wk: np.ndarray) -> np.ndarray:
         """||(A^+)^H w||_2 for every row w^H K of ``wk``: inf beyond the float range."""
-        return core._scaled_inv_norms(wk, self.d, self.es)
+        # d is all ones on the triangle path, where dividing by it changes no norm
+        return core._scaled_inv_norms(wk, None if self.path == "triangle" else self.d, self.es)
 
     @functools.cached_property
     def entry_sensitivities(self) -> np.ndarray:
@@ -384,7 +385,8 @@ def _row_products(sys: LinearSystem, W=None, *, entries=None, pairs=None) -> _Ro
         i, j = _pair_index(n, pairs).T
 
         def rows(f):  # halved before the subtraction, as the dense product does
-            return f[i] * 0.5 - f[j] * 0.5
+            f = f * 0.5
+            return f[i] - f[j]
 
         u, e, wnorm = None, np.ones(i.size, dtype=int), math.sqrt(0.5)
     elif W is None:
@@ -455,18 +457,21 @@ def _bound_arrays(p: _RowProducts) -> BoundArrays:
     k = p.e.size
     if p.lam is None:
         return BoundArrays(np.full(k, 2), *(np.full(k, np.nan) for _ in range(5)), None)
-    # back from the units of the scaled rows: exact unless a value leaves the float range
     with np.errstate(over="ignore", invalid="ignore"):
         half = p.sens * p.lam
-        scaled = np.array([p.mid - half, p.mid + half, p.mid, half, p.sens])
-        lower, upper, midpoint, half_width, sensitivity = out = np.ldexp(scaled, p.e)
-        lost = ~p.unbounded & ~(np.isfinite(out) & (np.ldexp(out, -p.e) == scaled)).all(axis=0)
+        out = np.array([p.mid - half, p.mid + half, p.mid, half, p.sens])
+        if p.e.any():
+            # back from the units of the scaled rows: exact unless a value leaves the float range
+            scaled, out = out, np.ldexp(out, p.e)
+            kept = np.isfinite(out) & (np.ldexp(out, -p.e) == scaled)
+        else:
+            kept = np.isfinite(out)
+        lost = ~p.unbounded & ~kept.all(axis=0)
     if lost.any():
         raise NumericalFailure(f"weight row {int(np.argmax(lost))}: bounds must be finite")
-    for arr in (lower, upper, midpoint, half_width, sensitivity):
-        arr[p.unbounded] = np.nan
-    return BoundArrays(p.unbounded.astype(int), lower, upper, midpoint, half_width,
-                       sensitivity, p.lam)
+    if p.unbounded.any():
+        out[:, p.unbounded] = np.nan
+    return BoundArrays(p.unbounded.astype(int), *out, p.lam)
 
 
 def functional_bound(sys: LinearSystem, w, index: Optional[int] = None) -> EntryBound:
@@ -564,15 +569,25 @@ def _extremal_point(sys: LinearSystem, p: _RowProducts, target: Target,
                 raise StatusMismatch(f"target {target.value} requires a finite interval")
             if not math.isfinite(p.sens[0]):
                 raise NumericalFailure(f"target {target.value}: the sensitivity must be finite")
-            # (A^+)^H w over its norm, the kernel's sensitivity, in the basis G:
-            # riding the ellipsoid boundary along A^+ of +/- it attains the endpoints
-            t = p.wk[0].conj() / fc.d / np.ldexp(p.sens[0], fc.es)
-            step = p.lam * fc.apply(t)
-            x = fc.solution + (step if target is Target.UPPER else -step)
+            upper, lower = _extremal_pair(fc, p.wk[0], p.sens[0], p.lam)
+            x = upper if target is Target.UPPER else lower
         achieved = float(np.ldexp((u.conj() @ x).real, e))
     if not (math.isfinite(achieved) and np.isfinite(x).all()):
         raise NumericalFailure(f"target {target.value}: the vector must be finite")
     return x, achieved
+
+
+def _extremal_pair(fc: _Factored, wk: np.ndarray, sens: float,
+                   lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """A^+ b + step and A^+ b - step, the vectors attaining the upper and
+    the lower end of a finite interval: ``wk`` is the row w^H K and ``sens``
+    its sensitivity, both in one unit, which cancels.  Either vector may
+    leave the float range; the caller checks."""
+    # (A^+)^H w over its norm, the kernel's sensitivity, in the basis G:
+    # riding the ellipsoid boundary along A^+ of +/- it attains the endpoints
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = lam * fc.apply(wk.conj() / fc.d / np.ldexp(sens, fc.es))
+        return fc.solution + step, fc.solution - step
 
 
 def condition_report(a) -> ConditionReport:

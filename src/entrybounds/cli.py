@@ -197,6 +197,7 @@ def cmd_sense(args) -> int:
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     outputs = []
+    t_write = time.perf_counter()
     for name, grid in result.maps.items():
         path = os.path.join(outdir, f"{name}.csv")
         mio.write_matrix_csv(path, grid)
@@ -208,6 +209,7 @@ def cmd_sense(args) -> int:
     status_path = os.path.join(outdir, "status.csv")
     mio.write_matrix_csv(status_path, result.status.astype(float))
     outputs.append(status_path)
+    write_s = time.perf_counter() - t_write
 
     manifest = _manifest("sense", result.config, outputs, t0)
     manifest.update(
@@ -219,7 +221,7 @@ def cmd_sense(args) -> int:
         # voxels per status code, 0 through STATUS_UNDETERMINED
         status_counts={str(code): int(n) for code, n in enumerate(
             np.bincount(result.status.ravel(), minlength=sense.STATUS_UNDETERMINED + 1))},
-        timings=result.timings,
+        timings={**result.timings, "write_s": write_s},
     )
     mio.write_json(os.path.join(outdir, "manifest.json"), manifest)
     infeasible = bool(np.any(result.status == sense.STATUS_INFEASIBLE))

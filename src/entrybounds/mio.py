@@ -30,14 +30,15 @@ from .errors import ConfigError, DimensionMismatch
 FLOAT_FMT = "%.17g"
 _PGM_MAXVAL = 255
 _PGM_FLAT_RTOL = 1e-12  # a relative span at or below this is rounding: one gray level
+_PGM_TOKENS = np.array([str(v) for v in range(_PGM_MAXVAL + 1)], dtype=object)  # "%d" of a pixel
 
 
-def _write_csv(path, a, row_text) -> None:
-    """Write a 2-D array as CSV with a leading ``rows,cols`` line and one
-    line ``row_text(row)`` per row (a list of Python scalars)."""
+def _write_csv(path, shape, lines) -> None:
+    """Write a CSV of ``shape`` with a leading ``rows,cols`` line and then
+    ``lines``, one text per row."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"{a.shape[0]},{a.shape[1]}\n")
-        fh.writelines(map(row_text, a.tolist()))
+        fh.write(f"{shape[0]},{shape[1]}\n")
+        fh.writelines(lines)
 
 
 def _read_header(fh, path) -> tuple[int, int]:
@@ -120,7 +121,11 @@ def write_matrix_csv(path, a) -> None:
     """Write a real matrix as CSV with a leading ``rows,cols`` line."""
     a = np.atleast_2d(_real(a, "write_matrix_csv"))
     line = ",".join([FLOAT_FMT] * a.shape[1]) + "\n"
-    _write_csv(path, a, lambda row: line % tuple(row))
+    # an all-NaN row, off the support of a map, is formatted once
+    nan_line = line % ((math.nan,) * a.shape[1])
+    empty = np.isnan(a).all(axis=1).tolist()
+    _write_csv(path, a.shape, [nan_line if skip else line % tuple(row)
+                               for row, skip in zip(a.tolist(), empty)])
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -149,8 +154,8 @@ def _fmt_complex(z: complex) -> str:
 
 def write_complex_csv(path, a) -> None:
     """Write a complex matrix as CSV with ``re+imj`` tokens."""
-    _write_csv(path, np.atleast_2d(np.asarray(a, dtype=complex)),
-               lambda row: ",".join(map(_fmt_complex, row)) + "\n")
+    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    _write_csv(path, a.shape, (",".join(map(_fmt_complex, row)) + "\n" for row in a.tolist()))
 
 
 def read_complex_csv(path) -> np.ndarray:
@@ -194,10 +199,9 @@ def write_pgm(path, grid) -> None:
             s = math.ldexp(1.0, -max(0, math.frexp(max(abs(lo), abs(hi)))[1] - 1022))
             scaled = np.where(finite, (grid * s - lo * s) / (hi * s - lo * s) * _PGM_MAXVAL, 0.0)
     pix = np.clip(np.rint(scaled), 0, _PGM_MAXVAL).astype(int)
-    line = " ".join(["%d"] * grid.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(f"P2\n{grid.shape[1]} {grid.shape[0]}\n{_PGM_MAXVAL}\n")
-        fh.writelines(line % tuple(row) for row in pix.tolist())
+        fh.writelines(" ".join(row) + "\n" for row in _PGM_TOKENS[pix].tolist())
 
 
 def sha256_file(path) -> str:
@@ -209,4 +213,8 @@ def sha256_file(path) -> str:
 
 
 def hash_outputs(paths: Sequence[str]) -> dict[str, str]:
-    return {os.path.basename(p): sha256_file(p) for p in sorted(paths)}
+    """SHA-256 of every output, keyed by its basename, or by its path where
+    another output shares that basename."""
+    names = [os.path.basename(p) for p in paths]
+    return {name if names.count(name) == 1 else p: sha256_file(p)
+            for p, name in sorted(zip(paths, names))}

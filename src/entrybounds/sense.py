@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import lifting
-from .bounds import LinearSystem, Target
+from .bounds import LinearSystem
 from .errors import ConfigError, NotOverdetermined, NumericalFailure, ShapeMismatch, UnknownPreset
 
 log = logging.getLogger(__name__)
@@ -512,14 +512,16 @@ def _bound_line(sys_eps: LinearSystem, report: bnd.ConditionReport, rs: RowSyste
     maps["diff_lower"][sup[nb], c] = db.lower
     maps["diff_upper"][sup[nb], c] = db.upper
 
-    # extremal images pinned at the chosen cross-line voxel
-    j_re = np.flatnonzero(sup == extremal_line)
-    if j_re.size and eb.status[j_re[0]] == STATUS_FINITE:
-        wvec = np.zeros(n_sup)
-        wvec[j_re[0]] = 1.0
-        p = bnd._row_products(sys_eps, wvec[None, :])  # shared by both ends
-        for tgt, name in ((Target.UPPER, "extremal_upper"), (Target.LOWER, "extremal_lower")):
-            maps[name][sup, c] = bnd._extremal_point(sys_eps, p, tgt)[0].real
+    # extremal images pinned at the chosen cross-line voxel, both from one
+    # step along the coordinate row of Re x_j: row j of K and its sensitivity
+    j = np.flatnonzero(sup == extremal_line)
+    if j.size and eb.status[j[0]] == STATUS_FINITE:
+        fc = sys_eps._factored()
+        upper, lower = bnd._extremal_pair(fc, fc.k[j[0]], fc.entry_sensitivities[j[0]], eb.lam)
+        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+            raise NumericalFailure(f"line {c}: an extremal vector exceeds the float range")
+        maps["extremal_upper"][sup, c] = upper.real
+        maps["extremal_lower"][sup, c] = lower.real
 
 
 def run_pipeline(cfg: dict) -> PipelineResult:
@@ -557,13 +559,16 @@ def run_pipeline(cfg: dict) -> PipelineResult:
     extremal_line = h // 2 if cfg["extremal"]["line"] is None else cfg["extremal"]["line"]
 
     # build_s: set-up plus the construction of every line; bounds_s: the rest
-    # of every line's work
+    # of every line's work, of which factor_s is the factorization
     mark = time.perf_counter()
-    build_s, bounds_s = mark - t0, 0.0
+    build_s, bounds_s, factor_s = mark - t0, 0.0, 0.0
     for rs in _line_systems(truth, coils, pat, _hybrid(data.samples)):
         t_line = time.perf_counter()
         build_s += t_line - mark
         sys_ = LinearSystem(a=rs.a_complex, b=rs.b_complex, epsilon=0.0)
+        t_factor = time.perf_counter()
+        path = sys_._factored().path
+        factor_s += time.perf_counter() - t_factor
         report = bnd.condition_report(sys_)
         c, sup = rs.line_index, rs.voxel_rows
         # sizes in the units of the lifted real system, where every complex
@@ -589,7 +594,7 @@ def run_pipeline(cfg: dict) -> PipelineResult:
             # the copy keeps the factors and the residual projection
             _bound_line(dataclasses.replace(sys_, epsilon=eps), report, rs, extremal_line,
                         maps, status)
-            factor_paths[sys_._factored().path] += 1
+            factor_paths[path] += 1
         except (NotOverdetermined, NumericalFailure) as exc:
             log.info("line %d skipped: %s", c, exc)
             if isinstance(exc, NumericalFailure) and failure is None:
@@ -623,6 +628,7 @@ def run_pipeline(cfg: dict) -> PipelineResult:
         timings={
             "build_s": build_s,
             "bounds_s": bounds_s,
+            "factor_s": factor_s,
             "total_s": t_end - t0,
         },
     )

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -252,6 +253,58 @@ class TestPgm:
         pix = [[int(v) for v in row.split()] for row in lines[3:]]
         rows = "".join(" ".join(str(v) for v in row) + "\n" for row in pix)
         assert path.read_bytes() == (f"P2\n{shape[1]} {shape[0]}\n255\n" + rows).encode()
+
+
+_SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+                   2.2250738585072009e-308, np.finfo(float).max, -np.finfo(float).max]
+
+
+@st.composite
+def map_grids(draw):
+    """A small map: mixed values (with +-inf, signed zeros and subnormals),
+    a flat one or an all-NaN one, 1 x 1 to 5 x 5, with some rows all NaN."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    value = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
+    kind = draw(st.sampled_from(["mixed", "flat", "nan"]))
+    if kind == "mixed":
+        grid = np.array(draw(st.lists(value, min_size=rows * cols, max_size=rows * cols)))
+    else:
+        grid = np.full(rows * cols, draw(value) if kind == "flat" else np.nan)
+    grid = grid.reshape(rows, cols)
+    grid[draw(st.lists(st.booleans(), min_size=rows, max_size=rows))] = np.nan
+    return grid
+
+
+def pgm_reference(grid):
+    """The PGM bytes of the per-row ``"%d"`` template, with the pixels of
+    :func:`mio.write_pgm`'s min-max scaling."""
+    finite = np.isfinite(grid)
+    scaled = np.zeros_like(grid)
+    if finite.any():
+        lo, hi = float(grid[finite].min()), float(grid[finite].max())
+        if hi - lo > 1e-12 * max(abs(lo), abs(hi)):
+            s = math.ldexp(1.0, -max(0, math.frexp(max(abs(lo), abs(hi)))[1] - 1022))
+            scaled = np.where(finite, (grid * s - lo * s) / (hi * s - lo * s) * 255, 0.0)
+    pix = np.clip(np.rint(scaled), 0, 255).astype(int)
+    line = " ".join(["%d"] * grid.shape[1]) + "\n"
+    rows = "".join(line % tuple(row) for row in pix.tolist())
+    return f"P2\n{grid.shape[1]} {grid.shape[0]}\n255\n{rows}".encode()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(map_grids())
+@example(np.array([[1.5]]))
+@example(np.array([[np.nan, 2.0, -np.inf, 5e-324]]))
+@example(np.array([[-0.0], [np.nan], [1e308], [-1e308]]))
+def test_map_writers_match_per_value_formulas(tmp_path_factory, grid):
+    """``write_matrix_csv`` writes each cell's ``FLOAT_FMT``, and
+    ``write_pgm`` the pixels of the ``"%d"`` row template, byte for byte."""
+    tmp = tmp_path_factory.mktemp("maps")
+    mio.write_matrix_csv(tmp / "m.csv", grid)
+    rows = "".join(",".join(mio.FLOAT_FMT % x for x in row) + "\n" for row in grid.tolist())
+    assert (tmp / "m.csv").read_bytes() == (f"{grid.shape[0]},{grid.shape[1]}\n" + rows).encode()
+    mio.write_pgm(tmp / "m.pgm", grid)
+    assert (tmp / "m.pgm").read_bytes() == pgm_reference(grid)
 
 
 def write_identity_fixture(tmp_path):
@@ -562,6 +615,26 @@ class TestEstimateDiagCommand:
         assert payload["iterations"] == {"min": 156, "median": 180.0, "max": 180}
         assert 0.0 < payload["max_last_update_norm"] < 1e-9
 
+    def test_manifest_keeps_outputs_with_one_basename(self, tmp_path):
+        """Two outputs named ``out`` in different directories both get their
+        hash, keyed by path; a unique basename stays the key."""
+        mpath = tmp_path / "a.csv"
+        mio.write_matrix_csv(mpath, np.diag([2.0, 1.0]))
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        csv_out, json_out = tmp_path / "a" / "out", tmp_path / "b" / "out"
+        manifest_path = tmp_path / "m.json"
+        code = cli.main(["estimate-diag", "--matrix", str(mpath), "--samples", "5",
+                         "--csv", str(csv_out), "--json", str(json_out),
+                         "--manifest", str(manifest_path)])
+        assert code == 0
+        outputs = json.loads(manifest_path.read_text())["outputs"]
+        assert outputs == {str(csv_out): mio.sha256_file(csv_out),
+                           str(json_out): mio.sha256_file(json_out)}
+        assert outputs[str(csv_out)] != outputs[str(json_out)]
+        assert mio.hash_outputs([str(csv_out), str(mpath)]) == {
+            "out": mio.sha256_file(csv_out), "a.csv": mio.sha256_file(mpath)}
+
     def test_requires_an_operator(self, capsys):
         code = cli.main(["estimate-diag", "--samples", "10"])
         assert code == 1
@@ -602,6 +675,8 @@ def check_sense_manifest(outdir):
     timings = manifest["timings"]
     assert 0 < timings["build_s"] and 0 < timings["bounds_s"]
     assert timings["build_s"] + timings["bounds_s"] <= timings["total_s"]
+    assert 0 <= timings["factor_s"] <= timings["bounds_s"]
+    assert 0 <= timings["write_s"] <= manifest["wall_clock_s"]
     return manifest, status
 
 

@@ -427,8 +427,7 @@ class TestPipeline:
         first go down the triangle path, the others the SVD.  A fixed
         epsilon bounds every line; the heuristic one skips the rank-deficient
         lines, which then count on no path."""
-        cfg = {"grid": {"h": 16, "w": 16}, "coils": {"l": 1}, "pattern": {"accel": 2, "acs": 2},
-               "epsilon": {"mode": "fixed", "value": 1.0} if mode == "fixed" else {"mode": mode}}
+        cfg = SVD_PATH_CFG if mode == "fixed" else {**SVD_PATH_CFG, "epsilon": {"mode": mode}}
         res = run_pipeline(cfg)
         bounded = [s for s in res.line_stats if "skipped" not in s]
         deficient = [s for s in bounded if s["rank"] < s["n"]]
@@ -485,6 +484,11 @@ class TestPipeline:
         with pytest.raises(ConfigError):
             run_pipeline({"epsilon": {"mode": "fixed"}})
 
+
+# One coil at accel 2 on 16 x 16 under a fixed epsilon: triangle lines, and
+# full-rank and rank-deficient lines on the SVD path.
+SVD_PATH_CFG = {"grid": {"h": 16, "w": 16}, "coils": {"l": 1}, "pattern": {"accel": 2, "acs": 2},
+                "epsilon": {"mode": "fixed", "value": 1.0}}
 
 LIFTED_CASES = {
     "heuristic": {"grid": {"h": 24, "w": 20, "seed": 2}, "coils": {"l": 5, "seed": 1},
@@ -593,22 +597,54 @@ class TestLiftedReference:
                 v.clear()
             res = run_pipeline(LIFTED_CASES[case])
             lines = len(res.line_stats)
-            # one row pass for the entries, one for the differences, and one
-            # for both extremal vectors where the pinned voxel is finite
+            # one row pass for the entries and one for the differences; both
+            # extremal vectors come from the coordinate row of the pinned voxel
             pinned = np.isfinite(res.maps["extremal_upper"]).any(axis=0)[
                 [s["line"] for s in res.line_stats]]
             n_pinned = int(np.count_nonzero(pinned))
             # every line is full rank with M >= 2N: one QR of [A | b], the
             # singular values and the inverse of its N x N triangle, and no
-            # singular vectors; A^+ applied once for A^+ b, once per extremal end
+            # singular vectors; A^+ applied once for A^+ b, once for the step of
+            # both extremal vectors
             assert all(s["m"] >= 2 * s["n"] and s["rank"] == s["n"] for s in res.line_stats)
             assert counts == {"factor": lines, "qr": lines, "values": lines, "inverse": lines,
-                              "svd": 0, "apply": lines + 2 * n_pinned,
-                              "rows": 2 * lines + n_pinned}
+                              "svd": 0, "apply": lines + n_pinned, "rows": 2 * lines}
             assert pinned.any()
             assert shapes["qr"] == [(s["m"] // 2, s["n"] // 2 + 1) for s in res.line_stats]
             assert shapes["values"] == [(s["n"] // 2, s["n"] // 2) for s in res.line_stats]
         assert not pinned.all()
+
+
+@pytest.mark.parametrize("cfg", [*(LIFTED_CASES[k] for k in sorted(LIFTED_CASES)), SVD_PATH_CFG],
+                         ids=[*sorted(LIFTED_CASES), "one-coil-svd"])
+def test_line_maps_are_the_public_kernel_bit_for_bit(cfg):
+    """Each line's extremal and difference columns are, bit for bit, those
+    of ``extremal_solution`` on the pinned unit vector and of
+    ``adjacent_difference_bounds`` on the line's own complex system."""
+    res = run_pipeline(cfg)
+    line = cfg.get("extremal", {}).get("line", res.truth.shape[0] // 2)
+    paths = set()
+    for rs, stats in zip(acquired_lines(cfg), res.line_stats, strict=True):
+        if "skipped" in stats:
+            continue
+        c, sup, n = rs.line_index, rs.voxel_rows, rs.n_sup
+        sys_ = LinearSystem(a=rs.a_complex, b=rs.b_complex, epsilon=stats["epsilon"])
+        nb = np.flatnonzero(np.diff(sup) == 1)
+        db = bounds.adjacent_difference_bounds(sys_, np.column_stack([nb, nb + 1]))
+        for name, end in (("diff_lower", "lower"), ("diff_upper", "upper")):
+            want = [np.nan if getattr(b, end) is None else getattr(b, end) for b in db]
+            np.testing.assert_array_equal(res.maps[name][sup[nb], c], want, err_msg=name)
+        j = np.flatnonzero(sup == line)
+        if not (j.size and res.status[line, c] == STATUS_FINITE):
+            assert np.isnan(res.maps["extremal_upper"][:, c]).all()
+            continue
+        paths.add(sys_._factored().path)
+        w = np.zeros(n)
+        w[j[0]] = 1.0
+        for name, target in (("extremal_upper", Target.UPPER), ("extremal_lower", Target.LOWER)):
+            want = extremal_solution(sys_, w, target).x.real
+            np.testing.assert_array_equal(res.maps[name][sup, c], want, err_msg=name)
+    assert paths == ({"triangle", "svd"} if cfg is SVD_PATH_CFG else {"triangle"})
 
 
 def acquired_lines(cfg):
