@@ -104,7 +104,7 @@ class _Factored:
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """A^+ G g, for coefficients g in the basis G."""
-        return self.k @ (g / self.d * math.ldexp(1.0, -self.es))
+        return self.k @ (g / self.d * _inv_pow2(self.es))
 
     def sensitivities(self, wk: np.ndarray) -> np.ndarray:
         """||(A^+)^H w||_2 for every row w^H K of ``wk``: inf beyond the float range."""
@@ -121,6 +121,14 @@ class _Factored:
     def b_norm(self) -> float:
         """||b||_2 of the data the factors were computed from."""
         return core._norm(self.key[1])
+
+
+def _inv_pow2(es: int) -> float:
+    """2**-es for the exponent of sigma_1; :class:`NumericalFailure` when
+    sigma_1 < 2**-1024 puts it beyond the float range."""
+    if es < -1023:
+        raise NumericalFailure("sigma_1 is below 2**-1024: its reciprocal exceeds the float range")
+    return math.ldexp(1.0, -es)
 
 
 def _triangular_inverse(r: np.ndarray) -> np.ndarray:
@@ -164,7 +172,7 @@ def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
             raise NumericalFailure(f"SVD did not converge: {exc}") from None
         if sigma is not None and core._rank(sigma, rtol) == n:
             es = core._unit_sigma(sigma)[1]
-            k = _triangular_inverse(a * math.ldexp(1.0, -es))
+            k = _triangular_inverse(a * _inv_pow2(es))
             return _Factored(key, k, np.ones(n), es, sigma, np.zeros((n, 0), k.dtype), rho, b,
                              "triangle")
     f = svd_truncated(a, rtol)
@@ -541,14 +549,6 @@ def extremal_solution(
 
 def _extremal(sys: LinearSystem, p: _RowProducts, target: Target, alpha=None) -> ExtremalSolution:
     """:func:`extremal_solution` from the products ``p`` of its one row."""
-    x, achieved = _extremal_point(sys, p, target, alpha)
-    return ExtremalSolution(x=x, achieved_value=achieved,
-                            residual_norm=core._norm(sys.a @ x - sys.b))
-
-
-def _extremal_point(sys: LinearSystem, p: _RowProducts, target: Target,
-                    alpha=None) -> tuple[np.ndarray, float]:
-    """The vector of :func:`_extremal` and the value it attains, without its residual."""
     if p.lam is None:
         raise InfeasibleSystem("no vector is consistent with the data within epsilon")
     fc = sys._factored()
@@ -574,7 +574,8 @@ def _extremal_point(sys: LinearSystem, p: _RowProducts, target: Target,
         achieved = float(np.ldexp((u.conj() @ x).real, e))
     if not (math.isfinite(achieved) and np.isfinite(x).all()):
         raise NumericalFailure(f"target {target.value}: the vector must be finite")
-    return x, achieved
+    return ExtremalSolution(x=x, achieved_value=achieved,
+                            residual_norm=core._norm(sys.a @ x - sys.b))
 
 
 def _extremal_pair(fc: _Factored, wk: np.ndarray, sens: float,

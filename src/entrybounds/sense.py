@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -105,13 +106,6 @@ class RowSystem:
         """The real-lifted system, with epsilon 0; built on first read."""
         lifted, b_real = lifting.lift_system(self.a_complex, self.b_complex)
         return LinearSystem(a=lifted.a_real, b=b_real, epsilon=0.0)
-
-    @property
-    def col_map(self) -> list:
-        """Lifted column -> (row, 're'|'im')."""
-        return [(int(r), "re") for r in self.voxel_rows] + [
-            (int(r), "im") for r in self.voxel_rows
-        ]
 
 
 def _support_ellipse(h: int, w: int) -> np.ndarray:
@@ -427,9 +421,9 @@ _NO_DEFAULT = {"epsilon": {"value": 0.0}}
 
 
 def _default_cfg(cfg: dict) -> dict:
-    """Merge a pipeline config into the defaults.  Unknown keys, and
-    values whose JSON type differs from their default's, raise
-    :class:`ConfigError`."""
+    """Merge a pipeline config into the defaults.  Unknown keys, values
+    whose JSON type differs from their default's, and a fixed epsilon that
+    is negative or not finite raise :class:`ConfigError`."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
     out = {
@@ -464,6 +458,9 @@ def _default_cfg(cfg: dict) -> dict:
         raise ConfigError("epsilon mode 'fixed' requires a value")
     if mode != "fixed" and "value" in out["epsilon"]:
         raise ConfigError(f"epsilon.value is only used in mode 'fixed', not {mode!r}")
+    value = out["epsilon"].get("value", 0.0)
+    if not 0 <= value <= sys.float_info.max:  # NaN fails both
+        raise ConfigError(f"epsilon.value must be finite and nonnegative, got {value!r}")
     h, line = out["grid"]["h"], out["extremal"]["line"]
     if line is not None and not 0 <= line < h:
         raise ConfigError(f"extremal.line must lie in [0, {h}), got {line}")
@@ -488,13 +485,44 @@ def build_problem(cfg: dict) -> tuple[Phantom, np.ndarray, SamplingPattern]:
     return ph, coils, pat
 
 
-def _bound_line(sys_eps: LinearSystem, report: bnd.ConditionReport, rs: RowSystem,
-                extremal_line: int, maps: dict, status: np.ndarray) -> None:
-    """Write the bounds, conditioning and extremal maps of one decoupled
-    line into ``maps`` and ``status``."""
+def _bound_line(rs: RowSystem, epsilon_of, extremal_line: int, stats: dict, maps: dict,
+                status: np.ndarray, timings: dict) -> str:
+    """Bound one decoupled line: factor its system (timed into
+    ``timings["factor_s"]``), report its conditioning, take its epsilon from
+    ``epsilon_of(system, line)``, and bound its entries, its neighbor
+    differences and its pinned extremal pair.  ``stats`` gets each value
+    when its step is done; ``maps`` and ``status`` are written only after the last
+    step that can raise, so a line that raises leaves them as they were.
+    Returns the factor path."""
     c, sup, n_sup = rs.line_index, rs.voxel_rows, rs.n_sup
+    sys_ = LinearSystem(a=rs.a_complex, b=rs.b_complex, epsilon=0.0)
+    t_factor = time.perf_counter()
+    fc = sys_._factored()
+    timings["factor_s"] += time.perf_counter() - t_factor
+    stats.update(rank=2 * sys_.rank, residual=sys_.residual())
+    report = bnd.condition_report(sys_)
+    stats.update(sigma_max=report.sigma_max, sigma_min=report.sigma_min_pos)
+    eps = epsilon_of(sys_, c)
+    # kappa goes with the epsilon: a line the epsilon rule skips reports neither
+    stats.update(kappa=report.kappa_global, epsilon=eps)
+    # the copy keeps the factors and the residual projection
+    sys_ = dataclasses.replace(sys_, epsilon=eps)
     # row j < n_sup is Re x[sup[j]], row n_sup + j its Im
-    eb = bnd.bounds_for(sys_eps)
+    eb = bnd.bounds_for(sys_)
+    # differences Re x[r] - Re x[r + 1] between neighboring supported voxels
+    nb = np.flatnonzero(np.diff(sup) == 1)
+    db = bnd._bound_arrays(bnd._row_products(sys_, pairs=np.column_stack([nb, nb + 1])))
+    # extremal images pinned at the chosen cross-line voxel, both from one
+    # step along the coordinate row of Re x_j: row j of K and its sensitivity
+    j = np.flatnonzero(sup == extremal_line)
+    pinned = j.size > 0 and eb.status[j[0]] == STATUS_FINITE
+    if pinned:
+        upper, lower = bnd._extremal_pair(fc, fc.k[j[0]], fc.entry_sensitivities[j[0]], eb.lam)
+        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+            raise NumericalFailure(f"line {c}: an extremal vector exceeds the float range")
+    # a rank-0 line has no positive singular value, and so no envelope
+    envelope = 1.0 / report.sigma_min_pos if report.sigma_min_pos else np.nan
+
     status[sup, c] = eb.status[:n_sup]
     maps["lower_re"][sup, c] = eb.lower[:n_sup]
     maps["upper_re"][sup, c] = eb.upper[:n_sup]
@@ -502,26 +530,15 @@ def _bound_line(sys_eps: LinearSystem, report: bnd.ConditionReport, rs: RowSyste
     maps["upper_im"][sup, c] = eb.upper[n_sup:]
     maps["sensitivity"][sup, c] = eb.sensitivity[:n_sup]
     maps["kappa_entry"][sup, c] = report.kappa_entry[:n_sup]
-    maps["global_envelope"][sup, c] = 1.0 / report.sigma_min_pos
+    maps["global_envelope"][sup, c] = envelope
     if report.kappa_global is not None:
         maps["kappa_line"][sup, c] = report.kappa_global
-
-    # differences Re x[r] - Re x[r + 1] between neighboring supported voxels
-    nb = np.flatnonzero(np.diff(sup) == 1)
-    db = bnd._bound_arrays(bnd._row_products(sys_eps, pairs=np.column_stack([nb, nb + 1])))
     maps["diff_lower"][sup[nb], c] = db.lower
     maps["diff_upper"][sup[nb], c] = db.upper
-
-    # extremal images pinned at the chosen cross-line voxel, both from one
-    # step along the coordinate row of Re x_j: row j of K and its sensitivity
-    j = np.flatnonzero(sup == extremal_line)
-    if j.size and eb.status[j[0]] == STATUS_FINITE:
-        fc = sys_eps._factored()
-        upper, lower = bnd._extremal_pair(fc, fc.k[j[0]], fc.entry_sensitivities[j[0]], eb.lam)
-        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
-            raise NumericalFailure(f"line {c}: an extremal vector exceeds the float range")
+    if pinned:
         maps["extremal_upper"][sup, c] = upper.real
         maps["extremal_lower"][sup, c] = lower.real
+    return fc.path
 
 
 def run_pipeline(cfg: dict) -> PipelineResult:
@@ -531,11 +548,14 @@ def run_pipeline(cfg: dict) -> PipelineResult:
 
     The readout lines are built, bounded and released one at a time, so
     the line stage holds one line's system, never all of them.  A line
-    whose heuristic epsilon is undefined (not overdetermined or rank
-    deficient), or whose bounds leave the float range, is skipped: its
-    voxels get ``STATUS_UNDETERMINED`` and NaN maps, and its
-    ``line_stats`` entry gives the reason.  If no line is bounded and a
-    line failed on the float range, the first such failure is raised."""
+    that raises :class:`NotOverdetermined` (its heuristic epsilon is
+    undefined: not overdetermined, or rank deficient) or
+    :class:`NumericalFailure` (its factorization, its conditioning or its
+    bounds leave the float range) at any step is skipped: its voxels get
+    ``STATUS_UNDETERMINED`` and NaN maps, and its ``line_stats`` entry
+    gives the reason, with None for the values not reached.  If no line is
+    bounded and a line failed numerically, the first such failure is
+    raised."""
     t0 = time.perf_counter()
     cfg = _default_cfg(cfg)
     h, w = cfg["grid"]["h"], cfg["grid"]["w"]
@@ -545,6 +565,13 @@ def run_pipeline(cfg: dict) -> PipelineResult:
     eps_cfg = cfg["epsilon"]
     mode = eps_cfg["mode"]
     noise_hybrid = _hybrid(data.noise) if mode == "oracle" else None
+
+    def epsilon_of(sys_: LinearSystem, c: int) -> float:
+        if mode == "heuristic":
+            return bnd.epsilon_heuristic(sys_)
+        if mode == "oracle":
+            return float(np.linalg.norm(noise_hybrid[:, :, c]))
+        return float(eps_cfg["value"])
 
     names = ["lower_re", "upper_re", "lower_im", "upper_im", "diff_lower", "diff_upper",
              "sensitivity", "global_envelope", "kappa_entry", "kappa_line",
@@ -561,52 +588,28 @@ def run_pipeline(cfg: dict) -> PipelineResult:
     # build_s: set-up plus the construction of every line; bounds_s: the rest
     # of every line's work, of which factor_s is the factorization
     mark = time.perf_counter()
-    build_s, bounds_s, factor_s = mark - t0, 0.0, 0.0
+    timings = {"build_s": mark - t0, "bounds_s": 0.0, "factor_s": 0.0}
     for rs in _line_systems(truth, coils, pat, _hybrid(data.samples)):
         t_line = time.perf_counter()
-        build_s += t_line - mark
-        sys_ = LinearSystem(a=rs.a_complex, b=rs.b_complex, epsilon=0.0)
-        t_factor = time.perf_counter()
-        path = sys_._factored().path
-        factor_s += time.perf_counter() - t_factor
-        report = bnd.condition_report(sys_)
-        c, sup = rs.line_index, rs.voxel_rows
+        timings["build_s"] += t_line - mark
+        c, (m, n) = rs.line_index, rs.a_complex.shape
         # sizes in the units of the lifted real system, where every complex
         # row, column and singular value counts twice
-        stats = {
-            "line": c,
-            "m": 2 * sys_.shape[0],
-            "n": 2 * sys_.shape[1],
-            "rank": 2 * sys_.rank,
-            "sigma_max": report.sigma_max,
-            "sigma_min": report.sigma_min_pos,
-            "residual": sys_.residual(),
-        }
+        stats = {"line": c, "m": 2 * m, "n": 2 * n, **dict.fromkeys(
+            ("rank", "sigma_max", "sigma_min", "residual", "kappa", "epsilon"))}
         line_stats.append(stats)
         try:
-            if mode == "heuristic":
-                eps = bnd.epsilon_heuristic(sys_)
-            elif mode == "oracle":
-                eps = float(np.linalg.norm(noise_hybrid[:, :, c]))
-            else:
-                eps = float(eps_cfg["value"])
-            stats.update(kappa=report.kappa_global, epsilon=eps)
-            # the copy keeps the factors and the residual projection
-            _bound_line(dataclasses.replace(sys_, epsilon=eps), report, rs, extremal_line,
-                        maps, status)
-            factor_paths[path] += 1
+            factor_paths[_bound_line(rs, epsilon_of, extremal_line, stats, maps, status,
+                                     timings)] += 1
         except (NotOverdetermined, NumericalFailure) as exc:
             log.info("line %d skipped: %s", c, exc)
             if isinstance(exc, NumericalFailure) and failure is None:
                 failure = f"line {c}: {exc}"
-            for name in names:
-                maps[name][sup, c] = np.nan
-            status[sup, c] = STATUS_UNDETERMINED
-            stats.update(kappa=stats.get("kappa"), epsilon=stats.get("epsilon"), skipped=str(exc))
-        # release the line, its system and its factors before the next is built
-        del rs, sys_, report
+            status[rs.voxel_rows, c] = STATUS_UNDETERMINED
+            stats["skipped"] = str(exc)
+        del rs  # release the line before the next is built
         mark = time.perf_counter()
-        bounds_s += mark - t_line
+        timings["bounds_s"] += mark - t_line
     if failure is not None and all("skipped" in stats for stats in line_stats):
         raise NumericalFailure(f"no line could be bounded; {failure}")
 
@@ -625,10 +628,5 @@ def run_pipeline(cfg: dict) -> PipelineResult:
         factor_paths=factor_paths,
         config=cfg_echo,
         truth=truth,
-        timings={
-            "build_s": build_s,
-            "bounds_s": bounds_s,
-            "factor_s": factor_s,
-            "total_s": t_end - t0,
-        },
+        timings={**timings, "total_s": t_end - t0},
     )

@@ -289,7 +289,7 @@ def grid_bound_maps(systems, epsilon, shape):
     for rs in systems:
         sys_ = LinearSystem(a=rs.system.a, b=rs.system.b, epsilon=epsilon)
         for j, bound in enumerate(entrywise_bounds(sys_)):
-            row, part = rs.col_map[j]
+            row, part = rs.voxel_rows[j % rs.n_sup], ("re", "im")[j // rs.n_sup]
             if bound.status is not BoundStatus.FINITE:
                 continue
             maps[f"lower_{part}"][row, rs.line_index] = bound.lower

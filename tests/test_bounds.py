@@ -180,6 +180,29 @@ class TestSolutionBeyondRange:
                 sys_.solution()
 
 
+def subnormal_system(m):
+    """An m x 2 system with sigma = [2e-310, 1e-310] < 2**-1024 on top."""
+    a, b = np.zeros((m, 2)), np.zeros(m)
+    a[:2] = np.diag([1e-310, 2e-310])
+    b[0] = 1e-310
+    return LinearSystem(a=a, b=b, epsilon=1e-300)
+
+
+class TestSubnormalSigma:
+    """With sigma_1 < 2**-1024 the factors' unit 2**-es leaves the float
+    range: the triangle path (4 x 2) fails to factor, the SVD path (3 x 2,
+    2 x 2) fails where it applies A^+, both with :class:`NumericalFailure`."""
+
+    @pytest.mark.parametrize("m", [4, 3, 2])
+    def test_typed_error(self, m):
+        sys_ = subnormal_system(m)
+        for call in (lambda: bounds_for(sys_), sys_.solution, lambda: condition_report(sys_.a)):
+            with pytest.raises(NumericalFailure):
+                call()
+        with pytest.raises(NumericalFailure, match=r"2\*\*-1024"):
+            bounds_for(subnormal_system(m), [[1.0, 0.0]])
+
+
 class TestFunctionalBound:
     def test_identity(self):
         sys = LinearSystem(a=np.eye(2), b=[1.0, 2.0], epsilon=0.5)

@@ -388,6 +388,18 @@ class TestBoundsCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subnormal_sigma_exit_code(self, tmp_path, capsys):
+        """A matrix whose sigma_1 is below 2**-1024 gets an ``error:`` line."""
+        mpath, dpath = tmp_path / "a.csv", tmp_path / "b.csv"
+        mio.write_matrix_csv(mpath, np.vstack([np.diag([1e-310, 2e-310]), np.zeros((2, 2))]))
+        mio.write_vector_csv(dpath, [1e-310, 0.0, 0.0, 0.0])
+        out = tmp_path / "out.json"
+        code = cli.main(["bounds", "--matrix", str(mpath), "--data", str(dpath),
+                         "--epsilon", "1e-300", "--json", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: sigma_1 is below 2**-1024")
+        assert not out.exists()
+
     def test_stdout_matches_json_file(self, tmp_path, capsys):
         argv = ["bounds", "--matrix", os.path.join(FIXTURES, "system_6x4.csv"),
                 "--data", os.path.join(FIXTURES, "data_6.csv"), "--epsilon", "0.4"]
@@ -782,9 +794,10 @@ class TestSenseCommand:
             {"outputs": {}},
             {"grid": {"h": 12, "w": 12}, "extremal": {"line": 999}},
             {"epsilon": {"mode": "heuristic", "value": 5.0}},
+            {"epsilon": {"mode": "fixed", "value": -1.0}},
         ],
         ids=["str-h", "str-l", "str-sigma", "float-accel", "null-value", "list", "null",
-             "outputs-key", "extremal-line-999", "value-not-fixed"],
+             "outputs-key", "extremal-line-999", "value-not-fixed", "negative-value"],
     )
     def test_mistyped_config_exit_code(self, tmp_path, capsys, cfg, manifest_only):
         cfg_path = tmp_path / "cfg.json"

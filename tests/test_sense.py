@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,12 +11,14 @@ from entrybounds import (
     LinearSystem,
     bounds,
     bounds_for,
+    cli,
     condition_report,
     core,
     entrywise_bounds,
     epsilon_heuristic,
     extremal_solution,
     lifting,
+    mio,
     sense,
     svd_truncated,
 )
@@ -440,8 +445,8 @@ class TestPipeline:
     def test_overflowing_lines_skipped(self, eps, n_skipped):
         """A line whose bounds leave the float range is skipped alone.  At
         4e307, 4 of the skipped lines overflow only in their difference
-        bounds, after their entrywise maps were written.  Every other line
-        is bounded exactly as on its own."""
+        bounds, and their entrywise bounds are left unwritten with the rest
+        of their maps.  Every other line is bounded exactly as on its own."""
         cfg = {**OVERFLOW_CFG, "epsilon": {"mode": "fixed", "value": eps}}
         res = run_pipeline(cfg)
         truth, coils, pat = build_problem(cfg)
@@ -461,6 +466,66 @@ class TestPipeline:
             for name, want in (("lower_re", eb.lower[:n]), ("upper_re", eb.upper[:n]),
                                ("lower_im", eb.lower[n:]), ("upper_im", eb.upper[n:])):
                 np.testing.assert_array_equal(col[name][sup], want, err_msg=name)
+
+    @pytest.mark.parametrize("scale, reached", [(1e-308, "rank"), (1e-310, None)],
+                             ids=["conditioning", "factorization"])
+    def test_degenerate_line_skipped_alone(self, monkeypatch, scale, reached):
+        """Coil maps scaled at one readout position put its line at the edge
+        of the float range: at 1e-308 its entrywise sensitivities overflow in
+        ``condition_report``, at 1e-310 sigma_1 < 2**-1024 fails its
+        factorization.  That line alone is skipped, with NaN maps and the
+        stats it reached, and every other line is bounded as without the
+        scaling."""
+        cfg, c = {"grid": {"h": 16, "w": 16}}, 5
+        want = run_pipeline(cfg)
+        make = sense.make_coils
+
+        def scaled(*args, **kwargs):
+            coils = make(*args, **kwargs)
+            coils[:, :, c] *= scale
+            return coils
+
+        monkeypatch.setattr(sense, "make_coils", scaled)
+        got = run_pipeline(cfg)
+        skipped = [s for s in got.line_stats if "skipped" in s]
+        assert [s["line"] for s in skipped] == [c] and "float range" in skipped[0]["skipped"]
+        stats = skipped[0]
+        assert (stats["rank"] is not None) == (reached == "rank")
+        assert stats["sigma_max"] is stats["kappa"] is stats["epsilon"] is None
+        sup = got.truth.support_mask[:, c]
+        assert np.all(got.status[sup, c] == STATUS_UNDETERMINED)
+        other = np.arange(16) != c
+        np.testing.assert_array_equal(got.status[:, other], want.status[:, other])
+        for name, grid in got.maps.items():
+            if "truth" not in name:
+                assert np.isnan(grid[:, c]).all(), name
+            ref = want.maps[name][:, other]
+            np.testing.assert_array_equal(np.isnan(grid[:, other]), np.isnan(ref), err_msg=name)
+            ok = ~np.isnan(ref)
+            scale_of = float(np.max(np.abs(ref[ok]), initial=0.0))
+            assert np.max(np.abs(grid[:, other][ok] - ref[ok]), initial=0.0) <= 1e-12 * scale_of, name
+        for s, t in zip(got.line_stats, want.line_stats, strict=True):
+            if s is not stats:
+                assert s.keys() == t.keys() and s == pytest.approx(t, rel=1e-12), s["line"]
+
+    def test_rank_zero_line_unbounded(self, monkeypatch):
+        """A line whose coil maps are zero has rank 0: under a fixed epsilon
+        every entry on it is unbounded, and it has no spectral envelope."""
+        make = sense.make_coils
+
+        def zeroed(*args, **kwargs):
+            coils = make(*args, **kwargs)
+            coils[:, :, 5] = 0.0
+            return coils
+
+        monkeypatch.setattr(sense, "make_coils", zeroed)
+        res = run_pipeline({"grid": {"h": 16, "w": 16}, "epsilon": {"mode": "fixed", "value": 1.0}})
+        sup = res.truth.support_mask[:, 5]
+        assert not any("skipped" in s for s in res.line_stats)
+        assert res.line_stats[[s["line"] for s in res.line_stats].index(5)]["rank"] == 0
+        assert np.all(res.status[sup, 5] == sense.STATUS_UNBOUNDED)
+        assert np.isnan(res.maps["global_envelope"][:, 5]).all()
+        assert np.isfinite(res.maps["global_envelope"][res.truth.support_mask[:, 4], 4]).all()
 
     def test_every_line_overflowing_raises(self):
         with pytest.raises(NumericalFailure, match="no line could be bounded"):
@@ -484,11 +549,61 @@ class TestPipeline:
         with pytest.raises(ConfigError):
             run_pipeline({"epsilon": {"mode": "fixed"}})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 10**400],
+                             ids=["nan", "inf", "negative", "huge-int"])
+    def test_bad_fixed_epsilon_rejected(self, value, monkeypatch):
+        """A fixed epsilon that is negative or not finite is rejected with the
+        config, before anything is built."""
+        monkeypatch.setattr(sense, "build_problem", None)
+        with pytest.raises(ConfigError, match="epsilon.value"):
+            run_pipeline({"epsilon": {"mode": "fixed", "value": value}})
+
 
 # One coil at accel 2 on 16 x 16 under a fixed epsilon: triangle lines, and
 # full-rank and rank-deficient lines on the SVD path.
 SVD_PATH_CFG = {"grid": {"h": 16, "w": 16}, "coils": {"l": 1}, "pattern": {"accel": 2, "acs": 2},
                 "epsilon": {"mode": "fixed", "value": 1.0}}
+
+# `sense --pgm` at 32 x 32: each run's exit code, skipped lines and output
+# hashes (29 files) are pinned in GOLDEN_SENSE
+GOLDEN_SENSE_CASES = {
+    "heuristic-seed1": {"grid": {"seed": 1}, "coils": {"seed": 1}, "noise": {"seed": 1}},
+    "heuristic-seed3": {"grid": {"seed": 3}, "coils": {"seed": 3}, "noise": {"seed": 3}},
+    "oracle": {"epsilon": {"mode": "oracle"}},
+    "fixed-0.05": {"epsilon": {"mode": "fixed", "value": 0.05}},
+    # every line on the SVD path
+    "svd-path": {**SVD_PATH_CFG, "grid": {"h": 32, "w": 32}},
+    "overflow-1e307": {**OVERFLOW_CFG, "epsilon": {"mode": "fixed", "value": 1e307}},
+}
+GOLDEN_SENSE = os.path.join(os.path.dirname(__file__), "fixtures", "golden_sense_hashes.json")
+
+
+def golden_sense_record(tmp_path, cfg) -> dict:
+    """What GOLDEN_SENSE keeps of a ``sense --pgm`` run on ``cfg``: the exit
+    code, the skipped lines, the manifest's ``outputs`` hashes, and the
+    SHA-256 of the manifest without its timings."""
+    cfg_path, outdir = tmp_path / "cfg.json", tmp_path / "run"
+    cfg_path.write_text(json.dumps(cfg))
+    code = cli.main(["sense", "--config", str(cfg_path), "--out", str(outdir), "--pgm"])
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    untimed = {k: v for k, v in manifest.items() if k not in ("timings", "wall_clock_s")}
+    return {"exit_code": code, "lines_skipped": manifest["lines_skipped"],
+            "outputs": manifest["outputs"],
+            "manifest": hashlib.sha256(mio.json_text(untimed).encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SENSE_CASES))
+def test_sense_outputs_are_golden(tmp_path, case):
+    """Every ``sense --pgm`` output keeps its bytes.  The hashes belong to
+    the numpy and OpenBLAS build the fixture names; the map values behind
+    them are checked against the public kernel and the lifted reference
+    above."""
+    with open(GOLDEN_SENSE) as fh:
+        golden = json.load(fh)
+    got = golden_sense_record(tmp_path, GOLDEN_SENSE_CASES[case])
+    assert len(got["outputs"]) == 29
+    assert got == golden["cases"][case], (golden["numpy"], golden["openblas"])
+
 
 LIFTED_CASES = {
     "heuristic": {"grid": {"h": 24, "w": 20, "seed": 2}, "coils": {"l": 5, "seed": 1},
