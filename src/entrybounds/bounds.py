@@ -380,7 +380,8 @@ def _row_products(sys: LinearSystem, W=None, *, entries=None, pairs=None) -> _Ro
     - with ``W=None``, the coordinate rows of :func:`bounds_for` (on a
       complex system Re x_i, then Im x_i), or those numbered in
       ``entries``: rows of A^+ b and V_perp gathered, and the sensitivities
-      the factors keep for every coordinate;
+      the factors keep for every coordinate.  An entry outside [0, rows)
+      (rows = 2N on a complex system) raises :class:`IndexOutOfRange`;
     - with ``pairs``, the differences x_i - x_j (their real parts on a
       complex system), the rows of :func:`difference_rows`: rows of K,
       V_perp and A^+ b halved and subtracted, as the dense row
@@ -405,6 +406,10 @@ def _row_products(sys: LinearSystem, W=None, *, entries=None, pairs=None) -> _Ro
         perp = np.tile(np.linalg.norm(fc.v_perp, axis=1), reps)
         if entries is not None:
             idx = np.asarray(entries, dtype=np.intp)
+            outside = (idx < 0) | (idx >= mid.size)
+            if outside.any():
+                i = int(idx[outside][0])
+                raise IndexOutOfRange(f"entry index {i} out of range for {mid.size} rows")
             mid, sens, perp = mid[idx], sens[idx], perp[idx]
         return _RowProducts(None, np.zeros(mid.size, dtype=int), _lambda_from(sys), mid, None,
                             sens, None, perp, perp > core.DEFAULT_ORTHO_TOL)
@@ -493,7 +498,8 @@ def entrywise_bounds(sys: LinearSystem,
                      entries: Optional[Sequence[int]] = None) -> list[EntryBound]:
     """Interval for every coordinate x_i, sharing one factorization: the
     rows of :func:`bounds_for` with ``W=None``, or only those numbered in
-    ``entries``, labelled by their numbers."""
+    ``entries``, labelled by their numbers.  A number outside [0, N) (on a
+    complex system [0, 2N)) raises :class:`IndexOutOfRange`."""
     return _bound_arrays(_row_products(sys, entries=entries)).entry_bounds(entries)
 
 

@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 import time
+from typing import Optional
 
 import numpy as np
 
@@ -57,29 +58,25 @@ def _load_system(args) -> LinearSystem:
     return LinearSystem(a=a, b=b, epsilon=args.epsilon, rank_rtol=args.rtol)
 
 
-def _parse_entries(spec: str, n: int) -> list[int]:
+def _parse_entries(spec: str) -> Optional[list[int]]:
+    """The indices of ``--entries``; None for all of them."""
     if spec == "all":
-        return list(range(n))
+        return None
     try:
         idx = [int(t) for t in spec.split(",")]
     except ValueError:
         raise EntryBoundsError(f"--entries must be 'all' or a comma list, got {spec!r}")
-    for i in idx:
-        if not 0 <= i < n:
-            raise EntryBoundsError(f"entry index {i} out of range for N={n}")
     return idx
 
 
 def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
     sys_ = _load_system(args)
-    n = sys_.shape[1]
     if args.weights is not None:
         w = mio.read_vector_csv(args.weights)
         results = [bnd.functional_bound(sys_, w, index=0)]
     else:
-        idx = _parse_entries(args.entries, n)
-        results = bnd.entrywise_bounds(sys_, idx)
+        results = bnd.entrywise_bounds(sys_, _parse_entries(args.entries))
     records = [r.to_record() for r in results]
     payload = {
         "epsilon": sys_.epsilon,
@@ -296,6 +293,9 @@ def main(argv=None) -> int:
         return EXIT_STATUS
     except (EntryBoundsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:  # an input too large for this host
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -328,24 +328,15 @@ def _line_grams(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
 
     The readout DFT is unitary and fully sampled, so it cancels in A^H A,
     which is block diagonal over readout positions c with the blocks
-    G_c = C[sup_c, sup_c] * (S_c^H S_c): C = F_kept^H F_kept is the H x H
-    point-spread matrix of the sampling pattern and S_c the (L, n_sup) coil
-    values on line c.  G_c is the normal matrix of ``build_row_systems``'
-    line system.
+    G_c = A_c^H A_c of the line systems of :func:`_line_systems`.
     """
     mask = ph.support_mask
-    h, w = mask.shape
     ys, cs = np.nonzero(mask)
     pos = (np.cumsum(mask, axis=0) - 1)[ys, cs]  # rank of y within its line
     n_max = int(mask.sum(axis=0).max())
-    f_kept = _kept_dft(h, pat.phase_encodes_kept)
-    psf = f_kept.conj().T @ f_kept
-    rows = np.zeros((w, n_max), dtype=int)
-    rows[cs, pos] = ys
-    s = np.zeros((w, n_max, coils.shape[0]), dtype=complex)  # zero in the padding
-    s[cs, pos] = coils[:, ys, cs].T
-    gram = psf[rows[:, :, None], rows[:, None, :]]
-    gram *= s.conj() @ s.transpose(0, 2, 1)
+    gram = np.zeros((mask.shape[1], n_max, n_max), dtype=complex)  # zero in the padding
+    for rs in _line_systems(ph, coils, pat, None):
+        gram[rs.line_index, :rs.n_sup, :rs.n_sup] = rs.a_complex.conj().T @ rs.a_complex
     return gram, cs * n_max + pos
 
 
@@ -412,7 +403,9 @@ _KINDS = {
     bool: ("a boolean", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     int: ("an integer", _is_int),
-    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    # NaN fails the range test; an int is compared without a conversion
+    float: ("a finite number", lambda v: (_is_int(v) or isinstance(v, float))
+            and abs(v) <= sys.float_info.max),
     type(None): ("an integer or null", lambda v: v is None or _is_int(v)),
 }
 
@@ -422,8 +415,9 @@ _NO_DEFAULT = {"epsilon": {"value": 0.0}}
 
 def _default_cfg(cfg: dict) -> dict:
     """Merge a pipeline config into the defaults.  Unknown keys, values
-    whose JSON type differs from their default's, and a fixed epsilon that
-    is negative or not finite raise :class:`ConfigError`."""
+    whose JSON type differs from their default's, a number that is NaN or
+    beyond the float range, and a negative fixed epsilon raise
+    :class:`ConfigError`."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
     out = {
@@ -459,8 +453,8 @@ def _default_cfg(cfg: dict) -> dict:
     if mode != "fixed" and "value" in out["epsilon"]:
         raise ConfigError(f"epsilon.value is only used in mode 'fixed', not {mode!r}")
     value = out["epsilon"].get("value", 0.0)
-    if not 0 <= value <= sys.float_info.max:  # NaN fails both
-        raise ConfigError(f"epsilon.value must be finite and nonnegative, got {value!r}")
+    if value < 0:
+        raise ConfigError(f"epsilon.value must be nonnegative, got {value!r}")
     h, line = out["grid"]["h"], out["extremal"]["line"]
     if line is not None and not 0 <= line < h:
         raise ConfigError(f"extremal.line must lie in [0, {h}), got {line}")

@@ -269,6 +269,20 @@ class TestEntrywiseBounds:
         assert (out[0].lower, out[0].upper) == pytest.approx((0.9, 1.1))
         assert out[1].status is BoundStatus.UNBOUNDED
 
+    @pytest.mark.parametrize("dtype, bad", [(float, -1), (float, 3), (complex, -1),
+                                            (complex, 6)],
+                             ids=["real-negative", "real-N", "complex-negative", "complex-2N"])
+    def test_entry_out_of_range_rejected(self, rng, dtype, bad):
+        """An entry outside [0, rows) raises, where rows is N on a real
+        system and 2N on a complex one; a negative number does not wrap."""
+        a = rng.standard_normal((6, 3)).astype(dtype)
+        sys = LinearSystem(a=a, b=a @ np.ones(3), epsilon=0.5)
+        with pytest.raises(IndexOutOfRange, match=f"entry index {bad} out of range"):
+            entrywise_bounds(sys, [0, bad])
+        last = 2 * 3 - 1 if dtype is complex else 2
+        (b,) = entrywise_bounds(sys, [last])
+        assert b.index == last and b == entrywise_bounds(sys)[last]
+
     def test_consistent_with_single_calls(self, rng):
         a, b, eps = rng.standard_normal((5, 3)), rng.standard_normal(5), 0.7
         sys = LinearSystem(a=a, b=b, epsilon=eps)

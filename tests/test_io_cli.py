@@ -419,6 +419,16 @@ class TestBoundsCommand:
         recs = json.loads(out.read_text())["bounds"]
         assert len(recs) == 1 and recs[0]["index"] == 1
 
+    @pytest.mark.parametrize("entries", ["-1", "0,2"])
+    def test_entry_out_of_range_exit_code(self, tmp_path, capsys, entries):
+        mpath, dpath = write_identity_fixture(tmp_path)
+        out = tmp_path / "out.json"
+        code = cli.main(["bounds", "--matrix", mpath, "--data", dpath, "--epsilon", "0.5",
+                         "--entries", entries, "--json", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: entry index")
+        assert not out.exists()
+
 
 # (matrix, data, golden output) in FIXTURES, all bounded at epsilon 0.4
 GOLDEN_CASES = {
@@ -795,9 +805,11 @@ class TestSenseCommand:
             {"grid": {"h": 12, "w": 12}, "extremal": {"line": 999}},
             {"epsilon": {"mode": "heuristic", "value": 5.0}},
             {"epsilon": {"mode": "fixed", "value": -1.0}},
+            {"grid": {"h": 16, "w": 16}, "noise": {"sigma": 10**400}},
         ],
         ids=["str-h", "str-l", "str-sigma", "float-accel", "null-value", "list", "null",
-             "outputs-key", "extremal-line-999", "value-not-fixed", "negative-value"],
+             "outputs-key", "extremal-line-999", "value-not-fixed", "negative-value",
+             "huge-int-sigma"],
     )
     def test_mistyped_config_exit_code(self, tmp_path, capsys, cfg, manifest_only):
         cfg_path = tmp_path / "cfg.json"
@@ -809,6 +821,20 @@ class TestSenseCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
         assert not outdir.exists()
+
+    def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        """A run the host has no memory for gets an ``error:`` line and exit 1."""
+        def no_memory(cfg):
+            raise MemoryError("Unable to allocate 37.3 GiB")
+
+        monkeypatch.setattr(sense, "run_pipeline", no_memory)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grid": {"h": 100000}}))
+        outdir = tmp_path / "x"
+        assert cli.main(["sense", "--config", str(cfg_path), "--out", str(outdir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: out of memory: Unable to allocate")
+        assert captured.out == "" and not outdir.exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
