@@ -158,10 +158,8 @@ def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
     m, n = a.shape
     rho = 0.0
     if m >= 2 * n:
-        # a real A keeps real factors: complex data becomes the columns Re b, Im b
-        split = np.iscomplexobj(b) and not np.iscomplexobj(a)
-        r = np.linalg.qr(np.column_stack([a, b.real, b.imag] if split else [a, b]), mode="r")
-        c = r[:, n] + 1j * r[:, n + 1] if split else r[:, n]
+        r = np.linalg.qr(np.column_stack([a, b]), mode="r")
+        c = r[:, n]
         a, b, rho = r[:n, :n], c[:n], core._norm(c[n:])
         # sigma_n <= min|R_ii| and max|R_ii| <= sigma_1, so a diagonal that fails
         # the rank rule shows R rank-deficient without this values-only SVD
@@ -199,7 +197,7 @@ class LinearSystem:
     while ``a``, ``b`` and ``rank_rtol`` are the objects they were computed
     from; a change inside the arrays is not detected.  Like the caches, two
     systems are equal only if they are the same object.  The system is
-    complex when ``a`` or ``b`` is: then ``b`` is stored as complex, and
+    complex when ``a`` or ``b`` is: then both are stored as complex, and
     the unknown x is complex.
     """
 
@@ -214,8 +212,8 @@ class LinearSystem:
         self.b = core.as_real_or_complex(self.b)
         if self.b.ndim != 1:  # a 1-D b stays the object the caches were made from
             self.b = self.b.reshape(-1)
-        if np.iscomplexobj(self.a):
-            self.b = self.b.astype(complex, copy=False)
+        if np.iscomplexobj(self.a) or np.iscomplexobj(self.b):
+            self.a, self.b = self.a.astype(complex, copy=False), self.b.astype(complex, copy=False)
         self.epsilon = float(self.epsilon)
         if not (math.isfinite(self.epsilon) and np.isfinite(self.b).all()):
             raise NumericalFailure(f"data vector and epsilon must be finite (epsilon={self.epsilon})")
@@ -359,7 +357,8 @@ class BoundArrays:
 
 class _RowProducts(NamedTuple):
     """Products of the weight rows w_k = 2**e[k] * u_k, in units of 2**e[k],
-    with the factors K and V_perp of :class:`_Factored`."""
+    with the factors K and V_perp of :class:`_Factored`.  The coordinate and
+    the pair rows are their own units: u_k = w_k and e[k] = 0."""
 
     u: Optional[np.ndarray]  # None for the coordinate and the pair rows
     e: np.ndarray
@@ -384,20 +383,19 @@ def _row_products(sys: LinearSystem, W=None, *, entries=None, pairs=None) -> _Ro
       (rows = 2N on a complex system) raises :class:`IndexOutOfRange`;
     - with ``pairs``, the differences x_i - x_j (their real parts on a
       complex system), the rows of :func:`difference_rows`: rows of K,
-      V_perp and A^+ b halved and subtracted, as the dense row
-      e_i - e_j = 2 * u with u = (e_i - e_j) / 2 is scaled, so that every
-      product equals the dense one up to the sign of a zero.
+      V_perp and A^+ b subtracted.  Each product is the dense one, which
+      takes the row in units of 2, times 2 exactly, so every interval
+      equals the dense one up to the sign of a zero.
     """
     fc = sys._factored()
     n = fc.k.shape[0]
     if pairs is not None:
         i, j = _pair_index(n, pairs).T
 
-        def rows(f):  # halved before the subtraction, as the dense product does
-            f = f * 0.5
+        def rows(f):
             return f[i] - f[j]
 
-        u, e, wnorm = None, np.ones(i.size, dtype=int), math.sqrt(0.5)
+        u, e, wnorm = None, np.zeros(i.size, dtype=int), math.sqrt(2.0)
     elif W is None:
         reps = 2 if sys.is_complex else 1
         x = fc.solution  # a NaN midpoint raises in _bound_arrays
@@ -405,8 +403,7 @@ def _row_products(sys: LinearSystem, W=None, *, entries=None, pairs=None) -> _Ro
         sens = np.tile(fc.entry_sensitivities, reps)
         perp = np.tile(np.linalg.norm(fc.v_perp, axis=1), reps)
         if entries is not None:
-            idx = np.asarray(entries, dtype=np.intp)
-            outside = (idx < 0) | (idx >= mid.size)
+            idx, outside = _index_array(entries, mid.size)
             if outside.any():
                 i = int(idx[outside][0])
                 raise IndexOutOfRange(f"entry index {i} out of range for {mid.size} rows")
@@ -499,15 +496,26 @@ def entrywise_bounds(sys: LinearSystem,
     """Interval for every coordinate x_i, sharing one factorization: the
     rows of :func:`bounds_for` with ``W=None``, or only those numbered in
     ``entries``, labelled by their numbers.  A number outside [0, N) (on a
-    complex system [0, 2N)) raises :class:`IndexOutOfRange`."""
+    complex system [0, 2N)), or one that is not an integer, raises
+    :class:`IndexOutOfRange`."""
     return _bound_arrays(_row_products(sys, entries=entries)).entry_bounds(entries)
+
+
+def _index_array(idx, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``idx`` as an index array, and where it lies outside [0, size).  A
+    boolean or non-integer index raises :class:`IndexOutOfRange`; an empty
+    sequence is an empty array."""
+    p = np.asarray(idx)
+    if p.size and (p.dtype == bool or not np.issubdtype(p.dtype, np.integer)):
+        raise IndexOutOfRange(f"an index must be an integer, got {p.reshape(-1)[:1].tolist()[0]!r}")
+    return p.astype(np.intp), (p < 0) | (p >= size)
 
 
 def _pair_index(n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     """``pairs`` as a k x 2 index array.  The first pair with an index out
     of range for ``n`` columns, or with i == j, raises."""
-    p = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
-    outside = ((p < 0) | (p >= n)).any(axis=1)
+    p, outside = _index_array(np.reshape(pairs, (len(pairs), 2)), n)
+    outside = outside.any(axis=1)
     bad = outside | (p[:, 0] == p[:, 1])
     if bad.any():
         k = int(np.argmax(bad))
@@ -692,11 +700,12 @@ def crlb_identity_check(a, i: int):
     The left side goes through the pseudoinverse of the Gram matrix, the
     right through the squared sensitivity ||(A^+)^H e_i||_2^2; under white
     unit-variance noise both equal the per-entry variance floor of any
-    unbiased estimator.
+    unbiased estimator.  An ``i`` outside [0, N), or not an integer, raises
+    :class:`IndexOutOfRange`.
     """
     a = core.as_real_or_complex(a)
     n = a.shape[1]
-    if not 0 <= i < n:
+    if _index_array(i, n)[1]:
         raise IndexOutOfRange(f"index {i} out of range for N={n}")
     gram_pinv = np.linalg.pinv(a.conj().T @ a)
     return float(gram_pinv[i, i].real), float(condition_report(a).spectral_entry[i] ** 2)

@@ -135,16 +135,16 @@ def cmd_extremal(args) -> int:
 def cmd_estimate_diag(args) -> int:
     t0 = time.perf_counter()
     dense = None
+    if (args.op is None) == (args.matrix is None):
+        raise EntryBoundsError("estimate-diag takes exactly one of --matrix and --op")
     if args.op is not None:
         if not args.op.startswith("sense:"):
             raise EntryBoundsError(f"--op must look like sense:<cfg.json>, got {args.op!r}")
         cfg = mio.read_json(args.op.split(":", 1)[1])
         op, _ = sense.sense_operator(*sense.build_problem(cfg))
-    elif args.matrix is not None:
+    else:
         dense = mio.read_matrix_csv(args.matrix)
         op = matfree.LinearOperator.from_matrix(dense)
-    else:
-        raise EntryBoundsError("estimate-diag requires --matrix or --op")
 
     sigma1 = matfree.power_iteration_sigma1(op, seed=args.seed)
     cfg_lw = matfree.LandweberConfig(

@@ -283,6 +283,14 @@ class TestEntrywiseBounds:
         (b,) = entrywise_bounds(sys, [last])
         assert b.index == last and b == entrywise_bounds(sys)[last]
 
+    @pytest.mark.parametrize("bad", [1.7, True], ids=["float", "bool"])
+    def test_non_integer_entry_rejected(self, bad):
+        """An index is an integer: a float or a boolean is not truncated to one."""
+        sys = LinearSystem(a=np.eye(3), b=[1.0, 2.0, 3.0], epsilon=0.1)
+        with pytest.raises(IndexOutOfRange, match="an index must be an integer"):
+            entrywise_bounds(sys, [bad])
+        assert entrywise_bounds(sys, []) == []
+
     def test_consistent_with_single_calls(self, rng):
         a, b, eps = rng.standard_normal((5, 3)), rng.standard_normal(5), 0.7
         sys = LinearSystem(a=a, b=b, epsilon=eps)
@@ -334,6 +342,16 @@ class TestAdjacentDifference:
             with pytest.raises(error) as exc:
                 fn(4, pairs)
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("call", [
+        lambda: adjacent_difference_bounds(LinearSystem(a=np.eye(3), b=[1.0, 2.0, 3.0],
+                                                        epsilon=0.1), [(0.5, 1)]),
+        lambda: difference_rows(3, [(0.5, 2)]),
+    ], ids=["adjacent_difference_bounds", "difference_rows"])
+    def test_non_integer_pair_rejected(self, call):
+        """A pair's indices are integers: 0.5 is not truncated to 0."""
+        with pytest.raises(IndexOutOfRange, match="an index must be an integer, got 0.5"):
+            call()
 
     def test_difference_rows_match_loop(self, rng):
         pairs = [tuple(rng.choice(6, 2, replace=False)) for _ in range(20)]
@@ -534,6 +552,11 @@ class TestCrlbIdentity:
 
     def test_diagonal(self):
         assert crlb_identity_check(np.diag([2.0, 1.0]), 0) == pytest.approx((0.25, 0.25))
+
+    @pytest.mark.parametrize("bad", [1.5, True], ids=["float", "bool"])
+    def test_non_integer_index_rejected(self, bad):
+        with pytest.raises(IndexOutOfRange, match="an index must be an integer"):
+            crlb_identity_check(np.eye(3), bad)
 
     def test_random(self, rng):
         a = rng.standard_normal((7, 4))
@@ -779,22 +802,40 @@ class TestComplexSystems:
         np.testing.assert_allclose(res.upper, [1.5, 3.5, 2.5, -0.5], atol=1e-15)
 
     @pytest.mark.parametrize("m, n", [(9, 3), (2, 1)])
-    def test_tall_real_matrix_with_complex_data_keeps_real_factors(self, rng, m, n):
+    def test_real_matrix_with_complex_data_is_the_complex_cast(self, rng, m, n):
+        """A real A with complex b is the system of A cast to complex, bit
+        for bit: its intervals, its 2N entrywise condition numbers and the
+        volume of its complex unknown's set."""
         a = rng.standard_normal((m, n))
         b = complex_gaussian(rng, m)
         eps = 2.0 * max(np.linalg.norm(b - a @ (np.linalg.pinv(a) @ b)), 0.1)
         sys_ = LinearSystem(a=a, b=b, epsilon=eps)
-        report = condition_report(sys_)
-        assert report.kappa_entry.size == n
-        np.testing.assert_allclose(report.kappa_entry, condition_report(a).kappa_entry, rtol=1e-12)
+        cast = LinearSystem(a=a.astype(complex), b=b, epsilon=eps)
+        assert sys_.a.dtype == complex
+        res, want = bounds_for(sys_), bounds_for(cast)
+        for name in ("status", "lower", "upper", "midpoint", "half_width", "sensitivity"):
+            np.testing.assert_array_equal(getattr(res, name), getattr(want, name), err_msg=name)
+        assert res.lam == want.lam
+        report, want = condition_report(sys_), condition_report(cast)
+        assert report.kappa_entry.size == 2 * n
+        np.testing.assert_array_equal(report.spectral_entry, want.spectral_entry)
+        assert (report.sigma_max, report.sigma_min_pos, report.kappa_global) == (
+            want.sigma_max, want.sigma_min_pos, want.kappa_global)
+        assert ellipsoid_volume(sys_, 0.7) == ellipsoid_volume(cast, 0.7)
         lifted, b_real = lift_system(a, b)
-        res = bounds_for(sys_)
+        assert ellipsoid_volume(sys_, 0.7) == pytest.approx(ellipsoid_volume(lifted.a_real, 0.7),
+                                                            rel=1e-12)
         ref = bounds_for(LinearSystem(a=lifted.a_real, b=b_real, epsilon=eps))
         np.testing.assert_array_equal(res.status, ref.status)
         for name in ("lower", "upper", "midpoint", "half_width", "sensitivity"):
             np.testing.assert_allclose(getattr(res, name), getattr(ref, name), rtol=1e-10,
                                        atol=1e-12, err_msg=name)
         assert res.lam == pytest.approx(ref.lam, rel=1e-10)
+
+    def test_real_identity_with_complex_data_measures_the_complex_unknown(self):
+        # x in C^2 with |x - (1j, 0)| <= 1 is a 4-D unit ball: pi^2 / 2, not the disc's pi
+        sys_ = LinearSystem(a=np.eye(2), b=[1j, 0], epsilon=1.0)
+        assert ellipsoid_volume(sys_, 1.0) == pytest.approx(math.pi**2 / 2, rel=1e-15)
 
     def test_complex_weights_need_complex_system(self):
         sys_ = LinearSystem(a=np.eye(2), b=[1.0, 2.0], epsilon=0.5)

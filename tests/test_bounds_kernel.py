@@ -360,14 +360,19 @@ def pair_problems(draw):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(pair_problems())
 def test_pair_rows_equal_dense_difference_rows(problem):
-    """The pair family gives the dense rows' products and intervals bit for
-    bit; assert_array_equal lets a zero differ only in its sign."""
+    """The pair family gives the dense rows' products in absolute units, the
+    dense products times 2**e, and their intervals bit for bit;
+    assert_array_equal lets a zero differ only in its sign."""
     sys_, pairs = problem
     got = _row_products(sys_, pairs=pairs)
     want = _row_products(sys_, difference_rows(sys_.shape[1], pairs))
     assert got.u is None and got.lam == want.lam
-    for name in ("e", "mid", "wk", "sens", "wv_perp", "perp", "unbounded"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    np.testing.assert_array_equal(got.e, 0)
+    np.testing.assert_array_equal(got.unbounded, want.unbounded)
+    for name in ("mid", "wk", "sens", "wv_perp", "perp"):
+        dense = getattr(want, name)
+        scale = np.ldexp(1.0, want.e).reshape((-1,) + (1,) * (dense.ndim - 1))
+        np.testing.assert_array_equal(getattr(got, name), dense * scale, err_msg=name)
     assert_same(_bound_arrays(got), bounds_for(sys_, difference_rows(sys_.shape[1], pairs)))
     assert_records_match(adjacent_difference_bounds(sys_, pairs), _bound_arrays(want))
 

@@ -661,6 +661,17 @@ class TestEstimateDiagCommand:
         code = cli.main(["estimate-diag", "--samples", "10"])
         assert code == 1
 
+    def test_takes_exactly_one_input(self, tmp_path, capsys):
+        """--matrix and --op together are an error, not --op alone."""
+        mpath, cfg_path = tmp_path / "a.csv", tmp_path / "cfg.json"
+        mio.write_matrix_csv(mpath, np.diag([2.0, 1.0]))
+        cfg_path.write_text(json.dumps({"grid": {"h": 8, "w": 8}}))
+        for inputs in ([], ["--matrix", str(mpath), "--op", f"sense:{cfg_path}"]):
+            code = cli.main(["estimate-diag", *inputs, "--samples", "2"])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err == "error: estimate-diag takes exactly one of --matrix and --op\n"
+
     def test_sense_operator_spec(self, tmp_path):
         cfg = {
             "grid": {"h": 8, "w": 8, "preset": "smooth-blobs", "seed": 0},
