@@ -75,20 +75,19 @@ class Target(enum.Enum):
 
 @dataclass
 class _Factored:
-    """A system factored as A^+ = 2**-es K diag(1/d) G^H, where G has
-    orthonormal columns and spans the range of A, and its data as
-    b = G g + (a part of norm ``residual`` outside that range); ``key``
-    holds the arrays it was computed from.
+    """A system factored as A^+ = 2**-es K G^H, where G has orthonormal
+    columns and spans the range of A, and its data as b = G g + (a part of
+    norm ``residual`` outside that range); ``key`` holds the arrays it was
+    computed from.
 
-    A tall full-rank A = Q R takes K = (R / 2**es)^-1, d = 1 and G = Q; any
-    other A = U diag(sigma) V^H takes K = V, d = sigma / 2**es and G = U.
-    In both, 2**es is the power of two just above sigma_1, so K diag(1/d)
-    stays in range.  ``path`` names the way K was made.
+    A tall full-rank A = Q R takes K = (R / 2**es)^-1 and G = Q; any other
+    A = U diag(sigma) V^H takes K = V diag(2**es / sigma) and G = U.  In
+    both, 2**es is the power of two just above sigma_1, so K stays in
+    range.  ``path`` names the way K was made.
     """
 
     key: tuple
     k: np.ndarray  # N x r
-    d: np.ndarray  # r values in (rtol / 2, 1]
     es: int
     sigma: np.ndarray  # the r retained singular values of A
     v_perp: np.ndarray  # N x (N - r), an orthonormal basis of the nullspace
@@ -103,13 +102,13 @@ class _Factored:
             return self.apply(self.g)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        """A^+ G g, for coefficients g in the basis G."""
-        return self.k @ (g / self.d * _inv_pow2(self.es))
+        """A^+ G g, for coefficients g in the basis G, scaled after the product."""
+        return (self.k @ g) * _inv_pow2(self.es)
 
     def sensitivities(self, wk: np.ndarray) -> np.ndarray:
         """||(A^+)^H w||_2 for every row w^H K of ``wk``: inf beyond the float range."""
-        # d is all ones on the triangle path, where dividing by it changes no norm
-        return core._scaled_inv_norms(wk, None if self.path == "triangle" else self.d, self.es)
+        with np.errstate(over="ignore"):
+            return np.ldexp(np.linalg.norm(wk, axis=1), -self.es)
 
     @functools.cached_property
     def entry_sensitivities(self) -> np.ndarray:
@@ -171,11 +170,10 @@ def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
         if sigma is not None and core._rank(sigma, rtol) == n:
             es = core._unit_sigma(sigma)[1]
             k = _triangular_inverse(a * _inv_pow2(es))
-            return _Factored(key, k, np.ones(n), es, sigma, np.zeros((n, 0), k.dtype), rho, b,
-                             "triangle")
+            return _Factored(key, k, es, sigma, np.zeros((n, 0), k.dtype), rho, b, "triangle")
     f = svd_truncated(a, rtol)
     d, es = core._unit_sigma(f.sigma)
-    return _Factored(key, f.v, d, es, f.sigma, f.v_perp,
+    return _Factored(key, f.v / d, es, f.sigma, f.v_perp,
                      math.hypot(core.residual_projection_norm(f, b), rho), f.u.conj().T @ b, "svd")
 
 
@@ -363,7 +361,7 @@ class _RowProducts(NamedTuple):
     u: Optional[np.ndarray]  # None for the coordinate and the pair rows
     e: np.ndarray
     lam: Optional[float]  # None when the feasible set is empty
-    mid: np.ndarray  # Re(u_k^H A^+ b)
+    mid: np.ndarray  # Re(u_k^H A^+ b), 2**-es Re(wk g) on the dense and the pair rows
     wk: Optional[np.ndarray]  # u_k^H K; None for the coordinate rows
     sens: np.ndarray  # ||(A^+)^H u_k||
     wv_perp: Optional[np.ndarray]  # u_k^H V_perp; None for the coordinate rows
@@ -375,17 +373,18 @@ def _row_products(sys: LinearSystem, W=None, *, entries=None, pairs=None) -> _Ro
     """The products of one family of rows, validated and scaled as
     :func:`bounds_for` states:
 
-    - the rows of a dense ``W``, multiplied with the factors;
+    - the rows of a dense ``W``, multiplied with the factors, so that no
+      midpoint reads A^+ b;
     - with ``W=None``, the coordinate rows of :func:`bounds_for` (on a
       complex system Re x_i, then Im x_i), or those numbered in
       ``entries``: rows of A^+ b and V_perp gathered, and the sensitivities
       the factors keep for every coordinate.  An entry outside [0, rows)
       (rows = 2N on a complex system) raises :class:`IndexOutOfRange`;
     - with ``pairs``, the differences x_i - x_j (their real parts on a
-      complex system), the rows of :func:`difference_rows`: rows of K,
-      V_perp and A^+ b subtracted.  Each product is the dense one, which
-      takes the row in units of 2, times 2 exactly, so every interval
-      equals the dense one up to the sign of a zero.
+      complex system), the rows of :func:`difference_rows`: rows of K and
+      V_perp subtracted.  Each product is the dense one, which takes the
+      row in units of 2, times 2 exactly, so every interval equals the
+      dense one up to the sign of a zero.
     """
     fc = sys._factored()
     n = fc.k.shape[0]
@@ -432,8 +431,8 @@ def _row_products(sys: LinearSystem, W=None, *, entries=None, pairs=None) -> _Ro
         rows = u.conj().__matmul__
     wk, wv_perp = rows(fc.k), rows(fc.v_perp)
     perp = np.linalg.norm(wv_perp, axis=1)
-    with np.errstate(invalid="ignore"):  # a NaN midpoint raises in _bound_arrays
-        mid = rows(fc.solution).real
+    with np.errstate(over="ignore"):  # an infinite midpoint raises in _bound_arrays
+        mid = (wk @ fc.g).real * _inv_pow2(fc.es)
     return _RowProducts(u, e, _lambda_from(sys), mid, wk,
                         fc.sensitivities(wk), wv_perp, perp,
                         perp > core.DEFAULT_ORTHO_TOL * wnorm)
@@ -447,10 +446,11 @@ def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
     A row is INFEASIBLE when the residual projection of b exceeds epsilon,
     UNBOUNDED when it has a component in the nullspace of A, and otherwise
     gets the interval w^T A^+ b +/- lam * ||(A^+)^H w||.  All rows
-    share the system's one residual projection and A^+ b; midpoints and
-    the rest come from the products W A^+ b, W K and W V_perp, with the
-    kernel matrix K of the system's factors.  The coordinate rows of
-    ``W=None`` are read from A^+ b and the row norms of K instead.
+    share the system's one residual projection; midpoints and the rest
+    come from the products W K and W V_perp, with the factors
+    A^+ = 2**-es K G^H and b = G g + (a residual), never from A^+ b.
+    The coordinate rows of ``W=None`` are read from A^+ b and the row
+    norms of K instead.
 
     On a complex system a row w (real or complex) bounds Re(w^H x), and
     ``W=None`` gives 2N rows: Re x_i for every i, then Im x_i (the column
@@ -496,16 +496,25 @@ def entrywise_bounds(sys: LinearSystem,
     """Interval for every coordinate x_i, sharing one factorization: the
     rows of :func:`bounds_for` with ``W=None``, or only those numbered in
     ``entries``, labelled by their numbers.  A number outside [0, N) (on a
-    complex system [0, 2N)), or one that is not an integer, raises
-    :class:`IndexOutOfRange`."""
+    complex system [0, 2N)), one that is not an integer, or entries that
+    are not a 1-D sequence raise :class:`IndexOutOfRange`."""
     return _bound_arrays(_row_products(sys, entries=entries)).entry_bounds(entries)
 
 
-def _index_array(idx, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``idx`` as an index array, and where it lies outside [0, size).  A
-    boolean or non-integer index raises :class:`IndexOutOfRange`; an empty
-    sequence is an empty array."""
-    p = np.asarray(idx)
+def _index_array(idx, size: int, shape: tuple = (None,)) -> tuple[np.ndarray, np.ndarray]:
+    """``idx`` as an index array of ``shape`` (None: any length), and where
+    it lies outside [0, size); an empty sequence is an empty array of that
+    shape.  Another shape, or a boolean or non-integer index, raises
+    :class:`IndexOutOfRange`."""
+    want = "(" + " x ".join("k" if s is None else str(s) for s in shape) + ")"
+    try:
+        p = np.asarray(idx)
+    except ValueError:  # a ragged sequence has no shape
+        raise IndexOutOfRange(f"expected an index of shape {want}, got a ragged sequence") from None
+    if p.shape == (0,):
+        p = p.reshape((0,) + shape[1:])
+    if p.ndim != len(shape) or any(s not in (None, t) for s, t in zip(shape, p.shape)):
+        raise IndexOutOfRange(f"expected an index of shape {want}, got {p.shape}")
     if p.size and (p.dtype == bool or not np.issubdtype(p.dtype, np.integer)):
         raise IndexOutOfRange(f"an index must be an integer, got {p.reshape(-1)[:1].tolist()[0]!r}")
     return p.astype(np.intp), (p < 0) | (p >= size)
@@ -514,7 +523,7 @@ def _index_array(idx, size: int) -> tuple[np.ndarray, np.ndarray]:
 def _pair_index(n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     """``pairs`` as a k x 2 index array.  The first pair with an index out
     of range for ``n`` columns, or with i == j, raises."""
-    p, outside = _index_array(np.reshape(pairs, (len(pairs), 2)), n)
+    p, outside = _index_array(pairs, n, (None, 2))
     outside = outside.any(axis=1)
     bad = outside | (p[:, 0] == p[:, 1])
     if bad.any():
@@ -528,8 +537,8 @@ def _pair_index(n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
 
 def difference_rows(n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     """Weight matrix whose k-th row is e_i - e_j for the k-th pair (i, j).
-    The first pair with an index out of range, or with i == j, raises.
-    The kernel bounds these rows without forming them
+    The first pair with an index out of range, or with i == j, raises, and
+    so do pairs that are not a k x 2 array.  The kernel bounds these rows without forming them
     (:func:`adjacent_difference_bounds`); this is their dense form."""
     p = _pair_index(n, pairs)
     w = np.zeros((len(p), n))
@@ -601,7 +610,7 @@ def _extremal_pair(fc: _Factored, wk: np.ndarray, sens: float,
     # (A^+)^H w over its norm, the kernel's sensitivity, in the basis G:
     # riding the ellipsoid boundary along A^+ of +/- it attains the endpoints
     with np.errstate(over="ignore", invalid="ignore"):
-        step = lam * fc.apply(wk.conj() / fc.d / np.ldexp(sens, fc.es))
+        step = lam * fc.apply(wk.conj() / np.ldexp(sens, fc.es))
         return fc.solution + step, fc.solution - step
 
 
@@ -700,12 +709,12 @@ def crlb_identity_check(a, i: int):
     The left side goes through the pseudoinverse of the Gram matrix, the
     right through the squared sensitivity ||(A^+)^H e_i||_2^2; under white
     unit-variance noise both equal the per-entry variance floor of any
-    unbiased estimator.  An ``i`` outside [0, N), or not an integer, raises
+    unbiased estimator.  An ``i`` outside [0, N), or not one integer, raises
     :class:`IndexOutOfRange`.
     """
     a = core.as_real_or_complex(a)
     n = a.shape[1]
-    if _index_array(i, n)[1]:
+    if _index_array(i, n, ())[1]:
         raise IndexOutOfRange(f"index {i} out of range for N={n}")
     gram_pinv = np.linalg.pinv(a.conj().T @ a)
     return float(gram_pinv[i, i].real), float(condition_report(a).spectral_entry[i] ** 2)

@@ -129,15 +129,6 @@ def _unit_sigma(sigma: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(sigma, -es), es
 
 
-def _scaled_inv_norms(c: np.ndarray, d: np.ndarray | None, es: int) -> np.ndarray:
-    """2**-es * ||c_k / d||_2 for every row c_k of ``c`` (k x r): with
-    d = sigma / 2**es these are ||Sigma^-1 c_k||_2, whose squares stay in
-    range.  ``d=None`` stands for d = 1 and skips the division.  A norm
-    beyond the float range comes back as inf, and the caller decides."""
-    with np.errstate(over="ignore"):
-        return np.ldexp(np.linalg.norm(c if d is None else c / d, axis=1), -es)
-
-
 def residual_projection_norm(f: SvdFactors, b) -> float:
     """Norm of the projection of ``b`` onto the orthogonal complement of
     the range: ||b - U (U^H b)||_2."""

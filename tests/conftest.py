@@ -177,3 +177,54 @@ def mp_triangular_inverse(r, dps=40):
             for i, v in col.items():
                 out[i, j] = cast(v)
     return out
+
+
+def mp_truncated_parts(a, b, epsilon, w, rtol, extremal=(), dps=40):
+    """The interval parts of every row of ``w`` (k x N) on the double
+    matrix ``a`` of any shape and rank, at ``dps`` digits.
+
+    The SVD is mpmath.svd_r / svd_c of the tall one of A and A^H, truncated
+    at the package's rank rule sigma_i > rtol * sigma_1, so that
+    A^+ = V diag(1/sigma) U^H on the retained part; A has at least one
+    positive singular value.  Returns a dict of values rounded to double:
+    ``x`` = A^+ b; per row ``mid`` = Re(w^H A^+ b), ``sens`` = ||(A^+)^H w||
+    and ``perp`` = ||w - V V^H w||, its part in the nullspace;
+    ``lam`` = sqrt(epsilon^2 - ||b - U U^H b||^2); ``sigma``, the retained
+    singular values; and for the rows numbered in ``extremal``, ``lower``
+    and ``upper``, the vectors A^+ b -/+ lam A^+ (A^+)^H w / ||(A^+)^H w||."""
+    a, w = np.asarray(a), np.atleast_2d(w)
+    b = np.asarray(b).reshape(-1)
+    cplx = any(np.iscomplexobj(z) for z in (a, b, w))
+    cast = complex if cplx else float
+    svd = mpmath.svd_c if cplx else mpmath.svd_r
+    with mpmath.workdps(dps):
+        am = mpmath.matrix(a.astype(cast).tolist())
+        if a.shape[0] >= a.shape[1]:
+            u, s, vh = svd(am)
+        else:  # A^H = U' S V'^H, so A = V' S U'^H
+            v_, s, uh = svd(am.H)
+            u, vh = uh.H, v_.H
+        r = sum(1 for i in range(s.rows) if s[i] > rtol * s[0])
+        u_r, vh_r = u[:, :r], vh[:r, :]
+        pinv = vh_r.H * mpmath.diag([1 / s[i] for i in range(r)]) * u_r.H
+        pinv_h = pinv.H
+        bm = mpmath.matrix(b.astype(cast).tolist())
+        x = pinv * bm
+        lam = mpmath.sqrt(mpmath.mpf(epsilon) ** 2 - mpmath.norm(bm - u_r * (u_r.H * bm)) ** 2)
+        out = {"x": np.array([cast(v) for v in x]), "lam": float(lam),
+               "sigma": np.array([float(s[i]) for i in range(r)]),
+               "mid": [], "sens": [], "perp": [], "lower": [], "upper": []}
+        for k, row in enumerate(w.astype(cast)):
+            wm = mpmath.matrix(row.tolist())
+            g = pinv_h * wm
+            sens = mpmath.norm(g)
+            out["sens"].append(float(sens))
+            out["mid"].append(float(mpmath.re(mpmath.fdot(x, row.conj().tolist()))))
+            # ||w||^2 = ||V^H w||^2 + ||w - V V^H w||^2
+            perp_sq = mpmath.norm(wm) ** 2 - mpmath.norm(vh_r * wm) ** 2
+            out["perp"].append(float(mpmath.sqrt(max(perp_sq, 0))))
+            if k in extremal:
+                step = pinv * g * (lam / sens)
+                out["lower"].append([cast(v) for v in x - step])
+                out["upper"].append([cast(v) for v in x + step])
+        return {k: np.array(v) if isinstance(v, list) else v for k, v in out.items()}

@@ -2,6 +2,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -39,6 +40,9 @@ from entrybounds.errors import (
     StatusMismatch,
     ZeroFunctional,
 )
+
+
+U = np.finfo(float).eps / 2  # unit roundoff
 
 
 def e(i, n):
@@ -154,9 +158,11 @@ class TestDataRange:
 
 
 class TestSolutionBeyondRange:
-    """A^+ b = [1e310, 1e300] leaves the float range, the factors do not:
-    what does not read A^+ b is answered without a warning, and what does
-    raises :class:`NumericalFailure`."""
+    """A^+ b = [1e310, 1e300, ...] leaves the float range, the factors do
+    not: what does not read A^+ b is answered without a warning, a dense
+    or pair row takes its midpoint from its own product with the factors,
+    and only what reads A^+ b or leaves the float range itself raises
+    :class:`NumericalFailure`."""
 
     @pytest.mark.parametrize("m", [2, 5], ids=["square", "tall"])
     def test_only_readers_of_the_solution_fail(self, m):
@@ -173,11 +179,48 @@ class TestSolutionBeyondRange:
             assert ellipsoid_volume(sys_, 1e-290) == pytest.approx(math.pi * 1e20, rel=1e-12)
             if m > 2:
                 assert epsilon_heuristic(sys_) == 0.0
-            for W in (None, [[0.0, 1.0]]):
-                with pytest.raises(NumericalFailure):
-                    bounds_for(sys_, W)
+            # x_1 = 1 / fl(1e-300), to 40 digits; the half-width lam / fl(1e-300)
+            # is 1e-290 of it, below its last bit
+            x1 = float(mpmath.mpf(1) / mpmath.mpf(1e-300))
+            got = bounds_for(sys_, [[0.0, 1.0]])
+            np.testing.assert_array_equal(got.status, [0])
+            tol = 10 * 2 * U
+            for v in (got.lower[0], got.midpoint[0], got.upper[0]):
+                assert v == pytest.approx(x1, rel=tol)
+            with pytest.raises(NumericalFailure):
+                bounds_for(sys_)
             with pytest.raises(NumericalFailure):
                 sys_.solution()
+
+    @pytest.mark.parametrize("m, path", [(3, "svd"), (7, "triangle")], ids=["svd", "triangle"])
+    def test_rows_that_fit_are_bounded(self, m, path):
+        """Entries 1 and 2 (near 1e300), their dense rows and their pair
+        match 40-digit values within 10 * N * u; only a row that reads
+        entry 0 (about 1e310) raises."""
+        b = np.zeros(m)
+        b[:3] = [1e10, 1.0, 2.0]
+        sys_ = LinearSystem(a=1e-300 * np.eye(m, 3), b=b, epsilon=1e-290)
+        assert sys_._factored().path == path
+        with mpmath.workdps(40):
+            inv = 1 / mpmath.mpf(1e-300)  # A^+ = I / fl(1e-300); lam = epsilon
+            lam, x = mpmath.mpf(1e-290), [mpmath.mpf(v) * inv for v in b[:3]]
+            want = {"entries": [(x[1], inv), (x[2], inv)], "rows": [(x[1], inv), (x[2], inv)],
+                    "pair": [(x[1] - x[2], mpmath.sqrt(2) * inv)]}
+            want = {k: [(float(mid - lam * s), float(mid), float(mid + lam * s), float(lam * s))
+                        for mid, s in v] for k, v in want.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = {"entries": entrywise_bounds(sys_, [1, 2]),
+                   "rows": bounds_for(sys_, [e(1, 3), e(2, 3)]).entry_bounds(),
+                   "pair": adjacent_difference_bounds(sys_, [(1, 2)])}
+            for k, bnds in got.items():
+                assert [r.status for r in bnds] == [BoundStatus.FINITE] * len(bnds), k
+                got[k] = [(r.lower, r.midpoint, r.upper, r.half_width) for r in bnds]
+                np.testing.assert_allclose(got[k], want[k], rtol=10 * 3 * U, err_msg=k)
+            with pytest.raises(NumericalFailure):
+                bounds_for(sys_)
+            with pytest.raises(NumericalFailure):
+                adjacent_difference_bounds(sys_, [(0, 1)])
 
 
 def subnormal_system(m):
@@ -291,6 +334,14 @@ class TestEntrywiseBounds:
             entrywise_bounds(sys, [bad])
         assert entrywise_bounds(sys, []) == []
 
+    @pytest.mark.parametrize("bad, shape", [([[0, 1]], "(1, 2)"), (1, "()")], ids=["2-D", "0-D"])
+    def test_entries_of_another_shape_rejected(self, bad, shape):
+        """Entries are a 1-D sequence: a nested list or a bare integer raises."""
+        sys = LinearSystem(a=np.eye(3), b=[1.0, 2.0, 3.0], epsilon=0.1)
+        with pytest.raises(IndexOutOfRange) as exc:
+            entrywise_bounds(sys, bad)
+        assert str(exc.value) == f"expected an index of shape (k), got {shape}"
+
     def test_consistent_with_single_calls(self, rng):
         a, b, eps = rng.standard_normal((5, 3)), rng.standard_normal(5), 0.7
         sys = LinearSystem(a=a, b=b, epsilon=eps)
@@ -352,6 +403,19 @@ class TestAdjacentDifference:
         """A pair's indices are integers: 0.5 is not truncated to 0."""
         with pytest.raises(IndexOutOfRange, match="an index must be an integer, got 0.5"):
             call()
+
+    @pytest.mark.parametrize("call, shape", [
+        (lambda sys: adjacent_difference_bounds(sys, [(0, 1, 2)]), "(1, 3)"),
+        (lambda sys: adjacent_difference_bounds(sys, [0, 1]), "(2,)"),
+        (lambda sys: difference_rows(3, [[(0, 1)]]), "(1, 1, 2)"),
+        (lambda sys: adjacent_difference_bounds(sys, [(0, 1), (2,)]), "a ragged sequence"),
+    ], ids=["triple", "flat", "nested", "ragged"])
+    def test_pairs_of_another_shape_rejected(self, call, shape):
+        """Pairs are a k x 2 array: no other shape is reshaped or flattened into one."""
+        sys = LinearSystem(a=np.eye(3), b=[1.0, 2.0, 3.0], epsilon=0.1)
+        with pytest.raises(IndexOutOfRange) as exc:
+            call(sys)
+        assert str(exc.value) == f"expected an index of shape (k x 2), got {shape}"
 
     def test_difference_rows_match_loop(self, rng):
         pairs = [tuple(rng.choice(6, 2, replace=False)) for _ in range(20)]
@@ -557,6 +621,12 @@ class TestCrlbIdentity:
     def test_non_integer_index_rejected(self, bad):
         with pytest.raises(IndexOutOfRange, match="an index must be an integer"):
             crlb_identity_check(np.eye(3), bad)
+
+    def test_index_of_another_shape_rejected(self):
+        """The index is one integer, not a sequence of one."""
+        with pytest.raises(IndexOutOfRange) as exc:
+            crlb_identity_check(np.eye(3), [1])
+        assert str(exc.value) == "expected an index of shape (), got (1,)"
 
     def test_random(self, rng):
         a = rng.standard_normal((7, 4))

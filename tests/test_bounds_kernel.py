@@ -397,6 +397,23 @@ def test_pair_rows_cover_unbounded_and_empty_lists():
             _row_products(sys_, pairs=[(0, 1), (2, 2)])
 
 
+@pytest.mark.parametrize("m, path", [(5, "svd"), (10, "triangle")], ids=["svd", "triangle"])
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_dense_and_pair_rows_never_form_the_solution(m, path, dtype):
+    """Dense and pair rows take their midpoints from their own products
+    with K and the data's coefficients g: neither forms the cached A^+ b."""
+    rng = np.random.default_rng(m)
+    a, b = rng.standard_normal((m, 4)).astype(dtype), rng.standard_normal(m).astype(dtype)
+    sys_ = LinearSystem(a=a, b=b, epsilon=10.0)
+    fc = sys_._factored()
+    assert fc.path == path
+    bounds_for(sys_, rng.standard_normal((3, 4)))
+    adjacent_difference_bounds(sys_, [(0, 1), (3, 2)])
+    assert "solution" not in fc.__dict__
+    bounds_for(sys_)  # the coordinate rows read it
+    assert "solution" in fc.__dict__
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(pair_problems(), st.data())
 def test_coordinate_rows_share_condition_report_sensitivities(problem, data):

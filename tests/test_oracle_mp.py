@@ -21,6 +21,12 @@ and sensitivities of a system built on it against
 ``conftest.svd_least_squares``, within the same 10 * N * kappa * u.  A
 triangle of at most TRIANGLE_LEAF columns is np.linalg.inv's, byte for
 byte.
+
+Wide (8 x 30) and rank-deficient (30 x 8, rank 6) systems take the SVD
+path.  Their coordinate, dense and pair rows, lam and the extremal vectors
+are checked against ``conftest.mp_truncated_parts``, which truncates the
+40-digit SVD of the double matrix by the package's rank rule, within the
+same 10 * N * kappa * u, with kappa that of the retained part.
 """
 
 import numpy as np
@@ -31,9 +37,11 @@ from conftest import (
     mp_interval_parts,
     mp_least_squares,
     mp_triangular_inverse,
+    mp_truncated_parts,
     svd_least_squares,
 )
 from entrybounds import LinearSystem, Target, bounds, bounds_for, extremal_solution
+from entrybounds.core import DEFAULT_ORTHO_TOL
 
 M, N = 30, 8
 U = np.finfo(float).eps / 2  # unit roundoff
@@ -244,3 +252,89 @@ def test_blocked_triangle_path_against_svd(n, kappa, dtype):
     assert np.linalg.norm(sys_.solution() - x_svd) / np.linalg.norm(x_svd) <= scale
     sens = bounds_for(sys_).sensitivity[:n]
     assert np.max(np.abs(sens - sens_svd) / sens_svd) <= scale
+
+
+def truncated_ratios(m, n, r, dtype, seed):
+    """An m x n system of rank r at both ends of the retained kappa range,
+    1e0 and 1e8, through the SVD path: the errors of its coordinate, dense
+    and pair rows, and of the extremal vectors of its dense rows, against
+    ``conftest.mp_truncated_parts``, as {quantity: worst ratio}.
+
+    The row space holds e_0 and e_1 - e_2, turned by a random rotation of
+    the retained singular vectors, so x_0 and x_1 - x_2 have finite
+    intervals whose sensitivities grow with kappa; three dense rows are
+    drawn from the row space and one is generic (unbounded).  The data is
+    consistent.  Units: a midpoint in kappa * u times ||w|| ||A^+ b||, a
+    half-width and lam in kappa * u of their own size, an extremal value
+    as in :func:`extremal_ratios` and its vector in kappa^2 * u."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if dtype is complex else z
+
+    eye = np.eye(n)
+    coords = np.vstack([eye, 1j * eye]) if dtype is complex else eye
+    pairs = [(1, 2), (2, 1), (0, 3), (3, 4)]
+    worst = {}
+
+    def record(what, ratios):
+        worst[what] = max(worst.get(what, 0.0), float(np.max(ratios, initial=0.0)))
+
+    for cond in (1e0, 1e8):
+        basis = np.column_stack([eye[0], eye[1] - eye[2], draw(n, r - 2)])
+        v = np.linalg.qr(basis)[0] @ np.linalg.qr(draw(r, r))[0]
+        u = np.linalg.qr(draw(m, r))[0]
+        a = u @ np.diag(np.logspace(0.0, -np.log10(cond), r)) @ v.conj().T
+        b = a @ draw(n)
+        eps = 2.0 * float(np.linalg.norm(b))
+        sys_ = LinearSystem(a=a, b=b, epsilon=eps)
+        assert sys_._factored().path == "svd" and sys_.rank == r
+        dense = np.vstack([(v @ draw(r, 3)).T, draw(1, n)])
+        families = {"coordinates": (bounds_for(sys_), coords),
+                    "dense": (bounds_for(sys_, dense), dense),
+                    "pairs": (bounds._bound_arrays(bounds._row_products(sys_, pairs=pairs)),
+                              bounds.difference_rows(n, pairs))}
+        rows = np.vstack([w for _, w in families.values()])
+        ref = mp_truncated_parts(a, b, eps, rows, sys_.rank_rtol,
+                                 extremal=range(len(coords), len(coords) + 3))
+        mid, lam, sigma = ref["mid"], ref["lam"], ref["sigma"]
+        kappa = sigma[0] / sigma[-1]
+        scale = kappa * U
+        wnorm = np.linalg.norm(rows, axis=1)
+        got = {k: np.concatenate([getattr(res, k) for res, _ in families.values()])
+               for k in ("status", "midpoint", "half_width")}
+        # statuses by the same nullspace tolerance: only e_0 (Re and Im on a
+        # complex system), e_1 - e_2 both ways and the row-space rows are finite
+        np.testing.assert_array_equal(got["status"], ref["perp"] > DEFAULT_ORTHO_TOL * wnorm)
+        finite = got["status"] == 0
+        assert finite.sum() == (7 if dtype is complex else 6)
+        size = wnorm * np.linalg.norm(ref["x"])
+        record("midpoint", np.abs(got["midpoint"] - mid)[finite] / (size * scale)[finite])
+        half = lam * ref["sens"]
+        record("half_width", np.abs(got["half_width"] - half)[finite] / (half * scale)[finite])
+        record("lam", abs(families["dense"][0].lam - lam) / (lam * scale))
+        for k in range(3):
+            w = dense[k]
+            j = len(coords) + k
+            for target, sign in ((Target.LOWER, -1), (Target.UPPER, 1)):
+                x_mp = ref["lower" if sign < 0 else "upper"][k]
+                sol = extremal_solution(sys_, w, target)
+                end = mid[j] + sign * half[j]
+                record("value", abs(sol.achieved_value - end) / ((size[j] + half[j]) * scale))
+                record("vector", np.linalg.norm(sol.x - x_mp) / np.linalg.norm(x_mp)
+                       / (kappa * scale))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "m, n, r, dtype, seed",
+    [(8, 30, 8, float, 21), (8, 30, 8, complex, 22), (30, 8, 6, float, 23),
+     (30, 8, 6, complex, 24)],
+    ids=["wide-real", "wide-complex", "rank6-real", "rank6-complex"],
+)
+def test_truncated_svd_path_against_mpmath(m, n, r, dtype, seed):
+    """Wide and rank-deficient systems, which only the SVD path bounds:
+    every ratio within 10 * N (N = n unknowns)."""
+    worst = truncated_ratios(m, n, r, dtype, seed)
+    assert all(v <= 10 * n for v in worst.values()), worst
