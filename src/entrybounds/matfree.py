@@ -5,6 +5,11 @@ through matrix-vector products only: power iteration for the largest
 singular value, gradient (Landweber) iteration converging to the
 minimum-norm least-squares solution A^+ m, and a stochastic probing
 estimator that recovers all squared row norms of A^+ simultaneously.
+
+Both solves step on A^H A.  For an operator that carries ``normal_blocks``
+they keep their iterates in the blocks' own layout, where one step is one
+batched product with the stack; otherwise they keep a flat vector and
+apply ``apply_transpose(apply(x))``.
 """
 
 from __future__ import annotations
@@ -19,27 +24,44 @@ from .core import as_real_or_complex
 from .errors import DimensionMismatch, InvalidStep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearOperator:
     """Abstract M x N operator given by its forward action and its adjoint
     A^H (``apply_transpose``), on complex vectors when ``is_complex``.
+    Operators compare and hash by identity, as arrays in ``normal_blocks``
+    have no equality to compare by.
 
-    ``apply_normal`` is an optional action x -> A^H A x, for an operator
-    whose normal matrix is cheaper to apply than the two actions in turn;
-    when unset, :meth:`normal` composes them.
+    ``normal_blocks`` is an optional ``(stack, index)`` giving A^H A as a
+    block diagonal matrix: ``stack`` is a (blocks, n_max, n_max) array of
+    Hermitian blocks, each zero-padded to n_max, and ``index`` holds each
+    unknown's place in the flattened (blocks, n_max) layout.  Every
+    position of that layout that no unknown holds must have a zero row and
+    column in its block.  When unset, :meth:`normal` composes the two
+    actions.
     """
 
     shape: tuple[int, int]
     apply: Callable[[np.ndarray], np.ndarray]
     apply_transpose: Callable[[np.ndarray], np.ndarray]
     is_complex: bool = False
-    apply_normal: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    normal_blocks: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.normal_blocks is not None:
+            stack, index = self.normal_blocks
+            if (stack.ndim != 3 or stack.shape[1] != stack.shape[2]
+                    or np.shape(index) != (self.shape[1],)):
+                raise DimensionMismatch(
+                    f"normal_blocks need a (blocks, n, n) stack and {self.shape[1]} indices, "
+                    f"got {stack.shape} and {np.shape(index)}"
+                )
 
     def normal(self, x: np.ndarray) -> np.ndarray:
         """A^H A x."""
-        if self.apply_normal is not None:
-            return self.apply_normal(x)
-        return self.apply_transpose(self.apply(x))
+        if self.normal_blocks is None:
+            return self.apply_transpose(self.apply(x))
+        layout = _Layout(self, np.asarray(x).dtype)
+        return layout.gather(layout.normal(layout.scatter(x)))
 
     @classmethod
     def from_matrix(cls, a) -> "LinearOperator":
@@ -50,6 +72,39 @@ class LinearOperator:
             apply_transpose=lambda y, _ah=a.conj().T: _ah @ y,
             is_complex=np.iscomplexobj(a),
         )
+
+
+class _Layout:
+    """Where the solves keep their iterates: for an operator with
+    ``normal_blocks``, the (blocks, n_max, 1) layout of its stack, whose
+    padding the block products keep exactly zero; otherwise the flat vector.
+
+    :meth:`normal` writes A^H A u into one buffer that each call reuses, so
+    its result is only valid until the next call.
+    """
+
+    def __init__(self, op: LinearOperator, dtype):
+        if op.normal_blocks is None:
+            self.shape, self.index = (op.shape[1],), slice(None)
+            self.dtype = np.result_type(dtype, complex if op.is_complex else float)
+            self.normal = lambda u: op.apply_transpose(op.apply(u))
+        else:
+            stack, self.index = op.normal_blocks
+            self.shape = stack.shape[:2] + (1,)
+            self.dtype = np.result_type(dtype, stack)
+            out = np.empty(self.shape, self.dtype)
+            self.normal = lambda u: np.matmul(stack, u, out=out)
+
+    def zeros(self) -> np.ndarray:
+        return np.zeros(self.shape, self.dtype)
+
+    def scatter(self, v: np.ndarray) -> np.ndarray:
+        u = self.zeros()
+        u.reshape(-1)[self.index] = v
+        return u
+
+    def gather(self, u: np.ndarray) -> np.ndarray:
+        return u.reshape(-1)[self.index]
 
 
 def _draw(rng: np.random.Generator, op: LinearOperator, k: int, kind="gaussian") -> np.ndarray:
@@ -76,7 +131,7 @@ def adjoint_mismatch(op: LinearOperator, trials: int = 5, seed: int = 0) -> floa
     """
     rng = np.random.default_rng(seed)
     m, n = op.shape
-    sigma1 = power_iteration_sigma1(replace(op, apply_normal=None), seed=seed)
+    sigma1 = power_iteration_sigma1(replace(op, normal_blocks=None), seed=seed)
     worst = 0.0
     for _ in range(trials):
         x = _draw(rng, op, n)
@@ -103,15 +158,16 @@ def power_iteration_sigma1(op: LinearOperator, iters: int = 200, seed: int = 0) 
         raise ValueError(f"iters must be >= 1, got {iters}")
     v = _draw(np.random.default_rng(seed), op, op.shape[1])
     v /= np.linalg.norm(v)
-    normal = op.normal
+    layout = _Layout(op, v.dtype)
+    v = layout.scatter(v)
     estimate = 0.0
     for _ in range(iters):
-        w = normal(v)
+        w = layout.normal(v)
         estimate = math.sqrt(max(np.vdot(v, w).real, 0.0))
         wnorm = np.linalg.norm(w)
         if wnorm == 0.0:
             return 0.0
-        v = w / wnorm
+        np.divide(w, wnorm, out=v)
     return estimate
 
 
@@ -123,6 +179,9 @@ class LandweberConfig:
     midpoint 1 / sigma1^2 of the stable interval.  ``sigma_min`` is an
     optional smallest positive singular value; when given, an iteration
     count sufficient for ``rate_tol`` accuracy is used as an extra stop.
+    Settings under which no solve can stop correctly (no iteration, a
+    ``rel_tol`` that is negative, NaN or infinite, a ``rate_tol`` outside
+    (0, 1)) raise :class:`InvalidStep`.
     """
 
     sigma1_estimate: float
@@ -131,6 +190,14 @@ class LandweberConfig:
     rel_tol: float = 1e-9
     sigma_min: Optional[float] = None
     rate_tol: float = 1e-7
+
+    def __post_init__(self):
+        if not self.max_iters >= 1:
+            raise InvalidStep(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
+            raise InvalidStep(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
+        if not 0.0 < self.rate_tol < 1.0:
+            raise InvalidStep(f"rate_tol must lie in (0, 1), got {self.rate_tol}")
 
     def step_size(self) -> float:
         s1 = self.sigma1_estimate
@@ -171,9 +238,10 @@ class LandweberResult:
 def landweber_pinv(op: LinearOperator, m, cfg: LandweberConfig) -> LandweberResult:
     """Iterate x <- x - tau (A^H A x - A^H m) from zero to approximate A^+ m.
 
-    ``A^H m`` is formed once; each step applies the normal action
-    :meth:`LinearOperator.normal`.  Zero initialization is mandatory: every
-    update lies in the row space, so the limit carries no nullspace
+    ``A^H m`` is formed once and placed in the layout the iteration steps
+    in (see :class:`LinearOperator`); each step applies A^H A there, and
+    ``x`` is read back once at the end.  Zero initialization is mandatory:
+    every update lies in the row space, so the limit carries no nullspace
     component and is exactly the minimum-norm least-squares solution.  No
     early stopping beyond the requested tolerance is applied; truncating the
     iteration early would understate the sensitivities computed from the
@@ -188,23 +256,28 @@ def landweber_pinv(op: LinearOperator, m, cfg: LandweberConfig) -> LandweberResu
     k_bound = cfg.iteration_bound()
     max_iters = cfg.max_iters if k_bound is None else min(cfg.max_iters, k_bound)
 
-    x = np.zeros(op.shape[1], complex if op.is_complex else m.dtype)
-    rhs = op.apply_transpose(m)
-    normal = op.normal
-    # np.linalg.norm's sum of squares without its per-call overhead, which
-    # dominates for small operators; v.dot(v) is the faster one for a real v
-    sq = (lambda v: np.vdot(v, v).real) if np.iscomplexobj(x) else (lambda v: v.dot(v))
+    layout = _Layout(op, m.dtype)
+    rhs = layout.scatter(op.apply_transpose(m))
+    x, step = layout.zeros(), layout.zeros()
+    # flat real views (real and imaginary parts in turn for a complex
+    # layout), whose v.dot(v) is the squared norm without np.linalg.norm's
+    # per-call overhead, which dominates for small operators; the layout's
+    # padding holds zeros
+    xr, stepr = x.reshape(-1).view(float), step.reshape(-1).view(float)
     update_norm = math.inf
     k = 0
     for k in range(1, max_iters + 1):
-        step = tau * (normal(x) - rhs)
-        x = x - step
-        update_norm = math.sqrt(sq(step))
-        xnorm = math.sqrt(sq(x))
+        np.subtract(layout.normal(x), rhs, out=step)
+        step *= tau
+        x -= step
+        update_norm = math.sqrt(stepr.dot(stepr))
+        xnorm = math.sqrt(xr.dot(xr))
         if update_norm <= cfg.rel_tol * xnorm:
-            return LandweberResult(x=x, iterations=k, converged=True, last_update_norm=update_norm)
+            return LandweberResult(x=layout.gather(x), iterations=k, converged=True,
+                                   last_update_norm=update_norm)
     converged = k_bound is not None and k >= k_bound
-    return LandweberResult(x=x, iterations=k, converged=converged, last_update_norm=update_norm)
+    return LandweberResult(x=layout.gather(x), iterations=k, converged=converged,
+                           last_update_norm=update_norm)
 
 
 @dataclass(frozen=True)

@@ -322,9 +322,10 @@ def build_monolithic_system(
 
 
 def _line_grams(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
-    """The normal matrices of all readout lines, as a (W, n_max, n_max) stack
-    zero-padded to the longest line, and the flat index into the (W, n_max)
-    layout of every supported voxel in (y, c) order.
+    """The normal matrices of the readout lines with supported voxels, as a
+    (lines, n_max, n_max) stack zero-padded to the longest line, with one
+    slot per such line in readout order, and the flat index into the
+    (lines, n_max) layout of every supported voxel in (y, c) order.
 
     The readout DFT is unitary and fully sampled, so it cancels in A^H A,
     which is block diagonal over readout positions c with the blocks
@@ -333,21 +334,24 @@ def _line_grams(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
     mask = ph.support_mask
     ys, cs = np.nonzero(mask)
     pos = (np.cumsum(mask, axis=0) - 1)[ys, cs]  # rank of y within its line
-    n_max = int(mask.sum(axis=0).max())
-    gram = np.zeros((mask.shape[1], n_max, n_max), dtype=complex)  # zero in the padding
+    counts = mask.sum(axis=0)
+    slot = np.cumsum(counts > 0) - 1  # slot of each line with support
+    n_max = int(counts.max())
+    gram = np.zeros((int(slot[-1]) + 1, n_max, n_max), dtype=complex)  # zero in the padding
     for rs in _line_systems(ph, coils, pat, None):
-        gram[rs.line_index, :rs.n_sup, :rs.n_sup] = rs.a_complex.conj().T @ rs.a_complex
-    return gram, cs * n_max + pos
+        gram[slot[rs.line_index], :rs.n_sup, :rs.n_sup] = rs.a_complex.conj().T @ rs.a_complex
+    return gram, slot[cs] * n_max + pos
 
 
 def sense_operator(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
     """Matrix-free complex forward operator over all supported voxels.
 
     Forward/adjoint go through FFTs and pointwise products only; the
-    monolithic matrix is never materialized.  The normal action A^H A is one
-    batched product with the per-line normal matrices of :func:`_line_grams`.
-    Returns the operator and the lifted voxel map ((y, c) order, real block
-    first) of its diagonal estimates.
+    monolithic matrix is never materialized.  The normal matrix A^H A is
+    carried as the per-line stack of :func:`_line_grams`, so each step of
+    the matrix-free solves is one batched product with it.  Returns the
+    operator and the lifted voxel map ((y, c) order, real block first) of
+    its diagonal estimates.
     """
     from .matfree import LinearOperator
 
@@ -357,7 +361,6 @@ def sense_operator(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
     l = coils.shape[0]
     sup_idx = np.argwhere(ph.support_mask)
     ys, cs = sup_idx[:, 0], sup_idx[:, 1]
-    gram, flat = _line_grams(ph, coils, pat)
 
     def apply(x: np.ndarray) -> np.ndarray:
         img = np.zeros((h, w), dtype=complex)
@@ -370,14 +373,9 @@ def sense_operator(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
         coil_imgs = np.fft.ifft2(full, axes=(-2, -1), norm="ortho")
         return (np.conj(coils) * coil_imgs).sum(axis=0)[ys, cs]
 
-    def apply_normal(x: np.ndarray) -> np.ndarray:
-        lines = np.zeros(gram.shape[0] * gram.shape[1], dtype=complex)
-        lines[flat] = x
-        return (gram @ lines.reshape(gram.shape[0], -1, 1)).reshape(-1)[flat]
-
     op = LinearOperator(shape=(l * kept.size * w, ys.size), apply=apply,
                         apply_transpose=apply_transpose, is_complex=True,
-                        apply_normal=apply_normal)
+                        normal_blocks=_line_grams(ph, coils, pat))
     return op, _voxel_map(sup_idx)
 
 

@@ -657,6 +657,23 @@ class TestEstimateDiagCommand:
         assert mio.hash_outputs([str(csv_out), str(mpath)]) == {
             "out": mio.sha256_file(csv_out), "a.csv": mio.sha256_file(mpath)}
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--rel-tol", "nan"), ("--rel-tol", "-1"), ("--rel-tol", "inf"), ("--max-iters", "0")],
+        ids=["rel-tol-nan", "rel-tol-negative", "rel-tol-inf", "max-iters-0"],
+    )
+    def test_rejects_settings_that_cannot_work(self, tmp_path, capsys, flag, value):
+        # before, NaN and -1 ran every probe to the budget and then asked to
+        # loosen it, inf returned 0.032 and 0.023 (exact 0.25 and 1.0) with no
+        # failed probe, and 0 asked to loosen the budget
+        mpath, out = tmp_path / "a.csv", tmp_path / "d.json"
+        mio.write_matrix_csv(mpath, np.diag([2.0, 1.0]))
+        code = cli.main(["estimate-diag", "--matrix", str(mpath), "--samples", "4",
+                         f"{flag}={value}", "--json", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"error: {flag[2:].replace('-', '_')} must ")
+
     def test_requires_an_operator(self, capsys):
         code = cli.main(["estimate-diag", "--samples", "10"])
         assert code == 1

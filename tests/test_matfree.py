@@ -1,7 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from entrybounds import (
     LandweberConfig,
@@ -90,6 +92,21 @@ class TestLandweber:
         cfg = LandweberConfig(sigma1_estimate=2.0, tau=0.6)
         with pytest.raises(InvalidStep):
             landweber_pinv(op_from(np.diag([2.0, 1.0])), [1.0, 1.0], cfg)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rel_tol", math.nan), ("rel_tol", -1.0), ("rel_tol", math.inf), ("max_iters", 0),
+         ("rate_tol", 1.0), ("rate_tol", 0.0)],
+        ids=["rel-tol-nan", "rel-tol-negative", "rel-tol-inf", "max-iters-0", "rate-tol-1",
+             "rate-tol-0"],
+    )
+    def test_settings_that_cannot_work_are_rejected(self, field, value):
+        # rel_tol NaN or < 0 ran every probe to max_iters, inf stopped after
+        # one step, and rate_tol 1 with sigma_min set iteration_bound to 1:
+        # landweber_pinv then gave [1, 0.25] for diag(2, 1) x = [2, 1],
+        # labelled converged
+        with pytest.raises(InvalidStep, match=field):
+            LandweberConfig(sigma1_estimate=2.0, sigma_min=1.0, **{field: value})
 
     def test_dimension_mismatch(self):
         cfg = LandweberConfig(sigma1_estimate=1.0)
@@ -239,14 +256,107 @@ class TestComplexOperator:
     def test_normal_without_conjugate_detected(self, rng):
         a = self.complex_matrix(rng, 5, 4)
         op = LinearOperator.from_matrix(a)
-        good = dataclasses.replace(op, apply_normal=lambda x: a.conj().T @ (a @ x))
-        bad = dataclasses.replace(op, apply_normal=lambda x: a.T @ (a @ x))
+        index = np.arange(4)
+        good = dataclasses.replace(op, normal_blocks=((a.conj().T @ a)[None], index))
+        bad = dataclasses.replace(op, normal_blocks=((a.T @ a)[None], index))
         assert adjoint_mismatch(good) < 1e-12
         assert adjoint_mismatch(bad) > 1e-3
 
     def test_normal_defaults_to_the_composition(self, rng):
         a = self.complex_matrix(rng, 6, 3)
         op = LinearOperator.from_matrix(a)
-        assert op.apply_normal is None
+        assert op.normal_blocks is None
         x = self.complex_matrix(rng, 3, 1)[:, 0]
         np.testing.assert_array_equal(op.normal(x), op.apply_transpose(op.apply(x)))
+
+
+class _WatchedStack(np.ndarray):
+    """A block stack that keeps a copy of every array it multiplies."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.seen.append(np.array(inputs[1]))
+        return getattr(ufunc, method)(*(np.asarray(v) for v in inputs), **kwargs)
+
+
+class TestNormalBlocks:
+    """An operator that carries A^H A as ragged Hermitian blocks in a padded
+    stack steps in the stack's layout, and matches the flat solves of the
+    assembled block diagonal matrix."""
+
+    SIZES = (5, 3, 1)  # padded to 5
+
+    def operators(self, seed, cplx):
+        """The dense operator of block_diag(A_0, A_1, A_2) with its columns
+        shuffled, and the same operator carrying the blocks A_c^H A_c."""
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            z = rng.standard_normal(shape)
+            return z + 1j * rng.standard_normal(shape) if cplx else z
+
+        mats = [draw(k + 2, k) for k in self.SIZES]
+        n_max = max(self.SIZES)
+        slots = np.concatenate([c * n_max + np.arange(k) for c, k in enumerate(self.SIZES)])
+        order = rng.permutation(slots.size)
+        stack = np.zeros((len(self.SIZES), n_max, n_max), complex if cplx else float)
+        for c, (k, a_c) in enumerate(zip(self.SIZES, mats)):
+            stack[c, :k, :k] = a_c.conj().T @ a_c
+        dense = LinearOperator.from_matrix(scipy.linalg.block_diag(*mats)[:, order])
+        stack = stack.view(_WatchedStack)
+        stack.seen = []
+        return dense, dataclasses.replace(dense, normal_blocks=(stack, slots[order])), draw
+
+    @staticmethod
+    def padding_stays_zero(blocks_op):
+        stack, index = blocks_op.normal_blocks
+        pad = np.ones(stack.shape[0] * stack.shape[1], bool)
+        pad[index] = False
+        assert stack.seen
+        for u in stack.seen:
+            assert u.shape == stack.shape[:2] + (1,)
+            assert not u.reshape(-1)[pad].any()
+        stack.seen.clear()
+
+    # (seed, complex, budget): the budget splits the probes of both kinds,
+    # at least 2 iterations away from any probe's count
+    CASES = [(3, False, 240), (1, True, 228)]
+
+    @pytest.mark.parametrize("seed, cplx, budget", CASES, ids=["real", "complex"])
+    def test_matches_the_block_diagonal_matrix(self, seed, cplx, budget):
+        dense, blocks, draw = self.operators(seed, cplx)
+        x = draw(dense.shape[1])
+        np.testing.assert_allclose(blocks.normal(x), dense.normal(x), rtol=1e-14)
+        self.padding_stays_zero(blocks)
+
+        s1 = power_iteration_sigma1(dense, seed=1)
+        assert power_iteration_sigma1(blocks, seed=1) == pytest.approx(s1, rel=1e-14)
+        self.padding_stays_zero(blocks)
+
+        cfg = LandweberConfig(sigma1_estimate=s1, rel_tol=1e-10)
+        m = draw(dense.shape[0])
+        got, want = landweber_pinv(blocks, m, cfg), landweber_pinv(dense, m, cfg)
+        assert got.converged and want.converged
+        assert got.iterations == want.iterations
+        assert np.linalg.norm(got.x - want.x) <= 1e-13 * np.linalg.norm(want.x)
+        self.padding_stays_zero(blocks)
+
+        cfg = LandweberConfig(sigma1_estimate=s1, max_iters=budget, rel_tol=1e-8)
+        for kind in ("gaussian", "rademacher"):
+            got = stochastic_diag(blocks, samples=12, probe_kind=kind, seed=3, cfg=cfg)
+            want = stochastic_diag(dense, samples=12, probe_kind=kind, seed=3, cfg=cfg)
+            assert 0 < got.failed_samples < 12
+            assert got.failed_samples == want.failed_samples
+            np.testing.assert_array_equal(got.iterations, want.iterations)
+            np.testing.assert_allclose(got.values, want.values, rtol=1e-13)
+        self.padding_stays_zero(blocks)
+
+    @pytest.mark.parametrize(
+        "stack, index",
+        [(np.eye(3), np.arange(3)), (np.zeros((1, 3, 2)), np.arange(3)),
+         (np.eye(3)[None], np.arange(2))],
+        ids=["not-a-stack", "not-square", "index-length"],
+    )
+    def test_malformed_blocks_rejected(self, stack, index):
+        with pytest.raises(DimensionMismatch):
+            dataclasses.replace(op_from(np.eye(3)), normal_blocks=(stack, index))

@@ -54,6 +54,17 @@ def monolithic(ph, coils, pat):
     return build_monolithic_system(ph, coils, pat, None)
 
 
+def phantom_with_empty_line(h, w, seed, empty_line=None):
+    """The smooth-blobs phantom, with readout line ``empty_line`` taken off
+    its support when given."""
+    ph = make_phantom("smooth-blobs", h, w, seed=seed)
+    if empty_line is None:
+        return ph
+    mask = ph.support_mask.copy()
+    mask[:, empty_line] = False
+    return Phantom(grid=np.where(mask, ph.grid, 0.0), support_mask=mask)
+
+
 def total_variation(profile):
     return float(
         np.abs(np.diff(profile, axis=0)).sum() + np.abs(np.diff(profile, axis=1)).sum()
@@ -239,12 +250,9 @@ class TestSenseOperator:
     )
     def test_normal_matches_fft_composition(self, rng, h, w, l, accel, empty_line):
         # the 8-wide support ellipse leaves its edge lines empty; one more
-        # empty line inside it pads the Gram stack between nonempty ones
-        ph = make_phantom("smooth-blobs", h, w, seed=4)
-        if empty_line is not None:
-            mask = ph.support_mask.copy()
-            mask[:, empty_line] = False
-            ph = Phantom(grid=np.where(mask, ph.grid, 0.0), support_mask=mask)
+        # empty line inside it drops a line between nonempty ones from the
+        # Gram stack
+        ph = phantom_with_empty_line(h, w, 4, empty_line)
         coils = make_coils(l, h, w, seed=4)
         op, _ = sense_operator(ph, coils, SamplingPattern(num_lines=h, accel=accel, acs_lines=2))
         for _ in range(3):
@@ -252,28 +260,35 @@ class TestSenseOperator:
             want = op.apply_transpose(op.apply(x))
             assert np.linalg.norm(op.normal(x) - want) <= 1e-13 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("h, w, l", [(8, 8, 3), (10, 8, 3), (8, 10, 1), (12, 12, 4)])
-    def test_line_grams_are_the_row_normal_matrices(self, h, w, l):
-        ph = make_phantom("smooth-blobs", h, w, seed=1)
+    @pytest.mark.parametrize(
+        "h, w, l, empty_line",
+        [(8, 8, 3, None), (10, 8, 3, None), (8, 10, 1, None), (12, 12, 4, None), (8, 10, 3, 4)],
+        ids=["8-8-3", "10-8-3", "8-10-1", "12-12-4", "8-10-3-empty-line"],
+    )
+    def test_line_grams_are_the_row_normal_matrices(self, h, w, l, empty_line):
+        ph = phantom_with_empty_line(h, w, 1, empty_line)
         coils = make_coils(l, h, w, seed=1)
         pat = SamplingPattern(num_lines=h, accel=2, acs_lines=2)
         gram, flat = _line_grams(ph, coils, pat)
         systems = build_row_systems(ph, coils, pat)
         n_max = gram.shape[1]
-        assert gram.shape == (w, n_max, n_max)
+        # the grid has empty readout lines, and the stack no slot for them
+        assert len(systems) < w
+        assert gram.shape == (len(systems), n_max, n_max)
         assert n_max == max(rs.n_sup for rs in systems)
         ys, cs = np.nonzero(ph.support_mask)
-        lines = {rs.line_index: rs for rs in systems}
-        for c in range(w):
-            rs = lines.get(c)
-            n = 0 if rs is None else rs.n_sup
-            if rs is not None:
-                np.testing.assert_array_equal(gram[c, :n, :n],
-                                              rs.a_complex.conj().T @ rs.a_complex)
-                # the flat index puts line c's voxels, in order, at its rows
-                np.testing.assert_array_equal(flat[cs == c] - c * n_max, np.arange(n))
-                np.testing.assert_array_equal(ys[cs == c], rs.voxel_rows)
-            assert not gram[c, n:, :].any() and not gram[c, :, n:].any()
+        # one slot per line with support, in readout order
+        for slot, rs in enumerate(systems):
+            n, c = rs.n_sup, rs.line_index
+            np.testing.assert_array_equal(gram[slot, :n, :n],
+                                          rs.a_complex.conj().T @ rs.a_complex)
+            # the flat index puts line c's voxels, in order, at its slot
+            np.testing.assert_array_equal(flat[cs == c], slot * n_max + np.arange(n))
+            np.testing.assert_array_equal(ys[cs == c], rs.voxel_rows)
+            assert not gram[slot, n:, :].any() and not gram[slot, :, n:].any()
+        op, _ = sense_operator(ph, coils, pat)
+        np.testing.assert_array_equal(op.normal_blocks[0], gram)
+        np.testing.assert_array_equal(op.normal_blocks[1], flat)
 
     def test_landweber_matches_monolithic_pinv(self, rng):
         ph = make_phantom("smooth-blobs", 8, 8, seed=2)
@@ -295,7 +310,7 @@ class TestSenseOperator:
         ph = make_phantom("smooth-blobs", 8, 8, seed=2)
         coils = make_coils(3, 8, 8, seed=2)
         op, _ = sense_operator(ph, coils, SamplingPattern(num_lines=8, accel=2, acs_lines=2))
-        fft = dataclasses.replace(op, apply_normal=None)
+        fft = dataclasses.replace(op, normal_blocks=None)
         s1 = power_iteration_sigma1(op, seed=1)
         assert s1 == pytest.approx(power_iteration_sigma1(fft, seed=1), rel=1e-14)
         # the probes stop after 789 to 866 iterations; the budget splits them
