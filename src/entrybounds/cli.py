@@ -13,6 +13,7 @@ infeasible (or an extremal target incompatible with the bound status).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -137,6 +138,8 @@ def cmd_estimate_diag(args) -> int:
     dense = None
     if (args.op is None) == (args.matrix is None):
         raise EntryBoundsError("estimate-diag takes exactly one of --matrix and --op")
+    # checked before any operator work; 1.0 holds sigma1's place until it is known
+    cfg_lw = matfree.LandweberConfig(1.0, max_iters=args.max_iters, rel_tol=args.rel_tol)
     if args.op is not None:
         if not args.op.startswith("sense:"):
             raise EntryBoundsError(f"--op must look like sense:<cfg.json>, got {args.op!r}")
@@ -147,12 +150,7 @@ def cmd_estimate_diag(args) -> int:
         op = matfree.LinearOperator.from_matrix(dense)
 
     sigma1 = matfree.power_iteration_sigma1(op, seed=args.seed)
-    cfg_lw = matfree.LandweberConfig(
-        sigma1_estimate=sigma1,
-        tau=args.tau,
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-    )
+    cfg_lw = dataclasses.replace(cfg_lw, sigma1_estimate=sigma1, tau=args.tau)
     est = matfree.stochastic_diag(
         op, args.samples, probe_kind=args.probe, seed=args.seed, cfg=cfg_lw
     )

@@ -32,14 +32,22 @@ def as_real_or_complex(x) -> np.ndarray:
     return x.astype(complex if np.iscomplexobj(x) else float, copy=False)
 
 
-def _as_matrix(a) -> np.ndarray:
+def as_finite_matrix(a) -> np.ndarray:
+    """``a`` as a real or complex 2-D array, which may have no rows or no
+    columns; another ndim raises :class:`DimensionMismatch` and a NaN or
+    infinite entry :class:`NumericalFailure`."""
     a = as_real_or_complex(a)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D array, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionMismatch(f"matrix must be at least 1x1, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NumericalFailure("matrix contains NaN or Inf entries")
+    return a
+
+
+def _as_matrix(a) -> np.ndarray:
+    a = as_finite_matrix(a)
+    if a.shape[0] < 1 or a.shape[1] < 1:
+        raise DimensionMismatch(f"matrix must be at least 1x1, got {a.shape}")
     return a
 
 

@@ -42,7 +42,9 @@ class NotOverdetermined(EntryBoundsError):
 
 
 class InvalidStep(EntryBoundsError):
-    """Gradient-iteration step size outside the stable interval."""
+    """A gradient-iteration setting under which no solve can stop correctly:
+    a step outside the stable interval, a sigma1 or sigma_min that gives
+    none, or an iteration budget or tolerance that cannot be met."""
 
 
 class UnknownPreset(EntryBoundsError):

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import as_real_or_complex
+from .core import as_finite_matrix, as_real_or_complex
 from .errors import DimensionMismatch, InvalidStep
 
 
@@ -65,7 +65,10 @@ class LinearOperator:
 
     @classmethod
     def from_matrix(cls, a) -> "LinearOperator":
-        a = as_real_or_complex(a)
+        """The operator of a dense matrix, checked by :func:`as_finite_matrix`
+        before any product: it must be 2-D with finite entries, and may have
+        no rows or no columns."""
+        a = as_finite_matrix(a)
         return cls(
             shape=(a.shape[0], a.shape[1]),
             apply=lambda x, _a=a: _a @ x,
@@ -173,15 +176,19 @@ def power_iteration_sigma1(op: LinearOperator, iters: int = 200, seed: int = 0) 
 
 @dataclass(frozen=True)
 class LandweberConfig:
-    """Parameters of the gradient iteration.
+    """Parameters of the gradient iteration, all checked when the config is
+    made: a setting under which no solve can stop correctly raises
+    :class:`InvalidStep` naming its field.
 
-    ``tau`` must lie in (0, 2 / sigma1^2); when None it defaults to the
-    midpoint 1 / sigma1^2 of the stable interval.  ``sigma_min`` is an
-    optional smallest positive singular value; when given, an iteration
-    count sufficient for ``rate_tol`` accuracy is used as an extra stop.
-    Settings under which no solve can stop correctly (no iteration, a
-    ``rel_tol`` that is negative, NaN or infinite, a ``rate_tol`` outside
-    (0, 1)) raise :class:`InvalidStep`.
+    ``sigma1_estimate`` must be > 0 with a nonzero, finite square.  ``tau``
+    must lie in (0, 2 / sigma1^2); when None it defaults to the midpoint
+    1 / sigma1^2 of the stable interval.  ``sigma_min`` is an optional
+    smallest positive singular value; when given it must be > 0 with a
+    worst modal factor max |1 - tau s^2| over s in {sigma_min, sigma1}
+    below 1 as computed (tau sigma_min^2 < 2 in exact arithmetic), and an
+    iteration count sufficient for ``rate_tol`` accuracy is used as an
+    extra stop.  ``max_iters`` must be >= 1, ``rel_tol`` finite and >= 0,
+    and ``rate_tol`` in (0, 1).
     """
 
     sigma1_estimate: float
@@ -192,6 +199,16 @@ class LandweberConfig:
     rate_tol: float = 1e-7
 
     def __post_init__(self):
+        s1 = self.sigma1_estimate
+        if not (s1 > 0.0 and 0.0 < s1 * s1 < math.inf):
+            raise InvalidStep(f"sigma1_estimate must be > 0 with a nonzero finite square, got {s1}")
+        tau, limit = self.step_size(), 2.0 / (s1 * s1)
+        if not 0.0 < tau < limit:
+            raise InvalidStep(f"tau {tau} outside the stable interval (0, {limit})")
+        # the rate as computed, which rounds to 1 for a tiny sigma_min
+        smin = self.sigma_min
+        if smin is not None and not (smin > 0.0 and self._rate() < 1.0):
+            raise InvalidStep(f"sigma_min must be > 0 with a float modal rate below 1, got {smin}")
         if not self.max_iters >= 1:
             raise InvalidStep(f"max_iters must be >= 1, got {self.max_iters}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
@@ -201,29 +218,20 @@ class LandweberConfig:
 
     def step_size(self) -> float:
         s1 = self.sigma1_estimate
-        if s1 <= 0:
-            raise InvalidStep("sigma1 estimate must be positive")
-        tau = self.tau if self.tau is not None else 1.0 / (s1 * s1)
-        if not 0.0 < tau < 2.0 / (s1 * s1):
-            raise InvalidStep(
-                f"step size {tau} outside the stable interval (0, {2.0 / (s1 * s1)})"
-            )
-        return tau
+        return self.tau if self.tau is not None else 1.0 / (s1 * s1)
+
+    def _rate(self) -> float:
+        tau = self.step_size()
+        return max(abs(1.0 - tau * s**2) for s in (self.sigma_min, self.sigma1_estimate))
 
     def iteration_bound(self) -> Optional[int]:
         """Iterations needed so the worst modal factor max_j |1 - tau s_j^2|^K
         drops below ``rate_tol``; None when sigma_min is not supplied."""
         if self.sigma_min is None:
             return None
-        tau = self.step_size()
-        rate = max(
-            abs(1.0 - tau * self.sigma_min**2),
-            abs(1.0 - tau * self.sigma1_estimate**2),
-        )
+        rate = self._rate()
         if rate <= 0.0:
             return 1
-        if rate >= 1.0:
-            return None
         return max(1, math.ceil(math.log(self.rate_tol) / math.log(rate)))
 
 

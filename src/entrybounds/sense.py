@@ -400,7 +400,8 @@ def _is_int(val) -> bool:
 _KINDS = {
     bool: ("a boolean", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
-    int: ("an integer", _is_int),
+    # every config integer is a size, count, stride or seed
+    int: ("a nonnegative integer", lambda v: _is_int(v) and v >= 0),
     # NaN fails the range test; an int is compared without a conversion
     float: ("a finite number", lambda v: (_is_int(v) or isinstance(v, float))
             and abs(v) <= sys.float_info.max),
@@ -413,9 +414,9 @@ _NO_DEFAULT = {"epsilon": {"value": 0.0}}
 
 def _default_cfg(cfg: dict) -> dict:
     """Merge a pipeline config into the defaults.  Unknown keys, values
-    whose JSON type differs from their default's, a number that is NaN or
-    beyond the float range, and a negative fixed epsilon raise
-    :class:`ConfigError`."""
+    whose JSON type differs from their default's, a negative integer, a
+    number that is NaN or beyond the float range, and a negative fixed
+    epsilon raise :class:`ConfigError`."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
     out = {

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entrybounds import bounds, cli, mio, sense
+from entrybounds import bounds, cli, matfree, mio, sense
 from entrybounds.errors import ConfigError, DimensionMismatch
 
 from conftest import kkt_interval, nullspace_overlap
@@ -674,6 +674,39 @@ class TestEstimateDiagCommand:
         assert code == 1 and captured.out == "" and not out.exists()
         assert captured.err.startswith(f"error: {flag[2:].replace('-', '_')} must ")
 
+    @pytest.mark.parametrize("flag, value", [("--rel-tol", "nan"), ("--max-iters", "0")],
+                             ids=["rel-tol-nan", "max-iters-0"])
+    def test_rejects_settings_before_operator_work(self, tmp_path, capsys, monkeypatch,
+                                                   flag, value):
+        """The Landweber settings are checked before the operator is built."""
+        def not_called(*args, **kwargs):
+            raise AssertionError("operator work before the settings were checked")
+
+        for module, name in ((sense, "build_problem"), (sense, "sense_operator"),
+                             (matfree, "power_iteration_sigma1")):
+            monkeypatch.setattr(module, name, not_called)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grid": {"h": 16, "w": 16}}))
+        code = cli.main(["estimate-diag", "--op", f"sense:{cfg_path}", "--samples", "2",
+                         f"{flag}={value}"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_rejects_a_non_finite_matrix_before_power_iteration(self, tmp_path, capsys,
+                                                                monkeypatch, entry):
+        """A NaN or infinite entry is rejected before any product."""
+        def not_called(*args, **kwargs):
+            raise AssertionError("power iteration on a non-finite matrix")
+
+        monkeypatch.setattr(matfree, "power_iteration_sigma1", not_called)
+        mpath = tmp_path / "a.csv"
+        mpath.write_text(f"2,2\n1.0,0.0\n0.0,{entry}\n")
+        code = cli.main(["estimate-diag", "--matrix", str(mpath), "--samples", "2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: matrix contains NaN or Inf entries\n"
+
     def test_requires_an_operator(self, capsys):
         code = cli.main(["estimate-diag", "--samples", "10"])
         assert code == 1
@@ -834,10 +867,12 @@ class TestSenseCommand:
             {"epsilon": {"mode": "heuristic", "value": 5.0}},
             {"epsilon": {"mode": "fixed", "value": -1.0}},
             {"grid": {"h": 16, "w": 16}, "noise": {"sigma": 10**400}},
+            {"grid": {"h": 16, "w": 16}, "noise": {"seed": -1}},
+            {"grid": {"h": 16, "w": 16}, "pattern": {"acs": -3}},
         ],
         ids=["str-h", "str-l", "str-sigma", "float-accel", "null-value", "list", "null",
              "outputs-key", "extremal-line-999", "value-not-fixed", "negative-value",
-             "huge-int-sigma"],
+             "huge-int-sigma", "negative-seed", "negative-acs"],
     )
     def test_mistyped_config_exit_code(self, tmp_path, capsys, cfg, manifest_only):
         cfg_path = tmp_path / "cfg.json"

@@ -14,7 +14,7 @@ from entrybounds import (
     stochastic_diag,
     svd_truncated,
 )
-from entrybounds.errors import DimensionMismatch, InvalidStep
+from entrybounds.errors import DimensionMismatch, InvalidStep, NumericalFailure
 from entrybounds.matfree import adjoint_mismatch
 
 
@@ -33,6 +33,18 @@ class TestLinearOperator:
             shape=(4, 4), apply=lambda x: a @ x, apply_transpose=lambda y: a @ y
         )
         assert adjoint_mismatch(bad) > 1e-3
+
+
+class TestFromMatrix:
+    @pytest.mark.parametrize(
+        "a, error",
+        [(np.array([1.0, 2.0]), DimensionMismatch), (np.array([[1.0, np.nan]]), NumericalFailure),
+         (np.array([[1.0], [np.inf]]), NumericalFailure)],
+        ids=["1-d", "nan", "inf"],
+    )
+    def test_rejects_a_matrix_no_operator_can_have(self, a, error):
+        with pytest.raises(error):
+            LinearOperator.from_matrix(a)
 
 
 class TestPowerIteration:
@@ -89,24 +101,37 @@ class TestLandweber:
         assert res.iterations <= cfg.iteration_bound()
 
     def test_invalid_step(self):
-        cfg = LandweberConfig(sigma1_estimate=2.0, tau=0.6)
         with pytest.raises(InvalidStep):
+            cfg = LandweberConfig(sigma1_estimate=2.0, tau=0.6)
             landweber_pinv(op_from(np.diag([2.0, 1.0])), [1.0, 1.0], cfg)
 
     @pytest.mark.parametrize(
         "field, value",
         [("rel_tol", math.nan), ("rel_tol", -1.0), ("rel_tol", math.inf), ("max_iters", 0),
-         ("rate_tol", 1.0), ("rate_tol", 0.0)],
+         ("rate_tol", 1.0), ("rate_tol", 0.0),
+         ("sigma1_estimate", math.nan), ("sigma1_estimate", 0.0), ("sigma1_estimate", -1.0),
+         ("sigma1_estimate", math.inf), ("sigma1_estimate", 1e-170),
+         ("tau", math.nan), ("tau", 0.0), ("tau", 0.5), ("tau", math.inf),
+         ("sigma_min", math.nan), ("sigma_min", 0.0), ("sigma_min", -1.0),
+         ("sigma_min", math.inf), ("sigma_min", 3.0), ("sigma_min", 1e-9)],
         ids=["rel-tol-nan", "rel-tol-negative", "rel-tol-inf", "max-iters-0", "rate-tol-1",
-             "rate-tol-0"],
+             "rate-tol-0", "sigma1-nan", "sigma1-0", "sigma1-negative", "sigma1-inf",
+             "sigma1-square-underflows", "tau-nan", "tau-0", "tau-at-2-over-sigma1-squared",
+             "tau-inf", "sigma-min-nan", "sigma-min-0", "sigma-min-negative", "sigma-min-inf",
+             "sigma-min-3", "sigma-min-rate-rounds-to-1"],
     )
     def test_settings_that_cannot_work_are_rejected(self, field, value):
         # rel_tol NaN or < 0 ran every probe to max_iters, inf stopped after
         # one step, and rate_tol 1 with sigma_min set iteration_bound to 1:
         # landweber_pinv then gave [1, 0.25] for diag(2, 1) x = [2, 1],
-        # labelled converged
+        # labelled converged.  A sigma1 of 1e-170 has a square of 0, and a
+        # sigma_min of 1e-9 a rate 1 - 2.5e-19 that rounds to 1: no bound
         with pytest.raises(InvalidStep, match=field):
-            LandweberConfig(sigma1_estimate=2.0, sigma_min=1.0, **{field: value})
+            LandweberConfig(**{"sigma1_estimate": 2.0, "sigma_min": 1.0, field: value})
+
+    def test_sigma_min_at_sigma1_takes_one_iteration(self):
+        # the default step zeroes the modal factor of sigma1 itself
+        assert LandweberConfig(sigma1_estimate=2.0, sigma_min=2.0).iteration_bound() == 1
 
     def test_dimension_mismatch(self):
         cfg = LandweberConfig(sigma1_estimate=1.0)

@@ -573,6 +573,15 @@ class TestPipeline:
         with pytest.raises(ConfigError, match="epsilon.value"):
             run_pipeline({"epsilon": {"mode": "fixed", "value": value}})
 
+    @pytest.mark.parametrize("section, key", [("noise", "seed"), ("pattern", "acs"),
+                                              ("grid", "h")])
+    def test_negative_integer_rejected(self, section, key, monkeypatch):
+        """Every config integer is a size, count, stride or seed: a negative
+        one is rejected with the config, naming its key."""
+        monkeypatch.setattr(sense, "build_problem", None)
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be a nonnegative integer"):
+            run_pipeline({section: {key: -1}})
+
 
 # One coil at accel 2 on 16 x 16 under a fixed epsilon: triangle lines, and
 # full-rank and rank-deficient lines on the SVD path.
