@@ -14,8 +14,9 @@ functional Re(w^H x) has the interval Re(w^H A^+ b) +/- lam *
 lifted real weight on the lifted real system.
 
 A system sets its rank tolerance with ``LinearSystem.rank_rtol``;
-``condition_report``, ``global_bounds`` and ``ellipsoid_volume`` take a
-matrix or a system, whose cached factors they use.  The interval of a row
+``condition_report``, ``global_bounds``, ``ellipsoid_volume`` and
+``crlb_identity_check`` take a system, whose cached factors they use, or
+a matrix, which they read as a system with zero data.  The interval of a row
 and both its extremal vectors can come from one evaluation of its products.
 """
 
@@ -177,12 +178,9 @@ def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
                      math.hypot(core.residual_projection_norm(f, b), rho), f.u.conj().T @ b, "svd")
 
 
-def _factored(a) -> _Factored:
-    """The factors of a system, or of a matrix with zero data."""
-    if isinstance(a, LinearSystem):
-        return a._factored()
-    a = core._as_matrix(a)
-    return _factor(a, np.zeros(a.shape[0], a.dtype), core.DEFAULT_RANK_RTOL)
+def _system(a) -> LinearSystem:
+    """``a`` if it is a system; a matrix is read, and checked, as the system (a, 0, 0)."""
+    return a if isinstance(a, LinearSystem) else LinearSystem(a, np.zeros(np.shape(a)[:1]), 0.0)
 
 
 @dataclass(eq=False)
@@ -197,6 +195,13 @@ class LinearSystem:
     systems are equal only if they are the same object.  The system is
     complex when ``a`` or ``b`` is: then both are stored as complex, and
     the unknown x is complex.
+
+    The shape of ``a`` and ``rank_rtol`` are checked when the system is
+    made (also by ``replace``): an ``a`` that is not 2-D raises
+    :class:`DimensionMismatch`, and a ``rank_rtol`` outside (0, 1)
+    ``ValueError``.  That ``a`` is finite and at least 1 x 1 is checked when
+    the factors are made, once per matrix object, so the copies that
+    ``replace`` makes with a new ``epsilon`` do not scan ``a`` again.
     """
 
     a: np.ndarray
@@ -207,6 +212,9 @@ class LinearSystem:
 
     def __post_init__(self):
         self.a = core.as_real_or_complex(self.a)
+        if self.a.ndim != 2:
+            raise DimensionMismatch(f"expected a 2-D array, got ndim={self.a.ndim}")
+        core._check_rank_rtol(self.rank_rtol)
         self.b = core.as_real_or_complex(self.b)
         if self.b.ndim != 1:  # a 1-D b stays the object the caches were made from
             self.b = self.b.reshape(-1)
@@ -625,7 +633,7 @@ def condition_report(a) -> ConditionReport:
     one value per entry.  A sensitivity beyond the float range raises
     :class:`NumericalFailure`.
     """
-    fc = _factored(a)
+    fc = _system(a)._factored()
     n, rank = fc.k.shape
     reps = 2 if np.iscomplexobj(fc.k) else 1
     sigma_max = float(fc.sigma[0]) if rank else 0.0
@@ -655,7 +663,7 @@ def global_bounds(a, n_norm: float) -> float:
         raise NumericalFailure(f"noise norm must be finite, got {n_norm}")
     if n_norm < 0:
         raise ValueError(f"noise norm must be nonnegative, got {n_norm}")
-    fc = _factored(a)
+    fc = _system(a)._factored()
     n, rank = fc.k.shape
     if rank < n:
         raise RankDeficient("spectral bound requires full column rank")
@@ -679,7 +687,7 @@ def ellipsoid_volume(a, lam: float) -> float:
         raise NumericalFailure(f"lambda must be finite, got {lam}")
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    fc = _factored(a)
+    fc = _system(a)._factored()
     n, rank = fc.k.shape
     if rank < n:
         return math.inf
@@ -709,15 +717,17 @@ def crlb_identity_check(a, i: int):
     The left side goes through the pseudoinverse of the Gram matrix, the
     right through the squared sensitivity ||(A^+)^H e_i||_2^2; under white
     unit-variance noise both equal the per-entry variance floor of any
-    unbiased estimator.  An ``i`` outside [0, N), or not one integer, raises
+    unbiased estimator.  ``a`` is a matrix or a system, as for
+    :func:`condition_report`, which factors and so checks it before the Gram
+    matrix is formed.  An ``i`` outside [0, N), or not one integer, raises
     :class:`IndexOutOfRange`.
     """
-    a = core.as_real_or_complex(a)
-    n = a.shape[1]
+    sys_ = _system(a)
+    n = sys_.shape[1]
     if _index_array(i, n, ())[1]:
         raise IndexOutOfRange(f"index {i} out of range for N={n}")
-    gram_pinv = np.linalg.pinv(a.conj().T @ a)
-    return float(gram_pinv[i, i].real), float(condition_report(a).spectral_entry[i] ** 2)
+    right = float(condition_report(sys_).spectral_entry[i] ** 2)  # factoring checks a
+    return float(np.linalg.pinv(sys_.a.conj().T @ sys_.a)[i, i].real), right
 
 
 def epsilon_heuristic(sys: LinearSystem) -> float:

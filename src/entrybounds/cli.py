@@ -139,6 +139,7 @@ def cmd_estimate_diag(args) -> int:
     if (args.op is None) == (args.matrix is None):
         raise EntryBoundsError("estimate-diag takes exactly one of --matrix and --op")
     # checked before any operator work; 1.0 holds sigma1's place until it is known
+    matfree._check_probes(args.samples, args.seed)
     cfg_lw = matfree.LandweberConfig(1.0, max_iters=args.max_iters, rel_tol=args.rel_tol)
     if args.op is not None:
         if not args.op.startswith("sense:"):

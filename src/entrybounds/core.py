@@ -83,10 +83,13 @@ class SvdFactors:
         return (self.u.shape[0], self.v.shape[0])
 
 
-def _rank(s: np.ndarray, rtol: float) -> int:
-    """Number of the nonincreasing singular values ``s`` with sigma_i > rtol * sigma_1."""
+def _check_rank_rtol(rtol: float) -> None:
     if not 0.0 < rtol < 1.0:
         raise ValueError(f"rank tolerance must be in (0, 1), got {rtol}")
+
+
+def _rank(s: np.ndarray, rtol: float) -> int:
+    """Number of the nonincreasing singular values ``s`` with sigma_i > rtol * sigma_1."""
     return int(np.count_nonzero(s > rtol * s[0]))
 
 
@@ -98,6 +101,7 @@ def svd_truncated(a, rtol: float = DEFAULT_RANK_RTOL) -> SvdFactors:
     Only a wide matrix needs the full ``Vt``, whose extra rows span the
     nullspace; a tall one gets the economy SVD, without the M x M ``U``.
     """
+    _check_rank_rtol(rtol)
     a = _as_matrix(a)
     try:
         u_full, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])

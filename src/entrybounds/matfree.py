@@ -58,8 +58,6 @@ class LinearOperator:
 
     def normal(self, x: np.ndarray) -> np.ndarray:
         """A^H A x."""
-        if self.normal_blocks is None:
-            return self.apply_transpose(self.apply(x))
         layout = _Layout(self, np.asarray(x).dtype)
         return layout.gather(layout.normal(layout.scatter(x)))
 
@@ -108,6 +106,15 @@ class _Layout:
 
     def gather(self, u: np.ndarray) -> np.ndarray:
         return u.reshape(-1)[self.index]
+
+
+def _check_probes(samples: int, seed: int) -> None:
+    """``ValueError`` unless ``samples`` >= 1 and ``seed`` >= 0, as
+    ``np.random.default_rng`` needs."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _draw(rng: np.random.Generator, op: LinearOperator, k: int, kind="gaussian") -> np.ndarray:
@@ -320,8 +327,7 @@ def stochastic_diag(
     the result is identical under any evaluation order.  Samples whose
     inner iteration fails to converge are counted, not silently included.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    _check_probes(samples, seed)
     m, n = op.shape
     acc = np.zeros(2 * n if op.is_complex else n)
     iterations = np.zeros(samples, dtype=int)

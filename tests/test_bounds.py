@@ -82,6 +82,24 @@ class TestNonFiniteInputs:
             extremal_solution(sys_, [bad, 1.0], Target.UPPER)
 
 
+class TestMadeSystem:
+    @pytest.mark.parametrize(
+        "a, b, rtol, error, message",
+        [(3.0, [1.0], 1e-10, DimensionMismatch, "expected a 2-D array, got ndim=0"),
+         ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 1e-10, DimensionMismatch,
+          "expected a 2-D array, got ndim=1"),
+         (np.ones((2, 2, 2)), [1.0, 2.0], 1e-10, DimensionMismatch,
+          "expected a 2-D array, got ndim=3"),
+         *((np.eye(2), [1.0, 2.0], rtol, ValueError,
+            f"rank tolerance must be in (0, 1), got {rtol}") for rtol in (np.nan, 0, 1, 2, -1))],
+        ids=["0-d", "1-d", "3-d", "rtol-nan", "rtol-0", "rtol-1", "rtol-2", "rtol-negative"],
+    )
+    def test_shape_and_rank_tolerance_checked_when_made(self, a, b, rtol, error, message):
+        with pytest.raises(error) as exc:
+            LinearSystem(a=a, b=b, epsilon=1.0, rank_rtol=rtol)
+        assert str(exc.value) == message
+
+
 class TestWeightRowRange:
     """Weight rows so tiny or huge that their products or norms under- or
     overflow: the interval and its endpoints are exact, or NumericalFailure
@@ -628,6 +646,21 @@ class TestCrlbIdentity:
             crlb_identity_check(np.eye(3), [1])
         assert str(exc.value) == "expected an index of shape (), got (1,)"
 
+    @pytest.mark.parametrize(
+        "a, error",
+        [([1.0, 2.0], DimensionMismatch), (2.0, DimensionMismatch),
+         (np.ones((2, 2, 2)), DimensionMismatch), ([[1.0, np.nan], [0.0, 1.0]], NumericalFailure),
+         ([[1.0, np.inf], [0.0, 1.0]], NumericalFailure)],
+        ids=["1-d", "0-d", "3-d", "nan", "inf"],
+    )
+    def test_bad_matrix_rejected_before_the_gram_pseudoinverse(self, monkeypatch, a, error):
+        def not_called(*args, **kwargs):
+            raise AssertionError("the Gram pseudoinverse of an unchecked matrix")
+
+        monkeypatch.setattr(np.linalg, "pinv", not_called)
+        with pytest.raises(error):
+            crlb_identity_check(a, 0)
+
     def test_random(self, rng):
         a = rng.standard_normal((7, 4))
         for i in range(4):
@@ -652,6 +685,10 @@ class TestEpsilonHeuristic:
         a = rng.standard_normal((3, 3))
         with pytest.raises(NotOverdetermined):
             epsilon_heuristic(LinearSystem(a=a, b=np.zeros(3), epsilon=0.0))
+
+    def test_vector_matrix_rejected(self):
+        with pytest.raises(DimensionMismatch, match="expected a 2-D array, got ndim=1"):
+            epsilon_heuristic(LinearSystem(a=[1.0, 2.0, 3.0], b=[1.0, 2.0, 3.0], epsilon=1.0))
 
 
 class TestProperties:

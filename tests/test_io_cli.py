@@ -388,6 +388,23 @@ class TestBoundsCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rtol", ["nan", "0", "2", "-1"])
+    def test_bad_rtol_rejected_before_factoring(self, tmp_path, capsys, monkeypatch, rtol):
+        """The rank tolerance is checked when the system is made, before the
+        QR of [A | b] that an M >= 2N matrix takes."""
+        def not_called(*args, **kwargs):
+            raise AssertionError("the system was factored before its tolerance was checked")
+
+        monkeypatch.setattr(np.linalg, "qr", not_called)
+        mpath, dpath, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "out.json"
+        mio.write_matrix_csv(mpath, np.eye(6, 3))
+        mio.write_vector_csv(dpath, np.ones(6))
+        code = cli.main(["bounds", "--matrix", str(mpath), "--data", str(dpath),
+                         "--epsilon", "1.0", f"--rtol={rtol}", "--json", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and not out.exists()
+        assert captured.err == f"error: rank tolerance must be in (0, 1), got {float(rtol)}\n"
+
     def test_subnormal_sigma_exit_code(self, tmp_path, capsys):
         """A matrix whose sigma_1 is below 2**-1024 gets an ``error:`` line."""
         mpath, dpath = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -691,6 +708,30 @@ class TestEstimateDiagCommand:
                          f"{flag}={value}"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--samples", "0", "samples must be >= 1, got 0"),
+         ("--seed", "-1", "seed must be >= 0, got -1")],
+        ids=["samples-0", "seed-negative"],
+    )
+    def test_rejects_probe_settings_before_operator_work(self, tmp_path, capsys, monkeypatch,
+                                                         flag, value, message):
+        """The probe count and the seed are checked before the operator is
+        built, with a message that names the flag."""
+        def not_called(*args, **kwargs):
+            raise AssertionError("operator work before the probe settings were checked")
+
+        for module, name in ((sense, "sense_operator"), (matfree, "power_iteration_sigma1")):
+            monkeypatch.setattr(module, name, not_called)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grid": {"h": 16, "w": 16}}))
+        settings = {"--samples": "2", "--seed": "0", flag: value}
+        code = cli.main(["estimate-diag", "--op", f"sense:{cfg_path}"]
+                        + [f"{k}={v}" for k, v in settings.items()])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("entry", ["nan", "inf"])
     def test_rejects_a_non_finite_matrix_before_power_iteration(self, tmp_path, capsys,

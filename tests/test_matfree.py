@@ -184,6 +184,11 @@ class TestStochasticDiag:
         est = stochastic_diag(op, samples=4000, seed=11, cfg=cfg)
         np.testing.assert_allclose(est.values, [0.25, 1.0], rtol=0.08)
 
+    def test_negative_seed_named(self):
+        cfg = LandweberConfig(sigma1_estimate=2.0)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            stochastic_diag(op_from(np.diag([2.0, 1.0])), samples=2, seed=-1, cfg=cfg)
+
     def test_seed_reproducibility(self):
         op = op_from(np.diag([2.0, 1.0]))
         cfg = LandweberConfig(sigma1_estimate=2.0)
