@@ -199,7 +199,8 @@ class LinearSystem:
     The shape of ``a`` and ``rank_rtol`` are checked when the system is
     made (also by ``replace``): an ``a`` that is not 2-D raises
     :class:`DimensionMismatch`, and a ``rank_rtol`` outside (0, 1)
-    ``ValueError``.  That ``a`` is finite and at least 1 x 1 is checked when
+    ``ValueError``, as it does again before a factorization if it was
+    assigned since.  That ``a`` is finite and at least 1 x 1 is checked when
     the factors are made, once per matrix object, so the copies that
     ``replace`` makes with a new ``epsilon`` do not scan ``a`` again.
     """
@@ -242,6 +243,7 @@ class LinearSystem:
     def _factored(self) -> _Factored:
         key = (self.a, self.b, self.rank_rtol)
         if self._cache is None or any(x is not y for x, y in zip(key, self._cache.key)):
+            core._check_rank_rtol(self.rank_rtol)  # it may have been assigned since
             self._cache = _factor(*key)
         return self._cache
 
@@ -287,11 +289,12 @@ class EntryBound:
 
 @dataclass(frozen=True)
 class ExtremalSolution:
-    """A feasible vector attaining a requested functional value."""
+    """A feasible vector attaining a requested functional value; ``bound`` is its row's interval."""
 
     x: np.ndarray
     achieved_value: float
     residual_norm: float
+    bound: EntryBound
 
 
 @dataclass(frozen=True)
@@ -364,7 +367,8 @@ class BoundArrays:
 class _RowProducts(NamedTuple):
     """Products of the weight rows w_k = 2**e[k] * u_k, in units of 2**e[k],
     with the factors K and V_perp of :class:`_Factored`.  The coordinate and
-    the pair rows are their own units: u_k = w_k and e[k] = 0."""
+    the pair rows are their own units: u_k = w_k and e[k] = 0.  ``unbounded``
+    is the one status test of every family; intervals and extremals read it."""
 
     u: Optional[np.ndarray]  # None for the coordinate and the pair rows
     e: np.ndarray
@@ -379,7 +383,8 @@ class _RowProducts(NamedTuple):
 
 def _row_products(sys: LinearSystem, W=None, *, entries=None, pairs=None) -> _RowProducts:
     """The products of one family of rows, validated and scaled as
-    :func:`bounds_for` states:
+    :func:`bounds_for` states; all three meet in one return and one nullspace
+    test, UNBOUNDED where ||V_perp^H u_k|| > DEFAULT_ORTHO_TOL * ||u_k||:
 
     - the rows of a dense ``W``, multiplied with the factors, so that no
       midpoint reads A^+ b;
@@ -396,13 +401,11 @@ def _row_products(sys: LinearSystem, W=None, *, entries=None, pairs=None) -> _Ro
     """
     fc = sys._factored()
     n = fc.k.shape[0]
+    u = wk = wv_perp = None
     if pairs is not None:
         i, j = _pair_index(n, pairs).T
-
-        def rows(f):
-            return f[i] - f[j]
-
-        u, e, wnorm = None, np.zeros(i.size, dtype=int), math.sqrt(2.0)
+        wk, wv_perp = fc.k[i] - fc.k[j], fc.v_perp[i] - fc.v_perp[j]
+        e, wnorm = np.zeros(i.size, dtype=int), math.sqrt(2.0)
     elif W is None:
         reps = 2 if sys.is_complex else 1
         x = fc.solution  # a NaN midpoint raises in _bound_arrays
@@ -415,8 +418,7 @@ def _row_products(sys: LinearSystem, W=None, *, entries=None, pairs=None) -> _Ro
                 i = int(idx[outside][0])
                 raise IndexOutOfRange(f"entry index {i} out of range for {mid.size} rows")
             mid, sens, perp = mid[idx], sens[idx], perp[idx]
-        return _RowProducts(None, np.zeros(mid.size, dtype=int), _lambda_from(sys), mid, None,
-                            sens, None, perp, perp > core.DEFAULT_ORTHO_TOL)
+        e, wnorm = np.zeros(mid.size, dtype=int), 1.0  # a coordinate row is a unit vector
     else:
         W = core.as_real_or_complex(W)
         if W.ndim != 2 or W.shape[1] != n:
@@ -436,14 +438,14 @@ def _row_products(sys: LinearSystem, W=None, *, entries=None, pairs=None) -> _Ro
         if not np.array_equal(u / scale, W):
             raise NumericalFailure("a weight row spans too many magnitudes to be rescaled exactly")
         wnorm = np.linalg.norm(u, axis=1)
-        rows = u.conj().__matmul__
-    wk, wv_perp = rows(fc.k), rows(fc.v_perp)
-    perp = np.linalg.norm(wv_perp, axis=1)
-    with np.errstate(over="ignore"):  # an infinite midpoint raises in _bound_arrays
-        mid = (wk @ fc.g).real * _inv_pow2(fc.es)
-    return _RowProducts(u, e, _lambda_from(sys), mid, wk,
-                        fc.sensitivities(wk), wv_perp, perp,
-                        perp > core.DEFAULT_ORTHO_TOL * wnorm)
+        wk, wv_perp = u.conj() @ fc.k, u.conj() @ fc.v_perp
+    if wk is not None:  # the pair and the dense rows, from their products with the factors
+        perp = np.linalg.norm(wv_perp, axis=1)
+        with np.errstate(over="ignore"):  # an infinite midpoint raises in _bound_arrays
+            mid = (wk @ fc.g).real * _inv_pow2(fc.es)
+        sens = fc.sensitivities(wk)
+    return _RowProducts(u, e, _lambda_from(sys), mid, wk, sens, wv_perp, perp,
+                        perp > core.DEFAULT_ORTHO_TOL * wnorm)  # the one nullspace test
 
 
 def bounds_for(sys: LinearSystem, W=None) -> BoundArrays:
@@ -574,12 +576,12 @@ def extremal_solution(
     """Construct a feasible x attaining the lower or upper end of the
     interval for w^T x (Re(w^H x) on a complex system), or (when the
     functional is unbounded) an arbitrary prescribed value ``alpha``.
-    The step from A^+ b takes the interval kernel's products of w."""
-    return _extremal(sys, _row_products(sys, np.reshape(w, (1, -1))), target, alpha)
-
-
-def _extremal(sys: LinearSystem, p: _RowProducts, target: Target, alpha=None) -> ExtremalSolution:
-    """:func:`extremal_solution` from the products ``p`` of its one row."""
+    The step from A^+ b and the result's ``bound``, the interval of
+    :func:`functional_bound`, come from one evaluation of w's products,
+    whose one status test decides the target: an end needs a finite row,
+    ``alpha`` an unbounded one, else :class:`StatusMismatch` is raised."""
+    p = _row_products(sys, np.reshape(w, (1, -1)))
+    bound = _bound_arrays(p).entry_bounds([None])[0]
     if p.lam is None:
         raise InfeasibleSystem("no vector is consistent with the data within epsilon")
     fc = sys._factored()
@@ -606,7 +608,7 @@ def _extremal(sys: LinearSystem, p: _RowProducts, target: Target, alpha=None) ->
     if not (math.isfinite(achieved) and np.isfinite(x).all()):
         raise NumericalFailure(f"target {target.value}: the vector must be finite")
     return ExtremalSolution(x=x, achieved_value=achieved,
-                            residual_norm=core._norm(sys.a @ x - sys.b))
+                            residual_norm=core._norm(sys.a @ x - sys.b), bound=bound)
 
 
 def _extremal_pair(fc: _Factored, wk: np.ndarray, sens: float,

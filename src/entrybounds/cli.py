@@ -112,14 +112,11 @@ def cmd_extremal(args) -> int:
     else:
         raise EntryBoundsError(f"--target must be lower|upper|value:<a>, got {args.target!r}")
 
-    # one evaluation of w's products gives both the interval and the vector
-    p = bnd._row_products(sys_, w[None, :])
-    bound = bnd._bound_arrays(p).entry_bounds()[0]
-    sol = bnd._extremal(sys_, p, target, alpha)
+    sol = bnd.extremal_solution(sys_, w, target, alpha)
     if target is Target.ARBITRARY:
         expected = alpha
     else:
-        expected = bound.lower if target is Target.LOWER else bound.upper
+        expected = sol.bound.lower if target is Target.LOWER else sol.bound.upper
 
     mio.write_vector_csv(args.out, sol.x)
     verification = {

@@ -108,13 +108,17 @@ class _Layout:
         return u.reshape(-1)[self.index]
 
 
-def _check_probes(samples: int, seed: int) -> None:
-    """``ValueError`` unless ``samples`` >= 1 and ``seed`` >= 0, as
-    ``np.random.default_rng`` needs."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+def _check_seed(seed: int) -> None:
+    """``ValueError`` unless ``seed`` >= 0, as ``np.random.default_rng`` needs."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def _check_probes(samples: int, seed: int) -> None:
+    """``ValueError`` unless ``samples`` >= 1 and ``seed`` >= 0."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    _check_seed(seed)
 
 
 def _draw(rng: np.random.Generator, op: LinearOperator, k: int, kind="gaussian") -> np.ndarray:
@@ -139,6 +143,7 @@ def adjoint_mismatch(op: LinearOperator, trials: int = 5, seed: int = 0) -> floa
     Useful as a smoke test that ``apply``, ``apply_transpose`` and
     ``normal`` are consistent with one another.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     m, n = op.shape
     sigma1 = power_iteration_sigma1(replace(op, normal_blocks=None), seed=seed)
@@ -166,6 +171,7 @@ def power_iteration_sigma1(op: LinearOperator, iters: int = 200, seed: int = 0) 
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
+    _check_seed(seed)
     v = _draw(np.random.default_rng(seed), op, op.shape[1])
     v /= np.linalg.norm(v)
     layout = _Layout(op, v.dtype)

@@ -30,6 +30,7 @@ from . import bounds as bnd
 from . import lifting
 from .bounds import LinearSystem
 from .errors import ConfigError, NotOverdetermined, NumericalFailure, ShapeMismatch, UnknownPreset
+from .matfree import LinearOperator
 
 log = logging.getLogger(__name__)
 
@@ -353,8 +354,6 @@ def sense_operator(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
     operator and the lifted voxel map ((y, c) order, real block first) of
     its diagonal estimates.
     """
-    from .matfree import LinearOperator
-
     _check_grid(ph, coils, pat)
     h, w = ph.shape
     kept = pat.phase_encodes_kept

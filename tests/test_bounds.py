@@ -99,6 +99,20 @@ class TestMadeSystem:
             LinearSystem(a=a, b=b, epsilon=1.0, rank_rtol=rtol)
         assert str(exc.value) == message
 
+    def test_rank_tolerance_assigned_later_checked_before_factoring(self, monkeypatch):
+        """On both factor paths: the QR of a tall system, the SVD of a square one."""
+        def fail(*args, **kwargs):
+            raise AssertionError("factored at an unchecked rank tolerance")
+
+        monkeypatch.setattr(np.linalg, "qr", fail)
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        for m in (4, 2):
+            sys_ = LinearSystem(a=np.eye(m, 2), b=np.ones(m), epsilon=1.0)
+            sys_.rank_rtol = 0.0
+            with pytest.raises(ValueError) as exc:
+                sys_.rank
+            assert str(exc.value) == "rank tolerance must be in (0, 1), got 0.0"
+
 
 class TestWeightRowRange:
     """Weight rows so tiny or huge that their products or norms under- or
@@ -496,6 +510,22 @@ class TestExtremalSolution:
         sys = LinearSystem(a=np.array([[1.0], [1.0]]), b=[0.0, 2.0], epsilon=1.0)
         with pytest.raises(InfeasibleSystem):
             extremal_solution(sys, e(0, 1), Target.UPPER)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("target, i", [(Target.LOWER, 1), (Target.UPPER, 1),
+                                           (Target.ARBITRARY, 0)],
+                             ids=["lower", "upper", "value"])
+    def test_bound_is_functional_bound(self, rng, dtype, target, i):
+        a = rng.standard_normal((6, 3)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.standard_normal((6, 3))
+        a = np.column_stack([a, a[:, 0]])  # x_0 - x_3 spans the nullspace
+        b = a @ rng.standard_normal(4) + 0.3 * rng.standard_normal(6)
+        sys = LinearSystem(a=a, b=b, epsilon=0.8)
+        w = e(i, 4) + 0.5 * e(2, 4)
+        want = functional_bound(sys, w)
+        assert want.status is (BoundStatus.UNBOUNDED if i == 0 else BoundStatus.FINITE)
+        assert extremal_solution(sys, w, target, alpha=3.0).bound == want
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf], ids=["nan", "inf"])
     def test_nonfinite_value_target_rejected(self, alpha):

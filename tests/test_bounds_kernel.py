@@ -12,8 +12,9 @@ Complex systems are checked against the same kernel on their lifted real
 form (``lifting.lift_system``) and against the oracles on that form.
 
 The feasible vectors of ``extremal_solution`` are checked against the
-kernel's intervals on the same systems, and against both ends taken from
-one evaluation of the row's products.
+kernel's intervals on the same systems, and the interval each carries,
+taken from the same evaluation of the row's products, against
+``functional_bound``.
 
 The coordinate and pair rows, which the kernel gathers and subtracts from
 the factors instead of multiplying, are checked bit for bit: the pairs
@@ -41,7 +42,6 @@ from entrybounds import (
 from entrybounds.bounds import (
     BOUND_STATUSES,
     _bound_arrays,
-    _extremal,
     _row_products,
     difference_rows,
 )
@@ -284,15 +284,15 @@ def checked_extremals(sys_, w, res):
             for sol, end in zip(sols, (res.upper[k], res.lower[k])):
                 assert abs(sol.achieved_value - end) <= 1e-12 * max(1.0, abs(end),
                                                                       res.half_width[k])
-            # both ends and the interval from one evaluation of the row, as
-            # the sense pipeline and the extremal command take them
-            p = _row_products(sys_, row[None, :])
+            # each end and the interval from one evaluation of the row, as
+            # the extremal command takes them
+            bound = functional_bound(sys_, row)
             for sol, target in zip(sols, targets[:2]):
-                one = _extremal(sys_, p, target)
+                one = extremal_solution(sys_, row, target)
                 np.testing.assert_array_equal(one.x, sol.x)
                 assert one.achieved_value == sol.achieved_value
-            ends, bound = _bound_arrays(p).entry_bounds()[0], functional_bound(sys_, row)
-            assert (ends.lower, ends.upper) == (bound.lower, bound.upper)
+                ends = one.bound
+                assert (ends.lower, ends.upper) == (bound.lower, bound.upper)
             wrong = Target.ARBITRARY
         for sol in sols:
             assert sol.residual_norm <= sys_.epsilon * (1 + 1e-10)

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -538,6 +539,18 @@ def test_cli_loads_no_test_dependency(tmp_path):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_cli_calls_no_private_kernel_function():
+    """``cli`` reaches the ``bounds`` module only by its public names."""
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    private = sorted(
+        {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+         and isinstance(n.value, ast.Name) and n.value.id == "bnd" and n.attr.startswith("_")}
+        | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+           and n.module == "bounds" for a in n.names if a.name.startswith("_")})
+    assert private == []
 
 
 class TestExtremalCommand:

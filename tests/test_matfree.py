@@ -71,6 +71,14 @@ class TestPowerIteration:
         op = op_from(a)
         assert power_iteration_sigma1(op, seed=7) == power_iteration_sigma1(op, seed=7)
 
+    def test_negative_seed_named_before_any_draw(self, monkeypatch):
+        """As in ``stochastic_diag``, also in the adjoint check."""
+        op = op_from(np.diag([2.0, 1.0]))
+        monkeypatch.setattr(np.random, "default_rng", None)
+        for run in (power_iteration_sigma1, adjoint_mismatch):
+            with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+                run(op, seed=-1)
+
 
 class TestLandweber:
     def test_identity_one_step(self):
