@@ -174,8 +174,9 @@ def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
             return _Factored(key, k, es, sigma, np.zeros((n, 0), k.dtype), rho, b, "triangle")
     f = svd_truncated(a, rtol)
     d, es = core._unit_sigma(f.sigma)
+    g = f.u.conj().T @ b
     return _Factored(key, f.v / d, es, f.sigma, f.v_perp,
-                     math.hypot(core.residual_projection_norm(f, b), rho), f.u.conj().T @ b, "svd")
+                     math.hypot(core._norm(b - f.u @ g), rho), g, "svd")
 
 
 def _system(a) -> LinearSystem:

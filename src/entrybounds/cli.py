@@ -184,6 +184,7 @@ def cmd_sense(args) -> int:
     t0 = time.perf_counter()
     cfg = mio.read_json(args.config)
     if args.manifest_only:
+        sense.build_problem(cfg)  # every check of a run short of the data
         sys.stdout.write(mio.json_text(sense._default_cfg(cfg)))
         return EXIT_OK
     result = sense.run_pipeline(cfg)

@@ -3,9 +3,10 @@ rank-truncated SVD, norms in scaled units, and the residual projection.
 
 All heavy lifting is delegated to LAPACK through numpy; what this module
 adds is an explicit, reportable rank rule, the power-of-two scalings that
-keep norms and inverse singular values in range, and the one residual
-formula ||b - U U^H b||.  The pseudoinverse products themselves live in
-the interval kernel of :mod:`entrybounds.bounds`.
+keep norms and inverse singular values in range, the residual formula
+||b - U U^H b|| of a truncated SVD, and the seed rule of the random draws.
+The pseudoinverse products themselves, and the residual of a system, live
+in the interval kernel of :mod:`entrybounds.bounds`.
 
 Real and complex inputs share every function: arrays stay float64 or
 become complex128, never losing an imaginary part, and transposes are
@@ -86,6 +87,12 @@ class SvdFactors:
 def _check_rank_rtol(rtol: float) -> None:
     if not 0.0 < rtol < 1.0:
         raise ValueError(f"rank tolerance must be in (0, 1), got {rtol}")
+
+
+def _check_seed(seed: int) -> None:
+    """``ValueError`` unless ``seed`` >= 0, as ``np.random.default_rng`` needs."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _rank(s: np.ndarray, rtol: float) -> int:

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import as_finite_matrix, as_real_or_complex
+from .core import _check_seed, as_finite_matrix, as_real_or_complex
 from .errors import DimensionMismatch, InvalidStep
 
 
@@ -106,12 +106,6 @@ class _Layout:
 
     def gather(self, u: np.ndarray) -> np.ndarray:
         return u.reshape(-1)[self.index]
-
-
-def _check_seed(seed: int) -> None:
-    """``ValueError`` unless ``seed`` >= 0, as ``np.random.default_rng`` needs."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _check_probes(samples: int, seed: int) -> None:

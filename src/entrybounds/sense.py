@@ -29,6 +29,7 @@ import numpy as np
 from . import bounds as bnd
 from . import lifting
 from .bounds import LinearSystem
+from .core import _check_seed
 from .errors import ConfigError, NotOverdetermined, NumericalFailure, ShapeMismatch, UnknownPreset
 from .matfree import LinearOperator
 
@@ -59,7 +60,8 @@ class Phantom:
 
 @dataclass(frozen=True)
 class SamplingPattern:
-    """Strided phase-encode sampling plus fully sampled central lines."""
+    """Strided phase-encode sampling plus fully sampled central lines; an
+    ``accel >= num_lines`` keeps line 0 plus the central block."""
 
     num_lines: int
     accel: int
@@ -73,7 +75,7 @@ class SamplingPattern:
 
     @property
     def phase_encodes_kept(self) -> np.ndarray:
-        strided = np.arange(0, self.num_lines, self.accel)
+        strided = np.arange(0, self.num_lines, min(self.accel, self.num_lines))
         center = self.num_lines // 2
         lo = max(0, center - self.acs_lines // 2)
         acs = np.arange(lo, min(self.num_lines, lo + self.acs_lines))
@@ -124,6 +126,7 @@ def make_phantom(preset: str, h: int, w: int, seed: int = 0) -> Phantom:
     """
     if h < 8 or w < 8:
         raise ConfigError(f"grid must be at least 8x8, got {h}x{w}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     mask = _support_ellipse(h, w)
     yy, xx = np.mgrid[0:h, 0:w]
@@ -178,6 +181,7 @@ def make_coils(
         raise ConfigError(f"need at least one channel, got {l}")
     if phase_fold and phantom is None:
         raise ConfigError("phase folding requires the phantom")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:h, 0:w]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
@@ -240,6 +244,7 @@ def simulate_acquisition(
     _check_grid(ph, coils, pat)
     if noise_sigma < 0:
         raise ConfigError(f"noise sigma must be nonnegative, got {noise_sigma}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     samples = _forward(coils, ph.grid, pat.phase_encodes_kept)
     shape = samples.shape
@@ -401,9 +406,9 @@ _KINDS = {
     str: ("a string", lambda v: isinstance(v, str)),
     # every config integer is a size, count, stride or seed
     int: ("a nonnegative integer", lambda v: _is_int(v) and v >= 0),
-    # NaN fails the range test; an int is compared without a conversion
-    float: ("a finite number", lambda v: (_is_int(v) or isinstance(v, float))
-            and abs(v) <= sys.float_info.max),
+    # a magnitude; NaN fails the range test, an int is compared unconverted
+    float: ("a finite number >= 0", lambda v: (_is_int(v) or isinstance(v, float))
+            and 0 <= v <= sys.float_info.max),
     type(None): ("an integer or null", lambda v: v is None or _is_int(v)),
 }
 
@@ -412,10 +417,11 @@ _NO_DEFAULT = {"epsilon": {"value": 0.0}}
 
 
 def _default_cfg(cfg: dict) -> dict:
-    """Merge a pipeline config into the defaults.  Unknown keys, values
-    whose JSON type differs from their default's, a negative integer, a
-    number that is NaN or beyond the float range, and a negative fixed
-    epsilon raise :class:`ConfigError`."""
+    """Merge a pipeline config into the defaults, the first check of
+    :func:`build_problem`; its constructors check the rest.  Unknown keys,
+    a JSON type other than the default's, a negative number (every int is a
+    count, every float a magnitude), NaN, a number beyond the float range
+    and a key that contradicts another raise :class:`ConfigError`."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
     out = {
@@ -450,9 +456,6 @@ def _default_cfg(cfg: dict) -> dict:
         raise ConfigError("epsilon mode 'fixed' requires a value")
     if mode != "fixed" and "value" in out["epsilon"]:
         raise ConfigError(f"epsilon.value is only used in mode 'fixed', not {mode!r}")
-    value = out["epsilon"].get("value", 0.0)
-    if value < 0:
-        raise ConfigError(f"epsilon.value must be nonnegative, got {value!r}")
     h, line = out["grid"]["h"], out["extremal"]["line"]
     if line is not None and not 0 <= line < h:
         raise ConfigError(f"extremal.line must lie in [0, {h}), got {line}")

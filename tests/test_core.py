@@ -191,6 +191,21 @@ class TestResidualProjection:
         expected = np.linalg.norm(b - a @ np.linalg.pinv(a) @ b)
         assert LinearSystem(a=a, b=b, epsilon=0.0).residual() == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("m, n, rank", [(5, 3, 3), (5, 3, 2), (3, 5, 3), (4, 4, 1),
+                                            (4, 4, 0)])
+    def test_svd_path_is_the_public_projection(self, rng, dtype, m, n, rank):
+        """Below M = 2N the residual is ``residual_projection_norm`` of the
+        truncated SVD, bit for bit, at every rank."""
+        def draw(*shape):
+            z = rng.standard_normal(shape)
+            return z + 1j * rng.standard_normal(shape) if dtype is complex else z
+
+        a, b = draw(m, rank) @ draw(rank, n), draw(m)
+        sys_ = LinearSystem(a=a, b=b, epsilon=0.0)
+        assert sys_.residual() == core.residual_projection_norm(
+            core.svd_truncated(sys_.a, sys_.rank_rtol), sys_.b)
+
 
 class TestNullspaceComponent:
     """The part of w in the nullspace of A, which makes its row unbounded."""

@@ -923,21 +923,47 @@ class TestSenseCommand:
             {"grid": {"h": 16, "w": 16}, "noise": {"sigma": 10**400}},
             {"grid": {"h": 16, "w": 16}, "noise": {"seed": -1}},
             {"grid": {"h": 16, "w": 16}, "pattern": {"acs": -3}},
+            {"pattern": {"accel": 0}},
+            {"grid": {"h": 4, "w": 4}},
+            {"grid": {"preset": "nope"}},
+            {"coils": {"l": 0}},
+            {"noise": {"sigma": -1}},
         ],
         ids=["str-h", "str-l", "str-sigma", "float-accel", "null-value", "list", "null",
              "outputs-key", "extremal-line-999", "value-not-fixed", "negative-value",
-             "huge-int-sigma", "negative-seed", "negative-acs"],
+             "huge-int-sigma", "negative-seed", "negative-acs", "zero-accel", "grid-4x4",
+             "unknown-preset", "zero-coils", "negative-sigma"],
     )
     def test_mistyped_config_exit_code(self, tmp_path, capsys, cfg, manifest_only):
+        """A config a run rejects is rejected with the same error line by
+        ``--manifest-only``, and neither writes stdout or an output directory."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         outdir = tmp_path / "x"
         argv = ["sense", "--config", str(cfg_path), "--out", str(outdir)]
-        code = cli.main(argv + ["--manifest-only"] * manifest_only)
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and captured.out == ""
-        assert not outdir.exists()
+        errors = []
+        for only in (manifest_only, not manifest_only):
+            assert cli.main(argv + ["--manifest-only"] * only) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and captured.out == ""
+            assert not outdir.exists()
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+
+    def test_accel_beyond_the_grid_is_accel_h(self, tmp_path, capsys):
+        """Every ``accel >= grid.h`` keeps line 0 and the ACS block: a run
+        writes the maps of ``accel = h``, and ``estimate-diag --op`` gives its
+        result."""
+        results = []
+        for accel in (16, 10**23):
+            cfg_path, outdir = tmp_path / f"cfg{accel}.json", tmp_path / f"run{accel}"
+            cfg_path.write_text(json.dumps({"grid": {"h": 16, "w": 16},
+                                            "pattern": {"accel": accel, "acs": 0}}))
+            assert cli.main(["sense", "--config", str(cfg_path), "--out", str(outdir)]) == 0
+            hashes = json.loads((outdir / "manifest.json").read_text())["outputs"]
+            code = cli.main(["estimate-diag", "--op", f"sense:{cfg_path}", "--samples", "2"])
+            results.append((hashes, code, capsys.readouterr()))
+        assert results[0] == results[1]
 
     def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch):
         """A run the host has no memory for gets an ``error:`` line and exit 1."""

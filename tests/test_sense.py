@@ -145,6 +145,13 @@ class TestSamplingPattern:
         with pytest.raises(ConfigError):
             SamplingPattern(num_lines=16, accel=0, acs_lines=4)
 
+    @pytest.mark.parametrize("accel", [2**63, 10**23], ids=["2**63", "10**23"])
+    def test_stride_beyond_the_lines(self, accel):
+        """A stride past the last line keeps line 0 alone, as an integer index."""
+        kept = SamplingPattern(num_lines=16, accel=accel, acs_lines=0).phase_encodes_kept
+        assert kept.dtype.kind == "i"
+        np.testing.assert_array_equal(kept, SamplingPattern(16, 16, 0).phase_encodes_kept)
+
 
 class TestRowSystems:
     def test_unitary_single_coil_case(self):
@@ -192,6 +199,16 @@ class TestRowSystems:
 
 
 class TestAcquisition:
+    @pytest.mark.parametrize("draw", [
+        lambda: make_phantom("smooth-blobs", 8, 8, seed=-1),
+        lambda: make_coils(2, 8, 8, seed=-1),
+        lambda: simulate_acquisition(make_phantom("smooth-blobs", 8, 8), make_coils(2, 8, 8),
+                                     SamplingPattern(8, 2, 2), seed=-1),
+    ], ids=["phantom", "coils", "acquisition"])
+    def test_negative_seed_rejected(self, draw):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            draw()
+
     def test_deterministic(self):
         ph = make_phantom("smooth-blobs", 12, 12, seed=0)
         coils = make_coils(4, 12, 12, seed=0)
