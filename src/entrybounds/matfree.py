@@ -8,8 +8,10 @@ estimator that recovers all squared row norms of A^+ simultaneously.
 
 Both solves step on A^H A.  For an operator that carries ``normal_blocks``
 they keep their iterates in the blocks' own layout, where one step is one
-batched product with the stack; otherwise they keep a flat vector and
-apply ``apply_transpose(apply(x))``.
+batched product with the stack; otherwise they keep flat vectors and
+apply ``apply_transpose(apply(x))``.  The probes of the estimator step in
+lockstep, ``PROBE_CHUNK`` at a time, through one loop whose results equal
+those of one solve per probe bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ import numpy as np
 
 from .core import _check_seed, as_finite_matrix, as_real_or_complex
 from .errors import DimensionMismatch, InvalidStep
+
+# Probes that stochastic_diag solves in one lockstep block.  Each holds four
+# arrays of the layout (iterate, step, right-hand side and product): 42 KB
+# at 32x32 and 0.69 MB at 128x128 (accel 4) for the SENSE operator, so a
+# full block takes 22 MB there.
+PROBE_CHUNK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +67,7 @@ class LinearOperator:
     def normal(self, x: np.ndarray) -> np.ndarray:
         """A^H A x."""
         layout = _Layout(self, np.asarray(x).dtype)
-        return layout.gather(layout.normal(layout.scatter(x)))
+        return layout.gather(layout.normal(layout.scatter([x])))[0]
 
     @classmethod
     def from_matrix(cls, a) -> "LinearOperator":
@@ -76,36 +84,40 @@ class LinearOperator:
 
 
 class _Layout:
-    """Where the solves keep their iterates: for an operator with
-    ``normal_blocks``, the (blocks, n_max, 1) layout of its stack, whose
-    padding the block products keep exactly zero; otherwise the flat vector.
+    """Where the solves keep the iterates of up to ``probes`` probes, one per
+    leading index: for an operator with ``normal_blocks``, each probe in the
+    (blocks, n_max, 1) layout of its stack, whose padding the block products
+    keep exactly zero; otherwise each in a flat vector.
 
-    :meth:`normal` writes A^H A u into one buffer that each call reuses, so
-    its result is only valid until the next call.
+    :meth:`normal` applies A^H A to the first ``len(u)`` probes.  On a stack
+    it is one batched product, one matrix-vector product per (probe, block),
+    written into one buffer that each call reuses, so its result is only
+    valid until the next call; a flat operator takes one vector at a time.
     """
 
-    def __init__(self, op: LinearOperator, dtype):
+    def __init__(self, op: LinearOperator, dtype, probes: int = 1):
         if op.normal_blocks is None:
             self.shape, self.index = (op.shape[1],), slice(None)
             self.dtype = np.result_type(dtype, complex if op.is_complex else float)
-            self.normal = lambda u: op.apply_transpose(op.apply(u))
+            fwd, adj = op.apply, op.apply_transpose
+            self.normal = lambda u: np.array([adj(fwd(v)) for v in u])
         else:
             stack, self.index = op.normal_blocks
             self.shape = stack.shape[:2] + (1,)
             self.dtype = np.result_type(dtype, stack)
-            out = np.empty(self.shape, self.dtype)
-            self.normal = lambda u: np.matmul(stack, u, out=out)
+            out = np.empty((probes,) + self.shape, self.dtype)
+            self.normal = lambda u: np.matmul(stack, u, out=out[:len(u)])
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.shape, self.dtype)
-
-    def scatter(self, v: np.ndarray) -> np.ndarray:
-        u = self.zeros()
-        u.reshape(-1)[self.index] = v
+    def scatter(self, vs) -> np.ndarray:
+        """The layout of the vectors ``vs``, one probe each."""
+        u = np.zeros((len(vs),) + self.shape, self.dtype)
+        for row, v in zip(u.reshape(len(vs), -1), vs):
+            row[self.index] = v
         return u
 
     def gather(self, u: np.ndarray) -> np.ndarray:
-        return u.reshape(-1)[self.index]
+        """The flat vectors of the probes of ``u``, one row each."""
+        return u.reshape(len(u), -1)[:, self.index]
 
 
 def _check_probes(samples: int, seed: int) -> None:
@@ -169,12 +181,19 @@ def power_iteration_sigma1(op: LinearOperator, iters: int = 200, seed: int = 0) 
     v = _draw(np.random.default_rng(seed), op, op.shape[1])
     v /= np.linalg.norm(v)
     layout = _Layout(op, v.dtype)
-    v = layout.scatter(v)
+    v = layout.scatter([v])
+    cplx = layout.dtype.kind == "c"
     estimate = 0.0
     for _ in range(iters):
         w = layout.normal(v)
         estimate = math.sqrt(max(np.vdot(v, w).real, 0.0))
-        wnorm = np.linalg.norm(w)
+        # np.linalg.norm(w) by its own arithmetic, without its per-call checks
+        wf = w.reshape(-1)
+        if cplx:
+            re, im = wf.real, wf.imag
+            wnorm = math.sqrt(re.dot(re) + im.dot(im))
+        else:
+            wnorm = math.sqrt(wf.dot(wf))
         if wnorm == 0.0:
             return 0.0
         np.divide(w, wnorm, out=v)
@@ -267,32 +286,64 @@ def landweber_pinv(op: LinearOperator, m, cfg: LandweberConfig) -> LandweberResu
         raise DimensionMismatch(
             f"data vector has length {m.shape[0]}, operator has {op.shape[0]} rows"
         )
+    return _landweber(op, [m], cfg)[0]
+
+
+def _landweber(op: LinearOperator, ms: list, cfg: LandweberConfig) -> list[LandweberResult]:
+    """:func:`landweber_pinv` of each vector of ``ms`` (checked by the caller),
+    with all of them stepping in lockstep in one layout.
+
+    A step is one normal product over the live probes and one elementwise
+    update, and each probe's norms are dot products of its own contiguous
+    real view, so every probe's iterates, stop test and result are those of
+    a solve of that probe alone, bit for bit.  A probe that passes the stop
+    test is read back at that step and leaves the block.
+    """
     tau = cfg.step_size()
     k_bound = cfg.iteration_bound()
     max_iters = cfg.max_iters if k_bound is None else min(cfg.max_iters, k_bound)
 
-    layout = _Layout(op, m.dtype)
-    rhs = layout.scatter(op.apply_transpose(m))
-    x, step = layout.zeros(), layout.zeros()
-    # flat real views (real and imaginary parts in turn for a complex
-    # layout), whose v.dot(v) is the squared norm without np.linalg.norm's
-    # per-call overhead, which dominates for small operators; the layout's
-    # padding holds zeros
-    xr, stepr = x.reshape(-1).view(float), step.reshape(-1).view(float)
-    update_norm = math.inf
-    k = 0
-    for k in range(1, max_iters + 1):
+    layout = _Layout(op, np.result_type(*ms), len(ms))
+    rhs = layout.scatter([op.apply_transpose(m) for m in ms])
+    # the iterates and their steps in one C-contiguous array, so that one
+    # batched product takes every squared norm: as numpy computes a
+    # vector-vector product there, each is v.dot(v) of a probe's real view
+    # (real and imaginary parts in turn for a complex layout, whose padding
+    # holds zeros), the dot product of a solve of its own
+    pairs = np.zeros((2,) + rhs.shape, rhs.dtype)
+
+    def views(pairs):
+        rows = pairs.reshape(2 * len(pairs[0]), -1).view(float)
+        return pairs[0], pairs[1], rows[:, None, :], rows[:, :, None]
+
+    x, step, rows, cols = views(pairs)
+    live = np.arange(len(ms))
+    results = [None] * len(ms)
+    rel_tol = cfg.rel_tol
+    for k in range(1, max_iters + 1):  # max_iters >= 1
         np.subtract(layout.normal(x), rhs, out=step)
         step *= tau
         x -= step
-        update_norm = math.sqrt(stepr.dot(stepr))
-        xnorm = math.sqrt(xr.dot(xr))
-        if update_norm <= cfg.rel_tol * xnorm:
-            return LandweberResult(x=layout.gather(x), iterations=k, converged=True,
-                                   last_update_norm=update_norm)
+        norms = np.sqrt(np.matmul(rows, cols)).reshape(2, -1)
+        update_norm = norms[1]
+        done = update_norm <= rel_tol * norms[0]
+        if np.count_nonzero(done):
+            for p, xp, u in zip(live[done], layout.gather(x[done]), update_norm[done]):
+                results[p] = LandweberResult(x=xp, iterations=k, converged=True,
+                                             last_update_norm=float(u))
+            keep = ~done
+            if not keep.any():
+                return results
+            live, update_norm, rhs = live[keep], update_norm[keep], rhs[keep]
+            # indexing axis 1 gives a strided copy, whose reshape in views()
+            # would copy again and leave the norm rows detached
+            pairs = np.ascontiguousarray(pairs[:, keep])
+            x, step, rows, cols = views(pairs)
     converged = k_bound is not None and k >= k_bound
-    return LandweberResult(x=layout.gather(x), iterations=k, converged=converged,
-                           last_update_norm=update_norm)
+    for p, xp, u in zip(live, layout.gather(x), update_norm):
+        results[p] = LandweberResult(x=xp, iterations=k, converged=converged,
+                                     last_update_norm=float(u))
+    return results
 
 
 @dataclass(frozen=True)
@@ -324,8 +375,10 @@ def stochastic_diag(
     over samples is unbiased for ||(A^+)^H e_i||_2^2; for a complex probe with
     unit-variance parts, so is each of (Re A^+ z)^2 and (Im A^+ z)^2.  Each
     sample uses an independent RNG substream keyed by (seed, sample), so
-    the result is identical under any evaluation order.  Samples whose
-    inner iteration fails to converge are counted, not silently included.
+    the result is identical under any evaluation order.  The probes are
+    solved ``PROBE_CHUNK`` at a time in lockstep, with the results of one
+    :func:`landweber_pinv` per probe.  Samples whose inner iteration fails
+    to converge are counted, not silently included.
     """
     _check_probes(samples, seed)
     m, n = op.shape
@@ -333,15 +386,16 @@ def stochastic_diag(
     iterations = np.zeros(samples, dtype=int)
     last_update = 0.0
     failed = 0
-    for s in range(samples):
-        z = _draw(np.random.default_rng([seed, s]), op, m, probe_kind)
-        res = landweber_pinv(op, z, cfg)
-        iterations[s] = res.iterations
-        last_update = max(last_update, res.last_update_norm)
-        if not res.converged:
-            failed += 1
-            continue
-        acc += (np.concatenate((res.x.real, res.x.imag)) if op.is_complex else res.x) ** 2
+    for start in range(0, samples, PROBE_CHUNK):
+        chunk = range(start, min(start + PROBE_CHUNK, samples))
+        probes = [_draw(np.random.default_rng([seed, s]), op, m, probe_kind) for s in chunk]
+        for s, res in zip(chunk, _landweber(op, probes, cfg)):
+            iterations[s] = res.iterations
+            last_update = max(last_update, res.last_update_norm)
+            if not res.converged:
+                failed += 1
+                continue
+            acc += (np.concatenate((res.x.real, res.x.imag)) if op.is_complex else res.x) ** 2
     if failed == samples:
         raise InvalidStep("no probe solve converged; loosen the iteration budget")
     return DiagEstimate(values=acc / (samples - failed), failed_samples=failed,

@@ -68,6 +68,10 @@ class SamplingPattern:
     acs_lines: int
 
     def __post_init__(self):
+        for name in ("num_lines", "accel", "acs_lines"):
+            val = getattr(self, name)
+            if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
+                raise ConfigError(f"pattern {name} must be an integer, got {val!r}")
         if self.accel < 1 or self.acs_lines < 0 or self.num_lines < 1:
             raise ConfigError(
                 f"invalid pattern: lines={self.num_lines} accel={self.accel} acs={self.acs_lines}"
@@ -226,9 +230,8 @@ def _forward(profiles: np.ndarray, img: np.ndarray, kept: np.ndarray) -> np.ndar
 def _voxel_map(sup_idx: np.ndarray) -> list:
     """Lifted column -> (y, c, 're'|'im') for supported voxels in (y, c)
     order, real block first."""
-    return [(int(y), int(c), "re") for y, c in sup_idx] + [
-        (int(y), int(c), "im") for y, c in sup_idx
-    ]
+    ys, cs = sup_idx[:, 0].tolist(), sup_idx[:, 1].tolist()
+    return list(zip(ys, cs, ["re"] * len(ys))) + list(zip(ys, cs, ["im"] * len(ys)))
 
 
 def simulate_acquisition(

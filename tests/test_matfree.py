@@ -14,12 +14,112 @@ from entrybounds import (
     stochastic_diag,
     svd_truncated,
 )
+from entrybounds import matfree
 from entrybounds.errors import DimensionMismatch, InvalidStep, NumericalFailure
 from entrybounds.matfree import adjoint_mismatch
+from entrybounds.sense import SamplingPattern, make_coils, make_phantom, sense_operator
 
 
 def op_from(a):
     return LinearOperator.from_matrix(np.asarray(a, dtype=float))
+
+
+# Reference loops: one probe at a time, each in a layout of its own, with
+# np.linalg.norm in the power iteration and v.dot(v) of the real view in
+# the Landweber stop test.
+
+def reference_layout(op, dtype):
+    """(shape, index, dtype, A^H A) of one probe's layout: (blocks, n_max, 1)
+    on an operator's block stack, else the flat vector."""
+    if op.normal_blocks is None:
+        return ((op.shape[1],), slice(None),
+                np.result_type(dtype, complex if op.is_complex else float),
+                lambda u: op.apply_transpose(op.apply(u)))
+    stack, index = op.normal_blocks
+    return stack.shape[:2] + (1,), index, np.result_type(dtype, stack), lambda u: stack @ u
+
+
+def reference_draw(rng, op, k, kind):
+    size = 2 * k if op.is_complex else k
+    z = (rng.standard_normal(size) if kind == "gaussian"
+         else rng.integers(0, 2, size=size) * 2.0 - 1.0)
+    return z[:k] + 1j * z[k:] if op.is_complex else z
+
+
+def reference_sigma1(op, iters=200, seed=0):
+    v = reference_draw(np.random.default_rng(seed), op, op.shape[1], "gaussian")
+    v /= np.linalg.norm(v)
+    shape, index, dtype, normal = reference_layout(op, v.dtype)
+    u = np.zeros(shape, dtype)
+    u.reshape(-1)[index] = v
+    estimate = 0.0
+    for _ in range(iters):
+        w = normal(u)
+        estimate = math.sqrt(max(np.vdot(u, w).real, 0.0))
+        wnorm = np.linalg.norm(w)
+        if wnorm == 0.0:
+            return 0.0
+        u = w / wnorm
+    return estimate
+
+
+def reference_landweber(op, m, cfg):
+    """(x, iterations, converged, last update norm) of one probe's solve."""
+    tau = cfg.step_size()
+    k_bound = cfg.iteration_bound()
+    max_iters = cfg.max_iters if k_bound is None else min(cfg.max_iters, k_bound)
+    shape, index, dtype, normal = reference_layout(op, m.dtype)
+    rhs = np.zeros(shape, dtype)
+    rhs.reshape(-1)[index] = op.apply_transpose(m)
+    x, step = np.zeros(shape, dtype), np.zeros(shape, dtype)
+    xr, stepr = x.reshape(-1).view(float), step.reshape(-1).view(float)
+    for k in range(1, max_iters + 1):
+        np.subtract(normal(x), rhs, out=step)
+        step *= tau
+        x -= step
+        update_norm = math.sqrt(stepr.dot(stepr))
+        if update_norm <= cfg.rel_tol * math.sqrt(xr.dot(xr)):
+            return x.reshape(-1)[index], k, True, update_norm
+    return x.reshape(-1)[index], k, k_bound is not None and k >= k_bound, update_norm
+
+
+def reference_diag(op, samples, kind, seed, cfg):
+    """(values, iterations, failed samples, max last update norm) of one
+    reference_landweber per probe, in sample order."""
+    m, n = op.shape
+    acc = np.zeros(2 * n if op.is_complex else n)
+    iterations = np.zeros(samples, dtype=int)
+    last_update, failed = 0.0, 0
+    for s in range(samples):
+        z = reference_draw(np.random.default_rng([seed, s]), op, m, kind)
+        x, iterations[s], converged, update_norm = reference_landweber(op, z, cfg)
+        last_update = max(last_update, update_norm)
+        if not converged:
+            failed += 1
+            continue
+        acc += (np.concatenate((x.real, x.imag)) if op.is_complex else x) ** 2
+    return acc / (samples - failed), iterations, failed, last_update
+
+
+def lockstep_operator(name):
+    """Each kind of operator the solves step on: flat real and complex
+    matrices, the ragged block stacks of :class:`TestNormalBlocks`, and an
+    8x8 SENSE operator."""
+    rng = np.random.default_rng(8)
+    if name == "real":
+        return op_from(rng.standard_normal((9, 6)))
+    if name == "complex":
+        return LinearOperator.from_matrix(TestComplexOperator.complex_matrix(rng, 9, 5))
+    if name.startswith("blocks"):
+        _, blocks, _ = TestNormalBlocks().operators(3, name == "blocks-complex")
+        stack, index = blocks.normal_blocks
+        return dataclasses.replace(blocks, normal_blocks=(np.asarray(stack), index))
+    ph = make_phantom("smooth-blobs", 8, 8, seed=2)
+    op, _ = sense_operator(ph, make_coils(3, 8, 8, seed=2), SamplingPattern(8, 2, 2))
+    return op
+
+
+LOCKSTEP_OPERATORS = ["real", "complex", "blocks-real", "blocks-complex", "sense"]
 
 
 class TestLinearOperator:
@@ -70,6 +170,12 @@ class TestPowerIteration:
         a = rng.standard_normal((10, 6))
         op = op_from(a)
         assert power_iteration_sigma1(op, seed=7) == power_iteration_sigma1(op, seed=7)
+
+    @pytest.mark.parametrize("name", LOCKSTEP_OPERATORS)
+    def test_matches_a_loop_with_linalg_norm(self, name):
+        op = lockstep_operator(name)
+        assert power_iteration_sigma1(op, seed=2) == reference_sigma1(op, seed=2)
+        assert power_iteration_sigma1(op, iters=7, seed=5) == reference_sigma1(op, iters=7, seed=5)
 
     def test_negative_seed_named_before_any_draw(self, monkeypatch):
         """As in ``stochastic_diag``, also in the adjoint check."""
@@ -352,8 +458,8 @@ class TestNormalBlocks:
         pad[index] = False
         assert stack.seen
         for u in stack.seen:
-            assert u.shape == stack.shape[:2] + (1,)
-            assert not u.reshape(-1)[pad].any()
+            assert u.shape[1:] == stack.shape[:2] + (1,)
+            assert not u.reshape(len(u), -1)[:, pad].any()
         stack.seen.clear()
 
     # (seed, complex, budget): the budget splits the probes of both kinds,
@@ -398,3 +504,55 @@ class TestNormalBlocks:
     def test_malformed_blocks_rejected(self, stack, index):
         with pytest.raises(DimensionMismatch):
             dataclasses.replace(op_from(np.eye(3)), normal_blocks=(stack, index))
+
+
+class TestLockstep:
+    """``stochastic_diag`` steps ``PROBE_CHUNK`` probes at a time in lockstep;
+    its results equal those of one reference solve per probe bit for bit,
+    whatever the chunk size."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+    @pytest.mark.parametrize("name", LOCKSTEP_OPERATORS)
+    def test_matches_one_loop_per_probe(self, name, kind, monkeypatch):
+        op = lockstep_operator(name)
+        samples = matfree.PROBE_CHUNK + 3
+        s1 = power_iteration_sigma1(op, seed=1)
+        full = LandweberConfig(sigma1_estimate=s1, max_iters=10**4, rel_tol=1e-8)
+        # a budget at the median iteration count fails some probes, not all
+        counts = reference_diag(op, samples, kind, 3, full)[1]
+        cfg = dataclasses.replace(full, max_iters=int(np.median(counts)))
+        values, iterations, failed, last_update = reference_diag(op, samples, kind, 3, cfg)
+        assert 0 < failed < samples
+        for chunk in (matfree.PROBE_CHUNK, 1, 5):
+            monkeypatch.setattr(matfree, "PROBE_CHUNK", chunk)
+            got = stochastic_diag(op, samples, probe_kind=kind, seed=3, cfg=cfg)
+            np.testing.assert_array_equal(got.values, values)
+            np.testing.assert_array_equal(got.iterations, iterations)
+            np.testing.assert_array_equal(got.failed_samples, failed)
+            assert got.max_last_update_norm == last_update
+
+        m = reference_draw(np.random.default_rng(4), op, op.shape[0], kind)
+        res = landweber_pinv(op, m, cfg)
+        x, k, converged, update_norm = reference_landweber(op, m, cfg)
+        np.testing.assert_array_equal(res.x, x)
+        assert (res.iterations, res.converged, res.last_update_norm) == (k, converged, update_norm)
+
+    @pytest.mark.parametrize("name", ["real", "blocks-complex"])
+    def test_rate_bound_matches_one_loop_per_probe(self, name):
+        """With sigma_min set, the probes still live at the iteration bound
+        stop there converged."""
+        op = lockstep_operator(name)
+        s1 = power_iteration_sigma1(op, seed=1)
+        samples = matfree.PROBE_CHUNK + 3
+        full = LandweberConfig(sigma1_estimate=s1, max_iters=10**4, rel_tol=1e-7)
+        counts = reference_diag(op, samples, "gaussian", 2, full)[1]
+        # the modal rate of the default step is 1 - 0.3^2 = 0.91: a bound
+        # at about the median iteration count
+        cfg = dataclasses.replace(full, sigma_min=0.3 * s1, rate_tol=0.91 ** np.median(counts))
+        values, iterations, failed, last_update = reference_diag(op, samples, "gaussian", 2, cfg)
+        assert failed == 0 and np.any(iterations < cfg.iteration_bound())
+        assert np.any(iterations == cfg.iteration_bound())
+        got = stochastic_diag(op, samples, seed=2, cfg=cfg)
+        np.testing.assert_array_equal(got.values, values)
+        np.testing.assert_array_equal(got.iterations, iterations)
+        assert got.max_last_update_norm == last_update

@@ -152,6 +152,21 @@ class TestSamplingPattern:
         assert kept.dtype.kind == "i"
         np.testing.assert_array_equal(kept, SamplingPattern(16, 16, 0).phase_encodes_kept)
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [((16, 2.5, 0), "accel"), ((16, 2, 1.5), "acs_lines"), ((16, True, 0), "accel"),
+         ((16.0, 2, 0), "num_lines")],
+        ids=["float-accel", "float-acs", "bool-accel", "float-lines"],
+    )
+    def test_non_integer_field_named(self, args, field):
+        with pytest.raises(ConfigError, match=f"^pattern {field} must be an integer"):
+            SamplingPattern(*args)
+
+    def test_numpy_integers_accepted(self):
+        pat = SamplingPattern(np.int64(16), np.int32(2), np.uint8(4))
+        np.testing.assert_array_equal(pat.phase_encodes_kept,
+                                      SamplingPattern(16, 2, 4).phase_encodes_kept)
+
 
 class TestRowSystems:
     def test_unitary_single_coil_case(self):
@@ -321,6 +336,15 @@ class TestSenseOperator:
         expected = np.linalg.pinv(np.asarray(sys.a)) @ np.asarray(sys.b)
         got = lifting.lift_vector(res.x)
         assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    def test_voxel_map(self):
+        """Lifted column j of the operator's estimates holds voxel (y, c) in
+        (y, c) order, real block first, as Python ints."""
+        ph = make_phantom("smooth-blobs", 8, 8, seed=2)
+        _, voxel_map = sense_operator(ph, make_coils(3, 8, 8, seed=2), SamplingPattern(8, 2, 2))
+        sup = np.argwhere(ph.support_mask)
+        assert voxel_map == [(int(y), int(c), part) for part in ("re", "im") for y, c in sup]
+        assert all(type(y) is int and type(c) is int for y, c, _ in voxel_map)
 
     @pytest.mark.parametrize("kind, failed", [("gaussian", 7), ("rademacher", 8)])
     def test_stochastic_diag_matches_fft_composition(self, kind, failed):
