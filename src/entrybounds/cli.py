@@ -147,7 +147,7 @@ def cmd_estimate_diag(args) -> int:
         dense = mio.read_matrix_csv(args.matrix)
         op = matfree.LinearOperator.from_matrix(dense)
 
-    sigma1 = matfree.power_iteration_sigma1(op, seed=args.seed)
+    sigma1 = matfree.sigma1(op, seed=args.seed)
     cfg_lw = dataclasses.replace(cfg_lw, sigma1_estimate=sigma1, tau=args.tau)
     est = matfree.stochastic_diag(
         op, args.samples, probe_kind=args.probe, seed=args.seed, cfg=cfg_lw

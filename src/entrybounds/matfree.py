@@ -1,23 +1,26 @@
 """Matrix-free computation path for large systems.
 
 When A is too large to factor, the sensitivity quantities are obtained
-through matrix-vector products only: power iteration for the largest
-singular value, gradient (Landweber) iteration converging to the
+through matrix-vector products only: the largest singular value (exact
+from the eigenvalues of ``normal_blocks`` where an operator carries them,
+else by power iteration), gradient (Landweber) iteration converging to the
 minimum-norm least-squares solution A^+ m, and a stochastic probing
 estimator that recovers all squared row norms of A^+ simultaneously.
 
 Both solves step on A^H A.  For an operator that carries ``normal_blocks``
 they keep their iterates in the blocks' own layout, where one step is one
-batched product with the stack; otherwise they keep flat vectors and
-apply ``apply_transpose(apply(x))``.  The probes of the estimator step in
-lockstep, ``PROBE_CHUNK`` at a time, through one loop whose results equal
-those of one solve per probe bit for bit.
+batched product with the stack; otherwise they keep flat vectors, which a
+``from_matrix`` operator steps with one batched product pair with its
+matrix and any other operator with ``apply_transpose(apply(x))`` one
+vector at a time.  The probes of the estimator step in lockstep,
+``PROBE_CHUNK`` at a time, through one loop whose results equal those of
+one solve per probe bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,6 +49,10 @@ class LinearOperator:
     position of that layout that no unknown holds must have a zero row and
     column in its block.  When unset, :meth:`normal` composes the two
     actions.
+
+    ``matrix`` is the checked matrix of an operator made by
+    :meth:`from_matrix`, the only place that sets it; it is None otherwise,
+    and on any copy made by ``dataclasses.replace``.
     """
 
     shape: tuple[int, int]
@@ -53,6 +60,7 @@ class LinearOperator:
     apply_transpose: Callable[[np.ndarray], np.ndarray]
     is_complex: bool = False
     normal_blocks: Optional[tuple[np.ndarray, np.ndarray]] = None
+    matrix: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.normal_blocks is not None:
@@ -75,12 +83,14 @@ class LinearOperator:
         before any product: it must be 2-D with finite entries, and may have
         no rows or no columns."""
         a = as_finite_matrix(a)
-        return cls(
+        op = cls(
             shape=(a.shape[0], a.shape[1]),
             apply=lambda x, _a=a: _a @ x,
             apply_transpose=lambda y, _ah=a.conj().T: _ah @ y,
             is_complex=np.iscomplexobj(a),
         )
+        object.__setattr__(op, "matrix", a)
+        return op
 
 
 class _Layout:
@@ -89,18 +99,29 @@ class _Layout:
     (blocks, n_max, 1) layout of its stack, whose padding the block products
     keep exactly zero; otherwise each in a flat vector.
 
-    :meth:`normal` applies A^H A to the first ``len(u)`` probes.  On a stack
-    it is one batched product, one matrix-vector product per (probe, block),
-    written into one buffer that each call reuses, so its result is only
-    valid until the next call; a flat operator takes one vector at a time.
+    :meth:`adjoint` places A^H m of each vector m of a list in the layout,
+    one probe each, and :meth:`normal` applies A^H A to the first ``len(u)``
+    probes.  On a stack, a normal product is one batched product, one
+    matrix-vector product per (probe, block), written into one buffer that
+    each call reuses, so its result is only valid until the next call.  A
+    flat operator with a ``matrix`` takes one batched product (a pair for
+    A^H A), one matrix-vector product per probe and factor: the BLAS calls
+    of ``ah @ (a @ u)`` for each probe alone.  Any other flat operator
+    takes one vector at a time.
     """
 
     def __init__(self, op: LinearOperator, dtype, probes: int = 1):
+        fwd, adj = op.apply, op.apply_transpose
+        self.adjoint = lambda ms: self.scatter([adj(m) for m in ms])
         if op.normal_blocks is None:
             self.shape, self.index = (op.shape[1],), slice(None)
             self.dtype = np.result_type(dtype, complex if op.is_complex else float)
-            fwd, adj = op.apply, op.apply_transpose
-            self.normal = lambda u: np.array([adj(fwd(v)) for v in u])
+            if op.matrix is None:
+                self.normal = lambda u: np.array([adj(fwd(v)) for v in u])
+            else:
+                a, ah = op.matrix, op.matrix.conj().T
+                self.normal = lambda u: np.matmul(ah, np.matmul(a, u[:, :, None]))[..., 0]
+                self.adjoint = lambda ms: np.matmul(ah, np.array(ms)[:, :, None])[..., 0]
         else:
             stack, self.index = op.normal_blocks
             self.shape = stack.shape[:2] + (1,)
@@ -198,6 +219,20 @@ def power_iteration_sigma1(op: LinearOperator, iters: int = 200, seed: int = 0) 
             return 0.0
         np.divide(w, wnorm, out=v)
     return estimate
+
+
+def sigma1(op: LinearOperator, seed: int = 0) -> float:
+    """The largest singular value of ``op``, for the Landweber step.
+
+    With ``normal_blocks`` it is exact to rounding: the square root of the
+    largest eigenvalue of the stack, whose zero padding adds only zero
+    eigenvalues, from one batched ``eigvalsh``.  Otherwise it is
+    :func:`power_iteration_sigma1`'s estimate, a lower bound, bit for bit.
+    """
+    if op.normal_blocks is None:
+        return power_iteration_sigma1(op, seed=seed)
+    _check_seed(seed)
+    return math.sqrt(float(np.linalg.eigvalsh(op.normal_blocks[0]).max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -304,7 +339,7 @@ def _landweber(op: LinearOperator, ms: list, cfg: LandweberConfig) -> list[Landw
     max_iters = cfg.max_iters if k_bound is None else min(cfg.max_iters, k_bound)
 
     layout = _Layout(op, np.result_type(*ms), len(ms))
-    rhs = layout.scatter([op.apply_transpose(m) for m in ms])
+    rhs = layout.adjoint(ms)
     # the iterates and their steps in one C-contiguous array, so that one
     # batched product takes every squared norm: as numpy computes a
     # vector-vector product there, each is v.dot(v) of a probe's real view

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -713,7 +714,7 @@ class TestEstimateDiagCommand:
             raise AssertionError("operator work before the settings were checked")
 
         for module, name in ((sense, "build_problem"), (sense, "sense_operator"),
-                             (matfree, "power_iteration_sigma1")):
+                             (matfree, "sigma1"), (matfree, "power_iteration_sigma1")):
             monkeypatch.setattr(module, name, not_called)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"grid": {"h": 16, "w": 16}}))
@@ -735,7 +736,8 @@ class TestEstimateDiagCommand:
         def not_called(*args, **kwargs):
             raise AssertionError("operator work before the probe settings were checked")
 
-        for module, name in ((sense, "sense_operator"), (matfree, "power_iteration_sigma1")):
+        for module, name in ((sense, "sense_operator"), (matfree, "sigma1"),
+                             (matfree, "power_iteration_sigma1")):
             monkeypatch.setattr(module, name, not_called)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"grid": {"h": 16, "w": 16}}))
@@ -775,6 +777,62 @@ class TestEstimateDiagCommand:
             captured = capsys.readouterr()
             assert code == 1 and captured.out == ""
             assert captured.err == "error: estimate-diag takes exactly one of --matrix and --op\n"
+
+    def test_op_takes_sigma1_from_the_normal_blocks(self, tmp_path, monkeypatch):
+        """``--op`` runs no power iteration, and ``--matrix`` still does."""
+        calls = []
+        power = matfree.power_iteration_sigma1
+        monkeypatch.setattr(matfree, "power_iteration_sigma1",
+                            lambda *args, **kwargs: calls.append(1) or power(*args, **kwargs))
+        cfg = {"grid": {"h": 8, "w": 8}, "coils": {"l": 2}, "pattern": {"accel": 2, "acs": 2}}
+        cfg_path, mpath, out = tmp_path / "cfg.json", tmp_path / "a.csv", tmp_path / "d.json"
+        cfg_path.write_text(json.dumps(cfg))
+        mio.write_matrix_csv(mpath, np.diag([2.0, 1.0]))
+        code = cli.main(["estimate-diag", "--op", f"sense:{cfg_path}", "--samples", "2",
+                         "--rel-tol", "1e-6", "--json", str(out)])
+        assert code == 0 and calls == []
+        op, _ = sense.sense_operator(*sense.build_problem(cfg))
+        assert json.loads(out.read_text())["sigma1_estimate"] == matfree.sigma1(op)
+        code = cli.main(["estimate-diag", "--matrix", str(mpath), "--samples", "2",
+                         "--json", str(out)])
+        assert code == 0 and calls == [1]
+
+    def test_rejects_a_step_past_the_exact_stable_limit(self, tmp_path, capsys):
+        """``--tau`` between 2 / sigma1^2 and the limit of the 200-step power
+        estimate, which sits below sigma1, is outside the stable interval.
+        Accepted, it diverged and failed every probe."""
+        cfg = {"grid": {"h": 16, "w": 16}, "coils": {"l": 4}, "pattern": {"accel": 2, "acs": 2}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        op, _ = sense.sense_operator(*sense.build_problem(cfg))
+        exact, power = matfree.sigma1(op), matfree.power_iteration_sigma1(op, seed=1)
+        assert (exact - power) / exact > 7e-4
+        limit = 2.0 / (exact * exact)
+        tau = (limit + 2.0 / (power * power)) / 2
+        code = cli.main(["estimate-diag", "--op", f"sense:{cfg_path}", "--samples", "1",
+                         "--seed", "1", "--max-iters", "50", f"--tau={tau!r}"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: tau {tau} outside the stable interval (0, {limit})\n"
+
+    def test_zero_normal_blocks_exit_code(self, tmp_path, capsys, monkeypatch):
+        """An operator whose normal blocks are all zero has sigma1 0, and no
+        stable step."""
+        real = sense.sense_operator
+
+        def zero_blocks(*args):
+            op, voxel_map = real(*args)
+            stack, index = op.normal_blocks
+            return dataclasses.replace(op, normal_blocks=(np.zeros_like(stack), index)), voxel_map
+
+        monkeypatch.setattr(sense, "sense_operator", zero_blocks)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grid": {"h": 8, "w": 8}}))
+        code = cli.main(["estimate-diag", "--op", f"sense:{cfg_path}", "--samples", "2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: sigma1_estimate must be > 0 with a nonzero finite "
+                                "square, got 0.0\n")
 
     def test_sense_operator_spec(self, tmp_path):
         cfg = {

@@ -186,6 +186,36 @@ class TestPowerIteration:
                 run(op, seed=-1)
 
 
+class TestSigma1:
+    """``matfree.sigma1`` is exact from an operator's normal blocks and
+    ``power_iteration_sigma1`` otherwise."""
+
+    @pytest.mark.parametrize("name", ["blocks-real", "blocks-complex", "sense"])
+    def test_exact_from_the_normal_blocks(self, name):
+        op = lockstep_operator(name)
+        dense = np.column_stack([op.apply(e) for e in np.eye(op.shape[1])])
+        exact = matfree.sigma1(op)
+        assert exact == pytest.approx(np.linalg.svd(dense, compute_uv=False)[0], rel=1e-12)
+        for seed in range(3):
+            assert power_iteration_sigma1(op, seed=seed) <= exact * (1 + 1e-14)
+
+    @pytest.mark.parametrize("name", ["real", "complex"])
+    def test_power_iteration_without_blocks(self, name):
+        op = lockstep_operator(name)
+        user = LinearOperator(op.shape, op.apply, op.apply_transpose, op.is_complex)
+        for seed in (0, 4):
+            for o in (op, user):
+                assert matfree.sigma1(o, seed=seed) == power_iteration_sigma1(o, seed=seed)
+
+    @pytest.mark.parametrize("stack, index", [(np.zeros((3, 2, 2), complex), np.arange(5)),
+                                              (np.zeros((0, 0, 0)), np.arange(0))],
+                             ids=["zero", "no-columns"])
+    def test_zero_stack(self, stack, index):
+        op = LinearOperator((4, index.size), lambda x: np.zeros(4), lambda y: np.zeros(index.size),
+                            normal_blocks=(stack, index))
+        assert matfree.sigma1(op) == 0.0
+
+
 class TestLandweber:
     def test_identity_one_step(self):
         cfg = LandweberConfig(sigma1_estimate=1.0, tau=1.0, rel_tol=1e-12)
@@ -536,6 +566,24 @@ class TestLockstep:
         x, k, converged, update_norm = reference_landweber(op, m, cfg)
         np.testing.assert_array_equal(res.x, x)
         assert (res.iterations, res.converged, res.last_update_norm) == (k, converged, update_norm)
+
+    @pytest.mark.parametrize("probes", [1, 3, 32])
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_dense_step_is_one_product_per_probe(self, cplx, probes):
+        """A ``from_matrix`` operator steps its matrix, for all probes at
+        once, with the products of each probe alone."""
+        rng = np.random.default_rng(probes)
+        draw = TestComplexOperator.complex_matrix if cplx else (
+            lambda rng, m, n: rng.standard_normal((m, n)))
+        a = draw(rng, 20, 10)
+        op = LinearOperator.from_matrix(a)
+        for name in ("apply", "apply_transpose"):  # not called on this path
+            object.__setattr__(op, name, None)
+        layout = matfree._Layout(op, a.dtype, probes)
+        ah = a.conj().T
+        u, ms = draw(rng, probes, 10), draw(rng, probes, 20)
+        np.testing.assert_array_equal(layout.normal(u), [ah @ (a @ v) for v in u])
+        np.testing.assert_array_equal(layout.adjoint(list(ms)), [ah @ m for m in ms])
 
     @pytest.mark.parametrize("name", ["real", "blocks-complex"])
     def test_rate_bound_matches_one_loop_per_probe(self, name):
