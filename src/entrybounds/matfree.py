@@ -7,12 +7,12 @@ else by power iteration), gradient (Landweber) iteration converging to the
 minimum-norm least-squares solution A^+ m, and a stochastic probing
 estimator that recovers all squared row norms of A^+ simultaneously.
 
-Both solves step on A^H A.  For an operator that carries ``normal_blocks``
-they keep their iterates in the blocks' own layout, where one step is one
-batched product with the stack; otherwise they keep flat vectors, which a
-``from_matrix`` operator steps with one batched product pair with its
-matrix and any other operator with ``apply_transpose(apply(x))`` one
-vector at a time.  The probes of the estimator step in lockstep,
+Both solves step on A^H A.  For an operator that carries ``normal_blocks``,
+as the SENSE operator and every ``from_matrix`` operator do, they keep their
+iterates in the blocks' own layout, where one step is one batched product
+with the stack; otherwise they keep flat vectors, stepped with
+``apply_transpose(apply(x))`` one vector at a time.  The probes of the
+estimator step in lockstep,
 ``PROBE_CHUNK`` at a time, through one loop whose results equal those of
 one solve per probe bit for bit.
 """
@@ -20,13 +20,13 @@ one solve per probe bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import _check_seed, as_finite_matrix, as_real_or_complex
-from .errors import DimensionMismatch, InvalidStep
+from .errors import DimensionMismatch, InvalidStep, NumericalFailure
 
 # Probes that stochastic_diag solves in one lockstep block.  Each holds four
 # arrays of the layout (iterate, step, right-hand side and product): 42 KB
@@ -45,14 +45,11 @@ class LinearOperator:
     ``normal_blocks`` is an optional ``(stack, index)`` giving A^H A as a
     block diagonal matrix: ``stack`` is a (blocks, n_max, n_max) array of
     Hermitian blocks, each zero-padded to n_max, and ``index`` holds each
-    unknown's place in the flattened (blocks, n_max) layout.  Every
+    unknown's place in the flattened (blocks, n_max) layout: distinct
+    integers in [0, blocks * n_max), else :class:`DimensionMismatch`.  Every
     position of that layout that no unknown holds must have a zero row and
     column in its block.  When unset, :meth:`normal` composes the two
     actions.
-
-    ``matrix`` is the checked matrix of an operator made by
-    :meth:`from_matrix`, the only place that sets it; it is None otherwise,
-    and on any copy made by ``dataclasses.replace``.
     """
 
     shape: tuple[int, int]
@@ -60,7 +57,6 @@ class LinearOperator:
     apply_transpose: Callable[[np.ndarray], np.ndarray]
     is_complex: bool = False
     normal_blocks: Optional[tuple[np.ndarray, np.ndarray]] = None
-    matrix: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.normal_blocks is not None:
@@ -70,6 +66,13 @@ class LinearOperator:
                 raise DimensionMismatch(
                     f"normal_blocks need a (blocks, n, n) stack and {self.shape[1]} indices, "
                     f"got {stack.shape} and {np.shape(index)}"
+                )
+            index, slots = np.asarray(index), stack.shape[0] * stack.shape[1]
+            if not (index.dtype.kind in "iu" and np.all((0 <= index) & (index < slots))
+                    and np.unique(index).size == index.size):
+                raise DimensionMismatch(
+                    f"normal_blocks index must hold distinct integers in [0, {slots}), "
+                    f"got {index.dtype} entries {index[:8].tolist()}"
                 )
 
     def normal(self, x: np.ndarray) -> np.ndarray:
@@ -81,16 +84,22 @@ class LinearOperator:
     def from_matrix(cls, a) -> "LinearOperator":
         """The operator of a dense matrix, checked by :func:`as_finite_matrix`
         before any product: it must be 2-D with finite entries, and may have
-        no rows or no columns."""
+        no rows or no columns.  It carries A^H A as a one-block stack with
+        index ``arange(N)``; a matrix whose A^H A leaves the float range
+        raises :class:`NumericalFailure`."""
         a = as_finite_matrix(a)
-        op = cls(
+        ah = a.conj().T
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = ah @ a
+        if not np.all(np.isfinite(gram)):
+            raise NumericalFailure("A^H A of the matrix leaves the float range")
+        return cls(
             shape=(a.shape[0], a.shape[1]),
             apply=lambda x, _a=a: _a @ x,
-            apply_transpose=lambda y, _ah=a.conj().T: _ah @ y,
+            apply_transpose=lambda y, _ah=ah: _ah @ y,
             is_complex=np.iscomplexobj(a),
+            normal_blocks=(gram[None], np.arange(a.shape[1])),
         )
-        object.__setattr__(op, "matrix", a)
-        return op
 
 
 class _Layout:
@@ -104,10 +113,7 @@ class _Layout:
     probes.  On a stack, a normal product is one batched product, one
     matrix-vector product per (probe, block), written into one buffer that
     each call reuses, so its result is only valid until the next call.  A
-    flat operator with a ``matrix`` takes one batched product (a pair for
-    A^H A), one matrix-vector product per probe and factor: the BLAS calls
-    of ``ah @ (a @ u)`` for each probe alone.  Any other flat operator
-    takes one vector at a time.
+    flat operator takes ``apply_transpose(apply(v))`` one vector at a time.
     """
 
     def __init__(self, op: LinearOperator, dtype, probes: int = 1):
@@ -116,12 +122,7 @@ class _Layout:
         if op.normal_blocks is None:
             self.shape, self.index = (op.shape[1],), slice(None)
             self.dtype = np.result_type(dtype, complex if op.is_complex else float)
-            if op.matrix is None:
-                self.normal = lambda u: np.array([adj(fwd(v)) for v in u])
-            else:
-                a, ah = op.matrix, op.matrix.conj().T
-                self.normal = lambda u: np.matmul(ah, np.matmul(a, u[:, :, None]))[..., 0]
-                self.adjoint = lambda ms: np.matmul(ah, np.array(ms)[:, :, None])[..., 0]
+            self.normal = lambda u: np.array([adj(fwd(v)) for v in u])
         else:
             stack, self.index = op.normal_blocks
             self.shape = stack.shape[:2] + (1,)
@@ -203,18 +204,11 @@ def power_iteration_sigma1(op: LinearOperator, iters: int = 200, seed: int = 0) 
     v /= np.linalg.norm(v)
     layout = _Layout(op, v.dtype)
     v = layout.scatter([v])
-    cplx = layout.dtype.kind == "c"
     estimate = 0.0
     for _ in range(iters):
         w = layout.normal(v)
         estimate = math.sqrt(max(np.vdot(v, w).real, 0.0))
-        # np.linalg.norm(w) by its own arithmetic, without its per-call checks
-        wf = w.reshape(-1)
-        if cplx:
-            re, im = wf.real, wf.imag
-            wnorm = math.sqrt(re.dot(re) + im.dot(im))
-        else:
-            wnorm = math.sqrt(wf.dot(wf))
+        wnorm = np.linalg.norm(w)
         if wnorm == 0.0:
             return 0.0
         np.divide(w, wnorm, out=v)
@@ -224,10 +218,11 @@ def power_iteration_sigma1(op: LinearOperator, iters: int = 200, seed: int = 0) 
 def sigma1(op: LinearOperator, seed: int = 0) -> float:
     """The largest singular value of ``op``, for the Landweber step.
 
-    With ``normal_blocks`` it is exact to rounding: the square root of the
-    largest eigenvalue of the stack, whose zero padding adds only zero
-    eigenvalues, from one batched ``eigvalsh``.  Otherwise it is
-    :func:`power_iteration_sigma1`'s estimate, a lower bound, bit for bit.
+    With ``normal_blocks`` (every ``from_matrix`` and SENSE operator) it is
+    exact to rounding: the square root of the largest eigenvalue of the
+    stack, whose zero padding adds only zero eigenvalues, from one batched
+    ``eigvalsh``.  Otherwise it is :func:`power_iteration_sigma1`'s
+    estimate, a lower bound, bit for bit.
     """
     if op.normal_blocks is None:
         return power_iteration_sigma1(op, seed=seed)

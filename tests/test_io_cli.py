@@ -753,9 +753,10 @@ class TestEstimateDiagCommand:
                                                                 monkeypatch, entry):
         """A NaN or infinite entry is rejected before any product."""
         def not_called(*args, **kwargs):
-            raise AssertionError("power iteration on a non-finite matrix")
+            raise AssertionError("sigma1 of a non-finite matrix")
 
-        monkeypatch.setattr(matfree, "power_iteration_sigma1", not_called)
+        for name in ("sigma1", "power_iteration_sigma1"):
+            monkeypatch.setattr(matfree, name, not_called)
         mpath = tmp_path / "a.csv"
         mpath.write_text(f"2,2\n1.0,0.0\n0.0,{entry}\n")
         code = cli.main(["estimate-diag", "--matrix", str(mpath), "--samples", "2"])
@@ -779,7 +780,8 @@ class TestEstimateDiagCommand:
             assert captured.err == "error: estimate-diag takes exactly one of --matrix and --op\n"
 
     def test_op_takes_sigma1_from_the_normal_blocks(self, tmp_path, monkeypatch):
-        """``--op`` runs no power iteration, and ``--matrix`` still does."""
+        """Neither ``--op`` nor ``--matrix`` runs power iteration: both
+        operators carry their normal blocks."""
         calls = []
         power = matfree.power_iteration_sigma1
         monkeypatch.setattr(matfree, "power_iteration_sigma1",
@@ -795,7 +797,8 @@ class TestEstimateDiagCommand:
         assert json.loads(out.read_text())["sigma1_estimate"] == matfree.sigma1(op)
         code = cli.main(["estimate-diag", "--matrix", str(mpath), "--samples", "2",
                          "--json", str(out)])
-        assert code == 0 and calls == [1]
+        assert code == 0 and calls == []
+        assert json.loads(out.read_text())["sigma1_estimate"] == 2.0
 
     def test_rejects_a_step_past_the_exact_stable_limit(self, tmp_path, capsys):
         """``--tau`` between 2 / sigma1^2 and the limit of the 200-step power
@@ -814,6 +817,19 @@ class TestEstimateDiagCommand:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: tau {tau} outside the stable interval (0, {limit})\n"
+
+    def test_matrix_rejects_a_step_past_the_exact_stable_limit(self, tmp_path, capsys):
+        """On ``--matrix`` too, ``--tau`` is checked against 2 / sigma1^2 of
+        the exact sigma1. Against the 200-step power estimate of
+        diag(1, 0.999, 0.5), 0.99967, this step passed, and every probe
+        diverged."""
+        mpath = tmp_path / "a.csv"
+        mio.write_matrix_csv(mpath, np.diag([1.0, 0.999, 0.5]))
+        code = cli.main(["estimate-diag", "--matrix", str(mpath), "--samples", "2",
+                         "--max-iters", "50", "--tau", "2.000665"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: tau 2.000665 outside the stable interval (0, 2.0")
 
     def test_zero_normal_blocks_exit_code(self, tmp_path, capsys, monkeypatch):
         """An operator whose normal blocks are all zero has sigma1 0, and no

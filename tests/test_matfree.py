@@ -24,6 +24,11 @@ def op_from(a):
     return LinearOperator.from_matrix(np.asarray(a, dtype=float))
 
 
+def callables_only(op):
+    """``op`` without its normal blocks: A^H A by ``apply_transpose(apply(x))``."""
+    return LinearOperator(op.shape, op.apply, op.apply_transpose, op.is_complex)
+
+
 # Reference loops: one probe at a time, each in a layout of its own, with
 # np.linalg.norm in the power iteration and v.dot(v) of the real view in
 # the Landweber stop test.
@@ -102,10 +107,13 @@ def reference_diag(op, samples, kind, seed, cfg):
 
 
 def lockstep_operator(name):
-    """Each kind of operator the solves step on: flat real and complex
-    matrices, the ragged block stacks of :class:`TestNormalBlocks`, and an
-    8x8 SENSE operator."""
+    """Each kind of operator the solves step on: real and complex matrices,
+    which carry A^H A as one block, the same matrices given by their
+    actions alone (``-flat``), the ragged block stacks of
+    :class:`TestNormalBlocks`, and an 8x8 SENSE operator."""
     rng = np.random.default_rng(8)
+    if name.endswith("-flat"):
+        return callables_only(lockstep_operator(name.removesuffix("-flat")))
     if name == "real":
         return op_from(rng.standard_normal((9, 6)))
     if name == "complex":
@@ -119,7 +127,8 @@ def lockstep_operator(name):
     return op
 
 
-LOCKSTEP_OPERATORS = ["real", "complex", "blocks-real", "blocks-complex", "sense"]
+LOCKSTEP_OPERATORS = ["real", "complex", "real-flat", "complex-flat", "blocks-real",
+                      "blocks-complex", "sense"]
 
 
 class TestLinearOperator:
@@ -139,12 +148,39 @@ class TestFromMatrix:
     @pytest.mark.parametrize(
         "a, error",
         [(np.array([1.0, 2.0]), DimensionMismatch), (np.array([[1.0, np.nan]]), NumericalFailure),
-         (np.array([[1.0], [np.inf]]), NumericalFailure)],
-        ids=["1-d", "nan", "inf"],
+         (np.array([[1.0], [np.inf]]), NumericalFailure),
+         (np.array([[1e200]]), NumericalFailure),
+         (np.array([[1e160 + 1e160j, 1.0], [1.0, 2.0]]), NumericalFailure)],
+        ids=["1-d", "nan", "inf", "gram-overflow", "gram-overflow-complex"],
     )
     def test_rejects_a_matrix_no_operator_can_have(self, a, error):
+        """Rejected with a typed error; a Gram that overflows raises no
+        RuntimeWarning on the way."""
         with pytest.raises(error):
             LinearOperator.from_matrix(a)
+
+    @pytest.mark.parametrize("shape", [(9, 6), (0, 3), (3, 0)], ids=["9x6", "0x3", "3x0"])
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_carries_its_gram_as_one_block(self, shape, cplx):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal(shape)
+        if cplx:
+            a = a + 1j * rng.standard_normal(shape)
+        stack, index = LinearOperator.from_matrix(a).normal_blocks
+        assert stack.shape == (1, shape[1], shape[1]) and stack.dtype == a.dtype
+        np.testing.assert_array_equal(stack[0], a.conj().T @ a, strict=True)
+        np.testing.assert_array_equal(index, np.arange(shape[1]), strict=True)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (20, 10), (300, 120)], ids=["diag", "20x10", "300x120"])
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_sigma1_is_exact(self, shape, cplx):
+        rng = np.random.default_rng(5)
+        if shape == (3, 3):
+            a = np.diag([1.0, 0.999, 0.5]) * (1j if cplx else 1.0)
+        else:
+            a = TestComplexOperator.complex_matrix(rng, *shape) if cplx else rng.standard_normal(shape)
+        want = np.linalg.svd(a, compute_uv=False)[0]
+        assert matfree.sigma1(LinearOperator.from_matrix(a)) == pytest.approx(want, rel=1e-12)
 
 
 class TestPowerIteration:
@@ -201,11 +237,15 @@ class TestSigma1:
 
     @pytest.mark.parametrize("name", ["real", "complex"])
     def test_power_iteration_without_blocks(self, name):
+        """An operator given by its actions alone gets the power estimate;
+        the same matrix through ``from_matrix`` gets its exact sigma1."""
         op = lockstep_operator(name)
-        user = LinearOperator(op.shape, op.apply, op.apply_transpose, op.is_complex)
+        user = callables_only(op)
         for seed in (0, 4):
-            for o in (op, user):
-                assert matfree.sigma1(o, seed=seed) == power_iteration_sigma1(o, seed=seed)
+            assert matfree.sigma1(user, seed=seed) == power_iteration_sigma1(user, seed=seed)
+        dense = np.column_stack([op.apply(e) for e in np.eye(op.shape[1])])
+        want = np.linalg.svd(dense, compute_uv=False)[0]
+        assert matfree.sigma1(op) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("stack, index", [(np.zeros((3, 2, 2), complex), np.arange(5)),
                                               (np.zeros((0, 0, 0)), np.arange(0))],
@@ -438,7 +478,7 @@ class TestComplexOperator:
 
     def test_normal_defaults_to_the_composition(self, rng):
         a = self.complex_matrix(rng, 6, 3)
-        op = LinearOperator.from_matrix(a)
+        op = callables_only(LinearOperator.from_matrix(a))
         assert op.normal_blocks is None
         x = self.complex_matrix(rng, 3, 1)[:, 0]
         np.testing.assert_array_equal(op.normal(x), op.apply_transpose(op.apply(x)))
@@ -456,7 +496,7 @@ class _WatchedStack(np.ndarray):
 class TestNormalBlocks:
     """An operator that carries A^H A as ragged Hermitian blocks in a padded
     stack steps in the stack's layout, and matches the flat solves of the
-    assembled block diagonal matrix."""
+    assembled block diagonal matrix given by its actions alone."""
 
     SIZES = (5, 3, 1)  # padded to 5
 
@@ -476,7 +516,7 @@ class TestNormalBlocks:
         stack = np.zeros((len(self.SIZES), n_max, n_max), complex if cplx else float)
         for c, (k, a_c) in enumerate(zip(self.SIZES, mats)):
             stack[c, :k, :k] = a_c.conj().T @ a_c
-        dense = LinearOperator.from_matrix(scipy.linalg.block_diag(*mats)[:, order])
+        dense = callables_only(LinearOperator.from_matrix(scipy.linalg.block_diag(*mats)[:, order]))
         stack = stack.view(_WatchedStack)
         stack.seen = []
         return dense, dataclasses.replace(dense, normal_blocks=(stack, slots[order])), draw
@@ -528,10 +568,17 @@ class TestNormalBlocks:
     @pytest.mark.parametrize(
         "stack, index",
         [(np.eye(3), np.arange(3)), (np.zeros((1, 3, 2)), np.arange(3)),
-         (np.eye(3)[None], np.arange(2))],
-        ids=["not-a-stack", "not-square", "index-length"],
+         (np.eye(3)[None], np.arange(2)),
+         (np.zeros((2, 2, 2)), np.array([0, 1, 7])),
+         (np.zeros((2, 2, 2)), np.array([0.0, 1.0, 2.0])),
+         (np.zeros((2, 2, 2)), np.array([0, 0, 1])),
+         (np.zeros((2, 2, 2)), np.array([-1, 1, 2]))],
+        ids=["not-a-stack", "not-square", "index-length", "index-past-the-layout",
+             "index-float", "index-repeated", "index-negative"],
     )
     def test_malformed_blocks_rejected(self, stack, index):
+        """Rejected when the operator is made, before any solve could index
+        the layout with them."""
         with pytest.raises(DimensionMismatch):
             dataclasses.replace(op_from(np.eye(3)), normal_blocks=(stack, index))
 
@@ -570,22 +617,21 @@ class TestLockstep:
     @pytest.mark.parametrize("probes", [1, 3, 32])
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     def test_dense_step_is_one_product_per_probe(self, cplx, probes):
-        """A ``from_matrix`` operator steps its matrix, for all probes at
-        once, with the products of each probe alone."""
+        """A ``from_matrix`` operator steps all probes at once with its Gram
+        block, with the product of each probe alone."""
         rng = np.random.default_rng(probes)
         draw = TestComplexOperator.complex_matrix if cplx else (
             lambda rng, m, n: rng.standard_normal((m, n)))
         a = draw(rng, 20, 10)
-        op = LinearOperator.from_matrix(a)
-        for name in ("apply", "apply_transpose"):  # not called on this path
-            object.__setattr__(op, name, None)
-        layout = matfree._Layout(op, a.dtype, probes)
+        layout = matfree._Layout(LinearOperator.from_matrix(a), a.dtype, probes)
         ah = a.conj().T
+        gram = ah @ a
         u, ms = draw(rng, probes, 10), draw(rng, probes, 20)
-        np.testing.assert_array_equal(layout.normal(u), [ah @ (a @ v) for v in u])
-        np.testing.assert_array_equal(layout.adjoint(list(ms)), [ah @ m for m in ms])
+        np.testing.assert_array_equal(layout.gather(layout.normal(layout.scatter(u))),
+                                      [gram @ v for v in u])
+        np.testing.assert_array_equal(layout.gather(layout.adjoint(list(ms))), [ah @ m for m in ms])
 
-    @pytest.mark.parametrize("name", ["real", "blocks-complex"])
+    @pytest.mark.parametrize("name", ["real", "complex-flat", "blocks-complex"])
     def test_rate_bound_matches_one_loop_per_probe(self, name):
         """With sigma_min set, the probes still live at the iteration bound
         stop there converged."""
