@@ -66,6 +66,7 @@ class BoundStatus(enum.Enum):
 
 # Status codes of :class:`BoundArrays` index this tuple.
 BOUND_STATUSES = tuple(BoundStatus)
+STATUS_FINITE, STATUS_UNBOUNDED, STATUS_INFEASIBLE = range(len(BOUND_STATUSES))
 
 
 class Target(enum.Enum):
@@ -477,7 +478,7 @@ def _bound_arrays(p: _RowProducts) -> BoundArrays:
     """The intervals of :func:`bounds_for` from the products ``p`` of its rows."""
     k = p.e.size
     if p.lam is None:
-        return BoundArrays(np.full(k, 2), *(np.full(k, np.nan) for _ in range(5)), None)
+        return BoundArrays(np.full(k, STATUS_INFEASIBLE), *(np.full(k, np.nan) for _ in range(5)), None)
     with np.errstate(over="ignore", invalid="ignore"):
         half = p.sens * p.lam
         out = np.array([p.mid - half, p.mid + half, p.mid, half, p.sens])

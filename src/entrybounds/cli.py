@@ -6,8 +6,12 @@ Subcommands: ``bounds`` (interval bounds on a user matrix), ``extremal``
 synthetic MRI bound-map pipeline).  Every run can emit a manifest with a
 config echo, seeds, timings, and content hashes of the outputs.
 
-Exit codes: 0 success, 1 input/config error, 2 at least one functional
-infeasible (or an extremal target incompatible with the bound status).
+Exit codes, set only by :func:`main`, which writes each error as one
+``error:`` line: 0 success (``--help`` and ``--version`` too); 1 input
+error, usage errors included; 2 an infeasible functional or system, or an
+extremal target incompatible with the bound status.  Mutually exclusive
+flags: ``estimate-diag --matrix|--op`` and ``extremal
+--weights|--weight-index`` (exactly one), ``bounds --weights|--entries``.
 """
 
 from __future__ import annotations
@@ -17,18 +21,60 @@ import dataclasses
 import os
 import sys
 import time
-from typing import Optional
 
 import numpy as np
 
 from . import __version__, bounds as bnd, matfree, mio, sense
 from .bounds import BoundStatus, LinearSystem, Target
 from .core import DEFAULT_RANK_RTOL
-from .errors import EntryBoundsError, StatusMismatch
+from .errors import ConfigError, EntryBoundsError, InfeasibleSystem, StatusMismatch
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_STATUS = 2
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a :class:`ConfigError`, an input error."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+class _Flag(str):
+    """A flag's text as given, which the manifest echoes, and its ``parsed`` value."""
+
+    def __new__(cls, text: str, parsed):
+        flag = super().__new__(cls, text)
+        flag.parsed = parsed
+        return flag
+
+
+def _entries(text: str) -> _Flag:
+    """``--entries``: ``all`` (parsed as None) or a comma list of indices."""
+    try:
+        return _Flag(text, None if text == "all" else [int(t) for t in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be 'all' or a comma list, got {text!r}")
+
+
+def _target(text: str) -> _Flag:
+    """``--target``: ``lower``, ``upper`` or ``value:<alpha>``, as (Target, alpha or None)."""
+    if text in ("lower", "upper"):
+        return _Flag(text, (Target(text), None))
+    if text.startswith("value:"):
+        try:
+            return _Flag(text, (Target.ARBITRARY, float(text[len("value:"):])))
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"must be lower|upper|value:<a>, got {text!r}")
+
+
+def _operator_spec(text: str) -> _Flag:
+    """``--op``: ``sense:<cfg.json>``, parsed as the config path."""
+    if not text.startswith("sense:"):
+        raise argparse.ArgumentTypeError(f"must look like sense:<cfg.json>, got {text!r}")
+    return _Flag(text, text[len("sense:"):])
 
 
 def _manifest(command: str, config: dict, outputs: list[str], t0: float) -> dict:
@@ -50,7 +96,8 @@ def _emit(args, command: str, payload: dict, outputs: list[str], t0: float) -> N
     else:
         sys.stdout.write(mio.json_text(payload))
     if args.manifest:
-        mio.write_json(args.manifest, _manifest(command, vars_config(args), outputs, t0))
+        config = {k: v for k, v in vars(args).items() if k != "func"}
+        mio.write_json(args.manifest, _manifest(command, config, outputs, t0))
 
 
 def _load_system(args) -> LinearSystem:
@@ -59,59 +106,36 @@ def _load_system(args) -> LinearSystem:
     return LinearSystem(a=a, b=b, epsilon=args.epsilon, rank_rtol=args.rtol)
 
 
-def _parse_entries(spec: str) -> Optional[list[int]]:
-    """The indices of ``--entries``; None for all of them."""
-    if spec == "all":
-        return None
-    try:
-        idx = [int(t) for t in spec.split(",")]
-    except ValueError:
-        raise EntryBoundsError(f"--entries must be 'all' or a comma list, got {spec!r}")
-    return idx
-
-
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> bool:
     t0 = time.perf_counter()
     sys_ = _load_system(args)
     if args.weights is not None:
         w = mio.read_vector_csv(args.weights)
         results = [bnd.functional_bound(sys_, w, index=0)]
     else:
-        results = bnd.entrywise_bounds(sys_, _parse_entries(args.entries))
-    records = [r.to_record() for r in results]
+        results = bnd.entrywise_bounds(sys_, args.entries.parsed)
     payload = {
         "epsilon": sys_.epsilon,
         "rank_rtol": sys_.rank_rtol,
-        "bounds": records,
+        "bounds": [r.to_record() for r in results],
     }
     _emit(args, "bounds", payload, [], t0)
-    infeasible = any(r["status"] == BoundStatus.INFEASIBLE.value for r in records)
-    return EXIT_STATUS if infeasible else EXIT_OK
+    return any(r.status is BoundStatus.INFEASIBLE for r in results)
 
 
-def cmd_extremal(args) -> int:
+def cmd_extremal(args) -> bool:
     t0 = time.perf_counter()
     sys_ = _load_system(args)
     n = sys_.shape[1]
     if args.weights is not None:
         w = mio.read_vector_csv(args.weights)
-    elif args.weight_index is not None:
-        if not 0 <= args.weight_index < n:
-            raise EntryBoundsError(f"--weight-index {args.weight_index} out of range for N={n}")
+    elif not 0 <= args.weight_index < n:
+        raise EntryBoundsError(f"--weight-index {args.weight_index} out of range for N={n}")
+    else:
         w = np.zeros(n)
         w[args.weight_index] = 1.0
-    else:
-        raise EntryBoundsError("extremal requires --weight-index or --weights")
 
-    if args.target in ("lower", "upper"):
-        target = Target.LOWER if args.target == "lower" else Target.UPPER
-        alpha = None
-    elif args.target.startswith("value:"):
-        target = Target.ARBITRARY
-        alpha = float(args.target.split(":", 1)[1])
-    else:
-        raise EntryBoundsError(f"--target must be lower|upper|value:<a>, got {args.target!r}")
-
+    target, alpha = args.target.parsed
     sol = bnd.extremal_solution(sys_, w, target, alpha)
     if target is Target.ARBITRARY:
         expected = alpha
@@ -127,21 +151,17 @@ def cmd_extremal(args) -> int:
         "expected": expected,
     }
     _emit(args, "extremal", verification, [args.out], t0)
-    return EXIT_OK
+    return False
 
 
-def cmd_estimate_diag(args) -> int:
+def cmd_estimate_diag(args) -> bool:
     t0 = time.perf_counter()
     dense = None
-    if (args.op is None) == (args.matrix is None):
-        raise EntryBoundsError("estimate-diag takes exactly one of --matrix and --op")
     # checked before any operator work; 1.0 holds sigma1's place until it is known
     matfree._check_probes(args.samples, args.seed)
     cfg_lw = matfree.LandweberConfig(1.0, max_iters=args.max_iters, rel_tol=args.rel_tol)
     if args.op is not None:
-        if not args.op.startswith("sense:"):
-            raise EntryBoundsError(f"--op must look like sense:<cfg.json>, got {args.op!r}")
-        cfg = mio.read_json(args.op.split(":", 1)[1])
+        cfg = mio.read_json(args.op.parsed)
         op, _ = sense.sense_operator(*sense.build_problem(cfg))
     else:
         dense = mio.read_matrix_csv(args.matrix)
@@ -177,16 +197,16 @@ def cmd_estimate_diag(args) -> int:
         mio.write_vector_csv(args.csv, est.values)
         outputs.append(args.csv)
     _emit(args, "estimate-diag", payload, outputs, t0)
-    return EXIT_OK
+    return False
 
 
-def cmd_sense(args) -> int:
+def cmd_sense(args) -> bool:
     t0 = time.perf_counter()
     cfg = mio.read_json(args.config)
     if args.manifest_only:
         sense.build_problem(cfg)  # every check of a run short of the data
         sys.stdout.write(mio.json_text(sense._default_cfg(cfg)))
-        return EXIT_OK
+        return False
     result = sense.run_pipeline(cfg)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
@@ -218,57 +238,57 @@ def cmd_sense(args) -> int:
         timings={**result.timings, "write_s": write_s},
     )
     mio.write_json(os.path.join(outdir, "manifest.json"), manifest)
-    infeasible = bool(np.any(result.status == sense.STATUS_INFEASIBLE))
-    return EXIT_STATUS if infeasible else EXIT_OK
-
-
-def vars_config(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+    return bool(np.any(result.status == sense.STATUS_INFEASIBLE))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="entrybounds",
         description="Entrywise interval bounds for nearly data-consistent solutions",
     )
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
+    # options shared by the commands that write a JSON payload
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", help="write results to this JSON file")
+    output.add_argument("--manifest")
+
     # options shared by the commands that read a (matrix, data, epsilon) system
-    system = argparse.ArgumentParser(add_help=False)
+    system = argparse.ArgumentParser(add_help=False, parents=[output])
     system.add_argument("--matrix", required=True, help="system matrix CSV")
     system.add_argument("--data", required=True, help="data vector CSV (single column)")
     system.add_argument("--epsilon", type=float, required=True)
-    system.add_argument("--weights", default=None, help="weight vector CSV")
     system.add_argument("--rtol", type=float, default=DEFAULT_RANK_RTOL,
                         help="numerical-rank tolerance")
-    system.add_argument("--json", default=None, help="write results to this JSON file")
-    system.add_argument("--manifest", default=None)
 
     pb = sub.add_parser("bounds", parents=[system],
                         help="entrywise or weighted interval bounds")
-    pb.add_argument("--entries", default="all", help="'all' or comma list of indices")
+    rows = pb.add_mutually_exclusive_group()
+    rows.add_argument("--weights", help="weight vector CSV")
+    rows.add_argument("--entries", type=_entries, default="all",
+                      help="'all' or comma list of indices")
     pb.set_defaults(func=cmd_bounds)
 
     pe = sub.add_parser("extremal", parents=[system], help="feasible vector attaining a bound")
-    pe.add_argument("--target", required=True, help="lower | upper | value:<alpha>")
-    pe.add_argument("--weight-index", type=int, default=None)
+    pe.add_argument("--target", type=_target, required=True, help="lower | upper | value:<alpha>")
+    row = pe.add_mutually_exclusive_group(required=True)
+    row.add_argument("--weights", help="weight vector CSV")
+    row.add_argument("--weight-index", type=int)
     pe.add_argument("--out", required=True, help="solution vector CSV")
     pe.set_defaults(func=cmd_extremal)
 
-    pd = sub.add_parser("estimate-diag", help="stochastic sensitivity estimation")
-    pd.add_argument("--matrix", default=None, help="dense matrix CSV")
-    pd.add_argument("--op", default=None, help="operator spec, e.g. sense:<cfg.json>")
+    pd = sub.add_parser("estimate-diag", parents=[output], help="stochastic sensitivity estimation")
+    source = pd.add_mutually_exclusive_group(required=True)
+    source.add_argument("--matrix", help="dense matrix CSV")
+    source.add_argument("--op", type=_operator_spec, help="operator spec, e.g. sense:<cfg.json>")
     pd.add_argument("--samples", type=int, required=True)
     pd.add_argument("--probe", choices=["gaussian", "rademacher"], default="gaussian")
     pd.add_argument("--seed", type=int, default=0)
     pd.add_argument("--tau", type=float, default=None, help="step size (default 1/sigma1^2)")
     pd.add_argument("--max-iters", type=int, default=matfree.LandweberConfig.max_iters)
     pd.add_argument("--rel-tol", type=float, default=matfree.LandweberConfig.rel_tol)
-    pd.add_argument("--json", default=None)
     pd.add_argument("--csv", default=None)
-    pd.add_argument("--manifest", default=None)
     pd.set_defaults(func=cmd_estimate_diag)
 
     ps = sub.add_parser("sense", help="synthetic multi-channel MRI bound maps")
@@ -282,10 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run ``argv``'s command and map its outcome, whether it met an empty set
+    or what it raised, to the exit code; ``--help`` and ``--version`` exit 0."""
     try:
-        return args.func(args)
-    except StatusMismatch as exc:
+        args = build_parser().parse_args(argv)
+        infeasible = args.func(args)
+    except (StatusMismatch, InfeasibleSystem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATUS
     except (EntryBoundsError, OSError, ValueError) as exc:
@@ -294,6 +316,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # an input too large for this host
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    return EXIT_STATUS if infeasible else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -28,18 +28,15 @@ import numpy as np
 
 from . import bounds as bnd
 from . import lifting
-from .bounds import LinearSystem
+from .bounds import STATUS_FINITE, STATUS_INFEASIBLE, STATUS_UNBOUNDED, LinearSystem
 from .core import _check_seed
 from .errors import ConfigError, NotOverdetermined, NumericalFailure, ShapeMismatch, UnknownPreset
 from .matfree import LinearOperator
 
 log = logging.getLogger(__name__)
 
-# Status codes used in the emitted status map; 0-2 are the status codes
-# of bounds.bounds_for.
-STATUS_FINITE = 0
-STATUS_UNBOUNDED = 1
-STATUS_INFEASIBLE = 2
+# Status codes used in the emitted status map: bounds' STATUS_FINITE,
+# STATUS_UNBOUNDED and STATUS_INFEASIBLE (0-2), then these.
 STATUS_OFF_SUPPORT = 3
 # the voxel's line was skipped: its heuristic epsilon is undefined, or its
 # bounds leave the float range

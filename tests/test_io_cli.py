@@ -773,11 +773,14 @@ class TestEstimateDiagCommand:
         mpath, cfg_path = tmp_path / "a.csv", tmp_path / "cfg.json"
         mio.write_matrix_csv(mpath, np.diag([2.0, 1.0]))
         cfg_path.write_text(json.dumps({"grid": {"h": 8, "w": 8}}))
-        for inputs in ([], ["--matrix", str(mpath), "--op", f"sense:{cfg_path}"]):
+        for inputs, message in (
+                ([], "one of the arguments --matrix --op is required"),
+                (["--matrix", str(mpath), "--op", f"sense:{cfg_path}"],
+                 "argument --op: not allowed with argument --matrix")):
             code = cli.main(["estimate-diag", *inputs, "--samples", "2"])
             captured = capsys.readouterr()
             assert code == 1 and captured.out == ""
-            assert captured.err == "error: estimate-diag takes exactly one of --matrix and --op\n"
+            assert captured.err == f"error: {message}\n"
 
     def test_op_takes_sigma1_from_the_normal_blocks(self, tmp_path, monkeypatch):
         """Neither ``--op`` nor ``--matrix`` runs power iteration: both
