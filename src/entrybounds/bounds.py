@@ -75,7 +75,7 @@ class Target(enum.Enum):
     ARBITRARY = "arbitrary"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class _Factored:
     """A system factored as A^+ = 2**-es K G^H, where G has orthonormal
     columns and spans the range of A, and its data as b = G g + (a part of
@@ -185,26 +185,30 @@ def _system(a) -> LinearSystem:
     return a if isinstance(a, LinearSystem) else LinearSystem(a, np.zeros(np.shape(a)[:1]), 0.0)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """The triple (A, b, epsilon) defining the near-consistency set.
 
-    The factorization of ``a``, truncated at ``rank_rtol``, the residual
-    projection and ``A^+ b`` are computed once on first use and shared,
-    also with the copies ``dataclasses.replace`` makes.  They are used only
-    while ``a``, ``b`` and ``rank_rtol`` are the objects they were computed
-    from; a change inside the arrays is not detected.  Like the caches, two
-    systems are equal only if they are the same object.  The system is
-    complex when ``a`` or ``b`` is: then both are stored as complex, and
-    the unknown x is complex.
+    Systems are frozen, like every other value of the package: assigning a
+    field raises ``dataclasses.FrozenInstanceError``, and
+    ``dataclasses.replace`` makes a changed system, running every check
+    below.  The factorization of ``a``, truncated at ``rank_rtol``, the
+    residual projection and ``A^+ b`` are computed once on first use.  A
+    copy that ``replace`` makes shares them only when its ``a``, ``b`` and
+    ``rank_rtol`` are the objects they were computed from; a change inside
+    the arrays is not detected.  Like the caches, two systems are equal
+    only if they are the same object.  The system is complex when ``a`` or
+    ``b`` is: then both are stored as complex, and the unknown x is
+    complex.
 
-    The shape of ``a`` and ``rank_rtol`` are checked when the system is
-    made (also by ``replace``): an ``a`` that is not 2-D raises
-    :class:`DimensionMismatch`, and a ``rank_rtol`` outside (0, 1)
-    ``ValueError``, as it does again before a factorization if it was
-    assigned since.  That ``a`` is finite and at least 1 x 1 is checked when
-    the factors are made, once per matrix object, so the copies that
-    ``replace`` makes with a new ``epsilon`` do not scan ``a`` again.
+    Every field but the entries of ``a`` is checked when the system is
+    made: an ``a`` that is not 2-D, or a ``b`` whose length is not its row
+    count, raises :class:`DimensionMismatch`; a ``rank_rtol`` outside
+    (0, 1) or a negative ``epsilon``, ``ValueError``; and a non-finite
+    ``b`` or ``epsilon``, :class:`NumericalFailure`.  That ``a`` is finite
+    and at least 1 x 1 is checked when the factors are made, once per
+    matrix object, so the copies that ``replace`` makes with a new
+    ``epsilon`` do not scan ``a`` again.
     """
 
     a: np.ndarray
@@ -214,25 +218,29 @@ class LinearSystem:
     _cache: Optional[_Factored] = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.a = core.as_real_or_complex(self.a)
-        if self.a.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-D array, got ndim={self.a.ndim}")
+        a = core.as_real_or_complex(self.a)
+        if a.ndim != 2:
+            raise DimensionMismatch(f"expected a 2-D array, got ndim={a.ndim}")
         core._check_rank_rtol(self.rank_rtol)
-        self.b = core.as_real_or_complex(self.b)
-        if self.b.ndim != 1:  # a 1-D b stays the object the caches were made from
-            self.b = self.b.reshape(-1)
-        if np.iscomplexobj(self.a) or np.iscomplexobj(self.b):
-            self.a, self.b = self.a.astype(complex, copy=False), self.b.astype(complex, copy=False)
-        self.epsilon = float(self.epsilon)
-        if not (math.isfinite(self.epsilon) and np.isfinite(self.b).all()):
-            raise NumericalFailure(f"data vector and epsilon must be finite (epsilon={self.epsilon})")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-        m = self.shape[0]
-        if self.b.shape[0] != m:
+        b = core.as_real_or_complex(self.b)
+        if b.ndim != 1:  # a 1-D b stays the object the caches were made from
+            b = b.reshape(-1)
+        if np.iscomplexobj(a) or np.iscomplexobj(b):
+            a, b = a.astype(complex, copy=False), b.astype(complex, copy=False)
+        epsilon = float(self.epsilon)
+        if not (math.isfinite(epsilon) and np.isfinite(b).all()):
+            raise NumericalFailure(f"data vector and epsilon must be finite (epsilon={epsilon})")
+        if epsilon < 0:
+            raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+        if b.shape[0] != a.shape[0]:
             raise DimensionMismatch(
-                f"data vector has length {self.b.shape[0]}, matrix has {m} rows"
+                f"data vector has length {b.shape[0]}, matrix has {a.shape[0]} rows"
             )
+        cache = self._cache
+        if cache is not None and any(x is not y for x, y in zip((a, b, self.rank_rtol), cache.key)):
+            cache = None
+        for name, value in (("a", a), ("b", b), ("epsilon", epsilon), ("_cache", cache)):
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -243,10 +251,8 @@ class LinearSystem:
         return np.iscomplexobj(self.b)
 
     def _factored(self) -> _Factored:
-        key = (self.a, self.b, self.rank_rtol)
-        if self._cache is None or any(x is not y for x, y in zip(key, self._cache.key)):
-            core._check_rank_rtol(self.rank_rtol)  # it may have been assigned since
-            self._cache = _factor(*key)
+        if self._cache is None:
+            object.__setattr__(self, "_cache", _factor(self.a, self.b, self.rank_rtol))
         return self._cache
 
     @property

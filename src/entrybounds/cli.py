@@ -27,7 +27,8 @@ import numpy as np
 from . import __version__, bounds as bnd, matfree, mio, sense
 from .bounds import BoundStatus, LinearSystem, Target
 from .core import DEFAULT_RANK_RTOL
-from .errors import ConfigError, EntryBoundsError, InfeasibleSystem, StatusMismatch
+from .errors import (ConfigError, EntryBoundsError, IndexOutOfRange, InfeasibleSystem,
+                     StatusMismatch)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -130,7 +131,7 @@ def cmd_extremal(args) -> bool:
     if args.weights is not None:
         w = mio.read_vector_csv(args.weights)
     elif not 0 <= args.weight_index < n:
-        raise EntryBoundsError(f"--weight-index {args.weight_index} out of range for N={n}")
+        raise IndexOutOfRange(f"--weight-index {args.weight_index} out of range for N={n}")
     else:
         w = np.zeros(n)
         w[args.weight_index] = 1.0

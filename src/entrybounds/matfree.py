@@ -48,8 +48,10 @@ class LinearOperator:
     unknown's place in the flattened (blocks, n_max) layout: distinct
     integers in [0, blocks * n_max), else :class:`DimensionMismatch`.  Every
     position of that layout that no unknown holds must have a zero row and
-    column in its block.  When unset, :meth:`normal` composes the two
-    actions.
+    column in its block, else :class:`DimensionMismatch` naming the block,
+    and every entry of the stack must be finite, else
+    :class:`NumericalFailure`; both are checked when the operator is made.
+    When unset, :meth:`normal` composes the two actions.
     """
 
     shape: tuple[int, int]
@@ -73,6 +75,18 @@ class LinearOperator:
                 raise DimensionMismatch(
                     f"normal_blocks index must hold distinct integers in [0, {slots}), "
                     f"got {index.dtype} entries {index[:8].tolist()}"
+                )
+            if not np.isfinite(stack).all():
+                raise NumericalFailure("normal_blocks stack contains NaN or Inf entries")
+            free = np.ones(slots, bool)
+            free[index] = False
+            free = free.reshape(stack.shape[:2])
+            nonzero = stack[free].any(axis=1) | stack.transpose(0, 2, 1)[free].any(axis=1)
+            if nonzero.any():
+                block, pos = np.argwhere(free)[np.argmax(nonzero)]
+                raise DimensionMismatch(
+                    f"normal_blocks block {block} has a nonzero row or column at position "
+                    f"{pos}, which no unknown holds"
                 )
 
     def normal(self, x: np.ndarray) -> np.ndarray:

@@ -92,7 +92,7 @@ class AcquiredData:
     noise: np.ndarray  # (L, K, W) complex
 
 
-@dataclass
+@dataclass(frozen=True)
 class RowSystem:
     """One decoupled, support-masked complex reconstruction system."""
 
@@ -383,7 +383,7 @@ def sense_operator(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
     return op, _voxel_map(sup_idx)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineResult:
     """Everything the bound-map workflow produces, image-aligned."""
 

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import mpmath
 import numpy as np
@@ -99,19 +99,50 @@ class TestMadeSystem:
             LinearSystem(a=a, b=b, epsilon=1.0, rank_rtol=rtol)
         assert str(exc.value) == message
 
-    def test_rank_tolerance_assigned_later_checked_before_factoring(self, monkeypatch):
-        """On both factor paths: the QR of a tall system, the SVD of a square one."""
-        def fail(*args, **kwargs):
-            raise AssertionError("factored at an unchecked rank tolerance")
+    @pytest.mark.parametrize("name", ["a", "b", "epsilon", "rank_rtol"])
+    def test_fields_cannot_be_assigned(self, name):
+        """A made system is frozen: assigning a field, even a value that
+        construction would reject, raises and leaves the system as it was."""
+        sys_ = LinearSystem(a=np.eye(4, 2), b=np.ones(4), epsilon=1.0)
+        before = getattr(sys_, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(sys_, name, {"a": np.eye(2), "b": np.ones(5), "epsilon": -1.0,
+                                 "rank_rtol": 0.0}[name])
+        assert getattr(sys_, name) is before
 
-        monkeypatch.setattr(np.linalg, "qr", fail)
-        monkeypatch.setattr(np.linalg, "svd", fail)
-        for m in (4, 2):
-            sys_ = LinearSystem(a=np.eye(m, 2), b=np.ones(m), epsilon=1.0)
-            sys_.rank_rtol = 0.0
-            with pytest.raises(ValueError) as exc:
-                sys_.rank
-            assert str(exc.value) == "rank tolerance must be in (0, 1), got 0.0"
+    SYSTEM = {"a": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "b": [1.0, 2.0, 3.1]}
+
+    @pytest.mark.parametrize(
+        "changes, error, message",
+        [({"epsilon": -1.0}, ValueError, "epsilon must be nonnegative, got -1.0"),
+         ({"b": np.ones(5)}, DimensionMismatch, "data vector has length 5, matrix has 3 rows"),
+         ({"b": [1.0, np.nan, 3.0]}, NumericalFailure,
+          "data vector and epsilon must be finite (epsilon=1.0)"),
+         ({"rank_rtol": 0.0}, ValueError, "rank tolerance must be in (0, 1), got 0.0")],
+        ids=["epsilon-negative", "b-length", "b-nan", "rtol-0"],
+    )
+    def test_replace_checks_as_construction_does(self, changes, error, message):
+        fields = {**self.SYSTEM, "epsilon": 1.0}
+        sys_ = LinearSystem(**fields)
+        assert sys_.rank == 2  # the factors replace would carry over
+        with pytest.raises(error) as made:
+            LinearSystem(**{**fields, **changes})
+        with pytest.raises(error) as replaced:
+            replace(sys_, **changes)
+        assert str(made.value) == str(replaced.value) == message
+
+    def test_new_epsilon_shares_the_factors(self, monkeypatch):
+        want = entrywise_bounds(LinearSystem(**self.SYSTEM, epsilon=2.0))
+        sys_ = LinearSystem(**self.SYSTEM, epsilon=1.0)
+        factored = sys_._factored()
+
+        def fail(*args):
+            raise AssertionError("the system was factored again")
+
+        monkeypatch.setattr(bounds, "_factor", fail)
+        changed = replace(sys_, epsilon=2.0)
+        assert changed._factored() is factored
+        assert entrywise_bounds(changed) == want
 
 
 class TestWeightRowRange:
@@ -813,20 +844,14 @@ def complex_system(rng, m, n, r, eps_ratio=2.0):
             LinearSystem(a=lifted.a_real, b=b_real, epsilon=eps))
 
 
-def assign_b(sys_, b):
-    sys_.b = np.asarray(b, dtype=float)
-    return sys_
-
-
 class TestCachedFactors:
     # A = [diag(1, 1e-6); 0] (M = 2N) and b = [1, 2, 0, 0]: A^+ b = [1, 2e6], residual 0
     @pytest.mark.parametrize(
         "change, solution, residual",
         [(lambda s: replace(s, b=[5.0, 5.0, 3.0, 4.0]), [5.0, 5e6], 5.0),
          (lambda s: replace(s, a=np.eye(4, 2)), [1.0, 2.0], 0.0),
-         (lambda s: replace(s, rank_rtol=1e-3), [1.0, 0.0], 2.0),
-         (lambda s: assign_b(s, [5.0, 5.0, 3.0, 4.0]), [5.0, 5e6], 5.0)],
-        ids=["b", "a", "rank_rtol", "assign-b"],
+         (lambda s: replace(s, rank_rtol=1e-3), [1.0, 0.0], 2.0)],
+        ids=["b", "a", "rank_rtol"],
     )
     def test_changed_system_is_factored_again(self, change, solution, residual):
         sys_ = LinearSystem(a=np.diag([1.0, 1e-6, 0.0, 0.0])[:, :2], b=[1.0, 2.0, 0.0, 0.0],

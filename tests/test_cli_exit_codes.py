@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from entrybounds import cli, errors, mio
-from entrybounds.errors import EntryBoundsError, InfeasibleSystem, StatusMismatch
+from entrybounds.errors import EntryBoundsError, IndexOutOfRange, InfeasibleSystem, StatusMismatch
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -122,6 +122,21 @@ def test_flag_pair_exits_1(tmp_path, capsys, monkeypatch, inputs, command, flags
     monkeypatch.chdir(tmp_path)
     assert run_main(argv, capsys) == (1, "", f"error: {message}\n")
     assert sorted(os.listdir(tmp_path)) == sorted(inputs)
+
+
+@pytest.mark.parametrize("index", ["2", "-1"])
+def test_weight_index_out_of_range(tmp_path, capsys, inputs, index):
+    """``extremal`` raises :class:`IndexOutOfRange` for a ``--weight-index``
+    outside [0, N), which ``main`` maps to exit 1, writing no ``--out``."""
+    out = tmp_path / "x.csv"
+    argv = ["extremal", "--matrix", inputs["a.csv"], "--data", inputs["b.csv"], "--epsilon",
+            "0.5", "--target", "upper", "--weight-index", index, "--out", str(out)]
+    message = f"--weight-index {index} out of range for N=2"
+    with pytest.raises(IndexOutOfRange) as exc:
+        cli.cmd_extremal(cli.build_parser().parse_args(argv))
+    assert str(exc.value) == message
+    assert run_main(argv, capsys) == (1, "", f"error: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value, message", [

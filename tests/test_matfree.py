@@ -582,6 +582,34 @@ class TestNormalBlocks:
         with pytest.raises(DimensionMismatch):
             dataclasses.replace(op_from(np.eye(3)), normal_blocks=(stack, index))
 
+    @staticmethod
+    def padded(entry, value):
+        """A = [[2, 0], [0, 1], [0, 0]] and a (2, 2, 2) stack with its A^H A
+        in block 0, whose block 1 holds no unknown, and ``value`` at ``entry``."""
+        stack = np.zeros((2, 2, 2))
+        stack[0] = np.diag([4.0, 1.0])
+        stack[entry] = value
+        return op_from([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), stack
+
+    @pytest.mark.parametrize("entry, pos", [((1, 1, 1), 1), ((1, 0, 1), 0), ((1, 1, 0), 0)],
+                             ids=["diagonal", "row", "column"])
+    def test_nonzero_padding_rejected(self, entry, pos):
+        """A nonzero row or column at a position no unknown holds would join
+        the spectrum and the solves; the error names its block and position."""
+        op, stack = self.padded(entry, 3.0)
+        with pytest.raises(DimensionMismatch) as exc:
+            dataclasses.replace(op, normal_blocks=(stack, np.arange(2)))
+        assert str(exc.value) == (f"normal_blocks block 1 has a nonzero row or column at "
+                                  f"position {pos}, which no unknown holds")
+
+    @pytest.mark.parametrize("entry", [(0, 0, 0), (1, 1, 1)], ids=["held", "padding"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_stack_rejected(self, entry, value):
+        op, stack = self.padded(entry, value)
+        with pytest.raises(NumericalFailure,
+                           match="normal_blocks stack contains NaN or Inf entries"):
+            dataclasses.replace(op, normal_blocks=(stack, np.arange(2)))
+
 
 class TestLockstep:
     """``stochastic_diag`` steps ``PROBE_CHUNK`` probes at a time in lockstep;

@@ -1,8 +1,12 @@
-"""The public surface of ``entrybounds``: the exact export list, and every
-package function the benchmark's span tracer wraps or reads by name."""
+"""The public surface of ``entrybounds``: the exact export list, every
+package function the benchmark's span tracer wraps or reads by name, and
+the rule that every dataclass of the package is frozen."""
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
+import pkgutil
 from pathlib import Path
 
 import entrybounds
@@ -37,3 +41,16 @@ def test_benchmark_spans_resolve():
         mod_name, attr = qual.split(".")
         mod = importlib.import_module(f"entrybounds.{mod_name}")
         assert callable(getattr(mod, attr, None)), qual
+
+
+def test_every_dataclass_is_frozen():
+    """Values are checked once, when they are made: no dataclass of the
+    package lets a field be assigned afterwards."""
+    found = {}
+    for info in pkgutil.iter_modules(entrybounds.__path__):
+        mod = importlib.import_module(f"entrybounds.{info.name}")
+        found.update((obj.__qualname__, obj) for obj in vars(mod).values()
+                     if inspect.isclass(obj) and obj.__module__ == mod.__name__
+                     and dataclasses.is_dataclass(obj))
+    assert {"LinearSystem", "_Factored", "RowSystem", "PipelineResult"} <= set(found)
+    assert [name for name, cls in found.items() if not cls.__dataclass_params__.frozen] == []
