@@ -270,9 +270,14 @@ class LinearSystem:
         return core._finite(self._factored().solution, "A^+ b").copy()
 
 
+# The value columns of an interval, in the order of EntryBound, BoundArrays and records.
+_COLUMNS = ("lower", "upper", "midpoint", "half_width", "sensitivity")
+
+
 @dataclass(frozen=True)
 class EntryBound:
-    """Interval result for a single weight vector."""
+    """Interval result for a single weight vector; its record holds
+    ``index``, ``status`` and the value columns ``_COLUMNS``, in that order."""
 
     status: BoundStatus
     lower: Optional[float] = None
@@ -284,15 +289,8 @@ class EntryBound:
     index: Optional[int] = None
 
     def to_record(self) -> dict:
-        return {
-            "index": self.index,
-            "status": self.status.value,
-            "lower": self.lower,
-            "upper": self.upper,
-            "midpoint": self.midpoint,
-            "half_width": self.half_width,
-            "sensitivity": self.sensitivity,
-        }
+        return {"index": self.index, "status": self.status.value,
+                **{c: getattr(self, c) for c in _COLUMNS}}
 
 
 @dataclass(frozen=True)
@@ -345,8 +343,9 @@ class BoundArrays:
     """Intervals for the k rows of a weight matrix, as a struct of arrays.
 
     ``status[k]`` indexes ``BOUND_STATUSES``: 0 finite, 1 unbounded,
-    2 infeasible.  The float arrays are NaN where the status is not finite.
-    ``lam`` is the effective tolerance, None when the set is empty.
+    2 infeasible.  The float arrays, the value columns ``_COLUMNS`` in that
+    order, are NaN where the status is not finite.  ``lam`` is the
+    effective tolerance, None when the set is empty.
     """
 
     status: np.ndarray
@@ -360,13 +359,12 @@ class BoundArrays:
     def entry_bounds(self, index: Optional[Sequence] = None) -> list[EntryBound]:
         """One :class:`EntryBound` per row, labelled by ``index`` or the row number."""
         labels = range(self.status.size) if index is None else index
-        cols = zip(self.status.tolist(), self.lower.tolist(), self.upper.tolist(),
-                   self.midpoint.tolist(), self.half_width.tolist(), self.sensitivity.tolist())
+        rows = zip(self.status.tolist(), *(getattr(self, c).tolist() for c in _COLUMNS))
         out = []
-        for i, (code, lo, hi, mid, half, sens) in zip(labels, cols):
+        for i, (code, *values) in zip(labels, rows):
             status = BOUND_STATUSES[code]
             if status is BoundStatus.FINITE:
-                out.append(EntryBound(status, lo, hi, mid, half, sens, self.lam, i))
+                out.append(EntryBound(status, *values, self.lam, i))
             else:
                 out.append(EntryBound(status, lam=self.lam, index=i))
         return out
@@ -484,10 +482,10 @@ def _bound_arrays(p: _RowProducts) -> BoundArrays:
     """The intervals of :func:`bounds_for` from the products ``p`` of its rows."""
     k = p.e.size
     if p.lam is None:
-        return BoundArrays(np.full(k, STATUS_INFEASIBLE), *(np.full(k, np.nan) for _ in range(5)), None)
+        return BoundArrays(np.full(k, STATUS_INFEASIBLE), *np.full((len(_COLUMNS), k), np.nan), None)
     with np.errstate(over="ignore", invalid="ignore"):
         half = p.sens * p.lam
-        out = np.array([p.mid - half, p.mid + half, p.mid, half, p.sens])
+        out = np.array([p.mid - half, p.mid + half, p.mid, half, p.sens])  # in _COLUMNS order
         if p.e.any():
             # back from the units of the scaled rows: exact unless a value leaves the float range
             scaled, out = out, np.ldexp(out, p.e)
@@ -608,8 +606,6 @@ def extremal_solution(
         else:
             if p.unbounded[0]:
                 raise StatusMismatch(f"target {target.value} requires a finite interval")
-            if not math.isfinite(p.sens[0]):
-                raise NumericalFailure(f"target {target.value}: the sensitivity must be finite")
             upper, lower = _extremal_pair(fc, p.wk[0], p.sens[0], p.lam)
             x = upper if target is Target.UPPER else lower
         achieved = float(np.ldexp((u.conj() @ x).real, e))

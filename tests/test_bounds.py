@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from dataclasses import FrozenInstanceError, replace
@@ -1069,3 +1070,85 @@ class TestComplexSystems:
         bounds_for(sys_c, [[1.0, -1.0, 0.0]])
         extremal_solution(sys_c, [1.0, 0.0, 0.0], Target.UPPER)
         assert calls == ["_factor", "qr", "svd", "inv"]
+
+
+# A = [[1, 0], [0, 1], [1, 1]] with b = [1, 2, 3.1]: a full-rank system
+# whose residual projection is 0.1 / sqrt(3).
+SMALL_A, SMALL_B = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.1]
+
+
+class TestIntervalColumns:
+    def test_value_fields_are_the_columns_in_order(self):
+        """EntryBound and BoundArrays declare the value columns in the order
+        of _COLUMNS, between ``status`` and ``lam``, which entry_bounds's
+        positional constructor and the records rely on."""
+        for cls in (bounds.EntryBound, bounds.BoundArrays):
+            names = [f.name for f in dataclasses.fields(cls)]
+            assert names[0] == "status" and names[len(bounds._COLUMNS) + 1] == "lam"
+            assert tuple(names[1:len(bounds._COLUMNS) + 1]) == bounds._COLUMNS
+
+    @pytest.mark.parametrize("eps", [0.5, 0.01], ids=["finite", "infeasible"])
+    def test_records_list_index_status_and_columns(self, eps):
+        arrays = bounds_for(LinearSystem(SMALL_A, SMALL_B, eps))
+        records = [r.to_record() for r in arrays.entry_bounds()]
+        for k, record in enumerate(records):
+            assert list(record) == ["index", "status", *bounds._COLUMNS]
+            assert record["index"] == k
+            for c in bounds._COLUMNS:
+                value = getattr(arrays, c)[k]
+                assert record[c] == (None if math.isnan(value) else value)
+        assert [r["status"] for r in records] == ["finite" if eps == 0.5 else "infeasible"] * 2
+
+
+class TestRarelyTakenPaths:
+    """Branches of the kernel that the rest of the suite does not reach."""
+
+    def test_values_only_svd_failure_is_numerical(self, monkeypatch):
+        """A tall full-rank system takes the singular values of its QR
+        triangle; a LinAlgError there becomes NumericalFailure."""
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "svd", fails)
+        sys_ = LinearSystem(np.vstack([np.eye(2), np.eye(2)]), [1.0, 2.0, 1.0, 2.0], 0.5)
+        with pytest.raises(NumericalFailure, match="SVD did not converge: no convergence"):
+            sys_.rank
+
+    def test_two_dimensional_data_is_flattened(self):
+        sys_ = LinearSystem(SMALL_A, np.reshape(SMALL_B, (3, 1)), 0.5)
+        assert sys_.b.shape == (3,)
+        want = bounds_for(LinearSystem(SMALL_A, SMALL_B, 0.5))
+        got = bounds_for(sys_)
+        for c in ("status", *bounds._COLUMNS):
+            np.testing.assert_array_equal(getattr(got, c), getattr(want, c))
+
+    def test_epsilon_just_below_the_residual_is_clamped(self):
+        """Within LAMBDA_CLAMP_RTOL of eps^2 below the squared residual,
+        lambda is clamped to 0 and every row is a point; further below,
+        the set is empty."""
+        sys_ = LinearSystem(SMALL_A, SMALL_B, 0.5)
+        r = sys_.residual()
+        clamped = entrywise_bounds(replace(sys_, epsilon=r * (1 - 1e-13)))
+        assert [b.status for b in clamped] == [BoundStatus.FINITE] * 2
+        assert [(b.half_width, b.lam) for b in clamped] == [(0.0, 0.0)] * 2
+        empty = entrywise_bounds(replace(sys_, epsilon=r * (1 - 1e-11)))
+        assert [b.status for b in empty] == [BoundStatus.INFEASIBLE] * 2
+
+    def test_weight_matrix_of_another_width_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"weight matrix has shape \(1, 3\), "
+                                                    "matrix has 2 columns"):
+            bounds_for(LinearSystem(SMALL_A, SMALL_B, 0.5), np.ones((1, 3)))
+
+    def test_weight_row_too_wide_in_magnitude_rejected(self):
+        """Scaling [1e300, 1e-300] by 2**-997 would lose its small entry."""
+        with pytest.raises(NumericalFailure, match="spans too many magnitudes"):
+            bounds_for(LinearSystem(SMALL_A, SMALL_B, 0.5), [[1e300, 1e-300]])
+
+    def test_arbitrary_target_needs_a_value(self):
+        sys_ = LinearSystem(np.array([[1.0, 0.0]]), [1.0], 0.1)
+        with pytest.raises(ValueError, match="arbitrary target requires a value"):
+            extremal_solution(sys_, e(1, 2), Target.ARBITRARY)
+
+    def test_crlb_index_out_of_range_rejected(self):
+        with pytest.raises(IndexOutOfRange, match="index 5 out of range for N=2"):
+            crlb_identity_check(np.array(SMALL_A), 5)

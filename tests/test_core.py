@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import nullspace_overlap
-from entrybounds import LinearSystem, bounds_for, condition_report, core
+from entrybounds import LinearSystem, bounds_for, condition_report, core, entrywise_bounds
 from entrybounds.bounds import _row_products
 from entrybounds.errors import DimensionMismatch, NumericalFailure
 
@@ -289,3 +289,34 @@ class TestComplex:
         b = complex_gaussian(rng, 5)
         x = LinearSystem(a=a, b=b, epsilon=0.0).solution()
         np.testing.assert_allclose(x, np.linalg.pinv(a) @ b, atol=1e-12)
+
+
+class TestRarelyTakenPaths:
+    """Branches of ``core`` that the rest of the suite does not reach."""
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_matrix_rejected_when_factored(self, shape):
+        sys_ = LinearSystem(np.zeros(shape), np.zeros(shape[0]), 0.0)
+        with pytest.raises(DimensionMismatch, match=r"matrix must be at least 1x1, got \("):
+            sys_.rank
+
+    def test_short_data_vector_rejected(self):
+        f = core.svd_truncated(np.eye(3))
+        with pytest.raises(DimensionMismatch, match="data vector has length 2, expected 3"):
+            core.residual_projection_norm(f, [1.0, 2.0])
+
+    def test_svd_failure_is_numerical(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "svd", fails)
+        with pytest.raises(NumericalFailure, match="SVD did not converge: no convergence"):
+            core.svd_truncated(np.eye(2))
+
+    def test_residual_beyond_float_range_rejected(self):
+        """b = 1.5e308 (1, 1, -1) lies outside the range of A, so its
+        residual projection is b itself, whose norm exceeds the float range."""
+        a = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        sys_ = LinearSystem(a, [1.5e308, 1.5e308, -1.5e308], 0.5)
+        with pytest.raises(NumericalFailure, match="a vector norm exceeds the float range"):
+            entrywise_bounds(sys_)

@@ -204,6 +204,12 @@ def test_write_json_rejects_nonfinite(tmp_path):
 
 
 class TestPgm:
+    def test_one_dimensional_grid_rejected(self, tmp_path):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^PGM render expects a 2-D grid, got shape \(3,\)$"):
+            mio.write_pgm(tmp_path / "g.pgm", [1.0, 2.0, 3.0])
+        assert not (tmp_path / "g.pgm").exists()
+
     def test_header_and_range(self, tmp_path):
         path = tmp_path / "g.pgm"
         mio.write_pgm(path, [[0.0, 1.0], [0.5, np.nan]])
@@ -620,6 +626,32 @@ class TestExtremalCommand:
         assert "must be finite" in captured.err
         assert captured.out == ""
         assert not out_x.exists()
+
+    def test_weights_file_target(self, tmp_path, capsys):
+        """``--weights`` reads w from a file: on A = [[1, 0], [0, 1], [1, 1]],
+        b = [1, 2, 3.1], the vector attains the upper end of w = [1, -1]
+        within epsilon; a w of another length exits 1."""
+        paths = {name: tmp_path / name for name in ("a.csv", "b.csv", "w.csv", "x.csv", "v.json")}
+        mio.write_matrix_csv(paths["a.csv"], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        mio.write_vector_csv(paths["b.csv"], [1.0, 2.0, 3.1])
+        mio.write_vector_csv(paths["w.csv"], [1.0, -1.0])
+        argv = ["extremal", "--matrix", str(paths["a.csv"]), "--data", str(paths["b.csv"]),
+                "--epsilon", "0.5", "--target", "upper", "--weights", str(paths["w.csv"]),
+                "--out", str(paths["x.csv"]), "--json", str(paths["v.json"])]
+        assert cli.main(argv) == 0
+        v = json.loads(paths["v.json"].read_text())
+        assert v["achieved"] == pytest.approx(v["expected"], rel=1e-12)
+        assert v["expected"] == pytest.approx(-0.2976230831431511, rel=1e-12)
+        assert v["residual_norm"] <= 0.5
+        x = mio.read_vector_csv(paths["x.csv"])
+        assert x[0] - x[1] == pytest.approx(v["achieved"], rel=1e-12)
+
+        paths["x.csv"].unlink()
+        mio.write_vector_csv(paths["w.csv"], [1.0, -1.0, 0.0])
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: weight matrix has shape (1, 3), matrix has 2 columns\n")
+        assert not paths["x.csv"].exists()
 
 
 class TestEstimateDiagCommand:

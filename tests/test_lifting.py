@@ -13,6 +13,10 @@ from entrybounds.errors import DimensionMismatch
 
 
 class TestLiftSystem:
+    def test_lift_matrix_rejects_a_vector(self):
+        with pytest.raises(DimensionMismatch, match=r"^expected a 2-D array, got ndim=1$"):
+            lift_matrix([1, 2])
+
     def test_imaginary_unit(self):
         lifted, b_real = lift_system(np.array([[1j]]), np.array([1.0 + 0j]))
         np.testing.assert_allclose(lifted.a_real, [[0.0, -1.0], [1.0, 0.0]])

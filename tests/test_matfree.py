@@ -184,6 +184,10 @@ class TestFromMatrix:
 
 
 class TestPowerIteration:
+    def test_zero_iterations_rejected(self):
+        with pytest.raises(ValueError, match=r"^iters must be >= 1, got 0$"):
+            power_iteration_sigma1(op_from(np.eye(2)), iters=0)
+
     def test_identity(self):
         assert power_iteration_sigma1(op_from(np.eye(4))) == pytest.approx(1.0, abs=1e-6)
 
@@ -356,6 +360,11 @@ class TestLandweber:
 
 
 class TestStochasticDiag:
+    def test_unknown_probe_kind_rejected(self):
+        cfg = LandweberConfig(sigma1_estimate=1.0)
+        with pytest.raises(ValueError, match=r"^unknown probe kind: 'uniform'$"):
+            stochastic_diag(op_from(np.eye(2)), samples=2, probe_kind="uniform", cfg=cfg)
+
     def test_identity_expectation(self):
         op = op_from(np.eye(2))
         cfg = LandweberConfig(sigma1_estimate=1.0, tau=1.0)

@@ -214,6 +214,11 @@ class TestRowSystems:
 
 
 class TestAcquisition:
+    def test_negative_noise_rejected(self):
+        with pytest.raises(ConfigError, match=r"^noise sigma must be nonnegative, got -1.0$"):
+            simulate_acquisition(make_phantom("smooth-blobs", 8, 8), make_coils(2, 8, 8),
+                                 SamplingPattern(8, 2, 2), noise_sigma=-1.0)
+
     @pytest.mark.parametrize("draw", [
         lambda: make_phantom("smooth-blobs", 8, 8, seed=-1),
         lambda: make_coils(2, 8, 8, seed=-1),
@@ -385,6 +390,42 @@ OVERFLOW_CFG = {"grid": {"h": 32, "w": 32, "seed": 1}, "coils": {"seed": 1},
 
 
 class TestPipeline:
+    @pytest.mark.parametrize("cfg, message", [
+        ({"grid": 3}, "config section 'grid' must be an object"),
+        ({"epsilon": {"mode": "median"}},
+         "epsilon mode must be heuristic|oracle|fixed, got 'median'"),
+    ], ids=["section-not-object", "unknown-epsilon-mode"])
+    def test_malformed_config_rejected(self, cfg, message):
+        with pytest.raises(ConfigError) as exc:
+            run_pipeline(cfg)
+        assert str(exc.value) == message
+
+    def test_pinned_line_beyond_float_range_skipped(self, monkeypatch):
+        """A line whose extremal vector pinned at the cross-line voxel
+        leaves the float range is skipped with its reason; the lines that
+        do not hold that voxel (row 2 is narrower than the blob) are bounded."""
+        def overflowing(fc, *args):
+            x = np.full(fc.k.shape[0], np.inf, dtype=fc.k.dtype)
+            return x, x
+
+        monkeypatch.setattr(bounds, "_extremal_pair", overflowing)
+        cfg = {"grid": {"h": 12, "w": 12, "preset": "smooth-blobs", "seed": 1},
+               "coils": {"l": 4, "phase_fold": True, "seed": 1},
+               "pattern": {"accel": 2, "acs": 4},
+               "epsilon": {"mode": "fixed", "value": 0.5}, "extremal": {"line": 2}}
+        res = run_pipeline(cfg)
+        sup, row = res.truth.support_mask, 2
+        pinned = sup[row]
+        assert pinned.any() and (sup.any(axis=0) & ~pinned).any()
+        for stats in res.line_stats:
+            c = stats["line"]
+            if pinned[c]:
+                reason = f"line {c}: an extremal vector exceeds the float range"
+                assert stats["skipped"] == reason
+                assert np.all(res.status[sup[:, c], c] == STATUS_UNDETERMINED)
+            else:
+                assert "skipped" not in stats
+                assert np.all(res.status[sup[:, c], c] == STATUS_FINITE)
     def test_noiseless_zero_epsilon_pinches(self):
         # noiseless data with a zero tolerance: the interval collapses
         # onto the true image
