@@ -79,8 +79,9 @@ class Target(enum.Enum):
 class _Factored:
     """A system factored as A^+ = 2**-es K G^H, where G has orthonormal
     columns and spans the range of A, and its data as b = G g + (a part of
-    norm ``residual`` outside that range); ``key`` holds the arrays it was
-    computed from.
+    norm ``residual`` outside that range), with ``b_norm`` = ||b||; ``key``
+    holds the arrays it was computed from.  A ``g`` or ``residual`` beyond
+    the float range raises :class:`NumericalFailure` when it is made.
 
     A tall full-rank A = Q R takes K = (R / 2**es)^-1 and G = Q; any other
     A = U diag(sigma) V^H takes K = V diag(2**es / sigma) and G = U.  In
@@ -95,7 +96,11 @@ class _Factored:
     v_perp: np.ndarray  # N x (N - r), an orthonormal basis of the nullspace
     residual: float
     g: np.ndarray  # b in the basis G
+    b_norm: float
     path: str  # "triangle" or "svd"
+
+    def __post_init__(self):
+        core._finite(np.append(self.g, self.residual), "b in the factors of A")
 
     @functools.cached_property
     def solution(self) -> np.ndarray:
@@ -117,11 +122,6 @@ class _Factored:
         """||(A^+)^H e_i||_2 for every coordinate i, from the rows of K; on a
         complex system Re x_i and Im x_i share it."""
         return self.sensitivities(self.k)
-
-    @functools.cached_property
-    def b_norm(self) -> float:
-        """||b||_2 of the data the factors were computed from."""
-        return core._norm(self.key[1])
 
 
 def _inv_pow2(es: int) -> float:
@@ -153,15 +153,21 @@ def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
     twice as many rows as columns is reduced first: one QR of [A | b]
     gives the N x N triangle R, with the singular values of A, and b in
     the basis of Q.  At full rank R itself is inverted; below it, R is
-    factored as A is below that shape, where the QR saves nothing."""
+    factored as A is below that shape, where the QR saves nothing.  A ``b``
+    whose norm, or whose part in or outside the range, exceeds the float
+    range raises :class:`NumericalFailure`."""
     key = (a, b, rtol)
     a = core._as_matrix(a)
+    b_norm = core._norm(b)
     m, n = a.shape
     rho = 0.0
     if m >= 2 * n:
-        r = np.linalg.qr(np.column_stack([a, b]), mode="r")
-        c = r[:, n]
-        a, b, rho = r[:n, :n], c[:n], core._norm(c[n:])
+        # the reflections may take b past the float range even where ||b|| fits;
+        # _Factored refuses the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.linalg.qr(np.column_stack([a, b]), mode="r")
+            c = r[:, n]
+            a, b, rho = r[:n, :n], c[:n], core._norm(c[n:])
         # sigma_n <= min|R_ii| and max|R_ii| <= sigma_1, so a diagonal that fails
         # the rank rule shows R rank-deficient without this values-only SVD
         diag = np.abs(np.diagonal(a))
@@ -172,12 +178,14 @@ def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
         if sigma is not None and core._rank(sigma, rtol) == n:
             es = core._unit_sigma(sigma)[1]
             k = _triangular_inverse(a * _inv_pow2(es))
-            return _Factored(key, k, es, sigma, np.zeros((n, 0), k.dtype), rho, b, "triangle")
+            return _Factored(key, k, es, sigma, np.zeros((n, 0), k.dtype), rho, b, b_norm,
+                             "triangle")
     f = svd_truncated(a, rtol)
     d, es = core._unit_sigma(f.sigma)
-    g = f.u.conj().T @ b
-    return _Factored(key, f.v / d, es, f.sigma, f.v_perp,
-                     math.hypot(core._norm(b - f.u @ g), rho), g, "svd")
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = f.u.conj().T @ b
+        residual = math.hypot(core._norm(b - f.u @ g), rho)
+    return _Factored(key, f.v / d, es, f.sigma, f.v_perp, residual, g, b_norm, "svd")
 
 
 def _system(a) -> LinearSystem:
@@ -447,7 +455,9 @@ def _row_products(sys: LinearSystem, W=None, *, entries=None, pairs=None) -> _Ro
         wk, wv_perp = u.conj() @ fc.k, u.conj() @ fc.v_perp
     if wk is not None:  # the pair and the dense rows, from their products with the factors
         perp = np.linalg.norm(wv_perp, axis=1)
-        with np.errstate(over="ignore"):  # an infinite midpoint raises in _bound_arrays
+        # on an unbounded row the product may reach inf - inf; a bounded row's
+        # non-finite midpoint raises in _bound_arrays
+        with np.errstate(over="ignore", invalid="ignore"):
             mid = (wk @ fc.g).real * _inv_pow2(fc.es)
         sens = fc.sensitivities(wk)
     return _RowProducts(u, e, _lambda_from(sys), mid, wk, sens, wv_perp, perp,
@@ -724,16 +734,25 @@ def crlb_identity_check(a, i: int):
     right through the squared sensitivity ||(A^+)^H e_i||_2^2; under white
     unit-variance noise both equal the per-entry variance floor of any
     unbiased estimator.  ``a`` is a matrix or a system, as for
-    :func:`condition_report`, which factors and so checks it before the Gram
-    matrix is formed.  An ``i`` outside [0, N), or not one integer, raises
+    :func:`condition_report`; it is factored, and so checked, before the
+    Gram matrix is formed.  Both sides are taken in units of 2**-2es, with
+    the power of two 2**es just above sigma_1, so neither under- nor
+    overflows before it is scaled back: a value beyond the float range
+    raises :class:`NumericalFailure`, and one below it reads as 0.0.  An
+    ``i`` outside [0, N), or not one integer, raises
     :class:`IndexOutOfRange`.
     """
     sys_ = _system(a)
     n = sys_.shape[1]
     if _index_array(i, n, ())[1]:
         raise IndexOutOfRange(f"index {i} out of range for N={n}")
-    right = float(condition_report(sys_).spectral_entry[i] ** 2)  # factoring checks a
-    return float(np.linalg.pinv(sys_.a.conj().T @ sys_.a)[i, i].real), right
+    fc = sys_._factored()
+    unit = sys_.a * _inv_pow2(fc.es)
+    sides = (np.linalg.pinv(unit.conj().T @ unit)[i, i].real, np.linalg.norm(fc.k[i]) ** 2)
+    try:
+        return tuple(math.ldexp(float(v), -2 * fc.es) for v in sides)
+    except OverflowError:
+        raise NumericalFailure(f"e_{i}^T (A^H A)^+ e_{i} exceeds the float range") from None
 
 
 def epsilon_heuristic(sys: LinearSystem) -> float:
@@ -744,7 +763,8 @@ def epsilon_heuristic(sys: LinearSystem) -> float:
     out-of-range part: eps = sqrt(M / (M - N)) * ||P_perp b||_2.
     Requires a strictly overdetermined full-column-rank system.  For a
     complex system M and N count complex rows and columns; the lifted real
-    counts 2M and 2N give the same factor.
+    counts 2M and 2N give the same factor.  A tolerance beyond the float
+    range raises :class:`NumericalFailure`.
     """
     m, n = sys.shape
     rank = sys.rank
@@ -753,4 +773,4 @@ def epsilon_heuristic(sys: LinearSystem) -> float:
         raise NotOverdetermined(
             f"heuristic requires M > N with full column rank ({kind}M={m}, N={n}, r={rank})"
         )
-    return math.sqrt(m / (m - n)) * sys.residual()
+    return core._finite(math.sqrt(m / (m - n)) * sys.residual(), "the heuristic epsilon")

@@ -107,6 +107,8 @@ def svd_truncated(a, rtol: float = DEFAULT_RANK_RTOL) -> SvdFactors:
     right singular vectors are returned as the nullspace basis ``v_perp``.
     Only a wide matrix needs the full ``Vt``, whose extra rows span the
     nullspace; a tall one gets the economy SVD, without the M x M ``U``.
+    A sigma_1 beyond the float range, which would pass no singular value,
+    raises :class:`NumericalFailure`.
     """
     _check_rank_rtol(rtol)
     a = _as_matrix(a)
@@ -114,6 +116,7 @@ def svd_truncated(a, rtol: float = DEFAULT_RANK_RTOL) -> SvdFactors:
         u_full, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from None
+    _finite(s[:1], "sigma_1")
     rank = _rank(s, rtol)
     return SvdFactors(
         u=np.ascontiguousarray(u_full[:, :rank]),

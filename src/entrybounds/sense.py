@@ -480,60 +480,38 @@ def build_problem(cfg: dict) -> tuple[Phantom, np.ndarray, SamplingPattern]:
     return ph, coils, pat
 
 
-def _bound_line(rs: RowSystem, epsilon_of, extremal_line: int, stats: dict, maps: dict,
-                status: np.ndarray, timings: dict) -> str:
-    """Bound one decoupled line: factor its system (timed into
-    ``timings["factor_s"]``), report its conditioning, take its epsilon from
-    ``epsilon_of(system, line)``, and bound its entries, its neighbor
-    differences and its pinned extremal pair.  ``stats`` gets each value
-    when its step is done; ``maps`` and ``status`` are written only after the last
-    step that can raise, so a line that raises leaves them as they were.
-    Returns the factor path."""
-    c, sup, n_sup = rs.line_index, rs.voxel_rows, rs.n_sup
-    sys_ = LinearSystem(a=rs.a_complex, b=rs.b_complex, epsilon=0.0)
-    t_factor = time.perf_counter()
-    fc = sys_._factored()
-    timings["factor_s"] += time.perf_counter() - t_factor
-    stats.update(rank=2 * sys_.rank, residual=sys_.residual())
-    report = bnd.condition_report(sys_)
-    stats.update(sigma_max=report.sigma_max, sigma_min=report.sigma_min_pos)
-    eps = epsilon_of(sys_, c)
-    # kappa goes with the epsilon: a line the epsilon rule skips reports neither
-    stats.update(kappa=report.kappa_global, epsilon=eps)
-    # the copy keeps the factors and the residual projection
-    sys_ = dataclasses.replace(sys_, epsilon=eps)
+def _bound_line(sys_: LinearSystem, report: bnd.ConditionReport, sup: np.ndarray,
+                extremal_line: int) -> tuple[np.ndarray, dict]:
+    """The maps of one decoupled line, from its system ``sys_``, which
+    carries its epsilon, and its ``report``: the intervals of its entries,
+    of its neighbor differences and its extremal pair pinned at the voxel
+    of row ``extremal_line``.  Returns the status codes of the voxels of rows
+    ``sup``, and for each map the rows it covers and their values."""
+    n_sup = sup.size
     # row j < n_sup is Re x[sup[j]], row n_sup + j its Im
     eb = bnd.bounds_for(sys_)
     # differences Re x[r] - Re x[r + 1] between neighboring supported voxels
     nb = np.flatnonzero(np.diff(sup) == 1)
     db = bnd._bound_arrays(bnd._row_products(sys_, pairs=np.column_stack([nb, nb + 1])))
+    # a rank-0 line has no positive singular value, and so no envelope
+    envelope = 1.0 / report.sigma_min_pos if report.sigma_min_pos else np.nan
+    maps = {"lower_re": (sup, eb.lower[:n_sup]), "upper_re": (sup, eb.upper[:n_sup]),
+            "lower_im": (sup, eb.lower[n_sup:]), "upper_im": (sup, eb.upper[n_sup:]),
+            "sensitivity": (sup, eb.sensitivity[:n_sup]),
+            "kappa_entry": (sup, report.kappa_entry[:n_sup]), "global_envelope": (sup, envelope),
+            "diff_lower": (sup[nb], db.lower), "diff_upper": (sup[nb], db.upper)}
+    if report.kappa_global is not None:
+        maps["kappa_line"] = (sup, report.kappa_global)
     # extremal images pinned at the chosen cross-line voxel, both from one
     # step along the coordinate row of Re x_j: row j of K and its sensitivity
     j = np.flatnonzero(sup == extremal_line)
-    pinned = j.size > 0 and eb.status[j[0]] == STATUS_FINITE
-    if pinned:
+    if j.size and eb.status[j[0]] == STATUS_FINITE:
+        fc = sys_._factored()
         upper, lower = bnd._extremal_pair(fc, fc.k[j[0]], fc.entry_sensitivities[j[0]], eb.lam)
         if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
-            raise NumericalFailure(f"line {c}: an extremal vector exceeds the float range")
-    # a rank-0 line has no positive singular value, and so no envelope
-    envelope = 1.0 / report.sigma_min_pos if report.sigma_min_pos else np.nan
-
-    status[sup, c] = eb.status[:n_sup]
-    maps["lower_re"][sup, c] = eb.lower[:n_sup]
-    maps["upper_re"][sup, c] = eb.upper[:n_sup]
-    maps["lower_im"][sup, c] = eb.lower[n_sup:]
-    maps["upper_im"][sup, c] = eb.upper[n_sup:]
-    maps["sensitivity"][sup, c] = eb.sensitivity[:n_sup]
-    maps["kappa_entry"][sup, c] = report.kappa_entry[:n_sup]
-    maps["global_envelope"][sup, c] = envelope
-    if report.kappa_global is not None:
-        maps["kappa_line"][sup, c] = report.kappa_global
-    maps["diff_lower"][sup[nb], c] = db.lower
-    maps["diff_upper"][sup[nb], c] = db.upper
-    if pinned:
-        maps["extremal_upper"][sup, c] = upper.real
-        maps["extremal_lower"][sup, c] = lower.real
-    return fc.path
+            raise NumericalFailure("an extremal vector exceeds the float range")
+        maps["extremal_upper"], maps["extremal_lower"] = (sup, upper.real), (sup, lower.real)
+    return eb.status[:n_sup], maps
 
 
 def run_pipeline(cfg: dict) -> PipelineResult:
@@ -548,9 +526,10 @@ def run_pipeline(cfg: dict) -> PipelineResult:
     :class:`NumericalFailure` (its factorization, its conditioning or its
     bounds leave the float range) at any step is skipped: its voxels get
     ``STATUS_UNDETERMINED`` and NaN maps, and its ``line_stats`` entry
-    gives the reason, with None for the values not reached.  If no line is
-    bounded and a line failed numerically, the first such failure is
-    raised."""
+    gives the reason, with None for the values not reached.  A line's maps
+    and status are written only once all its bounds are known.  If no line
+    is bounded and a line failed numerically, the first such failure is
+    raised, named by its line."""
     t0 = time.perf_counter()
     cfg = _default_cfg(cfg)
     h, w = cfg["grid"]["h"], cfg["grid"]["w"]
@@ -587,22 +566,38 @@ def run_pipeline(cfg: dict) -> PipelineResult:
     for rs in _line_systems(truth, coils, pat, _hybrid(data.samples)):
         t_line = time.perf_counter()
         timings["build_s"] += t_line - mark
-        c, (m, n) = rs.line_index, rs.a_complex.shape
+        c, sup, (m, n) = rs.line_index, rs.voxel_rows, rs.a_complex.shape
         # sizes in the units of the lifted real system, where every complex
         # row, column and singular value counts twice
         stats = {"line": c, "m": 2 * m, "n": 2 * n, **dict.fromkeys(
             ("rank", "sigma_max", "sigma_min", "residual", "kappa", "epsilon"))}
         line_stats.append(stats)
         try:
-            factor_paths[_bound_line(rs, epsilon_of, extremal_line, stats, maps, status,
-                                     timings)] += 1
+            sys_ = LinearSystem(a=rs.a_complex, b=rs.b_complex, epsilon=0.0)
+            t_factor = time.perf_counter()
+            path = sys_._factored().path
+            timings["factor_s"] += time.perf_counter() - t_factor
+            stats.update(rank=2 * sys_.rank, residual=sys_.residual())
+            report = bnd.condition_report(sys_)
+            stats.update(sigma_max=report.sigma_max, sigma_min=report.sigma_min_pos)
+            eps = epsilon_of(sys_, c)
+            # kappa goes with the epsilon: a line the epsilon rule skips reports neither
+            stats.update(kappa=report.kappa_global, epsilon=eps)
+            # the copy keeps the factors and the residual projection
+            codes, line_maps = _bound_line(dataclasses.replace(sys_, epsilon=eps), report, sup,
+                                           extremal_line)
         except (NotOverdetermined, NumericalFailure) as exc:
             log.info("line %d skipped: %s", c, exc)
             if isinstance(exc, NumericalFailure) and failure is None:
                 failure = f"line {c}: {exc}"
-            status[rs.voxel_rows, c] = STATUS_UNDETERMINED
+            status[sup, c] = STATUS_UNDETERMINED
             stats["skipped"] = str(exc)
-        del rs  # release the line before the next is built
+        else:
+            status[sup, c] = codes
+            for name, (rows, values) in line_maps.items():
+                maps[name][rows, c] = values
+            factor_paths[path] += 1
+        rs = sys_ = report = codes = line_maps = None  # released before the next line is built
         mark = time.perf_counter()
         timings["bounds_s"] += mark - t_line
     if failure is not None and all("skipped" in stats for stats in line_stats):

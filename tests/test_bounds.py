@@ -310,6 +310,54 @@ class TestSubnormalSigma:
             bounds_for(subnormal_system(m), [[1.0, 0.0]])
 
 
+# A = [I; I] factors from its QR triangle, the 3 x 2 matrix from its SVD
+_STACKED = np.vstack([np.eye(2), np.eye(2)])
+_SKEW = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+class TestDataBeyondRange:
+    """Data whose norm, or whose part in or outside the range of A, exceeds
+    the float range is refused when the factors are made, by every call
+    that factors; no numpy warning is emitted on the way."""
+
+    @pytest.mark.parametrize("a", [_STACKED, _SKEW], ids=["triangle", "svd"])
+    def test_every_reader_raises(self, a):
+        sys_ = LinearSystem(a=a, b=np.full(a.shape[0], 1.5e308), epsilon=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (sys_.residual, lambda: sys_.rank, sys_.solution,
+                         lambda: epsilon_heuristic(sys_), lambda: entrywise_bounds(sys_)):
+                with pytest.raises(NumericalFailure):
+                    call()
+
+    def test_reflected_data_beyond_range(self):
+        """||b|| = 1.7e308 fits, but the reflections of the QR take b past
+        the largest double."""
+        sys_ = LinearSystem(a=_STACKED, b=np.full(4, 0.85e308), epsilon=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure,
+                               match="b in the factors of A exceeds the float range"):
+                sys_.residual()
+
+    def test_unbounded_row_midpoint_may_be_undefined(self):
+        """On a complex system the midpoint product of an unbounded row can
+        reach inf - inf: the row reads UNBOUNDED, as does an unbounded
+        pair, while a bounded row with such a midpoint raises."""
+        sys_ = LinearSystem(a=np.diag([1.0, 0.5, 0.0]).astype(complex), b=[1e308, 1e308j, 0.0],
+                            epsilon=1.0)
+        # only x_0 + x_2 is determined, so x_0 - x_1 is unbounded
+        a = np.array([[1.0, 0.0, 1.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
+        pair = LinearSystem(a=a, b=[6e307 + 6e307j, 6e307 - 6e307j, 0.0], epsilon=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(bounds_for(sys_, [[1.0, 1.0, 1.0]]).status, [1])
+            (diff,) = adjacent_difference_bounds(pair, [(0, 1)])
+            assert diff.status is BoundStatus.UNBOUNDED
+            with pytest.raises(NumericalFailure, match="bounds must be finite"):
+                bounds_for(sys_, [[1.0, 1.0, 0.0]])
+
+
 class TestFunctionalBound:
     def test_identity(self):
         sys = LinearSystem(a=np.eye(2), b=[1.0, 2.0], epsilon=0.5)
@@ -729,6 +777,25 @@ class TestCrlbIdentity:
             lhs, rhs = crlb_identity_check(a, i)
             assert abs(lhs - rhs) <= 1e-8 * max(lhs, 1.0)
 
+    @pytest.mark.parametrize("k", [500, 600, -500])
+    def test_both_sides_scale_with_the_matrix(self, k):
+        """At A * 2**k both sides are 2/3 * 2**-2k, without a warning where
+        A^H A would leave the float range: at k = 600 that is below the
+        smallest double, and both read 0.0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lhs, rhs = crlb_identity_check(_SKEW * 2.0**k, 0)
+        for side in (lhs, rhs):
+            assert math.isclose(side, math.ldexp(2 / 3, -2 * k), rel_tol=1e-12, abs_tol=0.0)
+        assert (lhs == 0.0) == (k == 600)
+
+    def test_beyond_float_range_rejected(self):
+        """At A * 2**-1022 the value 2/3 * 2**2044 exceeds the largest double."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match=r"e_0\^T \(A\^H A\)\^\+ e_0 exceeds"):
+                crlb_identity_check(_SKEW * 2.0**-1022, 0)
+
 
 class TestEpsilonHeuristic:
     def test_plugin_formula(self, rng):
@@ -751,6 +818,13 @@ class TestEpsilonHeuristic:
     def test_vector_matrix_rejected(self):
         with pytest.raises(DimensionMismatch, match="expected a 2-D array, got ndim=1"):
             epsilon_heuristic(LinearSystem(a=[1.0, 2.0, 3.0], b=[1.0, 2.0, 3.0], epsilon=1.0))
+
+    def test_beyond_float_range_rejected(self):
+        """The residual 1.5e308 fits; sqrt(3) times it does not."""
+        sys_ = LinearSystem(a=_TALL, b=[0.0, 0.0, 1.5e308], epsilon=0.0)
+        assert sys_.residual() == 1.5e308
+        with pytest.raises(NumericalFailure, match="the heuristic epsilon exceeds the float range"):
+            epsilon_heuristic(sys_)
 
 
 class TestProperties:

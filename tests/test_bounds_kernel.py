@@ -20,7 +20,15 @@ The coordinate and pair rows, which the kernel gathers and subtracts from
 the factors instead of multiplying, are checked bit for bit: the pairs
 against the dense rows of ``difference_rows``, and the coordinates'
 sensitivities, Re and Im rows alike, against ``condition_report``.
+
+Every public kernel entry is called on the same systems with A and b
+scaled by independent powers of two over the whole exponent range: each
+answers with finite values wherever it promises them, or raises a typed
+error, and emits no warning.
 """
+
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,24 +36,41 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dense_pinv, kkt_interval, nullspace_overlap
 from entrybounds import (
+    BoundArrays,
+    BoundStatus,
+    ConditionReport,
+    EntryBound,
+    ExtremalSolution,
     LinearSystem,
     Target,
     adjacent_difference_bounds,
     bounds_for,
     condition_report,
+    crlb_identity_check,
+    ellipsoid_volume,
     entrywise_bounds,
+    epsilon_heuristic,
     extremal_solution,
     functional_bound,
+    global_bounds,
     lift_system,
     lift_vector,
 )
 from entrybounds.bounds import (
     BOUND_STATUSES,
+    _COLUMNS,
     _bound_arrays,
     _row_products,
     difference_rows,
 )
-from entrybounds.errors import IndexOutOfRange, InfeasibleSystem, SamePair, StatusMismatch
+from entrybounds.errors import (
+    EntryBoundsError,
+    IndexOutOfRange,
+    InfeasibleSystem,
+    SamePair,
+    StatusMismatch,
+)
+from entrybounds.matfree import LinearOperator, sigma1
 
 FINITE, UNBOUNDED, INFEASIBLE = range(3)
 
@@ -442,3 +467,85 @@ def test_coordinate_rows_share_condition_report_sensitivities(problem, data):
     records = entrywise_bounds(sys_, idx)
     assert [r.index for r in records] == idx
     assert_records_match(records, sub)
+
+
+def ldexp(x: np.ndarray, j: int) -> np.ndarray:
+    """x * 2**j entrywise, real and imaginary parts alike, for any exponent
+    j: rounded where it falls below the normal floats, inf past the largest."""
+    out = np.zeros_like(x)
+    with np.errstate(over="ignore"):
+        out.real = np.ldexp(x.real, j)
+        if np.iscomplexobj(x):
+            out.imag = np.ldexp(x.imag, j)
+    return out
+
+
+def promised(value) -> list:
+    """The numbers that ``value`` promises finite: all of a number, an array
+    or a sequence of them, the columns of a bounded row and ``lam``, and an
+    extremal vector, its value and residual; None where a result allows it."""
+    if isinstance(value, BoundArrays):
+        bounded = value.status == FINITE
+        return [value.lam, *(getattr(value, c)[bounded] for c in _COLUMNS)]
+    if isinstance(value, EntryBound):
+        if value.status is not BoundStatus.FINITE:
+            return []
+        return [value.lam, *(getattr(value, c) for c in _COLUMNS)]
+    if isinstance(value, ExtremalSolution):
+        return [value.x, value.achieved_value, value.residual_norm, *promised(value.bound)]
+    if isinstance(value, ConditionReport):
+        return [value.sigma_max, value.sigma_min_pos, value.kappa_global, value.spectral_entry,
+                value.kappa_entry]
+    if isinstance(value, (list, tuple)):
+        return [x for item in value for x in promised(item)]
+    return [value]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(problems().map(lambda p: p[:4]), complex_problems()),
+       st.integers(-1080, 1030), st.integers(-1080, 1030))
+def test_finite_or_typed_at_every_magnitude(problem, ja, jb):
+    """With A scaled by 2**ja and b and epsilon by 2**jb, every public kernel
+    entry returns finite values wherever it promises them, or raises an
+    EntryBoundsError; no numpy warning escapes.  A rank-deficient matrix
+    has the volume +inf by definition."""
+    a, b, eps, w = problem
+    a, b = ldexp(a, ja), ldexp(b, jb)
+    n = a.shape[1]
+    w = np.ones((1, n)) if w is None else w
+
+    def volume():
+        vol = ellipsoid_volume(sys_, 1.0)
+        return 0.0 if vol == math.inf and sys_.rank < n else vol
+
+    calls = {
+        "rank": lambda: sys_.rank,
+        "residual": lambda: sys_.residual(),
+        "solution": lambda: sys_.solution(),
+        "epsilon_heuristic": lambda: epsilon_heuristic(sys_),
+        "bounds_for": lambda: bounds_for(sys_, w),
+        "bounds_for coordinates": lambda: bounds_for(sys_),
+        "entrywise_bounds": lambda: entrywise_bounds(sys_),
+        "adjacent_difference_bounds": lambda: adjacent_difference_bounds(
+            sys_, [(i, i + 1) for i in range(n - 1)]),
+        "extremal_solution": lambda: extremal_solution(sys_, w[0], Target.UPPER),
+        "extremal_solution arbitrary": lambda: extremal_solution(sys_, w[0], Target.ARBITRARY,
+                                                                 alpha=1.0),
+        "condition_report": lambda: condition_report(sys_),
+        "global_bounds": lambda: global_bounds(sys_, 1.0),
+        "ellipsoid_volume": volume,
+        "crlb_identity_check": lambda: crlb_identity_check(sys_, n - 1),
+        "sigma1": lambda: sigma1(LinearOperator.from_matrix(a)),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sys_ = LinearSystem(a=a, b=b, epsilon=float(ldexp(np.array(eps), jb)))
+        except EntryBoundsError:
+            return
+        for name, call in calls.items():
+            try:
+                got = call()
+            except EntryBoundsError:
+                continue
+            assert all(x is None or np.isfinite(x).all() for x in promised(got)), name

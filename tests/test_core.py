@@ -313,6 +313,16 @@ class TestRarelyTakenPaths:
         with pytest.raises(NumericalFailure, match="SVD did not converge: no convergence"):
             core.svd_truncated(np.eye(2))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=["wide", "tall"])
+    def test_sigma_1_beyond_float_range_rejected(self, shape):
+        """Entries of 0.45 times the largest double fit the float range;
+        sigma_1, sqrt(6) times that, does not, and no singular value would
+        pass the rank rule against an infinite one: the SVD raises rather
+        than read the matrix as rank 0."""
+        sys_ = zero_data(np.full(shape, 0.45 * np.finfo(float).max))
+        with pytest.raises(NumericalFailure, match="sigma_1 exceeds the float range"):
+            sys_.rank
+
     def test_residual_beyond_float_range_rejected(self):
         """b = 1.5e308 (1, 1, -1) lies outside the range of A, so its
         residual projection is b itself, whose norm exceeds the float range."""

@@ -400,32 +400,46 @@ class TestPipeline:
             run_pipeline(cfg)
         assert str(exc.value) == message
 
+    @staticmethod
+    def overflowing(fc, *args):
+        x = np.full(fc.k.shape[0], np.inf, dtype=fc.k.dtype)
+        return x, x
+
+    # 12 x 12, with a line's extremal pair overflowing where `overflowing` stands in
+    PINNED_CFG = {"grid": {"h": 12, "w": 12, "preset": "smooth-blobs", "seed": 1},
+                  "coils": {"l": 4, "phase_fold": True, "seed": 1},
+                  "pattern": {"accel": 2, "acs": 4},
+                  "epsilon": {"mode": "fixed", "value": 0.5}}
+
     def test_pinned_line_beyond_float_range_skipped(self, monkeypatch):
         """A line whose extremal vector pinned at the cross-line voxel
         leaves the float range is skipped with its reason; the lines that
         do not hold that voxel (row 2 is narrower than the blob) are bounded."""
-        def overflowing(fc, *args):
-            x = np.full(fc.k.shape[0], np.inf, dtype=fc.k.dtype)
-            return x, x
-
-        monkeypatch.setattr(bounds, "_extremal_pair", overflowing)
-        cfg = {"grid": {"h": 12, "w": 12, "preset": "smooth-blobs", "seed": 1},
-               "coils": {"l": 4, "phase_fold": True, "seed": 1},
-               "pattern": {"accel": 2, "acs": 4},
-               "epsilon": {"mode": "fixed", "value": 0.5}, "extremal": {"line": 2}}
-        res = run_pipeline(cfg)
+        monkeypatch.setattr(bounds, "_extremal_pair", self.overflowing)
+        res = run_pipeline({**self.PINNED_CFG, "extremal": {"line": 2}})
         sup, row = res.truth.support_mask, 2
         pinned = sup[row]
         assert pinned.any() and (sup.any(axis=0) & ~pinned).any()
         for stats in res.line_stats:
             c = stats["line"]
             if pinned[c]:
-                reason = f"line {c}: an extremal vector exceeds the float range"
+                reason = "an extremal vector exceeds the float range"
                 assert stats["skipped"] == reason
                 assert np.all(res.status[sup[:, c], c] == STATUS_UNDETERMINED)
             else:
                 assert "skipped" not in stats
                 assert np.all(res.status[sup[:, c], c] == STATUS_FINITE)
+
+    def test_failing_line_named_once(self, monkeypatch):
+        """The default cross-line, row 6, crosses every supported line, so
+        every line fails; the run's error names the first of them once."""
+        monkeypatch.setattr(bounds, "_extremal_pair", self.overflowing)
+        lines = make_phantom("smooth-blobs", 12, 12, seed=1).support_mask.any(axis=0)
+        with pytest.raises(NumericalFailure) as exc:
+            run_pipeline(self.PINNED_CFG)
+        assert str(exc.value) == (f"no line could be bounded; line {np.argmax(lines)}: "
+                                  "an extremal vector exceeds the float range")
+
     def test_noiseless_zero_epsilon_pinches(self):
         # noiseless data with a zero tolerance: the interval collapses
         # onto the true image
