@@ -20,8 +20,7 @@ from .bounds import (
     functional_bound,
     global_bounds,
 )
-from .core import SvdFactors, residual_projection_norm, svd_truncated
-from .lifting import LiftedSystem, lift_matrix, lift_system, lift_vector
+from .core import SvdFactors, svd_truncated
 from .matfree import (
     DiagEstimate,
     LandweberConfig,
@@ -43,7 +42,6 @@ __all__ = [
     "ExtremalSolution",
     "LandweberConfig",
     "LandweberResult",
-    "LiftedSystem",
     "LinearOperator",
     "LinearSystem",
     "SvdFactors",
@@ -59,11 +57,7 @@ __all__ = [
     "functional_bound",
     "global_bounds",
     "landweber_pinv",
-    "lift_matrix",
-    "lift_system",
-    "lift_vector",
     "power_iteration_sigma1",
-    "residual_projection_norm",
     "stochastic_diag",
     "svd_truncated",
 ]

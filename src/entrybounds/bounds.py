@@ -153,9 +153,10 @@ def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
     twice as many rows as columns is reduced first: one QR of [A | b]
     gives the N x N triangle R, with the singular values of A, and b in
     the basis of Q.  At full rank R itself is inverted; below it, R is
-    factored as A is below that shape, where the QR saves nothing.  A ``b``
-    whose norm, or whose part in or outside the range, exceeds the float
-    range raises :class:`NumericalFailure`."""
+    factored as A is below that shape, where the QR saves nothing.  An R
+    that leaves the float range falls back to the SVD of A, which LAPACK
+    rescales.  A ``b`` whose norm, or whose part in or outside the range,
+    exceeds the float range raises :class:`NumericalFailure`."""
     key = (a, b, rtol)
     a = core._as_matrix(a)
     b_norm = core._norm(b)
@@ -166,6 +167,9 @@ def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
         # _Factored refuses the result
         with np.errstate(over="ignore", invalid="ignore"):
             r = np.linalg.qr(np.column_stack([a, b]), mode="r")
+    # a triangle past the float range falls back to the SVD of A
+    if m >= 2 * n and np.isfinite(r[:n, :n]).all():
+        with np.errstate(over="ignore", invalid="ignore"):
             c = r[:, n]
             a, b, rho = r[:n, :n], c[:n], core._norm(c[n:])
         # sigma_n <= min|R_ii| and max|R_ii| <= sigma_1, so a diagonal that fails
@@ -407,17 +411,18 @@ def _row_products(sys: LinearSystem, W=None, *, entries=None, pairs=None) -> _Ro
       ``entries``: rows of A^+ b and V_perp gathered, and the sensitivities
       the factors keep for every coordinate.  An entry outside [0, rows)
       (rows = 2N on a complex system) raises :class:`IndexOutOfRange`;
-    - with ``pairs``, the differences x_i - x_j (their real parts on a
-      complex system), the rows of :func:`difference_rows`: rows of K and
-      V_perp subtracted.  Each product is the dense one, which takes the
-      row in units of 2, times 2 exactly, so every interval equals the
-      dense one up to the sign of a zero.
+    - with ``pairs``, the k x 2 index array that :func:`_pair_index`
+      checked, the differences x_i - x_j (their real parts on a complex
+      system), the rows e_i - e_j: rows of K and V_perp subtracted.  Each
+      product is the dense one, which takes the row in units of 2, times 2
+      exactly, so every interval equals the dense one up to the sign of a
+      zero.
     """
     fc = sys._factored()
     n = fc.k.shape[0]
     u = wk = wv_perp = None
     if pairs is not None:
-        i, j = _pair_index(n, pairs).T
+        i, j = pairs.T
         wk, wv_perp = fc.k[i] - fc.k[j], fc.v_perp[i] - fc.v_perp[j]
         e, wnorm = np.zeros(i.size, dtype=int), math.sqrt(2.0)
     elif W is None:
@@ -561,25 +566,14 @@ def _pair_index(n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     return p
 
 
-def difference_rows(n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Weight matrix whose k-th row is e_i - e_j for the k-th pair (i, j).
-    The first pair with an index out of range, or with i == j, raises, and
-    so do pairs that are not a k x 2 array.  The kernel bounds these rows without forming them
-    (:func:`adjacent_difference_bounds`); this is their dense form."""
-    p = _pair_index(n, pairs)
-    w = np.zeros((len(p), n))
-    k = np.arange(len(p))
-    w[k, p[:, 0]] = 1.0
-    w[k, p[:, 1]] = -1.0
-    return w
-
-
 def adjacent_difference_bounds(
     sys: LinearSystem, pairs: Sequence[tuple[int, int]]
 ) -> list[EntryBound]:
     """Intervals for coordinate differences x_i - x_j over given pairs:
-    those of :func:`bounds_for` on :func:`difference_rows`, from the
-    subtracted rows of the factors."""
+    those of :func:`bounds_for` on the rows e_i - e_j, from the subtracted
+    rows of the factors.  The pairs form a k x 2 integer array; the first
+    pair with an index out of range, or with i == j, raises."""
+    pairs = _pair_index(sys.shape[1], pairs)
     return _bound_arrays(_row_products(sys, pairs=pairs)).entry_bounds()
 
 

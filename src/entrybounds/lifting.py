@@ -5,6 +5,9 @@ A_c x_c = b_c is converted to the equivalent real one with block matrix
 [[Re A, -Im A], [Im A, Re A]] and blocked vectors [Re; Im].  Residual
 norms are preserved exactly, so the near-consistency set is unchanged,
 and each complex singular value reappears twice in the real system.
+The kernel bounds a complex system on its complex factors; the lifted form
+is the reference that ``sense.RowSystem.system`` and
+``sense.build_monolithic_system`` build.
 """
 
 from __future__ import annotations
@@ -27,29 +30,16 @@ class LiftedSystem:
     a_real: np.ndarray
 
 
-def lift_matrix(a) -> np.ndarray:
-    """Real block form [[Re A, -Im A], [Im A, Re A]] of a complex matrix."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D array, got ndim={a.ndim}")
-    re, im = a.real, a.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def lift_vector(x) -> np.ndarray:
-    """Blocked real form [Re x; Im x] of a complex vector."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    return np.concatenate([x.real, x.imag])
-
-
 def lift_system(a, b) -> tuple[LiftedSystem, np.ndarray]:
-    """Lift a complex system (A, b) to its equivalent real form."""
+    """Lift a complex system (A, b) to its equivalent real form: A to the
+    block matrix [[Re A, -Im A], [Im A, Re A]] and b to [Re b; Im b]."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex).reshape(-1)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D array, got ndim={a.ndim}")
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(
             f"data vector has length {b.shape[0]}, matrix has {a.shape[0]} rows"
         )
-    lifted = LiftedSystem(a_real=lift_matrix(a))
-    return lifted, lift_vector(b)
-
+    re, im = a.real, a.imag
+    return LiftedSystem(a_real=np.block([[re, -im], [im, re]])), np.concatenate([b.real, b.imag])

@@ -490,7 +490,8 @@ def _bound_line(sys_: LinearSystem, report: bnd.ConditionReport, sup: np.ndarray
     n_sup = sup.size
     # row j < n_sup is Re x[sup[j]], row n_sup + j its Im
     eb = bnd.bounds_for(sys_)
-    # differences Re x[r] - Re x[r + 1] between neighboring supported voxels
+    # differences Re x[r] - Re x[r + 1] between neighboring supported voxels,
+    # whose pairs are valid by construction and so are not checked
     nb = np.flatnonzero(np.diff(sup) == 1)
     db = bnd._bound_arrays(bnd._row_products(sys_, pairs=np.column_stack([nb, nb + 1])))
     # a rank-0 line has no positive singular value, and so no envelope

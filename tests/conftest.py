@@ -7,12 +7,18 @@ through a dense pseudoinverse.  The least-squares solution, the
 sensitivities and the effective tolerance lam of a full-rank system also
 have an mpmath oracle that shares no LAPACK call with the package, and so
 has the inverse of a triangle.
+
+The reference forms the kernel is checked against live here too: the
+complex-to-real lifting of a matrix and a vector, and the dense rows
+e_i - e_j of index pairs, built one pair at a time.
 """
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+
+from entrybounds.errors import IndexOutOfRange, SamePair
 
 
 @pytest.fixture
@@ -22,6 +28,32 @@ def rng():
 
 def dense_pinv(a):
     return np.linalg.pinv(a)
+
+
+def lift_matrix(a):
+    """Real block form [[Re A, -Im A], [Im A, Re A]] of a complex matrix."""
+    a = np.asarray(a, dtype=complex)
+    return np.block([[a.real, -a.imag], [a.imag, a.real]])
+
+
+def lift_vector(x):
+    """Blocked real form [Re x; Im x] of a complex vector."""
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    return np.concatenate([x.real, x.imag])
+
+
+def difference_rows(n, pairs):
+    """Weight matrix whose k-th row is e_i - e_j for the k-th pair (i, j),
+    one pair at a time, in order; the first pair with an index out of
+    range, or with i == j, raises as ``adjacent_difference_bounds`` does."""
+    w = np.zeros((len(pairs), n))
+    for k, (i, j) in enumerate(pairs):
+        if not (0 <= i < n) or not (0 <= j < n):
+            raise IndexOutOfRange(f"pair ({i}, {j}) out of range for N={n}")
+        if i == j:
+            raise SamePair(f"difference pair has identical indices ({i}, {i})")
+        w[k, i], w[k, j] = 1.0, -1.0
+    return w
 
 
 def svd_least_squares(a, b):

@@ -7,7 +7,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import kkt_interval, nullspace_overlap, random_system
+from conftest import (
+    difference_rows,
+    kkt_interval,
+    lift_matrix,
+    lift_vector,
+    nullspace_overlap,
+    random_system,
+)
 from entrybounds import (
     BoundStatus,
     LinearSystem,
@@ -24,12 +31,8 @@ from entrybounds import (
     extremal_solution,
     functional_bound,
     global_bounds,
-    lift_matrix,
-    lift_system,
-    lift_vector,
     svd_truncated,
 )
-from entrybounds.bounds import difference_rows
 from entrybounds.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -466,18 +469,6 @@ class TestEntrywiseBounds:
                 assert bb.upper == pytest.approx(single.upper, rel=1e-12, abs=1e-12)
 
 
-def difference_rows_loop(n, pairs):
-    """Reference for ``difference_rows``: one pair at a time, in order."""
-    w = np.zeros((len(pairs), n))
-    for k, (i, j) in enumerate(pairs):
-        if not (0 <= i < n) or not (0 <= j < n):
-            raise IndexOutOfRange(f"pair ({i}, {j}) out of range for N={n}")
-        if i == j:
-            raise SamePair(f"difference pair has identical indices ({i}, {i})")
-        w[k, i], w[k, j] = 1.0, -1.0
-    return w
-
-
 class TestAdjacentDifference:
     def test_identity_pair(self):
         sys = LinearSystem(a=np.eye(2), b=[1.0, 2.0], epsilon=0.5)
@@ -501,16 +492,19 @@ class TestAdjacentDifference:
         ids=["same-first", "range-before-same", "negative", "same-before-range", "array"],
     )
     def test_first_bad_pair_rejected(self, pairs, error, message):
-        for fn in (difference_rows, difference_rows_loop):
+        """The kernel checks all pairs at once, and names the pair that the
+        dense oracle, one pair at a time, stops at."""
+        sys = LinearSystem(a=np.eye(4), b=[1.0, 2.0, 3.0, 4.0], epsilon=0.1)
+        for call in (lambda: adjacent_difference_bounds(sys, pairs),
+                     lambda: difference_rows(4, pairs)):
             with pytest.raises(error) as exc:
-                fn(4, pairs)
+                call()
             assert str(exc.value) == message
 
     @pytest.mark.parametrize("call", [
         lambda: adjacent_difference_bounds(LinearSystem(a=np.eye(3), b=[1.0, 2.0, 3.0],
                                                         epsilon=0.1), [(0.5, 1)]),
-        lambda: difference_rows(3, [(0.5, 2)]),
-    ], ids=["adjacent_difference_bounds", "difference_rows"])
+    ], ids=["adjacent_difference_bounds"])
     def test_non_integer_pair_rejected(self, call):
         """A pair's indices are integers: 0.5 is not truncated to 0."""
         with pytest.raises(IndexOutOfRange, match="an index must be an integer, got 0.5"):
@@ -519,7 +513,7 @@ class TestAdjacentDifference:
     @pytest.mark.parametrize("call, shape", [
         (lambda sys: adjacent_difference_bounds(sys, [(0, 1, 2)]), "(1, 3)"),
         (lambda sys: adjacent_difference_bounds(sys, [0, 1]), "(2,)"),
-        (lambda sys: difference_rows(3, [[(0, 1)]]), "(1, 1, 2)"),
+        (lambda sys: adjacent_difference_bounds(sys, [[(0, 1)]]), "(1, 1, 2)"),
         (lambda sys: adjacent_difference_bounds(sys, [(0, 1), (2,)]), "a ragged sequence"),
     ], ids=["triple", "flat", "nested", "ragged"])
     def test_pairs_of_another_shape_rejected(self, call, shape):
@@ -528,12 +522,6 @@ class TestAdjacentDifference:
         with pytest.raises(IndexOutOfRange) as exc:
             call(sys)
         assert str(exc.value) == f"expected an index of shape (k x 2), got {shape}"
-
-    def test_difference_rows_match_loop(self, rng):
-        pairs = [tuple(rng.choice(6, 2, replace=False)) for _ in range(20)]
-        np.testing.assert_array_equal(difference_rows(6, pairs), difference_rows_loop(6, pairs))
-        np.testing.assert_array_equal(difference_rows(6, np.array(pairs)),
-                                      difference_rows_loop(6, pairs))
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_no_rows_gives_empty_arrays(self, dtype):
@@ -914,9 +902,8 @@ def complex_system(rng, m, n, r, eps_ratio=2.0):
     b = a @ complex_gaussian(rng, n) + 0.2 * complex_gaussian(rng, m)
     residual = np.linalg.norm(b - a @ (np.linalg.pinv(a) @ b))
     eps = eps_ratio * max(residual, 0.1)
-    lifted, b_real = lift_system(a, b)
     return (LinearSystem(a=a, b=b, epsilon=eps),
-            LinearSystem(a=lifted.a_real, b=b_real, epsilon=eps))
+            LinearSystem(a=lift_matrix(a), b=lift_vector(b), epsilon=eps))
 
 
 class TestCachedFactors:
@@ -1059,10 +1046,10 @@ class TestComplexSystems:
         assert (report.sigma_max, report.sigma_min_pos, report.kappa_global) == (
             want.sigma_max, want.sigma_min_pos, want.kappa_global)
         assert ellipsoid_volume(sys_, 0.7) == ellipsoid_volume(cast, 0.7)
-        lifted, b_real = lift_system(a, b)
-        assert ellipsoid_volume(sys_, 0.7) == pytest.approx(ellipsoid_volume(lifted.a_real, 0.7),
+        a_real, b_real = lift_matrix(a), lift_vector(b)
+        assert ellipsoid_volume(sys_, 0.7) == pytest.approx(ellipsoid_volume(a_real, 0.7),
                                                             rel=1e-12)
-        ref = bounds_for(LinearSystem(a=lifted.a_real, b=b_real, epsilon=eps))
+        ref = bounds_for(LinearSystem(a=a_real, b=b_real, epsilon=eps))
         np.testing.assert_array_equal(res.status, ref.status)
         for name in ("lower", "upper", "midpoint", "half_width", "sensitivity"):
             np.testing.assert_allclose(getattr(res, name), getattr(ref, name), rtol=1e-10,

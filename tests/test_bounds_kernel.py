@@ -9,7 +9,7 @@ scipy's null_space, both from conftest; the system's A^+ b and residual,
 real and complex, against a dense pseudoinverse.
 
 Complex systems are checked against the same kernel on their lifted real
-form (``lifting.lift_system``) and against the oracles on that form.
+form (conftest's ``lift_matrix``) and against the oracles on that form.
 
 The feasible vectors of ``extremal_solution`` are checked against the
 kernel's intervals on the same systems, and the interval each carries,
@@ -18,7 +18,7 @@ taken from the same evaluation of the row's products, against
 
 The coordinate and pair rows, which the kernel gathers and subtracts from
 the factors instead of multiplying, are checked bit for bit: the pairs
-against the dense rows of ``difference_rows``, and the coordinates'
+against conftest's dense ``difference_rows``, and the coordinates'
 sensitivities, Re and Im rows alike, against ``condition_report``.
 
 Every public kernel entry is called on the same systems with A and b
@@ -34,7 +34,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_pinv, kkt_interval, nullspace_overlap
+from conftest import (
+    dense_pinv,
+    difference_rows,
+    kkt_interval,
+    lift_matrix,
+    lift_vector,
+    nullspace_overlap,
+)
 from entrybounds import (
     BoundArrays,
     BoundStatus,
@@ -44,6 +51,7 @@ from entrybounds import (
     LinearSystem,
     Target,
     adjacent_difference_bounds,
+    bounds,
     bounds_for,
     condition_report,
     crlb_identity_check,
@@ -53,15 +61,14 @@ from entrybounds import (
     extremal_solution,
     functional_bound,
     global_bounds,
-    lift_system,
-    lift_vector,
+    sense,
 )
 from entrybounds.bounds import (
     BOUND_STATUSES,
     _COLUMNS,
     _bound_arrays,
+    _pair_index,
     _row_products,
-    difference_rows,
 )
 from entrybounds.errors import (
     EntryBoundsError,
@@ -224,8 +231,7 @@ def test_complex_kernel_matches_lifted(problem):
     sys_ = LinearSystem(a=a, b=b, epsilon=eps)
     assert_solution_matches_pinv(sys_)
     res = bounds_for(sys_, w)
-    lifted, b_real = lift_system(a, b)
-    a_real = lifted.a_real
+    a_real, b_real = lift_matrix(a), lift_vector(b)
     # Re(w^H x) = Re(w) . Re(x) + Im(w) . Im(x): the lifted weight is [Re w, Im w]
     w_real = np.eye(2 * n) if w is None else np.hstack([w.real, w.imag])
     ref = bounds_for(LinearSystem(a=a_real, b=b_real, epsilon=eps), None if w is None else w_real)
@@ -343,8 +349,7 @@ def test_complex_extremal_solutions_match_lifted(problem):
     if w is None:  # Re x_i, then Im x_i = Re(conj(1j) x_i)
         w = np.vstack([np.eye(a.shape[1]), 1j * np.eye(a.shape[1])])
     sys_c = LinearSystem(a=a, b=b, epsilon=eps)
-    lifted, b_real = lift_system(a, b)
-    sys_r = LinearSystem(a=lifted.a_real, b=b_real, epsilon=eps)
+    sys_r = LinearSystem(a=lift_matrix(a), b=lift_vector(b), epsilon=eps)
     w_real = np.hstack([w.real, w.imag])
     got = checked_extremals(sys_c, w, bounds_for(sys_c, w))
     want = checked_extremals(sys_r, w_real, bounds_for(sys_r, w_real))
@@ -389,7 +394,7 @@ def test_pair_rows_equal_dense_difference_rows(problem):
     dense products times 2**e, and their intervals bit for bit;
     assert_array_equal lets a zero differ only in its sign."""
     sys_, pairs = problem
-    got = _row_products(sys_, pairs=pairs)
+    got = _row_products(sys_, pairs=_pair_index(sys_.shape[1], pairs))
     want = _row_products(sys_, difference_rows(sys_.shape[1], pairs))
     assert got.u is None and got.lam == want.lam
     np.testing.assert_array_equal(got.e, 0)
@@ -409,17 +414,44 @@ def test_pair_rows_cover_unbounded_and_empty_lists():
     for sys_ in (LinearSystem(a=a, b=[1.0, 2.0, 3.0, 4.0], epsilon=5.0),
                  LinearSystem(a=a * (1 + 1j), b=[1.0, 2j, 3.0, 4.0], epsilon=5.0)):
         pairs = [(0, 1), (1, 2), (2, 0)]
-        got = _bound_arrays(_row_products(sys_, pairs=pairs))
+        got = _bound_arrays(_row_products(sys_, pairs=_pair_index(3, pairs)))
         np.testing.assert_array_equal(got.status, [FINITE, UNBOUNDED, UNBOUNDED])
         assert_same(got, bounds_for(sys_, difference_rows(3, pairs)))
-        empty = _bound_arrays(_row_products(sys_, pairs=[]))
+        empty = _bound_arrays(_row_products(sys_, pairs=_pair_index(3, [])))
         assert empty.status.shape == (0,) and empty.lam == got.lam
         assert_same(empty, bounds_for(sys_, difference_rows(3, [])))
         assert adjacent_difference_bounds(sys_, []) == []
         with pytest.raises(IndexOutOfRange):
-            _row_products(sys_, pairs=[(0, 3)])
+            adjacent_difference_bounds(sys_, [(0, 3)])
         with pytest.raises(SamePair):
-            _row_products(sys_, pairs=[(0, 1), (2, 2)])
+            adjacent_difference_bounds(sys_, [(0, 1), (2, 2)])
+
+
+def test_pairs_are_checked_at_one_door(monkeypatch):
+    """``adjacent_difference_bounds`` checks its pairs once, and the pair
+    rows that a SENSE line builds from its own support are not checked
+    at all: ``_row_products`` takes pairs that are already an index array."""
+    calls = {"index": 0, "pair rows": 0}
+    real_index, real_rows = bounds._pair_index, bounds._row_products
+
+    def index(*args):
+        calls["index"] += 1
+        return real_index(*args)
+
+    def rows(*args, **kwargs):
+        calls["pair rows"] += kwargs.get("pairs") is not None
+        return real_rows(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "_pair_index", index)
+    monkeypatch.setattr(bounds, "_row_products", rows)
+    sys_ = LinearSystem(a=np.eye(4), b=[1.0, 2.0, 3.0, 4.0], epsilon=1.0)
+    for k, pairs in enumerate(([(0, 1), (2, 3)], [], np.array([[3, 0]])), start=1):
+        adjacent_difference_bounds(sys_, pairs)
+        assert calls == {"index": k, "pair rows": k}
+    calls.update(dict.fromkeys(calls, 0))
+    sense.run_pipeline({"grid": {"h": 16, "w": 16, "seed": 2}, "coils": {"l": 4, "seed": 1},
+                        "pattern": {"accel": 2, "acs": 4}, "noise": {"sigma": 0.01, "seed": 3}})
+    assert calls["index"] == 0 and calls["pair rows"] > 0
 
 
 @pytest.mark.parametrize("m, path", [(5, "svd"), (10, "triangle")], ids=["svd", "triangle"])

@@ -5,6 +5,8 @@ the residual ||b - A A^+ b|| (``LinearSystem.residual``), the sensitivity
 checked against a dense pseudoinverse, the normal equations or scipy's
 null_space."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -313,15 +315,48 @@ class TestRarelyTakenPaths:
         with pytest.raises(NumericalFailure, match="SVD did not converge: no convergence"):
             core.svd_truncated(np.eye(2))
 
-    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4, 2)], ids=["wide", "tall", "qr"])
     def test_sigma_1_beyond_float_range_rejected(self, shape):
         """Entries of 0.45 times the largest double fit the float range;
-        sigma_1, sqrt(6) times that, does not, and no singular value would
-        pass the rank rule against an infinite one: the SVD raises rather
-        than read the matrix as rank 0."""
-        sys_ = zero_data(np.full(shape, 0.45 * np.finfo(float).max))
+        sigma_1, sqrt(6) times that or more, does not, and no singular value
+        would pass the rank rule against an infinite one: the SVD raises
+        rather than read the matrix as rank 0.  The 4 x 2 matrix, made full
+        rank, factors through a QR whose triangle overflows, and falls back
+        to the same SVD."""
+        a = np.full(shape, 0.45 * np.finfo(float).max)
+        if shape == (4, 2):
+            a[1, 1] /= 2
+        sys_ = zero_data(a)
         with pytest.raises(NumericalFailure, match="sigma_1 exceeds the float range"):
             sys_.rank
+
+    def test_overflowing_triangle_falls_back_to_the_svd(self):
+        """A tall A with sigma_1 in (0.5, 0.99) times the largest double fits
+        the float range, but its QR triangle may not: such a system factors
+        by the SVD of A and has the intervals of the system with A scaled by
+        2**-4, which factors by the triangle, scaled back.  b and epsilon
+        near 1e300 keep the intervals normal floats."""
+        rng = np.random.default_rng(5)
+        big = np.finfo(float).max
+        cases = 0
+        for _ in range(40):
+            a = rng.standard_normal((6, 3))
+            a = a / np.linalg.svd(a, compute_uv=False)[0] * (rng.uniform(0.5, 0.99) * big)
+            b = 1e300 * rng.standard_normal(6)
+            if np.isfinite(np.linalg.qr(np.column_stack([a, b]), mode="r")[:3, :3]).all():
+                continue
+            cases += 1
+            small = LinearSystem(a=np.ldexp(a, -4), b=b, epsilon=0.0)
+            eps = 2.0 * small.residual()
+            got = bounds_for(LinearSystem(a=a, b=b, epsilon=eps))
+            want = bounds_for(dataclasses.replace(small, epsilon=eps))
+            assert small._factored().path == "triangle"
+            np.testing.assert_array_equal(got.status, FINITE)
+            assert got.lam == pytest.approx(want.lam, rel=1e-12)
+            for name in ("lower", "upper", "midpoint", "half_width"):
+                np.testing.assert_allclose(getattr(got, name), np.ldexp(getattr(want, name), -4),
+                                           rtol=1e-12, err_msg=name)
+        assert cases >= 5
 
     def test_residual_beyond_float_range_rejected(self):
         """b = 1.5e308 (1, 1, -1) lies outside the range of A, so its

@@ -1,21 +1,25 @@
+"""``lifting.lift_system``, the real form of a complex system that the
+SENSE reference builds, and the layout of conftest's ``lift_matrix`` and
+``lift_vector``, the reference forms the kernel is checked against."""
+
 import numpy as np
 import pytest
 
-from entrybounds import (
-    BoundStatus,
-    LinearSystem,
-    functional_bound,
-    lift_matrix,
-    lift_system,
-    lift_vector,
-)
+from conftest import lift_matrix, lift_vector
+from entrybounds import BoundStatus, LinearSystem, functional_bound
 from entrybounds.errors import DimensionMismatch
+from entrybounds.lifting import lift_system
 
 
 class TestLiftSystem:
-    def test_lift_matrix_rejects_a_vector(self):
+    def test_lift_system_rejects_a_vector(self):
         with pytest.raises(DimensionMismatch, match=r"^expected a 2-D array, got ndim=1$"):
-            lift_matrix([1, 2])
+            lift_system([1, 2], [1, 2])
+
+    def test_lift_system_rejects_a_scalar(self):
+        """The shape of A is checked before its row count is read."""
+        with pytest.raises(DimensionMismatch, match=r"^expected a 2-D array, got ndim=0$"):
+            lift_system(5, [1])
 
     def test_imaginary_unit(self):
         lifted, b_real = lift_system(np.array([[1j]]), np.array([1.0 + 0j]))

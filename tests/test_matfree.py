@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import lift_matrix
 from entrybounds import (
     LandweberConfig,
     LinearOperator,
     landweber_pinv,
-    lift_matrix,
     power_iteration_sigma1,
     stochastic_diag,
     svd_truncated,

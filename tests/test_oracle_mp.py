@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    difference_rows,
     mp_extremal,
     mp_interval_parts,
     mp_least_squares,
@@ -275,7 +276,7 @@ def truncated_ratios(m, n, r, dtype, seed):
 
     eye = np.eye(n)
     coords = np.vstack([eye, 1j * eye]) if dtype is complex else eye
-    pairs = [(1, 2), (2, 1), (0, 3), (3, 4)]
+    pairs = bounds._pair_index(n, [(1, 2), (2, 1), (0, 3), (3, 4)])
     worst = {}
 
     def record(what, ratios):
@@ -294,7 +295,7 @@ def truncated_ratios(m, n, r, dtype, seed):
         families = {"coordinates": (bounds_for(sys_), coords),
                     "dense": (bounds_for(sys_, dense), dense),
                     "pairs": (bounds._bound_arrays(bounds._row_products(sys_, pairs=pairs)),
-                              bounds.difference_rows(n, pairs))}
+                              difference_rows(n, pairs))}
         rows = np.vstack([w for _, w in families.values()])
         ref = mp_truncated_parts(a, b, eps, rows, sys_.rank_rtol,
                                  extremal=range(len(coords), len(coords) + 3))

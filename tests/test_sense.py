@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import difference_rows, lift_vector
 from entrybounds import (
     LinearSystem,
     bounds,
@@ -22,7 +23,7 @@ from entrybounds import (
     sense,
     svd_truncated,
 )
-from entrybounds.bounds import Target, difference_rows
+from entrybounds.bounds import Target
 from entrybounds.errors import ConfigError, NumericalFailure, ShapeMismatch, UnknownPreset
 from entrybounds.matfree import (
     LandweberConfig,
@@ -271,8 +272,8 @@ class TestSenseOperator:
         x = rng.standard_normal(a_dense.shape[1])
         y = rng.standard_normal(a_dense.shape[0])
         x_c, y_c = (v[: v.size // 2] + 1j * v[v.size // 2 :] for v in (x, y))
-        np.testing.assert_allclose(lifting.lift_vector(op.apply(x_c)), a_dense @ x, atol=1e-10)
-        np.testing.assert_allclose(lifting.lift_vector(op.apply_transpose(y_c)), a_dense.T @ y,
+        np.testing.assert_allclose(lift_vector(op.apply(x_c)), a_dense @ x, atol=1e-10)
+        np.testing.assert_allclose(lift_vector(op.apply_transpose(y_c)), a_dense.T @ y,
                                    atol=1e-10)
         truth = ph.grid[ph.support_mask]
         np.testing.assert_allclose(
@@ -339,7 +340,7 @@ class TestSenseOperator:
                               rate_tol=1e-11, max_iters=10**6, rel_tol=0.0)
         res = landweber_pinv(op, data.samples.reshape(-1), cfg)
         expected = np.linalg.pinv(np.asarray(sys.a)) @ np.asarray(sys.b)
-        got = lifting.lift_vector(res.x)
+        got = lift_vector(res.x)
         assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
 
     def test_voxel_map(self):
