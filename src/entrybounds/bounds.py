@@ -153,37 +153,37 @@ def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
     twice as many rows as columns is reduced first: one QR of [A | b]
     gives the N x N triangle R, with the singular values of A, and b in
     the basis of Q.  At full rank R itself is inverted; below it, R is
-    factored as A is below that shape, where the QR saves nothing.  An R
-    that leaves the float range falls back to the SVD of A, which LAPACK
-    rescales.  A ``b`` whose norm, or whose part in or outside the range,
-    exceeds the float range raises :class:`NumericalFailure`."""
+    factored as A is below that shape, where the QR saves nothing.  A
+    triangle [R | c] that leaves the float range, in A's columns or in b's,
+    falls back to the SVD of A, which LAPACK rescales.  A ``b`` whose norm,
+    or whose part in or outside the range, exceeds the float range raises
+    :class:`NumericalFailure`."""
     key = (a, b, rtol)
     a = core._as_matrix(a)
     b_norm = core._norm(b)
     m, n = a.shape
     rho = 0.0
     if m >= 2 * n:
-        # the reflections may take b past the float range even where ||b|| fits;
-        # _Factored refuses the result
+        # the reflections may overflow even where A and ||b|| fit; a triangle
+        # [R | c] past the float range falls back to the SVD of A
         with np.errstate(over="ignore", invalid="ignore"):
             r = np.linalg.qr(np.column_stack([a, b]), mode="r")
-    # a triangle past the float range falls back to the SVD of A
-    if m >= 2 * n and np.isfinite(r[:n, :n]).all():
-        with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(r).all():
             c = r[:, n]
             a, b, rho = r[:n, :n], c[:n], core._norm(c[n:])
-        # sigma_n <= min|R_ii| and max|R_ii| <= sigma_1, so a diagonal that fails
-        # the rank rule shows R rank-deficient without this values-only SVD
-        diag = np.abs(np.diagonal(a))
-        try:
-            sigma = np.linalg.svd(a, compute_uv=False) if diag.min() > rtol * diag.max() else None
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"SVD did not converge: {exc}") from None
-        if sigma is not None and core._rank(sigma, rtol) == n:
-            es = core._unit_sigma(sigma)[1]
-            k = _triangular_inverse(a * _inv_pow2(es))
-            return _Factored(key, k, es, sigma, np.zeros((n, 0), k.dtype), rho, b, b_norm,
-                             "triangle")
+            # sigma_n <= min|R_ii| and max|R_ii| <= sigma_1, so a diagonal that fails
+            # the rank rule shows R rank-deficient without this values-only SVD
+            diag = np.abs(np.diagonal(a))
+            try:
+                sigma = (np.linalg.svd(a, compute_uv=False)
+                         if diag.min() > rtol * diag.max() else None)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailure(f"SVD did not converge: {exc}") from None
+            if sigma is not None and core._rank(sigma, rtol) == n:
+                es = core._unit_sigma(sigma)[1]
+                k = _triangular_inverse(a * _inv_pow2(es))
+                return _Factored(key, k, es, sigma, np.zeros((n, 0), k.dtype), rho, b, b_norm,
+                                 "triangle")
     f = svd_truncated(a, rtol)
     d, es = core._unit_sigma(f.sigma)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -233,17 +233,15 @@ class LinearSystem:
         a = core.as_real_or_complex(self.a)
         if a.ndim != 2:
             raise DimensionMismatch(f"expected a 2-D array, got ndim={a.ndim}")
-        core._check_rank_rtol(self.rank_rtol)
+        core._check_fraction(self.rank_rtol, "rank tolerance")
         b = core.as_real_or_complex(self.b)
         if b.ndim != 1:  # a 1-D b stays the object the caches were made from
             b = b.reshape(-1)
         if np.iscomplexobj(a) or np.iscomplexobj(b):
             a, b = a.astype(complex, copy=False), b.astype(complex, copy=False)
-        epsilon = float(self.epsilon)
-        if not (math.isfinite(epsilon) and np.isfinite(b).all()):
+        epsilon = core._magnitude(self.epsilon, "epsilon")
+        if not np.isfinite(b).all():
             raise NumericalFailure(f"data vector and epsilon must be finite (epsilon={epsilon})")
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
         if b.shape[0] != a.shape[0]:
             raise DimensionMismatch(
                 f"data vector has length {b.shape[0]}, matrix has {a.shape[0]} rows"
@@ -501,6 +499,9 @@ def _bound_arrays(p: _RowProducts) -> BoundArrays:
     with np.errstate(over="ignore", invalid="ignore"):
         half = p.sens * p.lam
         out = np.array([p.mid - half, p.mid + half, p.mid, half, p.sens])  # in _COLUMNS order
+        # coordinate and pair rows are never rescaled; skipping the round trip
+        # for them keeps every byte and halves this call on the 204 coordinate
+        # rows of a SENSE line (15 vs 28 us)
         if p.e.any():
             # back from the units of the scaled rows: exact unless a value leaves the float range
             scaled, out = out, np.ldexp(out, p.e)
@@ -668,11 +669,7 @@ def global_bounds(a, n_norm: float) -> float:
     non-finite one, or a bound beyond the float range,
     :class:`NumericalFailure`.
     """
-    n_norm = float(n_norm)
-    if not math.isfinite(n_norm):
-        raise NumericalFailure(f"noise norm must be finite, got {n_norm}")
-    if n_norm < 0:
-        raise ValueError(f"noise norm must be nonnegative, got {n_norm}")
+    n_norm = core._magnitude(n_norm, "noise norm")
     fc = _system(a)._factored()
     n, rank = fc.k.shape
     if rank < n:
@@ -693,10 +690,7 @@ def ellipsoid_volume(a, lam: float) -> float:
     ``lam`` raises ``ValueError``; a non-finite one, or a positive volume
     outside the range of normal floats, :class:`NumericalFailure`.
     """
-    if not math.isfinite(lam):
-        raise NumericalFailure(f"lambda must be finite, got {lam}")
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    lam = core._magnitude(lam, "lambda")
     fc = _system(a)._factored()
     n, rank = fc.k.shape
     if rank < n:

@@ -4,7 +4,8 @@ rank-truncated SVD, norms in scaled units, and the residual projection.
 All heavy lifting is delegated to LAPACK through numpy; what this module
 adds is an explicit, reportable rank rule, the power-of-two scalings that
 keep norms and inverse singular values in range, the residual formula
-||b - U U^H b|| of a truncated SVD, and the seed rule of the random draws.
+||b - U U^H b|| of a truncated SVD, and the rules that check every scalar
+argument: counts, sizes and seeds, magnitudes, and ratios in (0, 1).
 The pseudoinverse products themselves, and the residual of a system, live
 in the interval kernel of :mod:`entrybounds.bounds`.
 
@@ -84,15 +85,35 @@ class SvdFactors:
         return (self.u.shape[0], self.v.shape[0])
 
 
-def _check_rank_rtol(rtol: float) -> None:
-    if not 0.0 < rtol < 1.0:
-        raise ValueError(f"rank tolerance must be in (0, 1), got {rtol}")
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_seed(seed: int) -> None:
-    """``ValueError`` unless ``seed`` >= 0, as ``np.random.default_rng`` needs."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+def _check_int(value, name: str, minimum: int, error=ValueError) -> None:
+    """``error`` naming ``name`` unless ``value`` is an integer >= ``minimum``:
+    the rule of every count, size and seed."""
+    if not _is_int(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+
+
+def _magnitude(value, name: str, error=None) -> float:
+    """``value`` as a float, the rule of every magnitude: not finite raises
+    :class:`NumericalFailure` and negative ``ValueError``, or both ``error``."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise (error or NumericalFailure)(f"{name} must be finite, got {value}")
+    if value < 0:
+        raise (error or ValueError)(f"{name} must be nonnegative, got {value}")
+    return value
+
+
+def _check_fraction(value, name: str, error=ValueError) -> None:
+    """``error`` naming ``name`` unless ``value`` lies in (0, 1): the rule of every ratio."""
+    if not 0.0 < value < 1.0:
+        raise error(f"{name} must be in (0, 1), got {value}")
 
 
 def _rank(s: np.ndarray, rtol: float) -> int:
@@ -110,7 +131,7 @@ def svd_truncated(a, rtol: float = DEFAULT_RANK_RTOL) -> SvdFactors:
     A sigma_1 beyond the float range, which would pass no singular value,
     raises :class:`NumericalFailure`.
     """
-    _check_rank_rtol(rtol)
+    _check_fraction(rtol, "rank tolerance")
     a = _as_matrix(a)
     try:
         u_full, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import _check_seed, as_finite_matrix, as_real_or_complex
+from .core import _check_fraction, _check_int, _magnitude, as_finite_matrix, as_real_or_complex
 from .errors import DimensionMismatch, InvalidStep, NumericalFailure
 
 # Probes that stochastic_diag solves in one lockstep block.  Each holds four
@@ -157,10 +157,9 @@ class _Layout:
 
 
 def _check_probes(samples: int, seed: int) -> None:
-    """``ValueError`` unless ``samples`` >= 1 and ``seed`` >= 0."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    _check_seed(seed)
+    """``ValueError`` unless ``samples`` >= 1 and ``seed`` >= 0 are integers."""
+    _check_int(samples, "samples", 1)
+    _check_int(seed, "seed", 0)
 
 
 def _draw(rng: np.random.Generator, op: LinearOperator, k: int, kind="gaussian") -> np.ndarray:
@@ -185,7 +184,8 @@ def adjoint_mismatch(op: LinearOperator, trials: int = 5, seed: int = 0) -> floa
     Useful as a smoke test that ``apply``, ``apply_transpose`` and
     ``normal`` are consistent with one another.
     """
-    _check_seed(seed)
+    _check_int(trials, "trials", 1)
+    _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     m, n = op.shape
     sigma1 = power_iteration_sigma1(replace(op, normal_blocks=None), seed=seed)
@@ -211,9 +211,8 @@ def power_iteration_sigma1(op: LinearOperator, iters: int = 200, seed: int = 0) 
     iterate v equals ||A v||, so it never exceeds the true sigma_1 (to
     rounding), and is deterministic for a given seed.
     """
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    _check_seed(seed)
+    _check_int(iters, "iters", 1)
+    _check_int(seed, "seed", 0)
     v = _draw(np.random.default_rng(seed), op, op.shape[1])
     v /= np.linalg.norm(v)
     layout = _Layout(op, v.dtype)
@@ -240,7 +239,7 @@ def sigma1(op: LinearOperator, seed: int = 0) -> float:
     """
     if op.normal_blocks is None:
         return power_iteration_sigma1(op, seed=seed)
-    _check_seed(seed)
+    _check_int(seed, "seed", 0)
     return math.sqrt(float(np.linalg.eigvalsh(op.normal_blocks[0]).max(initial=0.0)))
 
 
@@ -257,8 +256,8 @@ class LandweberConfig:
     worst modal factor max |1 - tau s^2| over s in {sigma_min, sigma1}
     below 1 as computed (tau sigma_min^2 < 2 in exact arithmetic), and an
     iteration count sufficient for ``rate_tol`` accuracy is used as an
-    extra stop.  ``max_iters`` must be >= 1, ``rel_tol`` finite and >= 0,
-    and ``rate_tol`` in (0, 1).
+    extra stop.  ``max_iters`` must be an integer >= 1, ``rel_tol`` finite
+    and >= 0, and ``rate_tol`` in (0, 1).
     """
 
     sigma1_estimate: float
@@ -279,12 +278,9 @@ class LandweberConfig:
         smin = self.sigma_min
         if smin is not None and not (smin > 0.0 and self._rate() < 1.0):
             raise InvalidStep(f"sigma_min must be > 0 with a float modal rate below 1, got {smin}")
-        if not self.max_iters >= 1:
-            raise InvalidStep(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
-            raise InvalidStep(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
-        if not 0.0 < self.rate_tol < 1.0:
-            raise InvalidStep(f"rate_tol must lie in (0, 1), got {self.rate_tol}")
+        _check_int(self.max_iters, "max_iters", 1, InvalidStep)
+        _magnitude(self.rel_tol, "rel_tol", InvalidStep)
+        _check_fraction(self.rate_tol, "rate_tol", InvalidStep)
 
     def step_size(self) -> float:
         s1 = self.sigma1_estimate

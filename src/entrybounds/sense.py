@@ -29,7 +29,7 @@ import numpy as np
 from . import bounds as bnd
 from . import lifting
 from .bounds import STATUS_FINITE, STATUS_INFEASIBLE, STATUS_UNBOUNDED, LinearSystem
-from .core import _check_seed
+from .core import _check_int, _is_int, _magnitude
 from .errors import ConfigError, NotOverdetermined, NumericalFailure, ShapeMismatch, UnknownPreset
 from .matfree import LinearOperator
 
@@ -65,14 +65,8 @@ class SamplingPattern:
     acs_lines: int
 
     def __post_init__(self):
-        for name in ("num_lines", "accel", "acs_lines"):
-            val = getattr(self, name)
-            if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
-                raise ConfigError(f"pattern {name} must be an integer, got {val!r}")
-        if self.accel < 1 or self.acs_lines < 0 or self.num_lines < 1:
-            raise ConfigError(
-                f"invalid pattern: lines={self.num_lines} accel={self.accel} acs={self.acs_lines}"
-            )
+        for name, minimum in (("num_lines", 1), ("accel", 1), ("acs_lines", 0)):
+            _check_int(getattr(self, name), f"pattern {name}", minimum, ConfigError)
 
     @property
     def phase_encodes_kept(self) -> np.ndarray:
@@ -125,9 +119,9 @@ def make_phantom(preset: str, h: int, w: int, seed: int = 0) -> Phantom:
     ``smooth-blobs`` (sum of smooth bumps).  On-support magnitudes lie in
     (0, 1]; off-support voxels are exactly zero.
     """
-    if h < 8 or w < 8:
-        raise ConfigError(f"grid must be at least 8x8, got {h}x{w}")
-    _check_seed(seed)
+    _check_int(h, "grid h", 8, ConfigError)
+    _check_int(w, "grid w", 8, ConfigError)
+    _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     mask = _support_ellipse(h, w)
     yy, xx = np.mgrid[0:h, 0:w]
@@ -178,11 +172,10 @@ def make_coils(
     With ``phase_fold`` the phantom's phase is absorbed into each profile
     so that the effective unknown image is real-valued.
     """
-    if l < 1:
-        raise ConfigError(f"need at least one channel, got {l}")
+    _check_int(l, "coils l", 1, ConfigError)
     if phase_fold and phantom is None:
         raise ConfigError("phase folding requires the phantom")
-    _check_seed(seed)
+    _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:h, 0:w]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
@@ -242,9 +235,8 @@ def simulate_acquisition(
     circularly-symmetric complex Gaussian noise (std ``noise_sigma`` per
     real/imag component)."""
     _check_grid(ph, coils, pat)
-    if noise_sigma < 0:
-        raise ConfigError(f"noise sigma must be nonnegative, got {noise_sigma}")
-    _check_seed(seed)
+    _magnitude(noise_sigma, "noise sigma", ConfigError)
+    _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     samples = _forward(coils, ph.grid, pat.phase_encodes_kept)
     shape = samples.shape
@@ -394,10 +386,6 @@ class PipelineResult:
     config: dict
     truth: Phantom
     timings: dict
-
-
-def _is_int(val) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
 
 
 # The JSON type a config value must have, by the type of its default.

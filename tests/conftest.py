@@ -17,8 +17,14 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import settings
 
 from entrybounds.errors import IndexOutOfRange, SamePair
+
+# Every property test draws the same examples on every run, with no time
+# limit and no example database; a test sets only its max_examples.
+settings.register_profile("entrybounds", deadline=None, derandomize=True, database=None)
+settings.load_profile("entrybounds")
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense_pinv,
     difference_rows,
     kkt_interval,
     lift_matrix,
@@ -321,7 +322,8 @@ _SKEW = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 class TestDataBeyondRange:
     """Data whose norm, or whose part in or outside the range of A, exceeds
     the float range is refused when the factors are made, by every call
-    that factors; no numpy warning is emitted on the way."""
+    that factors, and data that only the QR's reflections take past it is
+    answered; no numpy warning is emitted on the way."""
 
     @pytest.mark.parametrize("a", [_STACKED, _SKEW], ids=["triangle", "svd"])
     def test_every_reader_raises(self, a):
@@ -335,13 +337,16 @@ class TestDataBeyondRange:
 
     def test_reflected_data_beyond_range(self):
         """||b|| = 1.7e308 fits, but the reflections of the QR take b past
-        the largest double."""
-        sys_ = LinearSystem(a=_STACKED, b=np.full(4, 0.85e308), epsilon=1.0)
+        the largest double: the SVD of A answers, as for a triangle that
+        overflows in A's columns."""
+        b = np.full(4, 0.85e308)
+        sys_ = LinearSystem(a=_STACKED, b=b, epsilon=1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalFailure,
-                               match="b in the factors of A exceeds the float range"):
-                sys_.residual()
+            x = sys_.solution()
+            assert sys_._factored().path == "svd"
+            assert sys_.residual() <= 1e-15 * 1.7e308  # ||b||, to rounding
+        np.testing.assert_allclose(x, dense_pinv(_STACKED) @ b, rtol=1e-15)
 
     def test_unbounded_row_midpoint_may_be_undefined(self):
         """On a complex system the midpoint product of an unbounded row can

@@ -150,7 +150,7 @@ def assert_solution_matches_pinv(sys_):
     assert abs(sys_.residual() - residual) <= 1e-12 * max(np.linalg.norm(b), 1.0)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(problems())
 def test_kernel_matches_oracles(problem):
     a, b, eps, w, _ = problem
@@ -175,7 +175,7 @@ def test_kernel_matches_oracles(problem):
         assert res.half_width[k] == res.sensitivity[k] * res.lam
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(problems())
 def test_wrappers_equal_kernel(problem):
     a, b, eps, w, pairs = problem
@@ -223,7 +223,7 @@ def complex_problems(draw):
     return a, b, eps, w
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(complex_problems())
 def test_complex_kernel_matches_lifted(problem):
     a, b, eps, w = problem
@@ -261,7 +261,7 @@ def test_complex_kernel_matches_lifted(problem):
         assert abs(res.upper[k] - hi) <= 1e-6 * scale
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(st.one_of(problems().map(lambda p: p[:4]), complex_problems()),
        st.integers(-600, 600), st.integers(-600, 600))
 def test_scale_homogeneity(problem, j, k):
@@ -333,7 +333,7 @@ def checked_extremals(sys_, w, res):
     return out
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(problems())
 def test_extremal_solutions_attain_kernel(problem):
     a, b, eps, w, _ = problem
@@ -342,7 +342,7 @@ def test_extremal_solutions_attain_kernel(problem):
     checked_extremals(sys_, w, bounds_for(sys_, w))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(complex_problems())
 def test_complex_extremal_solutions_match_lifted(problem):
     a, b, eps, w = problem
@@ -387,7 +387,7 @@ def pair_problems(draw):
     return LinearSystem(a=a, b=b, epsilon=eps), pairs
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(pair_problems())
 def test_pair_rows_equal_dense_difference_rows(problem):
     """The pair family gives the dense rows' products in absolute units, the
@@ -471,7 +471,7 @@ def test_dense_and_pair_rows_never_form_the_solution(m, path, dtype):
     assert "solution" in fc.__dict__
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(pair_problems(), st.data())
 def test_coordinate_rows_share_condition_report_sensitivities(problem, data):
     """Every coordinate row, the Re and the Im row of a complex entry alike,
@@ -533,7 +533,7 @@ def promised(value) -> list:
     return [value]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.one_of(problems().map(lambda p: p[:4]), complex_problems()),
        st.integers(-1080, 1030), st.integers(-1080, 1030))
 def test_finite_or_typed_at_every_magnitude(problem, ja, jb):

@@ -3,17 +3,33 @@ kernel takes from a system's factors: A^+ b (``LinearSystem.solution``),
 the residual ||b - A A^+ b|| (``LinearSystem.residual``), the sensitivity
 ||(A^+)^H w|| and the nullspace component of w (``bounds_for``).  Each is
 checked against a dense pseudoinverse, the normal equations or scipy's
-null_space."""
+null_space.  Last, ``core``'s rules for scalar arguments, at every door
+of the package that takes a count, size, seed or magnitude."""
 
 import dataclasses
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import nullspace_overlap
-from entrybounds import LinearSystem, bounds_for, condition_report, core, entrywise_bounds
+from entrybounds import (
+    LandweberConfig,
+    LinearOperator,
+    LinearSystem,
+    bounds_for,
+    condition_report,
+    core,
+    entrywise_bounds,
+    landweber_pinv,
+    power_iteration_sigma1,
+    stochastic_diag,
+)
 from entrybounds.bounds import _row_products
-from entrybounds.errors import DimensionMismatch, NumericalFailure
+from entrybounds.errors import ConfigError, DimensionMismatch, NumericalFailure
+from entrybounds.matfree import adjoint_mismatch
+from entrybounds.sense import SamplingPattern, make_coils, make_phantom, simulate_acquisition
 
 FINITE, UNBOUNDED = 0, 1
 
@@ -365,3 +381,60 @@ class TestRarelyTakenPaths:
         sys_ = LinearSystem(a, [1.5e308, 1.5e308, -1.5e308], 0.5)
         with pytest.raises(NumericalFailure, match="a vector norm exceeds the float range"):
             entrywise_bounds(sys_)
+
+
+def _operands():
+    """What the doors below take besides the scalar under test: the operator
+    diag(2, 1), a Landweber config for it, and an 8 x 8 acquisition setup."""
+    return SimpleNamespace(
+        op=LinearOperator.from_matrix(np.diag([2.0, 1.0])), cfg=LandweberConfig(2.0),
+        ph=make_phantom("smooth-blobs", 8, 8), coils=make_coils(2, 8, 8),
+        pat=SamplingPattern(8, 2, 2))
+
+
+class TestScalarArguments:
+    """Every count, size and seed is a Python or numpy integer, not a bool,
+    at least its minimum (``core._check_int``), and every magnitude finite
+    and nonnegative (``core._magnitude``): each door raises its own error
+    class before any work."""
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda o: stochastic_diag(o.op, 2.5, cfg=o.cfg), ValueError),
+        (lambda o: stochastic_diag(o.op, 2, seed=1.5, cfg=o.cfg), ValueError),
+        (lambda o: power_iteration_sigma1(o.op, iters=2.5), ValueError),
+        # zero trials checked nothing and read 0.0, even for a wrong adjoint
+        (lambda o: adjoint_mismatch(o.op, trials=0), ValueError),
+        (lambda o: make_phantom("smooth-blobs", 8.5, 8), ConfigError),
+        (lambda o: make_coils(2.5, 8, 8), ConfigError),
+        (lambda o: simulate_acquisition(o.ph, o.coils, o.pat, noise_sigma=math.nan), ConfigError),
+        (lambda o: simulate_acquisition(o.ph, o.coils, o.pat, noise_sigma=math.inf), ConfigError),
+    ], ids=["samples-float", "seed-float", "iters-float", "trials-0", "grid-float",
+            "channels-float", "noise-nan", "noise-inf"])
+    def test_rejected_before_any_work(self, call, error, monkeypatch):
+        operands = _operands()
+
+        def draw(*args):
+            raise AssertionError("a random draw before the check")
+
+        monkeypatch.setattr(np.random, "default_rng", draw)
+        monkeypatch.setattr(np, "mgrid", None)  # the grids of the phantom and the coils
+        with pytest.raises(error):
+            call(operands)
+
+    @pytest.mark.parametrize("numpy_ints, python_ints", [
+        (lambda o: stochastic_diag(o.op, np.int64(3), seed=np.uint8(1), cfg=o.cfg).values,
+         lambda o: stochastic_diag(o.op, 3, seed=1, cfg=o.cfg).values),
+        (lambda o: power_iteration_sigma1(o.op, iters=np.int32(3), seed=np.int64(2)),
+         lambda o: power_iteration_sigma1(o.op, iters=3, seed=2)),
+        (lambda o: adjoint_mismatch(o.op, trials=np.int64(5)),
+         lambda o: adjoint_mismatch(o.op, trials=5)),
+        (lambda o: landweber_pinv(o.op, [2.0, 1.0], LandweberConfig(2.0, max_iters=np.int64(3))).x,
+         lambda o: landweber_pinv(o.op, [2.0, 1.0], LandweberConfig(2.0, max_iters=3)).x),
+        (lambda o: make_phantom("smooth-blobs", np.int64(8), np.int32(9), seed=np.int64(1)).grid,
+         lambda o: make_phantom("smooth-blobs", 8, 9, seed=1).grid),
+        (lambda o: make_coils(np.int64(2), 8, 8, seed=np.int64(1)),
+         lambda o: make_coils(2, 8, 8, seed=1)),
+    ], ids=["probes", "power-iteration", "adjoint-check", "landweber", "phantom", "coils"])
+    def test_numpy_integers_accepted(self, numpy_ints, python_ints):
+        operands = _operands()
+        np.testing.assert_array_equal(numpy_ints(operands), python_ints(operands))

@@ -158,7 +158,7 @@ def _read_outcome(read, path):
 
 
 class TestCsvFastPath:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(csv_files())
     @example("2,2\n1_0,2\n3,4\n".encode())
     @example("1,2\n\u0661\u0662,-nan\r\n".encode())
@@ -299,7 +299,7 @@ def pgm_reference(grid):
     return f"P2\n{grid.shape[1]} {grid.shape[0]}\n255\n{rows}".encode()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(map_grids())
 @example(np.array([[1.5]]))
 @example(np.array([[np.nan, 2.0, -np.inf, 5e-324]]))

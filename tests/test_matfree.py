@@ -296,13 +296,15 @@ class TestLandweber:
     @pytest.mark.parametrize(
         "field, value",
         [("rel_tol", math.nan), ("rel_tol", -1.0), ("rel_tol", math.inf), ("max_iters", 0),
+         ("max_iters", 2.5), ("max_iters", True),
          ("rate_tol", 1.0), ("rate_tol", 0.0),
          ("sigma1_estimate", math.nan), ("sigma1_estimate", 0.0), ("sigma1_estimate", -1.0),
          ("sigma1_estimate", math.inf), ("sigma1_estimate", 1e-170),
          ("tau", math.nan), ("tau", 0.0), ("tau", 0.5), ("tau", math.inf),
          ("sigma_min", math.nan), ("sigma_min", 0.0), ("sigma_min", -1.0),
          ("sigma_min", math.inf), ("sigma_min", 3.0), ("sigma_min", 1e-9)],
-        ids=["rel-tol-nan", "rel-tol-negative", "rel-tol-inf", "max-iters-0", "rate-tol-1",
+        ids=["rel-tol-nan", "rel-tol-negative", "rel-tol-inf", "max-iters-0",
+             "max-iters-float", "max-iters-bool", "rate-tol-1",
              "rate-tol-0", "sigma1-nan", "sigma1-0", "sigma1-negative", "sigma1-inf",
              "sigma1-square-underflows", "tau-nan", "tau-0", "tau-at-2-over-sigma1-squared",
              "tau-inf", "sigma-min-nan", "sigma-min-0", "sigma-min-negative", "sigma-min-inf",
@@ -313,7 +315,8 @@ class TestLandweber:
         # one step, and rate_tol 1 with sigma_min set iteration_bound to 1:
         # landweber_pinv then gave [1, 0.25] for diag(2, 1) x = [2, 1],
         # labelled converged.  A sigma1 of 1e-170 has a square of 0, and a
-        # sigma_min of 1e-9 a rate 1 - 2.5e-19 that rounds to 1: no bound
+        # sigma_min of 1e-9 a rate 1 - 2.5e-19 that rounds to 1: no bound.
+        # A max_iters of 2.5 made landweber_pinv raise an untyped TypeError
         with pytest.raises(InvalidStep, match=field):
             LandweberConfig(**{"sigma1_estimate": 2.0, "sigma_min": 1.0, field: value})
 
