@@ -214,10 +214,12 @@ class LinearSystem:
     complex.
 
     Every field but the entries of ``a`` is checked when the system is
-    made: an ``a`` that is not 2-D, or a ``b`` whose length is not its row
-    count, raises :class:`DimensionMismatch`; a ``rank_rtol`` outside
-    (0, 1) or a negative ``epsilon``, ``ValueError``; and a non-finite
-    ``b`` or ``epsilon``, :class:`NumericalFailure`.  That ``a`` is finite
+    made, in the order ``a``, ``rank_rtol``, ``b``, ``epsilon``: an ``a``
+    that is not 2-D, or a ``b`` whose length is not its row count, raises
+    :class:`DimensionMismatch`; a ``rank_rtol`` or ``epsilon`` that is not
+    a real number, a ``rank_rtol`` outside (0, 1) or a negative
+    ``epsilon``, ``ValueError``; and a non-finite ``b`` or ``epsilon``,
+    :class:`NumericalFailure`.  That ``a`` is finite
     and at least 1 x 1 is checked when the factors are made, once per
     matrix object, so the copies that ``replace`` makes with a new
     ``epsilon`` do not scan ``a`` again.
@@ -230,22 +232,12 @@ class LinearSystem:
     _cache: Optional[_Factored] = field(default=None, repr=False)
 
     def __post_init__(self):
-        a = core.as_real_or_complex(self.a)
-        if a.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-D array, got ndim={a.ndim}")
+        a = core._as_2d(self.a)
         core._check_fraction(self.rank_rtol, "rank tolerance")
-        b = core.as_real_or_complex(self.b)
-        if b.ndim != 1:  # a 1-D b stays the object the caches were made from
-            b = b.reshape(-1)
+        b = core._as_vector(self.b, a.shape[0])
         if np.iscomplexobj(a) or np.iscomplexobj(b):
             a, b = a.astype(complex, copy=False), b.astype(complex, copy=False)
         epsilon = core._magnitude(self.epsilon, "epsilon")
-        if not np.isfinite(b).all():
-            raise NumericalFailure(f"data vector and epsilon must be finite (epsilon={epsilon})")
-        if b.shape[0] != a.shape[0]:
-            raise DimensionMismatch(
-                f"data vector has length {b.shape[0]}, matrix has {a.shape[0]} rows"
-            )
         cache = self._cache
         if cache is not None and any(x is not y for x, y in zip((a, b, self.rank_rtol), cache.key)):
             cache = None
@@ -604,6 +596,7 @@ def extremal_solution(
                 raise StatusMismatch("arbitrary target requires an unbounded functional")
             if alpha is None:
                 raise ValueError("arbitrary target requires a value")
+            core._check_real(alpha, "arbitrary target value")
             if not math.isfinite(alpha):
                 raise NumericalFailure(f"arbitrary target value must be finite, got {alpha}")
             q = (np.ldexp(alpha, -e) - p.mid[0]) * p.wv_perp[0].conj() / (p.perp[0] ** 2)

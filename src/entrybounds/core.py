@@ -4,8 +4,8 @@ rank-truncated SVD, norms in scaled units, and the residual projection.
 All heavy lifting is delegated to LAPACK through numpy; what this module
 adds is an explicit, reportable rank rule, the power-of-two scalings that
 keep norms and inverse singular values in range, the residual formula
-||b - U U^H b|| of a truncated SVD, and the rules that check every scalar
-argument: counts, sizes and seeds, magnitudes, and ratios in (0, 1).
+||b - U U^H b|| of a truncated SVD, and the rules that check every argument:
+arrays, counts, sizes and seeds, magnitudes, and ratios in (0, 1).
 The pseudoinverse products themselves, and the residual of a system, live
 in the interval kernel of :mod:`entrybounds.bounds`.
 
@@ -34,13 +34,20 @@ def as_real_or_complex(x) -> np.ndarray:
     return x.astype(complex if np.iscomplexobj(x) else float, copy=False)
 
 
+def _as_2d(a) -> np.ndarray:
+    """``a`` as a real or complex array, the rule of every matrix: an ndim
+    other than 2 raises :class:`DimensionMismatch`."""
+    a = as_real_or_complex(a)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D array, got ndim={a.ndim}")
+    return a
+
+
 def as_finite_matrix(a) -> np.ndarray:
     """``a`` as a real or complex 2-D array, which may have no rows or no
     columns; another ndim raises :class:`DimensionMismatch` and a NaN or
     infinite entry :class:`NumericalFailure`."""
-    a = as_real_or_complex(a)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D array, got ndim={a.ndim}")
+    a = _as_2d(a)
     if not np.all(np.isfinite(a)):
         raise NumericalFailure("matrix contains NaN or Inf entries")
     return a
@@ -53,10 +60,16 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
-def _as_vector(x, length: int, name: str) -> np.ndarray:
-    x = as_real_or_complex(x).reshape(-1)
-    if x.shape[0] != length:
-        raise DimensionMismatch(f"{name} has length {x.shape[0]}, expected {length}")
+def _as_vector(x, rows: int, of: str = "matrix") -> np.ndarray:
+    """``x`` as a real or complex 1-D array, the rule of every data vector: a
+    length other than ``rows`` raises :class:`DimensionMismatch` and a NaN or
+    infinite entry :class:`NumericalFailure`."""
+    x = as_real_or_complex(x)
+    x = x if x.ndim == 1 else x.reshape(-1)  # a 1-D array stays the object caches key on
+    if x.shape[0] != rows:
+        raise DimensionMismatch(f"data vector has length {x.shape[0]}, {of} has {rows} rows")
+    if not np.isfinite(x).all():
+        raise NumericalFailure("data vector must be finite")
     return x
 
 
@@ -99,9 +112,23 @@ def _check_int(value, name: str, minimum: int, error=ValueError) -> None:
         raise error(f"{name} must be >= {minimum}, got {value}")
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer or float and not a bool."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
+def _check_real(value, name: str, error=ValueError) -> None:
+    """``error`` naming ``name`` unless ``value`` is a real number (:func:`_is_real`)."""
+    if not _is_real(value):
+        raise error(f"{name} must be a real number, got {value!r}")
+
+
 def _magnitude(value, name: str, error=None) -> float:
-    """``value`` as a float, the rule of every magnitude: not finite raises
-    :class:`NumericalFailure` and negative ``ValueError``, or both ``error``."""
+    """``value`` as a float, the rule of every magnitude: not a real number
+    or negative raises ``ValueError`` and not finite
+    :class:`NumericalFailure`, or each ``error``."""
+    _check_real(value, name, error or ValueError)
     value = float(value)
     if not math.isfinite(value):
         raise (error or NumericalFailure)(f"{name} must be finite, got {value}")
@@ -111,7 +138,9 @@ def _magnitude(value, name: str, error=None) -> float:
 
 
 def _check_fraction(value, name: str, error=ValueError) -> None:
-    """``error`` naming ``name`` unless ``value`` lies in (0, 1): the rule of every ratio."""
+    """``error`` naming ``name`` unless ``value`` is a real number in (0, 1):
+    the rule of every ratio."""
+    _check_real(value, name, error)
     if not 0.0 < value < 1.0:
         raise error(f"{name} must be in (0, 1), got {value}")
 
@@ -175,5 +204,5 @@ def _unit_sigma(sigma: np.ndarray) -> tuple[np.ndarray, int]:
 def residual_projection_norm(f: SvdFactors, b) -> float:
     """Norm of the projection of ``b`` onto the orthogonal complement of
     the range: ||b - U (U^H b)||_2."""
-    b = _as_vector(b, f.shape[0], "data vector")
+    b = _as_vector(b, f.shape[0])
     return _norm(b - f.u @ (f.u.conj().T @ b))

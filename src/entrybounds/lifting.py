@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .core import _as_2d, _as_vector
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,7 @@ class LiftedSystem:
 def lift_system(a, b) -> tuple[LiftedSystem, np.ndarray]:
     """Lift a complex system (A, b) to its equivalent real form: A to the
     block matrix [[Re A, -Im A], [Im A, Re A]] and b to [Re b; Im b]."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex).reshape(-1)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D array, got ndim={a.ndim}")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionMismatch(
-            f"data vector has length {b.shape[0]}, matrix has {a.shape[0]} rows"
-        )
+    a = _as_2d(a)
+    b = _as_vector(b, a.shape[0])
     re, im = a.real, a.imag
     return LiftedSystem(a_real=np.block([[re, -im], [im, re]])), np.concatenate([b.real, b.imag])

@@ -25,7 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import _check_fraction, _check_int, _magnitude, as_finite_matrix, as_real_or_complex
+from .core import (_as_vector, _check_fraction, _check_int, _check_real, _magnitude,
+                   as_finite_matrix)
 from .errors import DimensionMismatch, InvalidStep, NumericalFailure
 
 # Probes that stochastic_diag solves in one lockstep block.  Each holds four
@@ -257,7 +258,8 @@ class LandweberConfig:
     below 1 as computed (tau sigma_min^2 < 2 in exact arithmetic), and an
     iteration count sufficient for ``rate_tol`` accuracy is used as an
     extra stop.  ``max_iters`` must be an integer >= 1, ``rel_tol`` finite
-    and >= 0, and ``rate_tol`` in (0, 1).
+    and >= 0, and ``rate_tol`` in (0, 1).  Every setting but ``max_iters``
+    must be a real number, not a bool, where it is given.
     """
 
     sigma1_estimate: float
@@ -269,6 +271,10 @@ class LandweberConfig:
 
     def __post_init__(self):
         s1 = self.sigma1_estimate
+        _check_real(s1, "sigma1_estimate", InvalidStep)
+        for name in ("tau", "sigma_min"):  # optional
+            if getattr(self, name) is not None:
+                _check_real(getattr(self, name), name, InvalidStep)
         if not (s1 > 0.0 and 0.0 < s1 * s1 < math.inf):
             raise InvalidStep(f"sigma1_estimate must be > 0 with a nonzero finite square, got {s1}")
         tau, limit = self.step_size(), 2.0 / (s1 * s1)
@@ -321,12 +327,7 @@ def landweber_pinv(op: LinearOperator, m, cfg: LandweberConfig) -> LandweberResu
     iteration early would understate the sensitivities computed from the
     result.
     """
-    m = as_real_or_complex(m).reshape(-1)
-    if m.shape[0] != op.shape[0]:
-        raise DimensionMismatch(
-            f"data vector has length {m.shape[0]}, operator has {op.shape[0]} rows"
-        )
-    return _landweber(op, [m], cfg)[0]
+    return _landweber(op, [_as_vector(m, op.shape[0], of="operator")], cfg)[0]
 
 
 def _landweber(op: LinearOperator, ms: list, cfg: LandweberConfig) -> list[LandweberResult]:

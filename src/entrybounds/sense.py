@@ -29,7 +29,7 @@ import numpy as np
 from . import bounds as bnd
 from . import lifting
 from .bounds import STATUS_FINITE, STATUS_INFEASIBLE, STATUS_UNBOUNDED, LinearSystem
-from .core import _check_int, _is_int, _magnitude
+from .core import _check_int, _is_int, _is_real, _magnitude
 from .errors import ConfigError, NotOverdetermined, NumericalFailure, ShapeMismatch, UnknownPreset
 from .matfree import LinearOperator
 
@@ -170,11 +170,16 @@ def make_coils(
     Channels are centered on a ring around the image; every profile is
     strictly positive in magnitude, so no voxel is blind to all coils.
     With ``phase_fold`` the phantom's phase is absorbed into each profile
-    so that the effective unknown image is real-valued.
+    so that the effective unknown image is real-valued.  ``l``, ``h`` and
+    ``w`` must be integers >= 1 (:class:`ConfigError`), and a folded
+    phantom must have the grid (h, w) (:class:`ShapeMismatch`).
     """
-    _check_int(l, "coils l", 1, ConfigError)
+    for value, name in ((l, "coils l"), (h, "grid h"), (w, "grid w")):
+        _check_int(value, name, 1, ConfigError)
     if phase_fold and phantom is None:
         raise ConfigError("phase folding requires the phantom")
+    if phase_fold and phantom.shape != (h, w):
+        raise ShapeMismatch(f"phantom grid {phantom.shape} does not match coil grid {(h, w)}")
     _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:h, 0:w]
@@ -395,8 +400,7 @@ _KINDS = {
     # every config integer is a size, count, stride or seed
     int: ("a nonnegative integer", lambda v: _is_int(v) and v >= 0),
     # a magnitude; NaN fails the range test, an int is compared unconverted
-    float: ("a finite number >= 0", lambda v: (_is_int(v) or isinstance(v, float))
-            and 0 <= v <= sys.float_info.max),
+    float: ("a finite number >= 0", lambda v: _is_real(v) and 0 <= v <= sys.float_info.max),
     type(None): ("an integer or null", lambda v: v is None or _is_int(v)),
 }
 

@@ -121,8 +121,7 @@ class TestMadeSystem:
         "changes, error, message",
         [({"epsilon": -1.0}, ValueError, "epsilon must be nonnegative, got -1.0"),
          ({"b": np.ones(5)}, DimensionMismatch, "data vector has length 5, matrix has 3 rows"),
-         ({"b": [1.0, np.nan, 3.0]}, NumericalFailure,
-          "data vector and epsilon must be finite (epsilon=1.0)"),
+         ({"b": [1.0, np.nan, 3.0]}, NumericalFailure, "data vector must be finite"),
          ({"rank_rtol": 0.0}, ValueError, "rank tolerance must be in (0, 1), got 0.0")],
         ids=["epsilon-negative", "b-length", "b-nan", "rtol-0"],
     )

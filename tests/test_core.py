@@ -3,8 +3,9 @@ kernel takes from a system's factors: A^+ b (``LinearSystem.solution``),
 the residual ||b - A A^+ b|| (``LinearSystem.residual``), the sensitivity
 ||(A^+)^H w|| and the nullspace component of w (``bounds_for``).  Each is
 checked against a dense pseudoinverse, the normal equations or scipy's
-null_space.  Last, ``core``'s rules for scalar arguments, at every door
-of the package that takes a count, size, seed or magnitude."""
+null_space.  Last, ``core``'s rules for scalar and array arguments, at
+every door of the package that takes a count, size, seed, magnitude or
+data vector."""
 
 import dataclasses
 import math
@@ -18,16 +19,26 @@ from entrybounds import (
     LandweberConfig,
     LinearOperator,
     LinearSystem,
+    Target,
     bounds_for,
     condition_report,
     core,
     entrywise_bounds,
+    extremal_solution,
+    global_bounds,
     landweber_pinv,
     power_iteration_sigma1,
     stochastic_diag,
 )
 from entrybounds.bounds import _row_products
-from entrybounds.errors import ConfigError, DimensionMismatch, NumericalFailure
+from entrybounds.errors import (
+    ConfigError,
+    DimensionMismatch,
+    InvalidStep,
+    NumericalFailure,
+    ShapeMismatch,
+)
+from entrybounds.lifting import lift_system
 from entrybounds.matfree import adjoint_mismatch
 from entrybounds.sense import SamplingPattern, make_coils, make_phantom, simulate_acquisition
 
@@ -320,7 +331,7 @@ class TestRarelyTakenPaths:
 
     def test_short_data_vector_rejected(self):
         f = core.svd_truncated(np.eye(3))
-        with pytest.raises(DimensionMismatch, match="data vector has length 2, expected 3"):
+        with pytest.raises(DimensionMismatch, match="data vector has length 2, matrix has 3 rows"):
             core.residual_projection_norm(f, [1.0, 2.0])
 
     def test_svd_failure_is_numerical(self, monkeypatch):
@@ -385,18 +396,20 @@ class TestRarelyTakenPaths:
 
 def _operands():
     """What the doors below take besides the scalar under test: the operator
-    diag(2, 1), a Landweber config for it, and an 8 x 8 acquisition setup."""
+    diag(2, 1), a Landweber config for it, an 8 x 8 acquisition setup, and a
+    1 x 2 system, whose functional on x_1 is unbounded."""
     return SimpleNamespace(
         op=LinearOperator.from_matrix(np.diag([2.0, 1.0])), cfg=LandweberConfig(2.0),
         ph=make_phantom("smooth-blobs", 8, 8), coils=make_coils(2, 8, 8),
-        pat=SamplingPattern(8, 2, 2))
+        pat=SamplingPattern(8, 2, 2), wide=LinearSystem(np.array([[1.0, 0.0]]), [1.0], 0.1))
 
 
 class TestScalarArguments:
     """Every count, size and seed is a Python or numpy integer, not a bool,
-    at least its minimum (``core._check_int``), and every magnitude finite
-    and nonnegative (``core._magnitude``): each door raises its own error
-    class before any work."""
+    at least its minimum (``core._check_int``), and every magnitude or
+    ratio a Python or numpy number, not a bool or a string
+    (``core._is_real``), finite and nonnegative (``core._magnitude``): each
+    door raises its own error class before any work."""
 
     @pytest.mark.parametrize("call, error", [
         (lambda o: stochastic_diag(o.op, 2.5, cfg=o.cfg), ValueError),
@@ -408,8 +421,30 @@ class TestScalarArguments:
         (lambda o: make_coils(2.5, 8, 8), ConfigError),
         (lambda o: simulate_acquisition(o.ph, o.coils, o.pat, noise_sigma=math.nan), ConfigError),
         (lambda o: simulate_acquisition(o.ph, o.coils, o.pat, noise_sigma=math.inf), ConfigError),
+        (lambda o: simulate_acquisition(o.ph, o.coils, o.pat, noise_sigma="0.01"), ConfigError),
+        (lambda o: LinearSystem(np.eye(2), [1.0, 2.0], "0.5"), ValueError),
+        (lambda o: LinearSystem(np.eye(2), [1.0, 2.0], True), ValueError),
+        (lambda o: LinearSystem(np.eye(2), [1.0, 2.0], None), ValueError),
+        (lambda o: LinearSystem(np.eye(2), [1.0, 2.0], 0.5, rank_rtol="0.1"), ValueError),
+        (lambda o: global_bounds(np.eye(2), "1"), ValueError),
+        (lambda o: LandweberConfig(1.0, rel_tol="1e-6"), InvalidStep),
+        (lambda o: LandweberConfig(1.0, rel_tol=True), InvalidStep),
+        (lambda o: LandweberConfig("2"), InvalidStep),
+        (lambda o: LandweberConfig(True), InvalidStep),
+        (lambda o: LandweberConfig(1.0, tau="0.5"), InvalidStep),
+        (lambda o: LandweberConfig(1.0, sigma_min=True), InvalidStep),
+        (lambda o: extremal_solution(o.wide, [0.0, 1.0], Target.ARBITRARY, "1"), ValueError),
+        (lambda o: extremal_solution(o.wide, [0.0, 1.0], Target.ARBITRARY, True), ValueError),
+        (lambda o: make_coils(2, 2.5, 8), ConfigError),
+        (lambda o: make_coils(2, 8, -3), ConfigError),
+        (lambda o: make_coils(2, 0, 8), ConfigError),
+        (lambda o: make_coils(4, 12, 12, phase_fold=True, phantom=o.ph), ShapeMismatch),
     ], ids=["samples-float", "seed-float", "iters-float", "trials-0", "grid-float",
-            "channels-float", "noise-nan", "noise-inf"])
+            "channels-float", "noise-nan", "noise-inf", "noise-str", "epsilon-str",
+            "epsilon-bool", "epsilon-none", "rtol-str", "noise-norm-str", "rel-tol-str",
+            "rel-tol-bool", "sigma1-str", "sigma1-bool", "tau-str", "sigma-min-bool",
+            "alpha-str", "alpha-bool", "coils-h-float", "coils-w-negative", "coils-h-0",
+            "coils-fold-grid"])
     def test_rejected_before_any_work(self, call, error, monkeypatch):
         operands = _operands()
 
@@ -438,3 +473,55 @@ class TestScalarArguments:
     def test_numpy_integers_accepted(self, numpy_ints, python_ints):
         operands = _operands()
         np.testing.assert_array_equal(numpy_ints(operands), python_ints(operands))
+
+
+def _refusing_operator():
+    """A 3 x 3 operator whose actions raise: a door that reaches it did work."""
+    def act(x):
+        raise AssertionError("an operator product before the check")
+
+    return LinearOperator(shape=(3, 3), apply=act, apply_transpose=act)
+
+
+class TestArrayArguments:
+    """Every data vector goes through ``core._as_vector``: a length other
+    than the row count raises :class:`DimensionMismatch`, and a NaN or
+    infinite entry :class:`NumericalFailure`, before any work."""
+
+    DOORS = {
+        "system": lambda b: LinearSystem(np.eye(3), b, 0.1),
+        "lift": lambda b: lift_system(np.eye(3), b),
+        "landweber": lambda b: landweber_pinv(_refusing_operator(), b, LandweberConfig(1.0)),
+        "residual": lambda b: core.residual_projection_norm(core.svd_truncated(np.eye(3)), b),
+    }
+
+    @pytest.mark.parametrize("door", DOORS)
+    @pytest.mark.parametrize("b, error, message", [
+        ([1.0, 2.0], DimensionMismatch, "data vector has length 2, {} has 3 rows"),
+        ([1.0, np.nan, 0.0], NumericalFailure, "data vector must be finite"),
+        ([np.inf, 1.0, 0.0], NumericalFailure, "data vector must be finite"),
+    ], ids=["short", "nan", "inf"])
+    def test_rejected_before_any_work(self, door, b, error, message):
+        with pytest.raises(error) as exc:
+            self.DOORS[door](b)
+        assert str(exc.value) == message.format("operator" if door == "landweber" else "matrix")
+
+    @pytest.mark.parametrize("a, b", [(np.eye(2), np.ones(2)),
+                                      (np.eye(2, dtype=complex), np.ones(2, complex))],
+                             ids=["real", "complex"])
+    def test_system_keeps_a_1d_data_vector(self, a, b):
+        """So a copy that ``replace`` makes with a new epsilon shares the factors."""
+        sys_ = LinearSystem(a, b, 0.1)
+        assert sys_.b is b and dataclasses.replace(sys_, epsilon=0.2).b is b
+
+    @pytest.mark.parametrize("fields, error, message", [
+        ((np.ones(2), [np.nan], -1.0, 0.0), DimensionMismatch, "expected a 2-D array, got ndim=1"),
+        ((np.eye(2), [np.nan], -1.0, 0.0), ValueError, "rank tolerance must be in (0, 1), got 0.0"),
+        ((np.eye(2), [np.nan], -1.0, 0.1), DimensionMismatch,
+         "data vector has length 1, matrix has 2 rows"),
+        ((np.eye(2), [np.nan, 1.0], -1.0, 0.1), NumericalFailure, "data vector must be finite"),
+    ], ids=["a", "rank-rtol", "b-length", "b-finite"])
+    def test_system_checks_a_then_rank_rtol_then_b_then_epsilon(self, fields, error, message):
+        with pytest.raises(error) as exc:
+            LinearSystem(*fields)
+        assert str(exc.value) == message
