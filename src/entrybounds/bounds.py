@@ -174,11 +174,7 @@ def _factor(a: np.ndarray, b: np.ndarray, rtol: float) -> _Factored:
             # sigma_n <= min|R_ii| and max|R_ii| <= sigma_1, so a diagonal that fails
             # the rank rule shows R rank-deficient without this values-only SVD
             diag = np.abs(np.diagonal(a))
-            try:
-                sigma = (np.linalg.svd(a, compute_uv=False)
-                         if diag.min() > rtol * diag.max() else None)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailure(f"SVD did not converge: {exc}") from None
+            sigma = core._svd(a, compute_uv=False) if diag.min() > rtol * diag.max() else None
             if sigma is not None and core._rank(sigma, rtol) == n:
                 es = core._unit_sigma(sigma)[1]
                 k = _triangular_inverse(a * _inv_pow2(es))
@@ -407,28 +403,18 @@ def _row_products(sys: LinearSystem, W=None, *, entries=None, pairs=None) -> _Ro
       product is the dense one, which takes the row in units of 2, times 2
       exactly, so every interval equals the dense one up to the sign of a
       zero.
+
+    The entries and the weight matrix are checked before the system is factored.
     """
-    fc = sys._factored()
-    n = fc.k.shape[0]
+    n = sys.shape[1]
+    reps = 2 if sys.is_complex else 1
     u = wk = wv_perp = None
-    if pairs is not None:
-        i, j = pairs.T
-        wk, wv_perp = fc.k[i] - fc.k[j], fc.v_perp[i] - fc.v_perp[j]
-        e, wnorm = np.zeros(i.size, dtype=int), math.sqrt(2.0)
-    elif W is None:
-        reps = 2 if sys.is_complex else 1
-        x = fc.solution  # a NaN midpoint raises in _bound_arrays
-        mid = np.concatenate([x.real, x.imag]) if reps == 2 else x
-        sens = np.tile(fc.entry_sensitivities, reps)
-        perp = np.tile(np.linalg.norm(fc.v_perp, axis=1), reps)
-        if entries is not None:
-            idx, outside = _index_array(entries, mid.size)
-            if outside.any():
-                i = int(idx[outside][0])
-                raise IndexOutOfRange(f"entry index {i} out of range for {mid.size} rows")
-            mid, sens, perp = mid[idx], sens[idx], perp[idx]
-        e, wnorm = np.zeros(mid.size, dtype=int), 1.0  # a coordinate row is a unit vector
-    else:
+    if W is None and entries is not None:
+        idx, outside = _index_array(entries, reps * n)
+        if outside.any():
+            i = int(idx[outside][0])
+            raise IndexOutOfRange(f"entry index {i} out of range for {reps * n} rows")
+    elif W is not None:
         W = core.as_real_or_complex(W)
         if W.ndim != 2 or W.shape[1] != n:
             raise DimensionMismatch(f"weight matrix has shape {W.shape}, matrix has {n} columns")
@@ -447,6 +433,20 @@ def _row_products(sys: LinearSystem, W=None, *, entries=None, pairs=None) -> _Ro
         if not np.array_equal(u / scale, W):
             raise NumericalFailure("a weight row spans too many magnitudes to be rescaled exactly")
         wnorm = np.linalg.norm(u, axis=1)
+    fc = sys._factored()
+    if pairs is not None:
+        i, j = pairs.T
+        wk, wv_perp = fc.k[i] - fc.k[j], fc.v_perp[i] - fc.v_perp[j]
+        e, wnorm = np.zeros(i.size, dtype=int), math.sqrt(2.0)
+    elif W is None:
+        x = fc.solution  # a NaN midpoint raises in _bound_arrays
+        mid = np.concatenate([x.real, x.imag]) if reps == 2 else x
+        sens = np.tile(fc.entry_sensitivities, reps)
+        perp = np.tile(np.linalg.norm(fc.v_perp, axis=1), reps)
+        if entries is not None:
+            mid, sens, perp = mid[idx], sens[idx], perp[idx]
+        e, wnorm = np.zeros(mid.size, dtype=int), 1.0  # a coordinate row is a unit vector
+    else:
         wk, wv_perp = u.conj() @ fc.k, u.conj() @ fc.v_perp
     if wk is not None:  # the pair and the dense rows, from their products with the factors
         perp = np.linalg.norm(wv_perp, axis=1)
@@ -582,7 +582,15 @@ def extremal_solution(
     The step from A^+ b and the result's ``bound``, the interval of
     :func:`functional_bound`, come from one evaluation of w's products,
     whose one status test decides the target: an end needs a finite row,
-    ``alpha`` an unbounded one, else :class:`StatusMismatch` is raised."""
+    ``alpha`` an unbounded one, else :class:`StatusMismatch` is raised.
+    An arbitrary target's ``alpha`` is checked first: None or not a real
+    number raises ``ValueError``, and not finite :class:`NumericalFailure`."""
+    if target is Target.ARBITRARY:
+        if alpha is None:
+            raise ValueError("arbitrary target requires a value")
+        core._check_real(alpha, "arbitrary target value")
+        if not math.isfinite(alpha):
+            raise NumericalFailure(f"arbitrary target value must be finite, got {alpha}")
     p = _row_products(sys, np.reshape(w, (1, -1)))
     bound = _bound_arrays(p).entry_bounds([None])[0]
     if p.lam is None:
@@ -594,11 +602,6 @@ def extremal_solution(
         if target is Target.ARBITRARY:
             if not p.unbounded[0]:
                 raise StatusMismatch("arbitrary target requires an unbounded functional")
-            if alpha is None:
-                raise ValueError("arbitrary target requires a value")
-            core._check_real(alpha, "arbitrary target value")
-            if not math.isfinite(alpha):
-                raise NumericalFailure(f"arbitrary target value must be finite, got {alpha}")
             q = (np.ldexp(alpha, -e) - p.mid[0]) * p.wv_perp[0].conj() / (p.perp[0] ** 2)
             x = fc.v_perp @ q + fc.solution
         else:
@@ -607,8 +610,7 @@ def extremal_solution(
             upper, lower = _extremal_pair(fc, p.wk[0], p.sens[0], p.lam)
             x = upper if target is Target.UPPER else lower
         achieved = float(np.ldexp((u.conj() @ x).real, e))
-    if not (math.isfinite(achieved) and np.isfinite(x).all()):
-        raise NumericalFailure(f"target {target.value}: the vector must be finite")
+    core._finite(np.append(x, achieved), f"target {target.value}: the vector")
     return ExtremalSolution(x=x, achieved_value=achieved,
                             residual_norm=core._norm(sys.a @ x - sys.b), bound=bound)
 
@@ -642,9 +644,7 @@ def condition_report(a) -> ConditionReport:
     reps = 2 if np.iscomplexobj(fc.k) else 1
     sigma_max = float(fc.sigma[0]) if rank else 0.0
     sigma_min_pos = float(fc.sigma[-1]) if rank else 0.0
-    spectral = np.tile(fc.entry_sensitivities, reps)
-    if not np.isfinite(spectral).all():
-        raise NumericalFailure("an entrywise sensitivity exceeds the float range")
+    spectral = core._finite(np.tile(fc.entry_sensitivities, reps), "an entrywise sensitivity")
     kappa_global = sigma_max / sigma_min_pos if rank == n else None
     return ConditionReport(
         sigma_max=sigma_max,
@@ -667,10 +667,7 @@ def global_bounds(a, n_norm: float) -> float:
     n, rank = fc.k.shape
     if rank < n:
         raise RankDeficient("spectral bound requires full column rank")
-    bound = n_norm / float(fc.sigma[-1])
-    if not math.isfinite(bound):
-        raise NumericalFailure("the spectral bound exceeds the float range")
-    return bound
+    return core._finite(n_norm / float(fc.sigma[-1]), "the spectral bound")
 
 
 def ellipsoid_volume(a, lam: float) -> float:

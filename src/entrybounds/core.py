@@ -150,6 +150,15 @@ def _rank(s: np.ndarray, rtol: float) -> int:
     return int(np.count_nonzero(s > rtol * s[0]))
 
 
+def _svd(a: np.ndarray, **kwargs):
+    """``np.linalg.svd(a, **kwargs)``, the one call of it: an SVD that does
+    not converge raises :class:`NumericalFailure`."""
+    try:
+        return np.linalg.svd(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD did not converge: {exc}") from None
+
+
 def svd_truncated(a, rtol: float = DEFAULT_RANK_RTOL) -> SvdFactors:
     """Compute the SVD of ``a`` truncated at numerical rank.
 
@@ -162,10 +171,7 @@ def svd_truncated(a, rtol: float = DEFAULT_RANK_RTOL) -> SvdFactors:
     """
     _check_fraction(rtol, "rank tolerance")
     a = _as_matrix(a)
-    try:
-        u_full, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from None
+    u_full, s, vt = _svd(a, full_matrices=a.shape[0] < a.shape[1])
     _finite(s[:1], "sigma_1")
     rank = _rank(s, rtol)
     return SvdFactors(
@@ -176,8 +182,10 @@ def svd_truncated(a, rtol: float = DEFAULT_RANK_RTOL) -> SvdFactors:
     )
 
 
-def _finite(x: np.ndarray, what: str) -> np.ndarray:
-    """``x``; :class:`NumericalFailure`, naming ``what``, if an entry is not finite."""
+def _finite(x, what: str):
+    """``x``, an array or a float; :class:`NumericalFailure`, ``<what> exceeds
+    the float range``, if an entry is not finite: the rule of every computed
+    value the package returns."""
     if not np.isfinite(x).all():
         raise NumericalFailure(f"{what} exceeds the float range")
     return x

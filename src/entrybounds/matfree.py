@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (_as_vector, _check_fraction, _check_int, _check_real, _magnitude,
+from .core import (_as_vector, _check_fraction, _check_int, _check_real, _finite, _magnitude,
                    as_finite_matrix)
 from .errors import DimensionMismatch, InvalidStep, NumericalFailure
 
@@ -100,14 +100,12 @@ class LinearOperator:
         """The operator of a dense matrix, checked by :func:`as_finite_matrix`
         before any product: it must be 2-D with finite entries, and may have
         no rows or no columns.  It carries A^H A as a one-block stack with
-        index ``arange(N)``; a matrix whose A^H A leaves the float range
+        index ``arange(N)``; a matrix whose A^H A exceeds the float range
         raises :class:`NumericalFailure`."""
         a = as_finite_matrix(a)
         ah = a.conj().T
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = ah @ a
-        if not np.all(np.isfinite(gram)):
-            raise NumericalFailure("A^H A of the matrix leaves the float range")
+            gram = _finite(ah @ a, "A^H A of the matrix")
         return cls(
             shape=(a.shape[0], a.shape[1]),
             apply=lambda x, _a=a: _a @ x,

@@ -29,7 +29,7 @@ import numpy as np
 from . import bounds as bnd
 from . import lifting
 from .bounds import STATUS_FINITE, STATUS_INFEASIBLE, STATUS_UNBOUNDED, LinearSystem
-from .core import _check_int, _is_int, _is_real, _magnitude
+from .core import _check_int, _finite, _is_int, _is_real, _magnitude
 from .errors import ConfigError, NotOverdetermined, NumericalFailure, ShapeMismatch, UnknownPreset
 from .matfree import LinearOperator
 
@@ -501,8 +501,7 @@ def _bound_line(sys_: LinearSystem, report: bnd.ConditionReport, sup: np.ndarray
     if j.size and eb.status[j[0]] == STATUS_FINITE:
         fc = sys_._factored()
         upper, lower = bnd._extremal_pair(fc, fc.k[j[0]], fc.entry_sensitivities[j[0]], eb.lam)
-        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
-            raise NumericalFailure("an extremal vector exceeds the float range")
+        _finite(np.append(upper, lower), "an extremal vector")
         maps["extremal_upper"], maps["extremal_lower"] = (sup, upper.real), (sup, lower.real)
     return eb.status[:n_sup], maps
 

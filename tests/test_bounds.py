@@ -186,7 +186,7 @@ class TestWeightRowRange:
         sys_ = LinearSystem(a=np.array([[1.0, 0.0]]), b=[1.0], epsilon=0.1)
         sol = extremal_solution(sys_, [1e-170, 1e-170], Target.ARBITRARY, alpha=1e-160)
         assert sol.achieved_value == pytest.approx(1e-160, rel=1e-12)
-        with pytest.raises(NumericalFailure, match="must be finite"):
+        with pytest.raises(NumericalFailure, match="exceeds the float range"):
             extremal_solution(sys_, [1e-300, 1e-300], Target.ARBITRARY, alpha=1e300)
 
 

@@ -139,6 +139,18 @@ def test_weight_index_out_of_range(tmp_path, capsys, inputs, index):
     assert not out.exists()
 
 
+def test_nonfinite_value_target_exits_1_on_a_bounded_row(tmp_path, capsys, inputs):
+    """``value:nan`` is an input error, found before the row's status is
+    read: exit 1 where the row is bounded, not the 2 of a target that the
+    status rejects, and no ``--out``."""
+    out = tmp_path / "x.csv"
+    argv = ["extremal", "--matrix", inputs["a.csv"], "--data", inputs["b.csv"], "--epsilon",
+            "0.5", "--target", "value:nan", "--weight-index", "0", "--out", str(out)]
+    assert run_main(argv, capsys) == (
+        1, "", "error: arbitrary target value must be finite, got nan\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--target", "value:abc", "must be lower|upper|value:<a>, got 'value:abc'"),
     ("--target", "middle", "must be lower|upper|value:<a>, got 'middle'"),

@@ -25,6 +25,7 @@ from entrybounds import (
     core,
     entrywise_bounds,
     extremal_solution,
+    functional_bound,
     global_bounds,
     landweber_pinv,
     power_iteration_sigma1,
@@ -34,9 +35,11 @@ from entrybounds.bounds import _row_products
 from entrybounds.errors import (
     ConfigError,
     DimensionMismatch,
+    IndexOutOfRange,
     InvalidStep,
     NumericalFailure,
     ShapeMismatch,
+    ZeroFunctional,
 )
 from entrybounds.lifting import lift_system
 from entrybounds.matfree import adjoint_mismatch
@@ -525,3 +528,37 @@ class TestArrayArguments:
         with pytest.raises(error) as exc:
             LinearSystem(*fields)
         assert str(exc.value) == message
+
+
+class TestKernelArguments:
+    """The interval kernel checks its entries, weight rows and arbitrary
+    target value before it factors the system: with the SVD and the QR
+    refusing to run, each door still raises its own error, and the system
+    stays unfactored."""
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda s: entrywise_bounds(s, [9]), IndexOutOfRange),
+        (lambda s: entrywise_bounds(s, [1.5]), IndexOutOfRange),
+        (lambda s: bounds_for(s, np.ones((1, 5))), DimensionMismatch),
+        (lambda s: bounds_for(s, np.array([[1j, 0.0]])), DimensionMismatch),
+        (lambda s: bounds_for(s, np.array([[np.nan, 1.0]])), NumericalFailure),
+        (lambda s: functional_bound(s, [0.0, 0.0]), ZeroFunctional),
+        (lambda s: extremal_solution(s, [1.0], Target.UPPER), DimensionMismatch),
+        (lambda s: extremal_solution(s, [1.0, 0.0], Target.ARBITRARY), ValueError),
+        (lambda s: extremal_solution(s, [1.0, 0.0], Target.ARBITRARY, "1"), ValueError),
+        # row x_2 of the rank-1 system below is unbounded
+        (lambda s: extremal_solution(LinearSystem(np.array([[1.0, 0.0]] * 3), [1.0, 1.0, 1.0], 1.0),
+                                     [0.0, 1.0], Target.ARBITRARY, math.nan), NumericalFailure),
+    ], ids=["entry-outside", "entry-float", "weights-shape", "weights-complex", "weights-nan",
+            "zero-row", "extremal-short-row", "alpha-none", "alpha-str", "alpha-nan-unbounded"])
+    def test_rejected_before_any_work(self, call, error, monkeypatch):
+        sys_ = LinearSystem(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), [1.0, 2.0, 3.0], 1.0)
+
+        def factor(*args, **kwargs):
+            raise AssertionError("a factorization before the check")
+
+        monkeypatch.setattr(np.linalg, "svd", factor)
+        monkeypatch.setattr(np.linalg, "qr", factor)
+        with pytest.raises(error):
+            call(sys_)
+        assert sys_._cache is None

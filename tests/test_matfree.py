@@ -159,6 +159,11 @@ class TestFromMatrix:
         with pytest.raises(error):
             LinearOperator.from_matrix(a)
 
+    def test_gram_overflow_names_the_float_range(self):
+        with pytest.raises(NumericalFailure) as exc:
+            LinearOperator.from_matrix(np.full((2, 2), 1e200))
+        assert str(exc.value) == "A^H A of the matrix exceeds the float range"
+
     @pytest.mark.parametrize("shape", [(9, 6), (0, 3), (3, 0)], ids=["9x6", "0x3", "3x0"])
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     def test_carries_its_gram_as_one_block(self, shape, cplx):
