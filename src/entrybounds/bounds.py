@@ -529,7 +529,9 @@ def _index_array(idx, size: int, shape: tuple = (None,)) -> tuple[np.ndarray, np
     """``idx`` as an index array of ``shape`` (None: any length), and where
     it lies outside [0, size); an empty sequence is an empty array of that
     shape.  Another shape, or a boolean or non-integer index, raises
-    :class:`IndexOutOfRange`."""
+    :class:`IndexOutOfRange`.  An index that is not a signed-integer array
+    is read entry by entry as given, so a value past the int64 range is
+    named as it is; the array is cast to ``intp`` only when all lie inside."""
     want = "(" + " x ".join("k" if s is None else str(s) for s in shape) + ")"
     try:
         p = np.asarray(idx)
@@ -539,9 +541,13 @@ def _index_array(idx, size: int, shape: tuple = (None,)) -> tuple[np.ndarray, np
         p = p.reshape((0,) + shape[1:])
     if p.ndim != len(shape) or any(s not in (None, t) for s, t in zip(shape, p.shape)):
         raise IndexOutOfRange(f"expected an index of shape {want}, got {p.shape}")
-    if p.size and (p.dtype == bool or not np.issubdtype(p.dtype, np.integer)):
-        raise IndexOutOfRange(f"an index must be an integer, got {p.reshape(-1)[:1].tolist()[0]!r}")
-    return p.astype(np.intp), (p < 0) | (p >= size)
+    if p.size and p.dtype.kind != "i":  # a bool, float, unsigned, text or object array
+        p = np.asarray(idx, dtype=object).reshape(p.shape)
+        bad = [v for v in p.flat if not core._is_int(v)]
+        if bad:
+            raise IndexOutOfRange(f"an index must be an integer, got {bad[0]!r}")
+    outside = (p < 0) | (p >= size)
+    return (p if outside.any() else p.astype(np.intp)), outside
 
 
 def _pair_index(n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -584,7 +590,11 @@ def extremal_solution(
     whose one status test decides the target: an end needs a finite row,
     ``alpha`` an unbounded one, else :class:`StatusMismatch` is raised.
     An arbitrary target's ``alpha`` is checked first: None or not a real
-    number raises ``ValueError``, and not finite :class:`NumericalFailure`."""
+    number raises ``ValueError``, and not finite :class:`NumericalFailure`;
+    a ``target`` that is not a :class:`Target` raises ``ValueError`` before
+    that."""
+    if not isinstance(target, Target):
+        raise ValueError(f"target must be a Target, got {target!r}")
     if target is Target.ARBITRARY:
         if alpha is None:
             raise ValueError("arbitrary target requires a value")

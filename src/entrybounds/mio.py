@@ -1,5 +1,5 @@
-"""File formats: CSV matrices/vectors, complex CSV, JSON records, PGM
-renders, and run manifests with content hashes.
+"""File formats: real CSV matrices/vectors, JSON records, PGM renders,
+and run manifests with content hashes.
 
 All floats are written with 17 significant digits and a locale-independent
 decimal point, so reruns with identical inputs are byte-identical.
@@ -33,16 +33,8 @@ _PGM_FLAT_RTOL = 1e-12  # a relative span at or below this is rounding: one gray
 _PGM_TOKENS = np.array([str(v) for v in range(_PGM_MAXVAL + 1)], dtype=object)  # "%d" of a pixel
 
 
-def _write_csv(path, shape, lines) -> None:
-    """Write a CSV of ``shape`` with a leading ``rows,cols`` line and then
-    ``lines``, one text per row."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{shape[0]},{shape[1]}\n")
-        fh.writelines(lines)
-
-
 def _read_header(fh, path) -> tuple[int, int]:
-    """Parse the ``rows,cols`` line of a CSV written by :func:`_write_csv`."""
+    """Parse the ``rows,cols`` line of a CSV written by :func:`write_matrix_csv`."""
     header = fh.readline().strip()
     try:
         rows, cols = (int(t) for t in header.split(","))
@@ -53,9 +45,9 @@ def _read_header(fh, path) -> tuple[int, int]:
     return rows, cols
 
 
-def _read_csv(path, dtype, parse) -> np.ndarray:
-    """Read a CSV written by :func:`_write_csv`, parsing each token with
-    ``parse``; errors name the file and the line.  Only blank lines may
+def _read_csv(path) -> np.ndarray:
+    """Read a CSV written by :func:`write_matrix_csv`, parsing each token with
+    ``float()``; errors name the file and the line.  Only blank lines may
     follow the header's row count.  The array is built from the rows read,
     so a header that claims more than the file holds allocates nothing."""
     out = []
@@ -69,13 +61,13 @@ def _read_csv(path, dtype, parse) -> np.ndarray:
             if len(vals) != cols:
                 raise ConfigError(f"{path}:{r + 2}: expected {cols} values, found {len(vals)}")
             try:
-                out.append([parse(v) for v in vals])
+                out.append([float(v) for v in vals])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{r + 2}: {exc}")
         for lineno, line in enumerate(fh, rows + 2):
             if line.strip():
                 raise ConfigError(f"{path}:{lineno}: expected {rows} data rows, found more")
-    return np.array(out, dtype=dtype).reshape(rows, cols)
+    return np.array(out, dtype=float).reshape(rows, cols)
 
 
 def _data_rows(fh, rows):
@@ -113,7 +105,7 @@ def _real(a, writer: str) -> np.ndarray:
     imaginary part."""
     a = np.asarray(a)
     if np.iscomplexobj(a):
-        raise TypeError(f"{writer} writes real data; write complex data with write_complex_csv")
+        raise TypeError(f"{writer} writes real data, got a complex array")
     return a.astype(float, copy=False)
 
 
@@ -124,15 +116,17 @@ def write_matrix_csv(path, a) -> None:
     # an all-NaN row, off the support of a map, is formatted once
     nan_line = line % ((math.nan,) * a.shape[1])
     empty = np.isnan(a).all(axis=1).tolist()
-    _write_csv(path, a.shape, [nan_line if skip else line % tuple(row)
-                               for row, skip in zip(a.tolist(), empty)])
+    lines = [nan_line if skip else line % tuple(row) for row, skip in zip(a.tolist(), empty)]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"{a.shape[0]},{a.shape[1]}\n")
+        fh.writelines(lines)
 
 
 def read_matrix_csv(path) -> np.ndarray:
     """Read a real matrix written by :func:`write_matrix_csv`; a malformed
     file raises ConfigError naming the file and line."""
     out = _read_real_csv_fast(path)
-    return _read_csv(path, float, float) if out is None else out
+    return _read_csv(path) if out is None else out
 
 
 def write_vector_csv(path, x) -> None:
@@ -146,20 +140,6 @@ def read_vector_csv(path) -> np.ndarray:
     if a.shape[1] != 1:
         raise DimensionMismatch(f"{path}: expected a single-column vector, got {a.shape}")
     return a[:, 0]
-
-
-def _fmt_complex(z: complex) -> str:
-    return f"{FLOAT_FMT % z.real}{'+' if z.imag >= 0 else '-'}{FLOAT_FMT % abs(z.imag)}j"
-
-
-def write_complex_csv(path, a) -> None:
-    """Write a complex matrix as CSV with ``re+imj`` tokens."""
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    _write_csv(path, a.shape, (",".join(map(_fmt_complex, row)) + "\n" for row in a.tolist()))
-
-
-def read_complex_csv(path) -> np.ndarray:
-    return _read_csv(path, complex, complex)
 
 
 def json_text(obj) -> str:

@@ -432,11 +432,13 @@ class TestEntrywiseBounds:
         assert out[1].status is BoundStatus.UNBOUNDED
 
     @pytest.mark.parametrize("dtype, bad", [(float, -1), (float, 3), (complex, -1),
-                                            (complex, 6)],
-                             ids=["real-negative", "real-N", "complex-negative", "complex-2N"])
+                                            (complex, 6), (float, 2**63), (float, 2**64)],
+                             ids=["real-negative", "real-N", "complex-negative", "complex-2N",
+                                  "past-int64", "past-uint64"])
     def test_entry_out_of_range_rejected(self, rng, dtype, bad):
         """An entry outside [0, rows) raises, where rows is N on a real
-        system and 2N on a complex one; a negative number does not wrap."""
+        system and 2N on a complex one; a negative number does not wrap,
+        and one past the int64 range is named as given."""
         a = rng.standard_normal((6, 3)).astype(dtype)
         sys = LinearSystem(a=a, b=a @ np.ones(3), epsilon=0.5)
         with pytest.raises(IndexOutOfRange, match=f"entry index {bad} out of range"):
@@ -492,8 +494,11 @@ class TestAdjacentDifference:
          ([(-1, 2), (3, 3)], IndexOutOfRange, "pair (-1, 2) out of range for N=4"),
          ([(1, 1), (0, 9)], SamePair, "difference pair has identical indices (1, 1)"),
          (np.array([[0, 1], [3, 2], [2, 7], [0, 0]]), IndexOutOfRange,
-          "pair (2, 7) out of range for N=4")],
-        ids=["same-first", "range-before-same", "negative", "same-before-range", "array"],
+          "pair (2, 7) out of range for N=4"),
+         ([(0, 1), (0, 2**63)], IndexOutOfRange,
+          "pair (0, 9223372036854775808) out of range for N=4")],
+        ids=["same-first", "range-before-same", "negative", "same-before-range", "array",
+             "past-int64"],
     )
     def test_first_bad_pair_rejected(self, pairs, error, message):
         """The kernel checks all pairs at once, and names the pair that the
@@ -1217,3 +1222,8 @@ class TestRarelyTakenPaths:
     def test_crlb_index_out_of_range_rejected(self):
         with pytest.raises(IndexOutOfRange, match="index 5 out of range for N=2"):
             crlb_identity_check(np.array(SMALL_A), 5)
+
+    def test_crlb_index_past_uint64_named_as_given(self):
+        with pytest.raises(IndexOutOfRange,
+                           match="index 18446744073709551616 out of range for N=2"):
+            crlb_identity_check(np.array(SMALL_A), 2**64)

@@ -531,10 +531,10 @@ class TestArrayArguments:
 
 
 class TestKernelArguments:
-    """The interval kernel checks its entries, weight rows and arbitrary
-    target value before it factors the system: with the SVD and the QR
-    refusing to run, each door still raises its own error, and the system
-    stays unfactored."""
+    """The interval kernel checks its entries, weight rows, target and
+    arbitrary target value before it factors the system: with the SVD and
+    the QR refusing to run, each door still raises its own error, and the
+    system stays unfactored."""
 
     @pytest.mark.parametrize("call, error", [
         (lambda s: entrywise_bounds(s, [9]), IndexOutOfRange),
@@ -546,11 +546,14 @@ class TestKernelArguments:
         (lambda s: extremal_solution(s, [1.0], Target.UPPER), DimensionMismatch),
         (lambda s: extremal_solution(s, [1.0, 0.0], Target.ARBITRARY), ValueError),
         (lambda s: extremal_solution(s, [1.0, 0.0], Target.ARBITRARY, "1"), ValueError),
+        (lambda s: extremal_solution(s, [1.0, 0.0], "upper"), ValueError),
+        (lambda s: extremal_solution(s, [1.0, 0.0], None), ValueError),
         # row x_2 of the rank-1 system below is unbounded
         (lambda s: extremal_solution(LinearSystem(np.array([[1.0, 0.0]] * 3), [1.0, 1.0, 1.0], 1.0),
                                      [0.0, 1.0], Target.ARBITRARY, math.nan), NumericalFailure),
     ], ids=["entry-outside", "entry-float", "weights-shape", "weights-complex", "weights-nan",
-            "zero-row", "extremal-short-row", "alpha-none", "alpha-str", "alpha-nan-unbounded"])
+            "zero-row", "extremal-short-row", "alpha-none", "alpha-str", "target-str",
+            "target-none", "alpha-nan-unbounded"])
     def test_rejected_before_any_work(self, call, error, monkeypatch):
         sys_ = LinearSystem(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), [1.0, 2.0, 3.0], 1.0)
 
