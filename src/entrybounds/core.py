@@ -5,7 +5,8 @@ All heavy lifting is delegated to LAPACK through numpy; what this module
 adds is an explicit, reportable rank rule, the power-of-two scalings that
 keep norms and inverse singular values in range, the residual formula
 ||b - U U^H b|| of a truncated SVD, and the rules that check every argument:
-arrays, counts, sizes and seeds, magnitudes, and ratios in (0, 1).
+arrays, counts, sizes and seeds, magnitudes, ratios in (0, 1), and the
+bytes of every array whose size an input sets.
 The pseudoinverse products themselves, and the residual of a system, live
 in the interval kernel of :mod:`entrybounds.bounds`.
 
@@ -22,10 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalFailure
+from .errors import ConfigError, DimensionMismatch, NumericalFailure
 
 DEFAULT_RANK_RTOL = 1e-10
 DEFAULT_ORTHO_TOL = 1e-8
+# The largest array, in bytes, that an input may make the package allocate:
+# the Gram of a dense operator and the arrays a SENSE config implies.
+MAX_ARRAY_BYTES = 2**30
 
 
 def as_real_or_complex(x) -> np.ndarray:
@@ -110,6 +114,15 @@ def _check_int(value, name: str, minimum: int, error=ValueError) -> None:
         raise error(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise error(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_bytes(nbytes: int, what: str) -> None:
+    """:class:`ConfigError` naming ``what`` if ``nbytes`` exceeds
+    ``MAX_ARRAY_BYTES``: the rule of every array whose size an input sets,
+    checked before it is allocated."""
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ConfigError(f"{what} would take {nbytes} bytes, more than the "
+                          f"{MAX_ARRAY_BYTES} allowed")
 
 
 def _is_real(value) -> bool:

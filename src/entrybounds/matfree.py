@@ -12,9 +12,10 @@ as the SENSE operator and every ``from_matrix`` operator do, they keep their
 iterates in the blocks' own layout, where one step is one batched product
 with the stack; otherwise they keep flat vectors, stepped with
 ``apply_transpose(apply(x))`` one vector at a time.  The probes of the
-estimator step in lockstep,
-``PROBE_CHUNK`` at a time, through one loop whose results equal those of
-one solve per probe bit for bit.
+estimator step in lockstep, ``PROBE_CHUNK`` at a time, through one loop
+whose results equal those of one solve per probe bit for bit: a probe that
+stops is read back at once, and keeps stepping with its block until the
+block ends, which does not change its result.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (_as_vector, _check_fraction, _check_int, _check_real, _finite, _magnitude,
-                   as_finite_matrix)
+from .core import (_as_vector, _check_bytes, _check_fraction, _check_int, _check_real, _finite,
+                   _magnitude, as_finite_matrix)
 from .errors import DimensionMismatch, InvalidStep, NumericalFailure
 
 # Probes that stochastic_diag solves in one lockstep block.  Each holds four
@@ -100,9 +101,12 @@ class LinearOperator:
         """The operator of a dense matrix, checked by :func:`as_finite_matrix`
         before any product: it must be 2-D with finite entries, and may have
         no rows or no columns.  It carries A^H A as a one-block stack with
-        index ``arange(N)``; a matrix whose A^H A exceeds the float range
-        raises :class:`NumericalFailure`."""
+        index ``arange(N)``.  An A^H A of more than ``core.MAX_ARRAY_BYTES``
+        raises :class:`ConfigError` before it is formed, and one that exceeds
+        the float range :class:`NumericalFailure`."""
         a = as_finite_matrix(a)
+        n = a.shape[1]
+        _check_bytes(n * n * a.itemsize, f"A^H A of a matrix with N={n} columns")
         ah = a.conj().T
         with np.errstate(over="ignore", invalid="ignore"):
             gram = _finite(ah @ a, "A^H A of the matrix")
@@ -116,32 +120,40 @@ class LinearOperator:
 
 
 class _Layout:
-    """Where the solves keep the iterates of up to ``probes`` probes, one per
+    """Where the solves keep the iterates of ``probes`` probes, one per
     leading index: for an operator with ``normal_blocks``, each probe in the
     (blocks, n_max, 1) layout of its stack, whose padding the block products
     keep exactly zero; otherwise each in a flat vector.
 
     :meth:`adjoint` places A^H m of each vector m of a list in the layout,
-    one probe each, and :meth:`normal` applies A^H A to the first ``len(u)``
-    probes.  On a stack, a normal product is one batched product, one
-    matrix-vector product per (probe, block), written into one buffer that
-    each call reuses, so its result is only valid until the next call.  A
-    flat operator takes ``apply_transpose(apply(v))`` one vector at a time.
+    one probe each, and :meth:`normal` applies A^H A to every probe.  On a
+    stack, a normal product is one batched product, one matrix-vector
+    product per (probe, block), written into one buffer that each call
+    reuses, so its result is only valid until the next call.  A flat
+    operator takes ``apply_transpose(apply(v))`` one vector at a time.
     """
 
     def __init__(self, op: LinearOperator, dtype, probes: int = 1):
-        fwd, adj = op.apply, op.apply_transpose
-        self.adjoint = lambda ms: self.scatter([adj(m) for m in ms])
+        self.op = op
         if op.normal_blocks is None:
             self.shape, self.index = (op.shape[1],), slice(None)
             self.dtype = np.result_type(dtype, complex if op.is_complex else float)
-            self.normal = lambda u: np.array([adj(fwd(v)) for v in u])
         else:
-            stack, self.index = op.normal_blocks
-            self.shape = stack.shape[:2] + (1,)
-            self.dtype = np.result_type(dtype, stack)
-            out = np.empty((probes,) + self.shape, self.dtype)
-            self.normal = lambda u: np.matmul(stack, u, out=out[:len(u)])
+            self.stack, self.index = op.normal_blocks
+            self.shape = self.stack.shape[:2] + (1,)
+            self.dtype = np.result_type(dtype, self.stack)
+            self.out = np.empty((probes,) + self.shape, self.dtype)
+
+    def adjoint(self, ms) -> np.ndarray:
+        """The layout of A^H m for each vector m of ``ms``, one probe each."""
+        return self.scatter([self.op.apply_transpose(m) for m in ms])
+
+    def normal(self, u: np.ndarray) -> np.ndarray:
+        """A^H A applied to every probe of ``u``."""
+        op = self.op
+        if op.normal_blocks is None:
+            return np.array([op.apply_transpose(op.apply(v)) for v in u])
+        return np.matmul(self.stack, u, out=self.out)
 
     def scatter(self, vs) -> np.ndarray:
         """The layout of the vectors ``vs``, one probe each."""
@@ -332,11 +344,13 @@ def _landweber(op: LinearOperator, ms: list, cfg: LandweberConfig) -> list[Landw
     """:func:`landweber_pinv` of each vector of ``ms`` (checked by the caller),
     with all of them stepping in lockstep in one layout.
 
-    A step is one normal product over the live probes and one elementwise
-    update, and each probe's norms are dot products of its own contiguous
-    real view, so every probe's iterates, stop test and result are those of
-    a solve of that probe alone, bit for bit.  A probe that passes the stop
-    test is read back at that step and leaves the block.
+    A step is one normal product over every probe of the block and one
+    elementwise update, and each probe's norms are dot products of its own
+    contiguous real view, so every probe's iterates, stop test and result
+    are those of a solve of that probe alone, bit for bit.  A probe that
+    passes the stop test is read back at that step and leaves the
+    ``pending`` mask; it keeps stepping with the block until the block ends,
+    and its result does not change.
     """
     tau = cfg.step_size()
     k_bound = cfg.iteration_bound()
@@ -350,13 +364,10 @@ def _landweber(op: LinearOperator, ms: list, cfg: LandweberConfig) -> list[Landw
     # (real and imaginary parts in turn for a complex layout, whose padding
     # holds zeros), the dot product of a solve of its own
     pairs = np.zeros((2,) + rhs.shape, rhs.dtype)
-
-    def views(pairs):
-        rows = pairs.reshape(2 * len(pairs[0]), -1).view(float)
-        return pairs[0], pairs[1], rows[:, None, :], rows[:, :, None]
-
-    x, step, rows, cols = views(pairs)
-    live = np.arange(len(ms))
+    x, step = pairs
+    rows = pairs.reshape(2 * len(ms), -1).view(float)
+    rows, cols = rows[:, None, :], rows[:, :, None]
+    pending = np.ones(len(ms), bool)
     results = [None] * len(ms)
     rel_tol = cfg.rel_tol
     for k in range(1, max_iters + 1):  # max_iters >= 1
@@ -364,24 +375,18 @@ def _landweber(op: LinearOperator, ms: list, cfg: LandweberConfig) -> list[Landw
         step *= tau
         x -= step
         norms = np.sqrt(np.matmul(rows, cols)).reshape(2, -1)
-        update_norm = norms[1]
-        done = update_norm <= rel_tol * norms[0]
+        done = pending & (norms[1] <= rel_tol * norms[0])
         if np.count_nonzero(done):
-            for p, xp, u in zip(live[done], layout.gather(x[done]), update_norm[done]):
+            for p, xp in zip(np.flatnonzero(done), layout.gather(x[done])):
                 results[p] = LandweberResult(x=xp, iterations=k, converged=True,
-                                             last_update_norm=float(u))
-            keep = ~done
-            if not keep.any():
+                                             last_update_norm=float(norms[1, p]))
+            pending &= ~done
+            if not pending.any():
                 return results
-            live, update_norm, rhs = live[keep], update_norm[keep], rhs[keep]
-            # indexing axis 1 gives a strided copy, whose reshape in views()
-            # would copy again and leave the norm rows detached
-            pairs = np.ascontiguousarray(pairs[:, keep])
-            x, step, rows, cols = views(pairs)
     converged = k_bound is not None and k >= k_bound
-    for p, xp, u in zip(live, layout.gather(x), update_norm):
+    for p, xp in zip(np.flatnonzero(pending), layout.gather(x[pending])):
         results[p] = LandweberResult(x=xp, iterations=k, converged=converged,
-                                     last_update_norm=float(u))
+                                     last_update_norm=float(norms[1, p]))
     return results
 
 

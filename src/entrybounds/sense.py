@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ import numpy as np
 from . import bounds as bnd
 from . import lifting
 from .bounds import STATUS_FINITE, STATUS_INFEASIBLE, STATUS_UNBOUNDED, LinearSystem
-from .core import _check_int, _finite, _is_int, _is_real, _magnitude
+from .core import _check_bytes, _check_int, _finite, _is_int, _is_real, _magnitude
 from .errors import ConfigError, NotOverdetermined, NumericalFailure, ShapeMismatch, UnknownPreset
 from .matfree import LinearOperator
 
@@ -340,7 +341,9 @@ def _line_grams(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
     counts = mask.sum(axis=0)
     slot = np.cumsum(counts > 0) - 1  # slot of each line with support
     n_max = int(counts.max())
-    gram = np.zeros((int(slot[-1]) + 1, n_max, n_max), dtype=complex)  # zero in the padding
+    shape = (int(slot[-1]) + 1, n_max, n_max)
+    _check_bytes(16 * math.prod(shape), f"the normal_blocks stack {shape}")  # complex128
+    gram = np.zeros(shape, dtype=complex)  # zero in the padding
     for rs in _line_systems(ph, coils, pat, None):
         gram[slot[rs.line_index], :rs.n_sup, :rs.n_sup] = rs.a_complex.conj().T @ rs.a_complex
     return gram, slot[cs] * n_max + pos
@@ -352,9 +355,10 @@ def sense_operator(ph: Phantom, coils: np.ndarray, pat: SamplingPattern):
     Forward/adjoint go through FFTs and pointwise products only; the
     monolithic matrix is never materialized.  The normal matrix A^H A is
     carried as the per-line stack of :func:`_line_grams`, so each step of
-    the matrix-free solves is one batched product with it.  Returns the
-    operator and the lifted voxel map ((y, c) order, real block first) of
-    its diagonal estimates.
+    the matrix-free solves is one batched product with it; a stack of more
+    than ``core.MAX_ARRAY_BYTES`` raises :class:`ConfigError` before any
+    line is built.  Returns the operator and the lifted voxel map ((y, c)
+    order, real block first) of its diagonal estimates.
     """
     _check_grid(ph, coils, pat)
     h, w = ph.shape
@@ -454,8 +458,22 @@ def _default_cfg(cfg: dict) -> dict:
     return out
 
 
+def _check_sizes(h: int, w: int, l: int, accel: int, acs: int) -> None:
+    """:class:`ConfigError` if an array that a run of this grid, coil count
+    and pattern builds would take more than ``core.MAX_ARRAY_BYTES``: the
+    (L, H, W) coil maps, the (K, H) kept DFT rows and the largest line
+    system, at most (L K, H), all complex128, with at most ceil(H / accel)
+    + acs kept lines K.  It is arithmetic on the config alone, and so runs
+    before anything is allocated."""
+    k = min(h, -(-h // max(accel, 1)) + acs)  # SamplingPattern refuses an accel of 0
+    for what, shape in (("the coil maps", (l, h, w)), ("the kept DFT rows", (k, h)),
+                        ("the largest line system", (l * k, h))):
+        _check_bytes(16 * math.prod(shape), f"{what} {shape}")
+
+
 def build_problem(cfg: dict) -> tuple[Phantom, np.ndarray, SamplingPattern]:
-    """Phantom, coils and sampling pattern of a pipeline config.
+    """Phantom, coils and sampling pattern of a pipeline config, whose array
+    sizes are checked first (:func:`_check_sizes`).
 
     The phantom is the unknown the pipeline reconstructs: with
     ``phase_fold`` its phase is absorbed into the coils, so only its
@@ -463,6 +481,7 @@ def build_problem(cfg: dict) -> tuple[Phantom, np.ndarray, SamplingPattern]:
     """
     cfg = _default_cfg(cfg)
     g, c, p = cfg["grid"], cfg["coils"], cfg["pattern"]
+    _check_sizes(g["h"], g["w"], c["l"], p["accel"], p["acs"])
     ph = make_phantom(g["preset"], g["h"], g["w"], g["seed"])
     coils = make_coils(c["l"], g["h"], g["w"], phase_fold=c["phase_fold"], seed=c["seed"],
                        phantom=ph)

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from entrybounds import cli, errors, mio
+from entrybounds import cli, core, errors, mio
 from entrybounds.errors import EntryBoundsError, IndexOutOfRange, InfeasibleSystem, StatusMismatch
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -164,6 +164,18 @@ def test_malformed_flag_names_the_flag(capsys, inputs, flag, value, message):
                "--op": ["estimate-diag", "--samples", "2"]}[flag]
     assert run_main(command + [flag, value], capsys) == (
         1, "", f"error: argument {flag}: {message}\n")
+
+
+def test_dense_gram_past_the_size_limit_exits_1(tmp_path, capsys, monkeypatch):
+    """``estimate-diag --matrix`` refuses an A^H A of more than
+    ``core.MAX_ARRAY_BYTES`` with one ``error:`` line naming N and its bytes."""
+    path = str(tmp_path / "a.csv")
+    mio.write_matrix_csv(path, np.arange(12.0).reshape(3, 4))
+    monkeypatch.setattr(core, "MAX_ARRAY_BYTES", 127)
+    code, out, err = run_main(["estimate-diag", "--matrix", path, "--samples", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: A^H A of a matrix with N=4 columns would take 128 bytes, "
+                   "more than the 127 allowed\n")
 
 
 def test_manifest_echoes_flags_as_given(tmp_path, capsys, inputs):

@@ -1080,6 +1080,27 @@ class TestSenseCommand:
         assert captured.err.startswith("error: out of memory: Unable to allocate")
         assert captured.out == "" and not outdir.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sense", "--out", "x"], ["sense", "--out", "x", "--manifest-only"],
+        ["estimate-diag", "--samples", "2", "--op"],
+    ], ids=["run", "manifest-only", "estimate-diag"])
+    def test_size_limit_exit_code(self, tmp_path, capsys, monkeypatch, argv):
+        """A config whose arrays pass ``core.MAX_ARRAY_BYTES`` exits 1 with
+        an ``error:`` line before the phantom or the coils are built."""
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("a grid-sized array was built")
+
+        monkeypatch.setattr(sense, "make_phantom", no_allocation)
+        monkeypatch.setattr(sense, "make_coils", no_allocation)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"grid": {"h": 100000}}))
+        config = ["sense:cfg.json"] if argv[0] == "estimate-diag" else ["--config", "cfg.json"]
+        assert cli.main(argv + config) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: the kept DFT rows (25006, 100000) would take "
+                                "40009600000 bytes, more than the 1073741824 allowed\n")
+        assert captured.out == "" and not (tmp_path / "x").exists()
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"grid": {"h": 12, "w": 12}, "bogus": {}}))

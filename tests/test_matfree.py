@@ -14,8 +14,8 @@ from entrybounds import (
     stochastic_diag,
     svd_truncated,
 )
-from entrybounds import matfree
-from entrybounds.errors import DimensionMismatch, InvalidStep, NumericalFailure
+from entrybounds import core, matfree
+from entrybounds.errors import ConfigError, DimensionMismatch, InvalidStep, NumericalFailure
 from entrybounds.matfree import adjoint_mismatch
 from entrybounds.sense import SamplingPattern, make_coils, make_phantom, sense_operator
 
@@ -163,6 +163,28 @@ class TestFromMatrix:
         with pytest.raises(NumericalFailure) as exc:
             LinearOperator.from_matrix(np.full((2, 2), 1e200))
         assert str(exc.value) == "A^H A of the matrix exceeds the float range"
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_gram_past_the_size_limit_is_never_formed(self, cplx, monkeypatch):
+        """An A^H A of more than ``core.MAX_ARRAY_BYTES`` raises
+        :class:`ConfigError` naming N and its bytes before any product;
+        one of exactly the limit is formed."""
+        class NoProducts(np.ndarray):
+            def __matmul__(self, other):
+                raise AssertionError("A^H A formed")
+
+        a = np.arange(12.0).reshape(3, 4) * (1j if cplx else 1)
+        nbytes = 4 * 4 * a.itemsize
+        monkeypatch.setattr(matfree, "as_finite_matrix",
+                            lambda a: core.as_finite_matrix(a).view(NoProducts))
+        monkeypatch.setattr(core, "MAX_ARRAY_BYTES", nbytes)
+        with pytest.raises(AssertionError, match="A\\^H A formed"):
+            LinearOperator.from_matrix(a)
+        monkeypatch.setattr(core, "MAX_ARRAY_BYTES", nbytes - 1)
+        with pytest.raises(ConfigError) as exc:
+            LinearOperator.from_matrix(a)
+        assert str(exc.value) == (f"A^H A of a matrix with N=4 columns would take {nbytes} "
+                                  f"bytes, more than the {nbytes - 1} allowed")
 
     @pytest.mark.parametrize("shape", [(9, 6), (0, 3), (3, 0)], ids=["9x6", "0x3", "3x0"])
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
@@ -675,6 +697,27 @@ class TestLockstep:
         np.testing.assert_array_equal(layout.gather(layout.normal(layout.scatter(u))),
                                       [gram @ v for v in u])
         np.testing.assert_array_equal(layout.gather(layout.adjoint(list(ms))), [ah @ m for m in ms])
+
+    @pytest.mark.parametrize("name", ["real", "complex-flat", "sense"])
+    def test_stopped_probes_keep_their_slots(self, name, monkeypatch):
+        """Every normal product of a block steps all its probes, until the
+        last of them stops: one product per step of its slowest probe."""
+        op = lockstep_operator(name)
+        cfg = LandweberConfig(sigma1_estimate=power_iteration_sigma1(op, seed=1),
+                              max_iters=10**4, rel_tol=1e-8)
+        sizes, normal = [], matfree._Layout.normal
+
+        def counted(layout, u):
+            sizes.append(len(u))
+            return normal(layout, u)
+
+        monkeypatch.setattr(matfree._Layout, "normal", counted)
+        samples = matfree.PROBE_CHUNK + 3
+        iterations = stochastic_diag(op, samples, seed=3, cfg=cfg).iterations
+        blocks = [iterations[s:s + matfree.PROBE_CHUNK]
+                  for s in range(0, samples, matfree.PROBE_CHUNK)]
+        assert all(np.ptp(block) > 0 for block in blocks)
+        assert sizes == [len(block) for block in blocks for _ in range(block.max())]
 
     @pytest.mark.parametrize("name", ["real", "complex-flat", "blocks-complex"])
     def test_rate_bound_matches_one_loop_per_probe(self, name):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -931,3 +932,55 @@ class TestStreamedLines:
         finally:
             tracemalloc.stop()
         assert peak < all_lines / 2, (peak, all_lines)
+
+
+def no_allocation(*args, **kwargs):
+    raise AssertionError("a grid-sized array was built")
+
+
+class TestSizeLimit:
+    """A config whose arrays would pass ``core.MAX_ARRAY_BYTES`` raises
+    :class:`ConfigError` before the phantom, the coils or a line is built."""
+
+    def test_grid_of_100000_lines_is_refused_before_any_allocation(self, monkeypatch):
+        for name in ("make_phantom", "make_coils", "_line_systems"):
+            monkeypatch.setattr(sense, name, no_allocation)
+        for build in (build_problem, run_pipeline):
+            with pytest.raises(ConfigError) as exc:
+                build({"grid": {"h": 100000}})
+            assert str(exc.value) == ("the kept DFT rows (25006, 100000) would take "
+                                      "40009600000 bytes, more than the 1073741824 allowed")
+
+    @pytest.mark.parametrize("cfg, limit, message", [
+        ({"grid": {"h": 16, "w": 12}, "coils": {"l": 3}}, 9215,
+         "the coil maps (3, 16, 12) would take 9216 bytes"),
+        ({"grid": {"h": 16, "w": 8}, "coils": {"l": 3}, "pattern": {"accel": 1}}, 12287,
+         "the largest line system (48, 16) would take 12288 bytes"),
+    ], ids=["coil-maps", "line-system"])
+    def test_each_array_is_bounded(self, cfg, limit, message, monkeypatch):
+        """One byte under a bound refuses the config; at the bound it is
+        built, and its coil maps and line systems take no more than their
+        bounds."""
+        monkeypatch.setattr(core, "MAX_ARRAY_BYTES", limit)
+        with monkeypatch.context() as patched:
+            patched.setattr(sense, "make_phantom", no_allocation)
+            with pytest.raises(ConfigError, match=re.escape(f"{message}, more than the {limit}")):
+                build_problem(cfg)
+        monkeypatch.setattr(core, "MAX_ARRAY_BYTES", limit + 1)
+        ph, coils, pat = build_problem(cfg)
+        assert coils.nbytes <= limit + 1
+        assert max(rs.a_complex.nbytes for rs in build_row_systems(ph, coils, pat)) <= limit + 1
+
+    def test_operator_stack_is_refused_before_any_line(self, monkeypatch):
+        ph, coils, pat = build_problem({"grid": {"h": 12, "w": 10}, "coils": {"l": 3}})
+        stack, _ = _line_grams(ph, coils, pat)
+        monkeypatch.setattr(core, "MAX_ARRAY_BYTES", stack.nbytes - 1)
+        with monkeypatch.context() as patched:
+            patched.setattr(sense, "_line_systems", no_allocation)
+            with pytest.raises(ConfigError) as exc:
+                sense_operator(ph, coils, pat)
+        assert str(exc.value) == (f"the normal_blocks stack {stack.shape} would take "
+                                  f"{stack.nbytes} bytes, more than the {stack.nbytes - 1} allowed")
+        monkeypatch.setattr(core, "MAX_ARRAY_BYTES", stack.nbytes)
+        op, _ = sense_operator(ph, coils, pat)
+        np.testing.assert_array_equal(op.normal_blocks[0], stack)
